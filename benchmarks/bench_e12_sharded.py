@@ -90,15 +90,13 @@ def test_sharded_result_parity(benchmark, shards, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("backend", ["thread", "process", "shm-process"])
+@pytest.mark.parametrize("backend", ["thread", "shm-process"])
 def test_backend_result_parity(benchmark, backend, workers):
     """Every backend returns the serial answer bit for bit (E15 axis).
 
-    The thread and process rows pin the pre-existing backends; the
-    shm-process row pins the zero-copy path on every push.  The
-    process backend is expected to *degrade* (task closures reference
-    the relation, which does not pickle cheaply) — parity must hold
-    regardless of which pool the work actually ran on.
+    The thread row pins the default backend; the shm-process row pins
+    the zero-copy path on every push — parity must hold regardless of
+    which pool the work actually ran on.
     """
     relation = clustered_relation(10000, seed=5)
     evaluator = PackageQueryEvaluator(relation)

@@ -1019,7 +1019,7 @@ def build_parser():
             choices=list(ENGINE_BACKENDS),
             help=(
                 "execution backend for shard-parallel stages: thread "
-                "(default), process (pickling pool), shm-process "
+                "(default), shm-process "
                 "(zero-copy shared-memory workers; degrades to thread "
                 "with the reason recorded in stats['parallel']), or "
                 "serial"
@@ -1285,7 +1285,7 @@ def build_parser():
     shard_bench.add_argument(
         "--backend",
         default="thread",
-        choices=["thread", "process", "shm-process"],
+        choices=list(ENGINE_BACKENDS),
         help=(
             "parallel backend for the sharded side; shm-process also "
             "reports its one-time attach/teardown overhead"
@@ -1421,7 +1421,7 @@ def build_parser():
     serve.add_argument(
         "--parallel-backend",
         default="thread",
-        choices=sorted(ENGINE_BACKENDS),
+        choices=list(ENGINE_BACKENDS),
         help="parallel backend for shard-parallel stages",
     )
     serve.set_defaults(func=_cmd_serve)

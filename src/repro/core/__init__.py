@@ -93,11 +93,7 @@ from repro.core.reduction import (
 )
 from repro.core.ir import STAGE_NAMES, StageRecord, records_payload, stage_table
 from repro.core.pipeline import MAX_PRUNE_ROUNDS, PipelineState, run_analysis
-from repro.core.session import (
-    ArtifactCache,
-    EvaluationSession,
-    ReductionFactCache,
-)
+from repro.core.session import ArtifactCache, EvaluationSession
 from repro.core.translate_ilp import ILPTranslation, ILPTranslationError, translate
 from repro.core.vectorize import (
     UnsupportedExpression,
@@ -175,7 +171,6 @@ __all__ = [
     "run_analysis",
     "ArtifactCache",
     "EvaluationSession",
-    "ReductionFactCache",
     "ILPTranslation",
     "ILPTranslationError",
     "UnsupportedExpression",

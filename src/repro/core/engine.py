@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +46,7 @@ from repro.paql.parser import parse
 from repro.paql.semantics import analyze
 from repro.paql.to_sql import to_sql
 from repro.paql.eval import eval_predicate
+from repro.core.cache import BoundedCache
 from repro.core.vectorize import evaluator_for, try_predicate_mask
 from repro.core.ir import records_payload
 from repro.core.local_search import LocalSearch, LocalSearchOptions
@@ -64,6 +64,7 @@ from repro.core.partitioning import PartitionOptions
 from repro.core.pipeline import dispatch_strategy, run_analysis, run_validate
 from repro.core.result import EngineError, EvaluationResult, ResultStatus
 from repro.core.validator import validate
+from repro.relational.content_hash import rids_fingerprint
 from repro.relational.sharding import ShardedRelation
 
 __all__ = [
@@ -108,7 +109,6 @@ class EngineOptions:
             0 means one per available CPU, 1 forces serial execution.
         parallel_backend: execution backend for those stages —
             ``thread`` (default; numpy kernels release the GIL),
-            ``process`` (per-task pickling; coarse work only),
             ``shm-process`` (zero-copy shared-memory workers that
             attach to the relation once — the multi-core scan path,
             see ``docs/sharding.md``), or ``serial``.  Backends never
@@ -173,8 +173,8 @@ class PackageQueryEvaluator:
         # last few WHERE outcomes keyed by clause, and the last
         # streamed resident sets keyed by candidate content.  Small
         # caps — residents can be large.
-        self._scan_cache = OrderedDict()
-        self._stream_cache = OrderedDict()
+        self._scan_cache = BoundedCache(4)
+        self._stream_cache = BoundedCache(2)
         # Serializes the evaluator's lazily-built shared state — the
         # cached ShardedRelation and the shm execution context — under
         # concurrent callers (one session serving many threads).  Held
@@ -220,8 +220,14 @@ class PackageQueryEvaluator:
         with self._shared_state_lock:
             if self._sharded is None or self._sharded.num_shards != shards:
                 zone_source = None
-                if self._artifacts is not None:
-                    zone_source = self._artifacts.zone_source()
+                if self._artifacts is not None and self._artifacts.store is not None:
+                    zone = self._artifacts.zone
+                    zone_source = (
+                        lambda fingerprint, column: zone.get((fingerprint, column)),
+                        lambda fingerprint, column, stats: zone.put(
+                            (fingerprint, column), stats
+                        ),
+                    )
                 self._sharded = ShardedRelation(
                     self._relation, shards, zone_source=zone_source
                 )
@@ -337,7 +343,7 @@ class PackageQueryEvaluator:
         if artifacts is None:
             return self._candidates_with_path(query, options)
         key = artifacts.where_key(query, options)
-        hit = artifacts.cached_where(key)
+        hit = artifacts.where.get(key)
         if hit is not None:
             rids, path, shard_info = hit
             # Copies, not aliases: a caller mutating a result's rid
@@ -351,7 +357,7 @@ class PackageQueryEvaluator:
                 dict(shard_info) if shard_info else shard_info,
             )
         rids, path, shard_info = self._candidates_with_path(query, options)
-        artifacts.store_where(
+        artifacts.where.put(
             key,
             (
                 np.asarray(rids, dtype=np.intp),
@@ -419,16 +425,10 @@ class PackageQueryEvaluator:
 
         clause = print_expr(query.where) if query.where is not None else ""
         key = (clause, getattr(options, "pushdown", "auto"))
-        with self._shared_state_lock:
-            hit = self._scan_cache.get(key)
-            if hit is not None:
-                self._scan_cache.move_to_end(key)
-                return hit
-        outcome = run_where(self._relation, query, options or EngineOptions())
-        with self._shared_state_lock:
-            self._scan_cache[key] = outcome
-            while len(self._scan_cache) > 4:
-                self._scan_cache.popitem(last=False)
+        outcome = self._scan_cache.get(key)
+        if outcome is None:
+            outcome = run_where(self._relation, query, options or EngineOptions())
+            self._scan_cache.put(key, outcome)
         return outcome
 
     def stream_residents(self, query, options, candidate_rids):
@@ -447,19 +447,13 @@ class PackageQueryEvaluator:
         labels, fixing = pushdown.build_fixing_predicates(
             query, self._relation, options
         )
-        key = (pushdown.rids_digest(candidate_rids), tuple(fixing))
-        with self._shared_state_lock:
-            hit = self._stream_cache.get(key)
-            if hit is not None:
-                self._stream_cache.move_to_end(key)
-                return hit, fixing
-        outcome = pushdown.stream_residents(
-            self._relation, candidate_rids, labels, fixing
-        )
-        with self._shared_state_lock:
-            self._stream_cache[key] = outcome
-            while len(self._stream_cache) > 2:
-                self._stream_cache.popitem(last=False)
+        key = (rids_fingerprint(candidate_rids), tuple(fixing))
+        outcome = self._stream_cache.get(key)
+        if outcome is None:
+            outcome = pushdown.stream_residents(
+                self._relation, candidate_rids, labels, fixing
+            )
+            self._stream_cache.put(key, outcome)
         return outcome, fixing
 
     def _sharded_candidates(self, query, options):
@@ -508,8 +502,8 @@ class PackageQueryEvaluator:
             clause = print_expr(query.where)
             pending = []
             for index in live:
-                relative = self._artifacts.cached_where_shard(
-                    sharded.shard_fingerprint(index), clause
+                relative = self._artifacts.where_shard.get(
+                    (sharded.shard_fingerprint(index), clause)
                 )
                 if relative is None:
                     pending.append(index)
@@ -549,9 +543,8 @@ class PackageQueryEvaluator:
             by_shard[index] = piece
             if use_store:
                 part = sharded.shard_slice(index)
-                self._artifacts.store_where_shard(
-                    sharded.shard_fingerprint(index),
-                    clause,
+                self._artifacts.where_shard.put(
+                    (sharded.shard_fingerprint(index), clause),
                     np.asarray(piece, dtype=np.intp) - part.start,
                 )
         ordered = [by_shard[index] for index in live]
@@ -754,7 +747,7 @@ def evaluate(
             reduction mode (``off`` | ``safe`` | ``aggressive``).
         parallel_backend: shortcut for
             ``EngineOptions.parallel_backend`` (``thread`` |
-            ``process`` | ``shm-process`` | ``serial``).
+            ``shm-process`` | ``serial``).
 
     All shortcuts override the corresponding field of ``options``
     when given.

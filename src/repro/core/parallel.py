@@ -25,8 +25,6 @@ Backends:
 
 * ``thread`` (default) — the hot per-task work is numpy kernels, which
   release the GIL on large arrays.
-* ``process`` — coarse CPU-bound tasks with picklable callables;
-  anything unpicklable degrades to the serial loop (recorded).
 * ``shm-process`` — the zero-copy multi-core path: a persistent
   spawn-safe :class:`ShmPool` whose workers attach *once* to a
   relation exported through :mod:`repro.relational.shm`, then receive
@@ -42,10 +40,10 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.core import faults
+from repro.core.cache import BoundedCache
 
 __all__ = [
     "ExecutorPool",
@@ -65,10 +63,10 @@ __all__ = [
 #: Recognized ``ParallelOptions.backend`` spellings (``shm-process`` is
 #: dispatched by the engine through :class:`ShmExecutionContext`, and
 #: maps to ``thread`` inside the ordinary pool — see :func:`pool_backend`).
-BACKENDS = ("thread", "process", "serial")
+BACKENDS = ("thread", "serial")
 
 #: Engine-level backend spellings (``EngineOptions.parallel_backend``).
-ENGINE_BACKENDS = ("thread", "process", "shm-process", "serial")
+ENGINE_BACKENDS = ("thread", "shm-process", "serial")
 
 
 def available_cpus():
@@ -183,9 +181,8 @@ class ParallelOptions:
     Attributes:
         workers: worker count; ``0`` means one per CPU, ``1`` forces
             the serial loop.
-        backend: ``thread`` (default; numpy kernels release the GIL),
-            ``process`` (coarse CPU-bound tasks; callables must
-            pickle), or ``serial`` (always the plain loop).
+        backend: ``thread`` (default; numpy kernels release the GIL)
+            or ``serial`` (always the plain loop).
     """
 
     workers: int = 0
@@ -220,17 +217,14 @@ class ExecutorPool:
         lowest-index failure raises first, like the serial loop.
 
         Tasks run exactly once — except when the pool *infrastructure*
-        itself fails (a worker process dying, a thread refusing to
-        start), where a task that already reached a worker may run
-        again on the serial fallback.  Callers passing impure tasks
+        itself fails (a thread refusing to start), where a task that
+        already reached a worker may run again on the serial fallback.  Callers passing impure tasks
         must tolerate that pool-failure replay.
         """
         items = list(items)
         workers = effective_workers(self._options.workers, len(items))
         if workers == 1 or self._options.backend == "serial":
             return [fn(item) for item in items]
-        if self._options.backend == "process":
-            return self._process_map(fn, items, workers)
         return self._thread_map(fn, items, workers)
 
     def _thread_map(self, fn, items, workers):
@@ -275,39 +269,6 @@ class ExecutorPool:
                 return done + [fn(item) for item in items[len(futures):]]
             return [future.result() for future in futures]
 
-    def _process_map(self, fn, items, workers):
-        import pickle
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            pickle.dumps(fn)
-        except Exception as exc:
-            note_parallel_event(
-                "process",
-                "callable does not pickle "
-                f"({type(exc).__name__}); ran serially",
-            )
-            return [fn(item) for item in items]
-        try:
-            pool = ProcessPoolExecutor(max_workers=workers)
-        except (OSError, RuntimeError) as exc:
-            note_parallel_event(
-                "process", f"process pool unavailable ({exc}); ran serially"
-            )
-            return [fn(item) for item in items]
-        with pool:
-            try:
-                futures = [pool.submit(fn, item) for item in items]
-                return [future.result() for future in futures]
-            except BrokenProcessPool:
-                # Pool infrastructure died (never a task exception —
-                # those propagate as themselves); tasks are pure.
-                note_parallel_event(
-                    "process", "worker pool broke mid-run; re-ran serially"
-                )
-                return [fn(item) for item in items]
-
 
 def parallel_map(fn, items, workers=0, backend="thread"):
     """One-shot ordered parallel map (see :class:`ExecutorPool`)."""
@@ -329,7 +290,7 @@ class _ShmWorkerState:
     def __init__(self, relation):
         self._relation = relation
         self._sharded = {}
-        self._scratch = OrderedDict()
+        self._scratch = BoundedCache(8, on_evict=_detach_scratch)
 
     @property
     def relation(self):
@@ -357,16 +318,16 @@ class _ShmWorkerState:
             from repro.relational import shm as shm_mod
 
             entry = shm_mod.attach_array(handle)
-            self._scratch[handle.segment] = entry
-            while len(self._scratch) > 8:
-                _, (_, segment) = self._scratch.popitem(last=False)
-                try:
-                    segment.close()
-                except BufferError:
-                    pass
-        else:
-            self._scratch.move_to_end(handle.segment)
+            self._scratch.put(handle.segment, entry)
         return entry[0]
+
+
+def _detach_scratch(_name, entry):
+    _, segment = entry
+    try:
+        segment.close()
+    except BufferError:
+        pass
 
 
 _WORKER_STATE = None
@@ -499,7 +460,9 @@ class ShmExecutionContext:
     def __init__(self, export, pool):
         self._export = export
         self._pool = pool
-        self._scratch = OrderedDict()
+        self._scratch = BoundedCache(
+            4, on_evict=lambda _key, export: export.close()
+        )
         self._closed = False
         # Supervision state: generation counts pool replacements so
         # concurrent mappers that all saw generation N crash elect one
@@ -659,17 +622,16 @@ class ShmExecutionContext:
         over the same candidate set ship the rids to workers exactly
         once per set (a small LRU bounds retained segments).
         """
-        import hashlib
-
         import numpy as np
 
         from repro.relational import shm as shm_mod
+        from repro.relational.content_hash import rids_fingerprint
 
         array = np.ascontiguousarray(np.asarray(rids, dtype=np.intp))
-        key = (
-            array.size,
-            hashlib.blake2b(array.tobytes(), digest_size=16).digest(),
-        )
+        key = rids_fingerprint(array)
+        # The context lock spans lookup, export and eviction: closing
+        # an evicted export must stay serialized with handing a
+        # sibling's handle to workers.
         with self._lock:
             if not self.alive:
                 raise ShmUnavailable("shm execution context is closed")
@@ -679,12 +641,7 @@ class ShmExecutionContext:
                     entry = shm_mod.export_array(array)
                 except shm_mod.SharedMemoryUnavailable as exc:
                     raise ShmUnavailable(str(exc)) from exc
-                self._scratch[key] = entry
-                while len(self._scratch) > 4:
-                    _, old = self._scratch.popitem(last=False)
-                    old.close()
-            else:
-                self._scratch.move_to_end(key)
+                self._scratch.put(key, entry)
             return entry.handle
 
     def close(self):
@@ -693,16 +650,15 @@ class ShmExecutionContext:
             if self._closed:
                 return
             self._closed = True
-            scratch = list(self._scratch.values())
-            self._scratch.clear()
         # Pool shutdown waits for in-flight work outside the lock (a
         # mapping thread must be able to decrement _inflight).
         try:
             self._pool.close()
         except Exception:
             pass
-        for export in scratch:
-            export.close()
+        # No entry can be added once _closed is set (shared_rids
+        # checks it under the lock); clear() closes every export.
+        self._scratch.clear()
         self._export.close()
 
     def __enter__(self):

@@ -59,6 +59,7 @@ from repro.core.ir import (
 from repro.core.parallel import pool_backend
 from repro.core.pruning import derive_bounds
 from repro.core.reduction import apply_reduction, merge_reductions, reduction_gate_reason
+from repro.relational.content_hash import rids_fingerprint
 
 __all__ = [
     "MAX_PRUNE_ROUNDS",
@@ -333,12 +334,11 @@ def _run_bounds(state, round_number):
     count = len(state.candidate_rids)
     started = time.perf_counter()
     bounds = None
-    fingerprint = None
     if state.artifacts is not None:
-        fingerprint = state.artifacts.fingerprint(state.candidate_rids)
-        bounds = state.artifacts.cached_bounds(
-            state.query, state.candidate_rids, fingerprint
+        key = state.artifacts.bounds_key(
+            state.query, rids_fingerprint(state.candidate_rids)
         )
+        bounds = state.artifacts.bounds.get(key)
     if bounds is None:
         bounds = derive_bounds(
             state.query,
@@ -350,9 +350,7 @@ def _run_bounds(state, round_number):
             backend=pool_backend(state.options),
         )
         if state.artifacts is not None:
-            state.artifacts.store_bounds(
-                state.query, state.candidate_rids, bounds, fingerprint
-            )
+            state.artifacts.bounds.put(key, bounds)
     state.bounds = bounds
     state.record(
         StageRecord(
@@ -386,9 +384,6 @@ def _run_reduce(state, round_number):
         )
         return None
     started = time.perf_counter()
-    fact_cache = (
-        state.artifacts.reduction_facts if state.artifacts is not None else None
-    )
     kept, reduction = apply_reduction(
         state.query,
         state.relation,
@@ -396,7 +391,7 @@ def _run_reduce(state, round_number):
         state.bounds,
         state.options,
         state.sharded,
-        fact_cache=fact_cache,
+        artifacts=state.artifacts,
         shm=state.shm,
     )
     state.candidate_rids = kept

@@ -566,13 +566,6 @@ def stream_residents(relation, candidate_rids, fixing_labels, fixing_sqls,
     )
 
 
-def rids_digest(rids):
-    """A compact content key for a candidate rid list."""
-    hasher = hashlib.blake2b(digest_size=16)
-    hasher.update(np.asarray(rids, dtype=np.int64).tobytes())
-    return hasher.hexdigest()
-
-
 def derived_artifacts(base, relation, clause, fixing_sqls, candidate_rids,
                       resident):
     """An :class:`~repro.core.session.ArtifactCache` scoped to one
@@ -593,7 +586,7 @@ def derived_artifacts(base, relation, clause, fixing_sqls, candidate_rids,
     store = getattr(base, "store", None)
     relation_hash = None
     if store is not None:
-        from repro.relational.content_hash import merge_digests
+        from repro.relational.content_hash import merge_digests, rids_fingerprint
 
         key_material = hashlib.blake2b(digest_size=16)
         key_material.update(clause.encode("utf-8"))
@@ -604,7 +597,7 @@ def derived_artifacts(base, relation, clause, fixing_sqls, candidate_rids,
             [
                 relation.relation_fingerprint(),
                 key_material.hexdigest(),
-                rids_digest(candidate_rids),
+                rids_fingerprint(candidate_rids)[1],
             ]
         )
     return ArtifactCache(

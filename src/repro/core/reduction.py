@@ -81,6 +81,7 @@ from repro.core.pruning import match_aggregate_comparison
 from repro.core.translate_ilp import ILPTranslationError, minmax_plan
 from repro.core.validator import DEFAULT_TOLERANCE
 from repro.core.vectorize import UnsupportedExpression, evaluator_for
+from repro.relational.content_hash import rids_fingerprint
 
 __all__ = [
     "REDUCE_MODES",
@@ -205,7 +206,7 @@ def apply_reduction(
     bounds,
     options,
     sharded=None,
-    fact_cache=None,
+    artifacts=None,
     shm=None,
 ):
     """The pipeline's reduction stage: gate, run, and unpack.
@@ -216,11 +217,11 @@ def apply_reduction(
     (the engine short-circuits on those first).
 
     Args:
-        fact_cache: optional
-            :class:`~repro.core.session.ReductionFactCache` — per-
-            conjunct facts (fixing masks, witness sets, dominance
-            keys) are reused across queries sharing a conjunct over
-            the same candidate set.
+        artifacts: optional
+            :class:`~repro.core.session.ArtifactCache` — its ``facts``
+            layer reuses per-conjunct facts (fixing masks, witness
+            sets, dominance keys) across queries sharing a conjunct
+            over the same candidate set.
 
     Returns:
         ``(kept_rids, reduction)`` where ``reduction`` is the
@@ -238,7 +239,7 @@ def apply_reduction(
         mode=options.reduce,
         sharded=sharded,
         workers=getattr(options, "workers", 0),
-        fact_cache=fact_cache,
+        artifacts=artifacts,
         shm=shm,
         backend=pool_backend(options),
     )
@@ -297,7 +298,7 @@ def reduce_candidates(
     sharded=None,
     workers=0,
     tolerance=DEFAULT_TOLERANCE,
-    fact_cache=None,
+    artifacts=None,
     shm=None,
     backend="thread",
 ):
@@ -318,8 +319,8 @@ def reduce_candidates(
         tolerance: the validator's boundary tolerance; fixing widens
             non-strict thresholds by it so reduction never removes a
             tuple some oracle-acceptable package contains.
-        fact_cache: optional per-conjunct fact cache (see
-            :func:`apply_reduction`).
+        artifacts: optional artifact cache whose ``facts`` layer
+            memoizes per-conjunct facts (see :func:`apply_reduction`).
 
     Returns:
         :class:`Reduction`.
@@ -350,7 +351,7 @@ def reduce_candidates(
         )
     return _Reducer(
         query, relation, rids, bounds, mode, sharded, workers, tolerance,
-        fact_cache, shm=shm, backend=backend,
+        artifacts, shm=shm, backend=backend,
     ).run(started)
 
 
@@ -427,7 +428,7 @@ class _Reducer:
 
     def __init__(
         self, query, relation, rids, bounds, mode, sharded, workers, tolerance,
-        fact_cache=None, shm=None, backend="thread",
+        artifacts=None, shm=None, backend="thread",
     ):
         self._query = query
         self._relation = relation
@@ -446,10 +447,10 @@ class _Reducer:
         self._shm = shm if sharded is not None else None
         self._backend = backend
         self._tol = float(tolerance)
-        self._fact_cache = fact_cache
+        self._artifacts = artifacts
         # One fingerprint per run, reused in every per-leaf cache key.
         self._rids_key = (
-            fact_cache.fingerprint(self._rids) if fact_cache is not None else None
+            rids_fingerprint(self._rids) if artifacts is not None else None
         )
         self._evaluator = evaluator_for(relation)
         self._value_cache = {}
@@ -507,7 +508,7 @@ class _Reducer:
 
     def _consume_with_cache(self, leaf):
         """Consume a conjunct, reusing cached facts when a session
-        provides a fact cache.
+        provides an artifact cache.
 
         A conjunct's facts (the positional fixing mask, witness masks,
         dominance keys, dominance block, zone counters) are functions
@@ -523,18 +524,17 @@ class _Reducer:
         block from the cache — and replaying that entry in a query
         where no earlier conjunct blocks would run dominance unproven.
         """
-        if self._fact_cache is None:
+        if self._artifacts is None:
             self._consume(leaf)
             return
-        key = self._fact_cache.key_for(
+        key = self._artifacts.facts_key(
             leaf,
-            self._rids,
+            self._rids_key,
             repeat=self._query.repeat,
             tolerance=self._tol,
             shards=self._sharded.num_shards if self._sharded is not None else 0,
-            fingerprint=self._rids_key,
         )
-        hit = self._fact_cache.get(key)
+        hit = self._artifacts.facts.get(key)
         if hit is not None:
             self._zero |= hit.fixed_mask
             self._witness_checks.extend(hit.witness_checks)
@@ -565,16 +565,20 @@ class _Reducer:
         self._dominance_block = outer_block
         if leaf_block is not None:
             self._block_dominance(leaf_block)
-        self._fact_cache.store(
+        from repro.core.session import ConjunctFacts
+
+        self._artifacts.facts.put(
             key,
-            fixed_mask=leaf_mask,
-            witness_checks=tuple(self._witness_checks[witnesses_from:]),
-            dominance_keys=tuple(self._dominance_keys[keys_from:]),
-            dominance_block=leaf_block,
-            zone=(
-                self._zone_fixed - zone_before[0],
-                self._zone_cleared - zone_before[1],
-                self._zone_scanned - zone_before[2],
+            ConjunctFacts(
+                fixed_mask=leaf_mask,
+                witness_checks=tuple(self._witness_checks[witnesses_from:]),
+                dominance_keys=tuple(self._dominance_keys[keys_from:]),
+                dominance_block=leaf_block,
+                zone=(
+                    self._zone_fixed - zone_before[0],
+                    self._zone_cleared - zone_before[1],
+                    self._zone_scanned - zone_before[2],
+                ),
             ),
         )
 

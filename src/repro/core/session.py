@@ -21,16 +21,14 @@ relation skips recompilation and re-sharding:
 * **sharding + zone statistics** — the evaluator's cached
   :class:`~repro.relational.sharding.ShardedRelation` is built once
   per shard count; its zone stats and skip analyses are cached inside.
-* **WHERE results** — keyed on the (canonical) WHERE clause and shard
-  count; a second query sharing the clause skips the scan.
-* **cardinality bounds** — keyed on the SUCH THAT clause, REPEAT, and
-  the candidate fingerprint.
-* **reduction facts** — keyed per *conjunct signature* (the printed
-  conjunct) plus the candidate fingerprint, so queries that share a
-  global constraint reuse its fixing mask, witness sets, and dominance
-  keys even when objectives differ.
-* **ILP translations** — keyed on the canonical query text and the
-  candidate/forced fingerprints.
+* **artifact layers** — WHERE results, cardinality bounds,
+  per-conjunct reduction facts, ILP translations and validated
+  results, each one :class:`~repro.core.cache.ArtifactLayer` of the
+  :class:`ArtifactCache` (``docs/caching.md`` has the table of
+  layers, bounds and key fields).  Facts are keyed per *conjunct
+  signature*, so queries that share a global constraint reuse its
+  fixing mask, witness sets, and dominance keys even when objectives
+  differ.
 * **results** — an exactly repeated (query, options) pair replays the
   stored package *through the engine's oracle gate*: the package is
   re-validated against the query before being returned, so a stale or
@@ -62,20 +60,19 @@ per-shard WHERE partials) are keyed by *shard content fingerprint*,
 so only the shards a mutation touched recompute — the
 :class:`~repro.relational.sharding.MutationReport` returned names
 exactly which — while relation-scoped layers re-key under the new
-relation hash.
+relation hash: the session builds a fresh :class:`ArtifactCache` for
+the new relation, and a query still in flight keeps reading and
+writing the one it started with.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from repro.core.cache import ArtifactLayer, BoundedCache
 from repro.core.engine import EngineOptions, PackageQueryEvaluator
 from repro.core.result import EvaluationResult
 from repro.paql.printer import print_expr, print_query
@@ -84,100 +81,7 @@ __all__ = [
     "ArtifactCache",
     "ConjunctFacts",
     "EvaluationSession",
-    "ReductionFactCache",
 ]
-
-
-def _rids_fingerprint(rids):
-    """A compact digest identifying a candidate rid sequence.
-
-    Length plus a blake2b-128 over the raw int array bytes: cheap even
-    at hundreds of thousands of candidates, and collision-free for all
-    practical purposes — and a collision could at worst replay facts
-    for a *different* candidate set, which the engine's oracle gate
-    and the parity suites would surface, not silently accept.
-    """
-    array = np.ascontiguousarray(np.asarray(rids, dtype=np.int64))
-    digest = hashlib.blake2b(array.tobytes(), digest_size=16).hexdigest()
-    return (array.size, digest)
-
-
-class _BoundedCache:
-    """A small LRU: recently used entries survive, the rest age out.
-
-    Layers whose entries hold O(candidates)-sized payloads (reduction
-    fact arrays, ILP translations) pass a ``sizer`` and ``max_bytes``
-    so memory — not just entry count — bounds the cache: a long-lived
-    serving session over a large relation evicts by approximate bytes
-    instead of retaining hundreds of megabytes of arrays.
-
-    Thread-safe: the LRU bookkeeping (``move_to_end``, eviction, the
-    byte totals) is a read-modify-write sequence over an
-    ``OrderedDict``, which concurrent serving callers would corrupt —
-    every public operation runs under one internal lock.  Values are
-    never mutated after insertion (the session stores replays), so
-    handing the same value to two callers is safe.
-    """
-
-    def __init__(self, maxsize, max_bytes=None, sizer=None):
-        self._maxsize = maxsize
-        self._max_bytes = max_bytes
-        self._sizer = sizer
-        self._entries = OrderedDict()
-        self._sizes = {}
-        self._total_bytes = 0
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self):
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def put(self, key, value):
-        with self._lock:
-            if key in self._entries:
-                self._total_bytes -= self._sizes.pop(key, 0)
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            if self._sizer is not None:
-                size = self._sizer(value)
-                self._sizes[key] = size
-                self._total_bytes += size
-            while len(self._entries) > self._maxsize or (
-                self._max_bytes is not None
-                and self._total_bytes > self._max_bytes
-                and len(self._entries) > 1
-            ):
-                evicted, _ = self._entries.popitem(last=False)
-                self._total_bytes -= self._sizes.pop(evicted, 0)
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-            self._sizes.clear()
-            self._total_bytes = 0
-
-    def stats(self):
-        with self._lock:
-            out = {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
-            if self._sizer is not None:
-                out["approx_bytes"] = self._total_bytes
-            return out
 
 
 @dataclass(frozen=True)
@@ -206,289 +110,6 @@ def _facts_nbytes(facts):
     return total
 
 
-class ReductionFactCache:
-    """Per-conjunct fact store, keyed by conjunct signature.
-
-    The signature is the *printed* conjunct (canonical PaQL text —
-    structurally equal ASTs print identically) plus everything else
-    the facts depend on: the candidate fingerprint, REPEAT, the
-    validator tolerance, and the shard layout (zone counters differ
-    with sharding even though the kept set does not).
-
-    Entries hold O(candidates)-sized arrays, so eviction is bounded
-    by approximate bytes as well as entry count.
-
-    With a durable store attached, misses fall through to the store's
-    relation-scoped ``facts`` layer and fresh facts are written back,
-    so reduction facts survive process restarts.
-    """
-
-    def __init__(self, maxsize=256, max_bytes=64 * 1024 * 1024,
-                 store=None, relation_hash=None):
-        self._cache = _BoundedCache(
-            maxsize, max_bytes=max_bytes, sizer=_facts_nbytes
-        )
-        self._store = store
-        self._relation_hash = relation_hash
-
-    @staticmethod
-    def fingerprint(rids):
-        """Precompute the candidate fingerprint once per reduction run
-        (callers pass it back through ``key_for`` for every leaf)."""
-        return _rids_fingerprint(rids)
-
-    def key_for(self, leaf, rids, repeat, tolerance, shards, fingerprint=None):
-        return (
-            print_expr(leaf),
-            fingerprint if fingerprint is not None else _rids_fingerprint(rids),
-            int(repeat),
-            float(tolerance),
-            int(shards),
-        )
-
-    def get(self, key):
-        hit = self._cache.get(key)
-        if hit is not None or self._store is None:
-            return hit
-        loaded = self._store.get("facts", key, self._relation_hash)
-        if loaded is not None:
-            self._cache.put(key, loaded)
-        return loaded
-
-    def store(self, key, fixed_mask, witness_checks, dominance_keys,
-              dominance_block, zone):
-        facts = ConjunctFacts(
-            fixed_mask=fixed_mask,
-            witness_checks=witness_checks,
-            dominance_keys=dominance_keys,
-            dominance_block=dominance_block,
-            zone=zone,
-        )
-        self._cache.put(key, facts)
-        if self._store is not None:
-            self._store.put("facts", key, facts, self._relation_hash)
-
-    def stats(self):
-        return self._cache.stats()
-
-    def clear(self):
-        self._cache.clear()
-
-
-class ArtifactCache:
-    """The session's keyed artifact store, threaded through the pipeline.
-
-    One instance per :class:`EvaluationSession` (and per relation —
-    keys never include the relation because the cache never outlives
-    it).  See the module docstring for what each layer keys on.
-
-    Args:
-        store: optional durable
-            :class:`~repro.core.artifact_store.ArtifactStore`; every
-            layer then reads through to disk on a memory miss and
-            writes fresh values back, scoped under ``relation_hash``.
-        relation_hash: the relation's content fingerprint
-            (:func:`repro.relational.content_hash.relation_fingerprint`);
-            required when ``store`` is given.
-        relation: the live relation, needed only to reattach loaded
-            ILP translations (their relation reference is stripped
-            before persisting — pickling the whole relation into every
-            translation entry would be absurd, and the store's
-            relation hash already proves which relation they belong
-            to).
-    """
-
-    def __init__(self, store=None, relation_hash=None, relation=None):
-        # WHERE entries hold one rid array per clause (stored as a
-        # compact numpy array, sized by bytes like the other O(n)
-        # layers).
-        self._where = _BoundedCache(
-            64,
-            max_bytes=64 * 1024 * 1024,
-            sizer=lambda entry: entry[0].nbytes,
-        )
-        self._bounds = _BoundedCache(256)
-        # Translations hold one model row per candidate; bound them by
-        # approximate variable count (~96 bytes per variable across
-        # the model's coefficient maps) as well as entry count.
-        self._translations = _BoundedCache(
-            16,
-            max_bytes=128 * 1024 * 1024,
-            sizer=lambda t: 96 * max(1, t.model.num_variables),
-        )
-        if store is not None and relation_hash is None:
-            raise ValueError("a durable store requires relation_hash")
-        self.store = store
-        self.relation_hash = relation_hash
-        self._relation = relation
-        self.reduction_facts = ReductionFactCache(
-            store=store, relation_hash=relation_hash
-        )
-
-    # -- WHERE results ------------------------------------------------------
-
-    def where_key(self, query, options):
-        # Workers and the backend never change the rids, but they
-        # appear in the sharded-path stats payload — keying on them
-        # keeps a replayed shard_info honest about the parallel width
-        # and execution path in force.
-        clause = "" if query.where is None else print_expr(query.where)
-        return (
-            clause,
-            getattr(options, "shards", 1),
-            getattr(options, "workers", 0),
-            getattr(options, "parallel_backend", "thread"),
-        )
-
-    def cached_where(self, key):
-        hit = self._where.get(key)
-        if hit is not None or self.store is None:
-            return hit
-        loaded = self.store.get("where", key, self.relation_hash)
-        if loaded is not None:
-            self._where.put(key, loaded)
-        return loaded
-
-    def store_where(self, key, value):
-        self._where.put(key, value)
-        if self.store is not None:
-            self.store.put("where", key, value, self.relation_hash)
-
-    # -- per-shard WHERE partials (durable store only) ----------------------
-
-    def cached_where_shard(self, fingerprint, clause):
-        """Stored shard-relative rids for ``clause`` over the shard with
-        content ``fingerprint``, or ``None``.
-
-        Content-addressed: no relation hash in the key, so the entry
-        survives mutations that leave this shard's bytes unchanged
-        (and even relation renames).  Rids are shard-relative because
-        absolute offsets shift when an earlier shard shrinks.
-        """
-        if self.store is None:
-            return None
-        return self.store.get("where_shard", (fingerprint, clause))
-
-    def store_where_shard(self, fingerprint, clause, relative_rids):
-        if self.store is not None:
-            self.store.put(
-                "where_shard",
-                (fingerprint, clause),
-                np.asarray(relative_rids, dtype=np.intp),
-            )
-
-    def zone_source(self):
-        """``(load, save)`` hooks for
-        :class:`~repro.relational.sharding.ShardedRelation` zone
-        statistics, content-addressed by shard fingerprint; ``None``
-        without a durable store."""
-        if self.store is None:
-            return None
-
-        def load(fingerprint, column):
-            return self.store.get("zone", (fingerprint, column))
-
-        def save(fingerprint, column, stats):
-            self.store.put("zone", (fingerprint, column), stats)
-
-        return (load, save)
-
-    # -- cardinality bounds -------------------------------------------------
-
-    @staticmethod
-    def fingerprint(rids):
-        """The candidate fingerprint; compute once per pipeline stage
-        and pass back through the lookup/store pair (hashing a large
-        rid array twice per stage is pure waste on the warm path)."""
-        return _rids_fingerprint(rids)
-
-    def _bounds_key(self, query, rids, fingerprint=None):
-        clause = (
-            "" if query.such_that is None else print_expr(query.such_that)
-        )
-        if fingerprint is None:
-            fingerprint = _rids_fingerprint(rids)
-        return (clause, int(query.repeat), fingerprint)
-
-    def cached_bounds(self, query, rids, fingerprint=None):
-        key = self._bounds_key(query, rids, fingerprint)
-        hit = self._bounds.get(key)
-        if hit is not None or self.store is None:
-            return hit
-        loaded = self.store.get("bounds", key, self.relation_hash)
-        if loaded is not None:
-            self._bounds.put(key, loaded)
-        return loaded
-
-    def store_bounds(self, query, rids, bounds, fingerprint=None):
-        key = self._bounds_key(query, rids, fingerprint)
-        self._bounds.put(key, bounds)
-        if self.store is not None:
-            self.store.put("bounds", key, bounds, self.relation_hash)
-
-    # -- ILP translations ---------------------------------------------------
-
-    def _translation_key(self, query, rids, forced, fingerprint=None):
-        if fingerprint is None:
-            fingerprint = _rids_fingerprint(rids)
-        return (print_query(query), fingerprint, tuple(forced))
-
-    def cached_translation(self, query, rids, forced, fingerprint=None):
-        key = self._translation_key(query, rids, forced, fingerprint)
-        hit = self._translations.get(key)
-        if hit is not None or self.store is None:
-            return hit
-        packed = self.store.get("translations", key, self.relation_hash)
-        if packed is None or self._relation is None:
-            return None
-        from repro.core.translate_ilp import ILPTranslation
-
-        packed_query, candidate_rids, model, x_vars = packed
-        translation = ILPTranslation(
-            packed_query, self._relation, candidate_rids, model, x_vars
-        )
-        self._translations.put(key, translation)
-        return translation
-
-    def store_translation(self, query, rids, forced, translation, fingerprint=None):
-        key = self._translation_key(query, rids, forced, fingerprint)
-        self._translations.put(key, translation)
-        if self.store is not None:
-            # Strip the relation reference: pickling it would bloat
-            # every entry with the whole table, and the store's
-            # relation-hash scoping already identifies it exactly.
-            self.store.put(
-                "translations",
-                key,
-                (
-                    translation.query,
-                    translation.candidate_rids,
-                    translation.model,
-                    translation.x_vars,
-                ),
-                self.relation_hash,
-            )
-
-    # -- bookkeeping --------------------------------------------------------
-
-    def stats(self):
-        out = {
-            "where": self._where.stats(),
-            "bounds": self._bounds.stats(),
-            "translations": self._translations.stats(),
-            "reduction_facts": self.reduction_facts.stats(),
-        }
-        if self.store is not None:
-            out["store"] = self.store.stats()
-        return out
-
-    def clear(self):
-        self._where.clear()
-        self._bounds.clear()
-        self._translations.clear()
-        self.reduction_facts.clear()
-
-
 @dataclass
 class _CachedResult:
     """The replayable skeleton of one evaluation outcome."""
@@ -501,6 +122,173 @@ class _CachedResult:
     candidate_count: int
     bounds: object
     stats: dict = field(default_factory=dict)
+
+
+def _pack_translation(translation):
+    # Strip the relation reference: pickling it would bloat every
+    # entry with the whole table, and the store's relation-hash
+    # scoping already identifies it exactly.
+    return (
+        translation.query,
+        translation.candidate_rids,
+        translation.model,
+        translation.x_vars,
+    )
+
+
+class ArtifactCache:
+    """Every cached artifact of one relation: the per-relation unit.
+
+    One instance per relation content — the session builds a new one
+    whenever a mutation replaces the relation, and a query reads and
+    writes only the instance it started with — so keys never include
+    the relation.  Each attribute is an
+    :class:`~repro.core.cache.ArtifactLayer` (``get(key)`` /
+    ``put(key, value)``); the ``*_key`` builders are the one keying
+    scheme, and every key covers all inputs its value depends on (see
+    ``docs/caching.md`` for the layer table).
+
+    ``where``, ``bounds``, ``facts``, ``translations`` and ``results``
+    keep a bounded memory tier over the store's relation-scoped
+    layers; ``where_shard`` and ``zone`` are store-only and
+    content-addressed by shard fingerprint (no relation hash, so an
+    entry survives mutations that leave its shard's bytes unchanged).
+
+    Args:
+        store: optional durable
+            :class:`~repro.core.artifact_store.ArtifactStore`; every
+            layer then reads through to disk on a memory miss and
+            writes fresh values back, scoped under ``relation_hash``.
+        relation_hash: the relation's content fingerprint
+            (:func:`repro.relational.content_hash.relation_fingerprint`),
+            or a digest derived from it for a sub-scope (see
+            :func:`repro.core.pushdown.derived_artifacts`); required
+            when ``store`` is given.
+        relation: the live relation, needed only to reattach loaded
+            ILP translations (their relation reference is stripped
+            before persisting).
+    """
+
+    def __init__(self, store=None, relation_hash=None, relation=None):
+        if store is not None and relation_hash is None:
+            raise ValueError("a durable store requires relation_hash")
+        self.store = store
+        self.relation_hash = relation_hash
+
+        def unpack_translation(packed):
+            from repro.core.translate_ilp import ILPTranslation
+
+            query, candidate_rids, model, x_vars = packed
+            return ILPTranslation(query, relation, candidate_rids, model, x_vars)
+
+        def layer(name, memory, **codec):
+            return ArtifactLayer(memory, store, name, relation_hash, **codec)
+
+        # The O(n)-payload layers are bounded by approximate bytes as
+        # well as entry count: WHERE entries hold one compact rid array
+        # per clause, facts hold positional masks, translations one
+        # model row per candidate (~96 bytes per variable across the
+        # model's coefficient maps).
+        self.where = layer(
+            "where",
+            BoundedCache(
+                64,
+                max_bytes=64 * 1024 * 1024,
+                sizer=lambda entry: entry[0].nbytes,
+            ),
+        )
+        self.bounds = layer("bounds", BoundedCache(256))
+        self.facts = layer(
+            "facts",
+            BoundedCache(256, max_bytes=64 * 1024 * 1024, sizer=_facts_nbytes),
+        )
+        self.translations = layer(
+            "translations",
+            BoundedCache(
+                16,
+                max_bytes=128 * 1024 * 1024,
+                sizer=lambda t: 96 * max(1, t.model.num_variables),
+            ),
+            pack=_pack_translation,
+            unpack=unpack_translation,
+        )
+        self.results = layer("results", BoundedCache(256))
+        self.where_shard = ArtifactLayer(None, store, "where_shard", None)
+        self.zone = ArtifactLayer(None, store, "zone", None)
+
+    # -- the keying scheme --------------------------------------------------
+
+    # ``fingerprint`` below is
+    # :func:`repro.relational.content_hash.rids_fingerprint` of the
+    # candidate rids: compute it once per pipeline stage and reuse it
+    # for the lookup and the write-back.
+
+    @staticmethod
+    def where_key(query, options):
+        # Workers and the backend never change the rids, but they
+        # appear in the sharded-path stats payload — keying on them
+        # keeps a replayed shard_info honest about the parallel width
+        # and execution path in force.
+        clause = "" if query.where is None else print_expr(query.where)
+        return (
+            clause,
+            getattr(options, "shards", 1),
+            getattr(options, "workers", 0),
+            getattr(options, "parallel_backend", "thread"),
+        )
+
+    @staticmethod
+    def bounds_key(query, fingerprint):
+        clause = (
+            "" if query.such_that is None else print_expr(query.such_that)
+        )
+        return (clause, int(query.repeat), fingerprint)
+
+    @staticmethod
+    def facts_key(leaf, fingerprint, repeat, tolerance, shards):
+        # The printed conjunct (structurally equal ASTs print
+        # identically) plus everything else its facts depend on; the
+        # shard layout is in because zone counters differ with
+        # sharding even though the kept set does not.
+        return (
+            print_expr(leaf),
+            fingerprint,
+            int(repeat),
+            float(tolerance),
+            int(shards),
+        )
+
+    @staticmethod
+    def translation_key(query, fingerprint, forced):
+        return (print_query(query), fingerprint, tuple(forced))
+
+    @staticmethod
+    def result_key(query, options):
+        # Canonical query text (the printer round-trips ASTs) plus the
+        # full options repr: any field that could change the outcome —
+        # strategy, backend, limits, reduce mode — is part of the
+        # dataclass repr, so differing options never share an entry.
+        return (print_query(query), repr(options))
+
+    # -- bookkeeping --------------------------------------------------------
+
+    def stats(self):
+        out = {
+            "where": self.where.stats(),
+            "bounds": self.bounds.stats(),
+            "translations": self.translations.stats(),
+            "reduction_facts": self.facts.stats(),
+        }
+        if self.store is not None:
+            out["store"] = self.store.stats()
+        out["results"] = self.results.stats()
+        return out
+
+    def clear(self):
+        for layer in (
+            self.where, self.bounds, self.facts, self.translations, self.results
+        ):
+            layer.clear()
 
 
 class EvaluationSession:
@@ -540,33 +328,41 @@ class EvaluationSession:
         self._artifact_store = store
         self._options = options or EngineOptions()
         self._reuse_results = reuse_results
-        self._results = _BoundedCache(256)
         self.queries_run = 0
         # Guards the cross-call session state that individual cache
         # locks cannot: the queries_run counter and the mutation
-        # rebind (which swaps evaluator + artifact cache as one unit).
-        # Concurrent ``evaluate`` calls snapshot the evaluator once at
-        # entry; an in-flight query finishes against the pre-mutation
-        # relation (see docs/pipeline.md, "Session locking contract").
+        # rebind.  Concurrent ``evaluate`` calls snapshot the evaluator
+        # (and through it the artifact unit) once at entry; an
+        # in-flight query finishes against the pre-mutation relation
+        # and writes only into the unit it snapshotted (see
+        # docs/pipeline.md, "Session locking contract").
         self._state_lock = threading.RLock()
         self._bind(relation, db)
 
     def _bind(self, relation, db=None):
-        """(Re)build the per-relation state: content hash, artifact
-        cache, evaluator.  Called at construction and after mutations."""
+        """(Re)build the per-relation unit: content hash, artifact
+        cache, evaluator.  Called at construction and after mutations.
+        The evaluator carries its artifact cache, so publishing the
+        evaluator publishes both in one assignment."""
         relation_hash = None
         if self._artifact_store is not None:
             from repro.relational.content_hash import relation_fingerprint
 
             relation_hash = relation_fingerprint(relation)
-        self.artifacts = ArtifactCache(
-            store=self._artifact_store,
-            relation_hash=relation_hash,
-            relation=relation,
-        )
         self._evaluator = PackageQueryEvaluator(
-            relation, db, artifacts=self.artifacts
+            relation,
+            db,
+            artifacts=ArtifactCache(
+                store=self._artifact_store,
+                relation_hash=relation_hash,
+                relation=relation,
+            ),
         )
+
+    @property
+    def artifacts(self):
+        """The current relation's :class:`ArtifactCache`."""
+        return self._evaluator.artifacts
 
     @property
     def store(self):
@@ -604,15 +400,6 @@ class EvaluationSession:
         """The session's long-lived evaluator (shared shard caches)."""
         return self._evaluator
 
-    # -- key construction ---------------------------------------------------
-
-    def _result_key(self, query, options):
-        # Canonical query text (the printer round-trips ASTs) plus the
-        # full options repr: any field that could change the outcome —
-        # strategy, backend, limits, reduce mode — is part of the
-        # dataclass repr, so differing options never share an entry.
-        return (print_query(query), repr(options))
-
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, query_or_text, options=None):
@@ -624,23 +411,22 @@ class EvaluationSession:
         same oracle gate the engine runs — a replay can fail loudly,
         never silently return a wrong answer.
         """
+        return self._evaluate(query_or_text, options, replay=True)
+
+    def _evaluate(self, query_or_text, options, replay):
         options = options or self._options
         started = time.perf_counter()
-        # Snapshot the evaluator once: a concurrent mutation rebinds
-        # the session, but this call completes coherently against the
-        # relation it started with.
+        # Snapshot the per-relation unit once: a concurrent mutation
+        # rebinds the session, but this call completes coherently
+        # against the relation it started with — and stores its result
+        # in that relation's cache and store scope, never the new one's.
         evaluator = self._evaluator
+        artifacts = evaluator.artifacts
         snapshot = self._store_snapshot()
         query = evaluator.prepare(query_or_text)
-        key = self._result_key(query, options)
-        if self._reuse_results:
-            cached = self._results.get(key)
-            if cached is None and self._artifact_store is not None:
-                cached = self._artifact_store.get(
-                    "results", key, self.artifacts.relation_hash
-                )
-                if cached is not None:
-                    self._results.put(key, cached)
+        key = artifacts.result_key(query, options)
+        if replay and self._reuse_results:
+            cached = artifacts.results.get(key)
             if cached is not None:
                 result = self._replay(cached, started, evaluator)
                 self._count_query()
@@ -649,7 +435,7 @@ class EvaluationSession:
         result = evaluator.evaluate(query, options)
         self._count_query()
         if self._reuse_results:
-            self._store(key, result)
+            artifacts.results.put(key, self._cacheable(result))
         self._attach_store_delta(result, snapshot)
         return result
 
@@ -673,8 +459,9 @@ class EvaluationSession:
             field: current[field] - snapshot[field] for field in current
         }
 
-    def _store(self, key, result):
-        cached = _CachedResult(
+    @staticmethod
+    def _cacheable(result):
+        return _CachedResult(
             counts=(
                 result.package.counts
                 if result.package is not None
@@ -691,18 +478,12 @@ class EvaluationSession:
             # a returned result must never corrupt the cache.
             stats=copy.deepcopy(result.stats),
         )
-        self._results.put(key, cached)
-        if self._artifact_store is not None:
-            self._artifact_store.put(
-                "results", key, cached, self.artifacts.relation_hash
-            )
 
-    def _replay(self, cached, started, evaluator=None):
+    @staticmethod
+    def _replay(cached, started, evaluator):
         """Rebuild a cached outcome; re-validate through the oracle gate."""
         from repro.core.package import Package
 
-        if evaluator is None:
-            evaluator = self._evaluator
         package = None
         if cached.counts is not None:
             package = Package(evaluator.relation, dict(cached.counts))
@@ -739,8 +520,9 @@ class EvaluationSession:
         from repro.core.plan import plan
 
         options = options or self._options
-        query = self._evaluator.prepare(query_or_text)
-        return plan(query, self.relation, options=options, evaluator=self._evaluator)
+        evaluator = self._evaluator
+        query = evaluator.prepare(query_or_text)
+        return plan(query, evaluator.relation, options=options, evaluator=evaluator)
 
     def explain(self, query_or_text, options=None, execute=True):
         """The staged-pipeline view of one query.
@@ -755,15 +537,8 @@ class EvaluationSession:
         """
         from repro.core.ir import stage_table
 
-        options = options or self._options
         if execute:
-            snapshot = self._store_snapshot()
-            query = self._evaluator.prepare(query_or_text)
-            result = self._evaluator.evaluate(query, options)
-            self._count_query()
-            if self._reuse_results:
-                self._store(self._result_key(query, options), result)
-            self._attach_store_delta(result, snapshot)
+            result = self._evaluate(query_or_text, options, replay=False)
             table = stage_table(
                 result.stats["stages"],
                 parallel=result.stats.get("parallel"),
@@ -824,19 +599,18 @@ class EvaluationSession:
                 sharded, report = sharded.append(payload)
             else:
                 sharded, report = sharded.delete(payload)
-            # Rebind everything keyed on the old relation: the evaluator
-            # (kernels recompile via evaluator_for's weak map), the
-            # artifact cache (new relation hash scopes the durable
-            # relation-level layers), and the in-memory result cache
-            # (its keys don't carry the relation, so it must drop).
-            # In-flight queries that snapshotted the old evaluator
-            # finish against the pre-mutation relation; their shm
-            # context is torn down here, which they survive by
-            # degrading to the thread backend (recorded).
+            # Rebind the per-relation unit: a new evaluator (kernels
+            # recompile via evaluator_for's weak map) carrying a new
+            # artifact cache — every in-memory layer starts empty and
+            # the new relation hash scopes the durable relation-level
+            # layers.  In-flight queries that snapshotted the old
+            # evaluator finish against the pre-mutation relation and
+            # write into the retired cache; their shm context is torn
+            # down here, which they survive by degrading to the thread
+            # backend (recorded).
             self._evaluator.close()
             self._bind(sharded.relation)
             self._evaluator.adopt_sharded(sharded)
-            self._results.clear()
             return report
 
     # -- bookkeeping --------------------------------------------------------
@@ -845,7 +619,6 @@ class EvaluationSession:
         """Hit/miss/entry counters for every cache layer (including
         the durable store's, when one is attached)."""
         stats = self.artifacts.stats()
-        stats["results"] = self._results.stats()
         stats["queries_run"] = self.queries_run
         return stats
 
@@ -854,4 +627,3 @@ class EvaluationSession:
         store is untouched — use ``store.clear()`` for that; this
         exists for tests and for reclaiming memory mid-session)."""
         self.artifacts.clear()
-        self._results.clear()

@@ -101,7 +101,7 @@ def run_shard_bench(n=100000, shards=8, workers=0, repeats=5, relation=None,
         repeats: timing repetitions; the best run counts.
         relation: override the generated workload relation (tests).
         backend: parallel backend for the sharded side (``thread`` |
-            ``process`` | ``shm-process``); shm-process also reports
+            ``shm-process`` | ``serial``); shm-process also reports
             its one-time attach/teardown overhead.
 
     Returns:

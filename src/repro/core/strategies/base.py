@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.core.pruning import search_space_size
 from repro.core.translate_ilp import ILPTranslationError, translate
+from repro.relational.content_hash import rids_fingerprint
 from repro.solver.branch_and_bound import BranchAndBoundOptions, solve_milp
 from repro.solver.scipy_backend import available as scipy_available
 from repro.solver.scipy_backend import solve_milp_scipy
@@ -159,15 +160,13 @@ class EvaluationContext:
         """
         if not self._translation_tried:
             self._translation_tried = True
-            fingerprint = None
             if self.artifacts is not None:
-                fingerprint = self.artifacts.fingerprint(self.candidate_rids)
-                cached = self.artifacts.cached_translation(
+                key = self.artifacts.translation_key(
                     self.query,
-                    self.candidate_rids,
+                    rids_fingerprint(self.candidate_rids),
                     self.forced_rids,
-                    fingerprint,
                 )
+                cached = self.artifacts.translations.get(key)
                 if cached is not None:
                     self._translation = cached
                     return self._translation, self._translation_error
@@ -179,13 +178,7 @@ class EvaluationContext:
                     forced_ones=frozenset(self.forced_rids),
                 )
                 if self.artifacts is not None:
-                    self.artifacts.store_translation(
-                        self.query,
-                        self.candidate_rids,
-                        self.forced_rids,
-                        self._translation,
-                        fingerprint,
-                    )
+                    self.artifacts.translations.put(key, self._translation)
             except ILPTranslationError as exc:
                 self._translation_error = str(exc)
         return self._translation, self._translation_error

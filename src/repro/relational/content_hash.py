@@ -62,6 +62,7 @@ __all__ = [
     "merge_digests",
     "range_fingerprint",
     "relation_fingerprint",
+    "rids_fingerprint",
     "schema_signature",
 ]
 
@@ -173,6 +174,23 @@ def merge_digests(digests):
     for digest in digests:
         outer.update(bytes.fromhex(digest))
     return outer.hexdigest()
+
+
+def rids_fingerprint(rids):
+    """``(size, hex digest)`` identifying a candidate rid sequence.
+
+    Length plus a blake2b-128 over the raw int64 bytes: cheap even at
+    hundreds of thousands of candidates, and collision-free for all
+    practical purposes — a collision could at worst replay an artifact
+    for a *different* candidate set, which the engine's oracle gate and
+    the parity suites would surface, not silently accept.  The one rid
+    digest in the tree: persisted ``bounds``/``facts``/``translations``
+    keys and the derived pushdown scope embed this exact pair, so its
+    dtype and byte order are part of the store format.
+    """
+    array = np.ascontiguousarray(np.asarray(rids, dtype=np.int64))
+    digest = hashlib.blake2b(array.tobytes(), digest_size=DIGEST_SIZE)
+    return (array.size, digest.hexdigest())
 
 
 def schema_signature(schema):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 
@@ -196,39 +195,8 @@ class TestParallelMap:
             4,
         ]
 
-    def test_process_backend_with_picklable_callable(self):
-        assert parallel_map(math.sqrt, [1.0, 4.0, 9.0], workers=2, backend="process") == [
-            1.0,
-            2.0,
-            3.0,
-        ]
-
-    def test_process_backend_degrades_on_unpicklable_callable(self):
-        # A closure cannot be pickled; the pool must fall back to the
-        # serial loop instead of erroring.
-        offset = 7
-        result = parallel_map(
-            lambda x: x + offset, range(3), workers=2, backend="process"
-        )
-        assert result == [7, 8, 9]
-
 
 class TestParallelEvents:
-    def test_unpicklable_process_fallback_is_recorded(self):
-        # Satellite of the shm PR: the process backend's silent serial
-        # degradation must leave a trace a caller can publish in
-        # stats["parallel"].
-        offset = 7
-        events = []
-        with collect_parallel_events(events):
-            result = parallel_map(
-                lambda x: x + offset, range(3), workers=2, backend="process"
-            )
-        assert result == [7, 8, 9]
-        assert len(events) == 1
-        assert events[0]["backend"] == "process"
-        assert "does not pickle" in events[0]["fallback"]
-
     def test_noop_outside_collector(self):
         # Must not raise, must not leak state anywhere.
         note_parallel_event("thread", "whatever")
@@ -236,9 +204,9 @@ class TestParallelEvents:
     def test_events_deduplicate(self):
         events = []
         with collect_parallel_events(events):
-            note_parallel_event("process", "same reason")
-            note_parallel_event("process", "same reason")
-            note_parallel_event("process", "other reason")
+            note_parallel_event("thread", "same reason")
+            note_parallel_event("thread", "same reason")
+            note_parallel_event("thread", "other reason")
         assert len(events) == 2
 
     def test_collectors_nest_and_restore(self):
@@ -256,8 +224,8 @@ class TestParallelEvents:
             parallel_backend = "shm-process"
 
         assert pool_backend(Opts()) == "thread"
-        Opts.parallel_backend = "process"
-        assert pool_backend(Opts()) == "process"
+        Opts.parallel_backend = "serial"
+        assert pool_backend(Opts()) == "serial"
         assert pool_backend(object()) == "thread"
 
 

@@ -86,7 +86,10 @@ class TestResultReplay:
         session = EvaluationSession(small_relation)
         session.evaluate(QUERY)
         # Corrupt the cached package: the replay must fail loudly.
-        ((key, entry),) = session._results._entries.items()
+        key = session.artifacts.result_key(
+            session.evaluator.prepare(QUERY), EngineOptions()
+        )
+        entry = session.artifacts.results.get(key)
         bad_rid = max(
             rid for rid in range(len(small_relation))
             if small_relation[rid]["cost"] > 40
@@ -195,23 +198,26 @@ class TestArtifactReuse:
         assert session.cache_stats()["translations"]["hits"] >= 1
 
     def test_fact_cache_evicts_by_bytes(self):
-        from repro.core.session import ReductionFactCache
+        from repro.core.session import ArtifactCache, ConjunctFacts
         import numpy as np
 
-        cache = ReductionFactCache(maxsize=64, max_bytes=4096)
+        facts = ArtifactCache().facts
+        mask_bytes = 16 * 1024 * 1024
         for i in range(8):
-            key = (f"conjunct-{i}", (1024, "fp"), 1, 1e-9, 0)
-            cache.store(
+            key = (f"conjunct-{i}", (mask_bytes, "fp"), 1, 1e-9, 0)
+            facts.put(
                 key,
-                fixed_mask=np.zeros(1024, dtype=bool),
-                witness_checks=(),
-                dominance_keys=(),
-                dominance_block=None,
-                zone=(0, 0, 0),
+                ConjunctFacts(
+                    fixed_mask=np.zeros(mask_bytes, dtype=bool),
+                    witness_checks=(),
+                    dominance_keys=(),
+                    dominance_block=None,
+                    zone=(0, 0, 0),
+                ),
             )
-        stats = cache.stats()
-        assert stats["entries"] <= 4  # 1 KiB masks against a 4 KiB bound
-        assert stats["approx_bytes"] <= 4096
+        stats = facts.stats()
+        assert stats["entries"] <= 4  # 16 MiB masks against the 64 MiB bound
+        assert stats["approx_bytes"] <= 64 * 1024 * 1024
 
     def test_invalidate_clears_every_layer(self, small_relation):
         session = EvaluationSession(small_relation)

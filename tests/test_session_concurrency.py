@@ -4,7 +4,7 @@ The serving PR lets many worker threads run queries through one
 :class:`EvaluationSession`.  Each test here pins one of the races the
 session refactor closed:
 
-* ``_BoundedCache`` LRU bookkeeping under a get/put hammer,
+* ``BoundedCache`` LRU bookkeeping under a get/put hammer,
 * concurrent ``session.evaluate`` staying bit-identical to serial,
 * ``ShmExecutionContext`` close() racing map()/shared_rids() without
   crashing or leaking ``/dev/shm`` segments,
@@ -24,7 +24,8 @@ import pytest
 
 from repro.core.engine import EngineOptions, PackageQueryEvaluator, evaluate
 from repro.core.parallel import ShmExecutionContext, ShmUnavailable
-from repro.core.session import EvaluationSession, _BoundedCache
+from repro.core.cache import BoundedCache
+from repro.core.session import EvaluationSession
 from repro.datasets import clustered_relation
 from repro.relational import Column, ColumnType, Relation, Schema
 from repro.relational import shm
@@ -58,7 +59,7 @@ def shm_segments():
 
 class TestBoundedCacheUnderThreads:
     def test_hammer_keeps_lru_invariants(self):
-        cache = _BoundedCache(maxsize=8)
+        cache = BoundedCache(maxsize=8)
         errors = []
 
         def worker(seed):
@@ -91,7 +92,7 @@ class TestBoundedCacheUnderThreads:
         assert stats["hits"] + stats["misses"] > 0
 
     def test_byte_bound_stays_consistent_under_threads(self):
-        cache = _BoundedCache(
+        cache = BoundedCache(
             maxsize=64, max_bytes=4096, sizer=lambda value: len(value)
         )
 
@@ -244,3 +245,82 @@ class TestShmContextRaces:
             assert result.status is cold.status
             assert result.objective == cold.objective
         assert shm_segments() <= before
+
+
+class TestInFlightQueryAcrossMutation:
+    """An in-flight query writes only into the artifact unit it
+    snapshotted: a result solved over the pre-mutation relation must
+    never land in the post-mutation result cache or store scope."""
+
+    QUERY = (
+        "SELECT PACKAGE(R) FROM Readings R "
+        "SUCH THAT COUNT(*) <= 3 MAXIMIZE SUM(R.gain)"
+    )
+
+    def _evaluate_across(self, session, mutate):
+        """Solve ``QUERY``, then run ``mutate`` while that call sits
+        between its solve and its result-cache write; return its result."""
+        evaluator = session.evaluator
+        real = evaluator.evaluate
+        solved, release = threading.Event(), threading.Event()
+
+        def held(query, options=None):
+            result = real(query, options)
+            solved.set()
+            assert release.wait(60)
+            return result
+
+        evaluator.evaluate = held
+        box = []
+        thread = threading.Thread(
+            target=lambda: box.append(session.evaluate(self.QUERY))
+        )
+        thread.start()
+        try:
+            assert solved.wait(60)
+            mutate()
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        return box[0]
+
+    def _check_not_poisoned(self, session, store_path, stale):
+        store = session.store
+        assert list(store.entries("results", session.relation_hash)) == []
+        cold = evaluate(self.QUERY, session.relation)
+        assert cold.objective != stale.objective
+        after = session.evaluate(self.QUERY)
+        assert "session" not in after.stats
+        assert after.objective == cold.objective
+        assert after.package.counts == cold.package.counts
+        session.close()
+        with EvaluationSession(session.relation, store_path=store_path) as fresh:
+            replayed = fresh.evaluate(self.QUERY)
+        assert replayed.objective == cold.objective
+        assert replayed.package.counts == cold.package.counts
+
+    def test_append_does_not_poison_the_new_result_cache(self, tmp_path):
+        relation = clustered_relation(2000, seed=3)
+        store_path = str(tmp_path / "store")
+        session = EvaluationSession(relation, store_path=store_path)
+        template = dict(relation[0])
+        jackpot = [
+            dict(template, label=f"new{i}", gain=1e6) for i in range(3)
+        ]
+        stale = self._evaluate_across(
+            session, lambda: session.append_rows(jackpot)
+        )
+        assert stale.objective < 1e6
+        self._check_not_poisoned(session, store_path, stale)
+
+    def test_delete_does_not_poison_the_new_result_cache(self, tmp_path):
+        relation = clustered_relation(2000, seed=3)
+        store_path = str(tmp_path / "store")
+        session = EvaluationSession(relation, store_path=store_path)
+        best = [rid for rid, _ in evaluate(self.QUERY, relation).package.counts]
+        stale = self._evaluate_across(
+            session, lambda: session.delete_rows(best)
+        )
+        assert sorted(rid for rid, _ in stale.package.counts) == sorted(best)
+        self._check_not_poisoned(session, store_path, stale)
