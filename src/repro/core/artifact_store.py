@@ -102,7 +102,7 @@ except ImportError:  # pragma: no cover - non-POSIX hosts
 __all__ = ["ArtifactStore", "RELATION_LAYERS", "SHARD_LAYERS", "STORE_FORMAT"]
 
 #: On-disk entry format; bump on any layout/serialization change.
-STORE_FORMAT = 1
+STORE_FORMAT = 2
 
 #: Layers scoped under one relation's content hash.
 RELATION_LAYERS = ("where", "bounds", "facts", "translations", "results")

@@ -136,15 +136,19 @@ class ExplorationSession:
 
     def _solve_ilp(self, exclusions):
         translation = translate(self._query, self._relation, self._candidates)
-        var_of = dict(zip(translation.candidate_rids, translation.x_vars))
-        for rid, multiplicity in self._pinned.items():
-            variable = var_of.get(rid)
-            if variable is None:
+        positions = translation.positions(list(self._pinned))
+        for (rid, multiplicity), position in zip(
+            self._pinned.items(), positions.tolist()
+        ):
+            if position < 0:
                 raise ExplorationError(
                     f"pinned rid {rid} no longer satisfies the base constraints"
                 )
             translation.model.add_constraint(
-                {variable: 1.0}, ">=", float(multiplicity), name=f"pin_{rid}"
+                {int(translation.x_vars[position]): 1.0},
+                ">=",
+                float(multiplicity),
+                name=f"pin_{rid}",
             )
         for package in exclusions:
             translation.exclude_package(package)

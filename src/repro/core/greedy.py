@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from repro.paql import ast
 from repro.core.package import Package
 from repro.core.pruning import derive_bounds
@@ -34,9 +36,9 @@ def _target_cardinality(bounds, n_candidates, repeat, rng):
 def _per_tuple_scores(query, relation, candidate_rids):
     """Objective contribution of each candidate, if linearly scorable.
 
-    Returns a list aligned with ``candidate_rids`` or ``None`` when the
-    objective is missing or has no per-tuple linear decomposition
-    (AVG/MIN/MAX objectives).
+    Returns a float array aligned with ``candidate_rids`` or ``None``
+    when the objective is missing or has no per-tuple linear
+    decomposition (AVG/MIN/MAX objectives).
     """
     if query.objective is None:
         return None
@@ -69,15 +71,14 @@ def _per_tuple_scores(query, relation, candidate_rids):
                 else:  # SUM
                     score += coef * float(value)
             scores.append(score)
+        scores = np.array(scores, dtype=np.float64)
     if query.objective.direction is ast.Direction.MINIMIZE:
-        scores = [-s for s in scores]
+        scores = -scores
     return scores
 
 
 def _columnar_scores(affine, relation, candidate_rids):
     """Vectorized per-tuple contributions, or ``None`` on no kernel."""
-    import numpy as np
-
     from repro.core.vectorize import UnsupportedExpression, evaluator_for
 
     evaluator = evaluator_for(relation)
@@ -98,7 +99,7 @@ def _columnar_scores(affine, relation, candidate_rids):
                 total += coef * np.where(nulls, 0.0, values)
     except UnsupportedExpression:
         return None
-    return total.tolist()
+    return total
 
 
 def random_seed(query, relation, candidate_rids, bounds=None, rng=None):
@@ -134,8 +135,11 @@ def greedy_seed(query, relation, candidate_rids, bounds=None, rng=None):
     target = _target_cardinality(bounds, len(candidates), query.repeat, rng)
     if target is None:
         return None
-    ranked = sorted(zip(scores, candidates), key=lambda pair: -pair[0])
-    picks = []
-    for score, rid in ranked:
-        picks.extend([rid] * query.repeat)
-    return Package(relation, picks[:target])
+    # Best score first, ties in candidate order; each pick is taken
+    # REPEAT times until the target cardinality is filled.
+    ranked = np.argsort(-scores, kind="stable")
+    full, rest = divmod(target, query.repeat)
+    counts = {candidates[spot]: query.repeat for spot in ranked[:full].tolist()}
+    if rest:
+        counts[candidates[ranked[full]]] = rest
+    return Package(relation, counts)

@@ -194,7 +194,7 @@ def plan(query, relation, candidate_rids=None, options=None, evaluator=None):
     if translation is not None:
         model_variables = translation.model.num_variables
         model_constraints = translation.model.num_constraints
-        model_integers = len(translation.model.integer_indices())
+        model_integers = int(translation.model.is_integer.sum())
 
     # An explicit EngineOptions.strategy is what evaluation will
     # dispatch — report it (matching the simulated stage record)

@@ -186,9 +186,8 @@ class ArtifactCache:
 
         # The O(n)-payload layers are bounded by approximate bytes as
         # well as entry count: WHERE entries hold one compact rid array
-        # per clause, facts hold positional masks, translations one
-        # model row per candidate (~96 bytes per variable across the
-        # model's coefficient maps).
+        # per clause, facts hold positional masks, translations the
+        # model's bound, row and decoding arrays (their real nbytes).
         self.where = layer(
             "where",
             BoundedCache(
@@ -207,7 +206,7 @@ class ArtifactCache:
             BoundedCache(
                 16,
                 max_bytes=128 * 1024 * 1024,
-                sizer=lambda t: 96 * max(1, t.model.num_variables),
+                sizer=lambda translation: translation.nbytes,
             ),
             pack=_pack_translation,
             unpack=unpack_translation,

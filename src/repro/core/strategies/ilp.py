@@ -39,10 +39,7 @@ def _warm_start(ctx, translation):
     if seed is None or not is_valid(seed, ctx.query):
         return None
     x = np.zeros(translation.model.num_variables)
-    for rid, variable in zip(translation.candidate_rids, translation.x_vars):
-        multiplicity = seed.multiplicity(rid)
-        if multiplicity:
-            x[variable.index] = float(multiplicity)
+    x[translation.x_vars] = translation.multiplicities(seed)
     return x
 
 

@@ -49,14 +49,7 @@ def _summarize(translation, solution, backend):
     only the status, objective, node count, and the nonzero variable
     counts the caller needs to pick a winner and commit pins.
     """
-    counts = {}
-    if solution.status in _SOLVED:
-        for rid, variable in zip(
-            translation.candidate_rids, translation.x_vars
-        ):
-            value = int(round(solution.value_of(variable)))
-            if value > 0:
-                counts[rid] = value
+    counts = translation.counts(solution) if solution.status in _SOLVED else {}
     return {
         "status": solution.status,
         "objective": solution.objective,
@@ -64,6 +57,18 @@ def _summarize(translation, solution, backend):
         "backend": backend,
         "counts": counts,
     }
+
+
+def _pinned_translation(query, relation, rids, upper, pins):
+    """The refinement model over ``rids`` with ``pins`` (a subset of
+    them, ``{rid: multiplicity}``) fixed by equality rows."""
+    translation = translate(query, relation, rids, upper_bounds=upper)
+    pinned_vars = translation.x_vars[translation.positions(list(pins))]
+    for variable, multiplicity in zip(pinned_vars.tolist(), pins.values()):
+        translation.model.add_constraint(
+            {variable: 1.0}, "=", float(multiplicity), name="pin"
+        )
+    return translation
 
 
 def _shm_refine_task(spec):
@@ -78,12 +83,7 @@ def _shm_refine_task(spec):
 
     query, rids, upper, pins, options = spec
     relation = shm_worker_state().relation
-    translation = translate(query, relation, rids, upper_bounds=upper)
-    var_of = dict(zip(translation.candidate_rids, translation.x_vars))
-    for rid, multiplicity in pins.items():
-        translation.model.add_constraint(
-            {var_of[rid]: 1.0}, "=", float(multiplicity), name="pin"
-        )
+    translation = _pinned_translation(query, relation, rids, upper, pins)
     solution, backend = solve_model(translation.model, options)
     return _summarize(translation, solution, backend)
 
@@ -211,14 +211,9 @@ class PartitionStrategy(Strategy):
         def attempt(refining):
             """Solve with refined choices pinned, ``refining`` expanded."""
             rids, upper = refine_inputs(refining)
-            translation = translate(
-                ctx.query, ctx.relation, rids, upper_bounds=upper
+            translation = _pinned_translation(
+                ctx.query, ctx.relation, rids, upper, pinned
             )
-            var_of = dict(zip(translation.candidate_rids, translation.x_vars))
-            for rid, multiplicity in pinned.items():
-                translation.model.add_constraint(
-                    {var_of[rid]: 1.0}, "=", float(multiplicity), name="pin"
-                )
             solution, backend = solve_model(translation.model, ctx.options)
             return translation, solution, backend
 

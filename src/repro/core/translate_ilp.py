@@ -33,6 +33,20 @@ branch's linear constraints big-M-relaxed by its indicator.  Big-M
 values are computed exactly from the variable bounds, which are always
 finite (``repeat``).
 
+Array-native construction
+-------------------------
+The coefficients already sit in numpy columns, so the translator never
+leaves them: :meth:`VectorEvaluator.scalar_arrays
+<repro.core.vectorize.VectorEvaluator.scalar_arrays>` hands back one
+``(values, nulls)`` pair per aggregate argument, every linear form is
+a dense float64 row over the candidates built with mask arithmetic
+(NULL and zero entries are 0 and dropped by
+:meth:`Model.add_row <repro.solver.model.Model.add_row>`), MIN/MAX
+sets are boolean masks, and :meth:`ILPTranslation.decode` reads the
+solution vector back through an index array.  No Python object is
+created per candidate; only an argument the column compiler cannot
+handle is row-evaluated into the same ``(values, nulls)`` shape.
+
 What cannot translate raises :class:`ILPTranslationError` — objectives
 using AVG/MIN/MAX, MIN/MAX compared against non-constants, and products
 of aggregates.  The evaluator treats that as "solver limitation"
@@ -44,12 +58,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.paql import ast
 from repro.paql.errors import PaQLUnsupportedError
 from repro.paql.eval import eval_scalar
 from repro.core.formula import normalize_formula
 from repro.core.package import Package
-from repro.solver.model import Model, ObjectiveSense
+from repro.solver.model import Model, ObjectiveSense, sequential_sum
 
 #: Slack used to encode strict inequalities over continuous sums.
 DEFAULT_EPSILON = 1e-6
@@ -114,8 +130,9 @@ def minmax_plan(func, op):
     return MinMaxPlan(negate=negate, bad=bad, witness=witness, support=support)
 
 
-#: Scalar predicates for :class:`MinMaxPlan` selections (shared with
-#: the reducer's vectorized forms, which must agree on boundaries).
+#: Predicates for :class:`MinMaxPlan` selections, elementwise over
+#: value arrays as well as scalars (shared with the reducer's
+#: vectorized forms, which must agree on boundaries).
 PLAN_PREDICATES = {
     ast.CmpOp.LT: lambda value, threshold: value < threshold,
     ast.CmpOp.LE: lambda value, threshold: value <= threshold,
@@ -201,24 +218,64 @@ def _affine_of(node):
 
 
 class ILPTranslation:
-    """A translated query: the model plus the decoding map."""
+    """A translated query: the model plus the decoding map.
+
+    Attributes:
+        candidate_rids: the candidate row ids (``intp`` array).
+        x_vars: model index of each candidate's multiplicity variable
+            (``intp`` array aligned with ``candidate_rids``).
+    """
 
     def __init__(self, query, relation, candidate_rids, model, x_vars):
         self.query = query
         self.relation = relation
-        self.candidate_rids = list(candidate_rids)
+        self.candidate_rids = _rid_array(candidate_rids)
         self.model = model
-        self.x_vars = x_vars
+        self.x_vars = np.asarray(x_vars, dtype=np.intp)
+
+    @property
+    def nbytes(self):
+        """Bytes held by the model and the decoding arrays."""
+        return self.model.nbytes + self.candidate_rids.nbytes + self.x_vars.nbytes
+
+    def positions(self, rids):
+        """Where each of ``rids`` sits in ``candidate_rids`` (-1 when
+        it is not a candidate)."""
+        rids = np.asarray(rids, dtype=np.intp)
+        candidates = self.candidate_rids
+        if len(candidates) == 0:
+            return np.full(len(rids), -1, dtype=np.intp)
+        order = np.argsort(candidates, kind="stable")
+        spot = np.searchsorted(candidates, rids, sorter=order)
+        found = order[np.minimum(spot, len(order) - 1)]
+        return np.where(candidates[found] == rids, found, -1)
+
+    def multiplicities(self, package):
+        """``package``'s multiplicity of every candidate (float array
+        aligned with ``candidate_rids``; rids outside it are ignored)."""
+        out = np.zeros(len(self.candidate_rids))
+        if package.counts:
+            rids, counts = zip(*package.counts)
+            where = self.positions(rids)
+            inside = where >= 0
+            out[where[inside]] = np.asarray(counts, dtype=np.float64)[inside]
+        return out
+
+    def counts(self, solution):
+        """``{rid: multiplicity}`` of the tuples ``solution`` selects."""
+        values = np.rint(solution.x[self.x_vars])
+        chosen = np.flatnonzero(values > 0)
+        return dict(
+            zip(
+                self.candidate_rids[chosen].tolist(),
+                values[chosen].astype(np.int64).tolist(),
+            )
+        )
 
     def decode(self, solution):
         """Turn a solver :class:`~repro.solver.model.Solution` into a
         :class:`~repro.core.package.Package`."""
-        counts = {}
-        for rid, variable in zip(self.candidate_rids, self.x_vars):
-            value = int(round(solution.value_of(variable)))
-            if value > 0:
-                counts[rid] = value
-        return Package(self.relation, counts)
+        return Package(self.relation, self.counts(solution))
 
     def exclude_package(self, package):
         """Add a no-good cut removing ``package`` from the feasible set.
@@ -232,36 +289,48 @@ class ILPTranslation:
         change.
         """
         repeat = self.query.repeat
+        target = self.multiplicities(package)
         if repeat == 1:
-            coeffs = {}
-            inside = 0
-            for rid, variable in zip(self.candidate_rids, self.x_vars):
-                if package.multiplicity(rid) > 0:
-                    coeffs[variable] = 1.0
-                    inside += 1
-                else:
-                    coeffs[variable] = -1.0
-            self.model.add_constraint(coeffs, "<=", inside - 1, name="nogood")
+            inside = target > 0
+            self.model.add_row(
+                self.x_vars,
+                np.where(inside, 1.0, -1.0),
+                "<=",
+                int(np.count_nonzero(inside)) - 1,
+                name="nogood",
+            )
             return
 
         big_m = float(repeat + 1)
-        deviation_vars = []
-        for rid, variable in zip(self.candidate_rids, self.x_vars):
-            target = float(package.multiplicity(rid))
-            up = self.model.add_binary(name=f"up_{rid}")
-            down = self.model.add_binary(name=f"down_{rid}")
+        # up_j, down_j interleaved: one block, two rows per candidate.
+        deviations = self.model.add_variables(
+            2 * len(self.x_vars), 0.0, 1.0, integer=True
+        )
+        rows = zip(
+            self.x_vars.tolist(),
+            deviations[0::2].tolist(),
+            deviations[1::2].tolist(),
+            target.tolist(),
+        )
+        for variable, up, down, wanted in rows:
             # up = 1  ->  x_j >= target + 1
-            self.model.add_constraint(
-                {variable: 1.0, up: -big_m}, ">=", target + 1.0 - big_m
+            self.model.add_row(
+                [variable, up], [1.0, -big_m], ">=", wanted + 1.0 - big_m
             )
             # down = 1  ->  x_j <= target - 1
-            self.model.add_constraint(
-                {variable: 1.0, down: big_m}, "<=", target - 1.0 + big_m
+            self.model.add_row(
+                [variable, down], [1.0, big_m], "<=", wanted - 1.0 + big_m
             )
-            deviation_vars.extend([up, down])
-        self.model.add_constraint(
-            {dev: 1.0 for dev in deviation_vars}, ">=", 1.0, name="nogood"
+        self.model.add_row(
+            deviations, np.ones(len(deviations)), ">=", 1.0, name="nogood"
         )
+
+
+def _rid_array(rids):
+    """``rids`` (any iterable of ints) as an ``intp`` vector."""
+    if isinstance(rids, np.ndarray):
+        return rids.astype(np.intp, copy=False)
+    return np.fromiter(rids, dtype=np.intp)
 
 
 class _Translator:
@@ -276,44 +345,48 @@ class _Translator:
     ):
         self._query = query
         self._relation = relation
-        self._rids = list(candidate_rids)
+        self._rids = _rid_array(candidate_rids)
         self._epsilon = epsilon
         self._model = Model(name="paql")
-        repeat = float(query.repeat)
-        upper_bounds = upper_bounds or {}
-        forced_ones = forced_ones or frozenset()
-        self._x = [
-            self._model.add_variable(
-                f"x_{rid}",
-                lower=1.0 if rid in forced_ones else 0.0,
-                upper=float(upper_bounds.get(rid, repeat)),
-                integer=True,
+        count = len(self._rids)
+        lower = 0.0
+        if forced_ones:
+            lower = np.isin(self._rids, _rid_array(forced_ones)).astype(np.float64)
+        upper = repeat = float(query.repeat)
+        if upper_bounds:
+            upper = np.fromiter(
+                (upper_bounds.get(rid, repeat) for rid in self._rids.tolist()),
+                dtype=np.float64,
+                count=count,
             )
-            for rid in self._rids
-        ]
-        self._value_cache = {}
-        self._support_added = set()
+        # The model is fresh, so x_j has index j and every indicator
+        # added later has a larger one: rows come out index-ordered.
+        self._x = self._model.add_variables(count, lower, upper, integer=True)
+        self._x_upper = self._model.upper[self._x]
+        self._columns = {}
+        self._support_added = []
 
     # -- data access -------------------------------------------------------
 
-    def _values(self, argument):
-        """Per-candidate values of an aggregate argument (None for NULL).
+    def _column(self, argument):
+        """``(values, nulls)`` of an aggregate argument per candidate.
 
-        Pulled from the relation's cached column arrays when the
-        argument compiles (:mod:`repro.core.vectorize`); row-evaluated
-        otherwise.
+        ``values`` is float64 with NULL rows zeroed (``None`` for a
+        non-numeric argument, which only COUNT may take); ``nulls``
+        marks the NULL rows.  Pulled from the relation's cached column
+        arrays when the argument compiles
+        (:mod:`repro.core.vectorize`); row-evaluated otherwise.
         """
-        if argument not in self._value_cache:
-            self._value_cache[argument] = (
-                self._vectorized_values(argument)
-                or [eval_scalar(argument, self._relation[rid]) for rid in self._rids]
-            )
-        return self._value_cache[argument]
+        if argument not in self._columns:
+            self._columns[argument] = self._vectorized_column(
+                argument
+            ) or self._interpreted_column(argument)
+        return self._columns[argument]
 
-    def _vectorized_values(self, argument):
+    def _vectorized_column(self, argument):
         from repro.core.vectorize import UnsupportedExpression, evaluator_for
 
-        if not self._rids:
+        if len(self._rids) == 0:
             return None
         try:
             values, nulls = evaluator_for(self._relation).scalar_arrays(
@@ -323,32 +396,42 @@ class _Translator:
             return None
         if values.dtype.kind not in "fiu":
             return None
-        return [
-            None if null else float(value)
-            for value, null in zip(values.tolist(), nulls.tolist())
+        return np.where(nulls, 0.0, values), nulls
+
+    def _interpreted_column(self, argument):
+        raw = [
+            eval_scalar(argument, self._relation[rid])
+            for rid in self._rids.tolist()
         ]
+        nulls = np.fromiter(
+            (value is None for value in raw), dtype=bool, count=len(raw)
+        )
+        try:
+            values = np.fromiter(
+                (0.0 if value is None else float(value) for value in raw),
+                dtype=np.float64,
+                count=len(raw),
+            )
+        except (TypeError, ValueError):
+            values = None
+        return values, nulls
 
     # -- linear forms over x ---------------------------------------------------
 
     def _linear_of_aggregate(self, aggregate):
         """Coefficients of an aggregate as a linear form over x.
 
-        Returns ``dict variable -> coefficient``.  AVG/MIN/MAX have no
-        direct linear form and are handled at the comparison level.
+        Returns a dense float64 row, one coefficient per candidate
+        (callers must not write into it).  AVG/MIN/MAX have no direct
+        linear form and are handled at the comparison level.
         """
         if aggregate.is_count_star:
-            return {x: 1.0 for x in self._x}
-        values = self._values(aggregate.argument)
+            return np.ones(len(self._rids))
+        values, nulls = self._column(aggregate.argument)
         if aggregate.func is ast.AggFunc.COUNT:
-            return {
-                x: 1.0 for x, value in zip(self._x, values) if value is not None
-            }
+            return (~nulls).astype(np.float64)
         if aggregate.func is ast.AggFunc.SUM:
-            return {
-                x: float(value)
-                for x, value in zip(self._x, values)
-                if value is not None and value != 0
-            }
+            return values
         raise ILPTranslationError(
             f"{aggregate.func.value} has no direct linear form"
         )
@@ -365,55 +448,37 @@ class _Translator:
         ``MAX(e') <= c`` with differently-spelled but same-support
         arguments used to emit the identical witness constraint twice.
         """
-        coeffs = {
-            x: 1.0
-            for x, value in zip(self._x, self._values(argument))
-            if value is not None
-        }
-        key = (frozenset(x.index for x in coeffs), indicator)
-        if key in self._support_added:
-            return
-        self._support_added.add(key)
-        self._emit(coeffs, ">=", 1.0, indicator)
+        nonnull = ~self._column(argument)[1]
+        for emitted, switch in self._support_added:
+            if switch == indicator and np.array_equal(emitted, nonnull):
+                return
+        self._support_added.append((nonnull, indicator))
+        self._emit(nonnull.astype(np.float64), ">=", 1.0, indicator)
 
     # -- constraint emission -------------------------------------------------------
 
-    def _emit(self, coeffs, sense, rhs, indicator):
-        """Add ``coeffs <sense> rhs``, big-M-relaxed by ``indicator``.
+    def _emit(self, row, sense, rhs, indicator):
+        """Add ``row . x <sense> rhs``, big-M-relaxed by ``indicator``.
 
         The relaxation adds ``M * z`` terms so the constraint is active
         when ``z = 1`` and vacuous when ``z = 0``; M comes from the
         finite variable bounds.
         """
         if indicator is None:
-            self._model.add_constraint(coeffs, sense, rhs)
+            self._model.add_row(self._x, row, sense, rhs)
             return
+        indices = np.append(self._x, indicator)
         if sense in ("<=", "="):
-            slack = self._max_value(coeffs) - rhs
-            big_m = max(0.0, slack)
-            relaxed = dict(coeffs)
-            relaxed[indicator] = big_m
-            self._model.add_constraint(relaxed, "<=", rhs + big_m)
+            big_m = max(0.0, self._extreme(row, row > 0) - rhs)
+            self._model.add_row(indices, np.append(row, big_m), "<=", rhs + big_m)
         if sense in (">=", "="):
-            slack = rhs - self._min_value(coeffs)
-            big_m = max(0.0, slack)
-            relaxed = dict(coeffs)
-            relaxed[indicator] = -big_m
-            self._model.add_constraint(relaxed, ">=", rhs - big_m)
+            big_m = max(0.0, rhs - self._extreme(row, row < 0))
+            self._model.add_row(indices, np.append(row, -big_m), ">=", rhs - big_m)
 
-    def _max_value(self, coeffs):
-        total = 0.0
-        for variable, coef in coeffs.items():
-            if coef > 0:
-                total += coef * variable.upper
-        return total
-
-    def _min_value(self, coeffs):
-        total = 0.0
-        for variable, coef in coeffs.items():
-            if coef < 0:
-                total += coef * variable.upper
-        return total
+    def _extreme(self, row, pulling):
+        """Largest (``pulling = row > 0``) or smallest (``row < 0``)
+        value ``row . x`` takes over the variable box."""
+        return sequential_sum(np.where(pulling, row * self._x_upper, 0.0))
 
     # -- comparisons --------------------------------------------------------------
 
@@ -430,8 +495,8 @@ class _Translator:
         if any(term.func is ast.AggFunc.AVG for term in affine.terms):
             self._encode_with_avg(affine, node.op, indicator)
             return
-        coeffs, constant = self._linearize(affine)
-        self._emit_with_op(coeffs, node.op, -constant, indicator)
+        row, constant = self._linearize(affine)
+        self._emit_with_op(row, node.op, -constant, indicator)
 
     def _match_minmax(self, affine):
         """Detect ``coef * MIN/MAX(e) + const <op> 0`` patterns."""
@@ -454,43 +519,40 @@ class _Translator:
         return None
 
     def _linearize(self, affine):
-        """Expand SUM/COUNT terms into variable coefficients."""
-        coeffs = {}
+        """Expand SUM/COUNT terms into one dense coefficient row."""
+        row = np.zeros(len(self._rids))
         for aggregate, coef in affine.terms.items():
-            linear = self._linear_of_aggregate(aggregate)
-            for variable, weight in linear.items():
-                coeffs[variable] = coeffs.get(variable, 0.0) + coef * weight
-        return coeffs, affine.constant
+            row += coef * self._linear_of_aggregate(aggregate)
+        return row, affine.constant
 
-    def _emit_with_op(self, coeffs, op, rhs, indicator):
-        """Emit ``coeffs <op> rhs`` handling strictness exactly or by epsilon."""
+    def _emit_with_op(self, row, op, rhs, indicator):
+        """Emit ``row . x <op> rhs`` handling strictness exactly or by epsilon."""
         if op is ast.CmpOp.EQ:
-            self._emit(coeffs, "=", rhs, indicator)
+            self._emit(row, "=", rhs, indicator)
             return
         if op is ast.CmpOp.LE:
-            self._emit(coeffs, "<=", rhs, indicator)
+            self._emit(row, "<=", rhs, indicator)
             return
         if op is ast.CmpOp.GE:
-            self._emit(coeffs, ">=", rhs, indicator)
+            self._emit(row, ">=", rhs, indicator)
             return
 
-        integral = all(
-            float(coef).is_integer() and variable.is_integer
-            for variable, coef in coeffs.items()
-        )
+        # Every x is an integer variable, so the row's value is
+        # integral exactly when all of its coefficients are.
+        integral = bool(np.all(row == np.floor(row)))
         if op is ast.CmpOp.LT:
             if integral:
                 bound = math.ceil(rhs) - 1 if float(rhs).is_integer() else math.floor(rhs)
-                self._emit(coeffs, "<=", float(bound), indicator)
+                self._emit(row, "<=", float(bound), indicator)
             else:
-                self._emit(coeffs, "<=", rhs - self._epsilon, indicator)
+                self._emit(row, "<=", rhs - self._epsilon, indicator)
             return
         if op is ast.CmpOp.GT:
             if integral:
                 bound = math.floor(rhs) + 1 if float(rhs).is_integer() else math.ceil(rhs)
-                self._emit(coeffs, ">=", float(bound), indicator)
+                self._emit(row, ">=", float(bound), indicator)
             else:
-                self._emit(coeffs, ">=", rhs + self._epsilon, indicator)
+                self._emit(row, ">=", rhs + self._epsilon, indicator)
             return
         raise ILPTranslationError(f"unexpected comparison operator {op}")
 
@@ -510,19 +572,10 @@ class _Translator:
             )
         aggregate, coef = single
         argument = aggregate.argument
-        sum_linear = self._linear_of_aggregate(
-            ast.Aggregate(ast.AggFunc.SUM, argument)
-        )
-        count_linear = self._linear_of_aggregate(
-            ast.Aggregate(ast.AggFunc.COUNT, argument)
-        )
-        coeffs = {}
-        for variable, weight in sum_linear.items():
-            coeffs[variable] = coeffs.get(variable, 0.0) + coef * weight
-        for variable, weight in count_linear.items():
-            coeffs[variable] = coeffs.get(variable, 0.0) + affine.constant * weight
+        values, nulls = self._column(argument)
+        row = coef * values + affine.constant * ~nulls
         self._require_nonnull_support(argument, indicator)
-        self._emit_with_op(coeffs, op, 0.0, indicator)
+        self._emit_with_op(row, op, 0.0, indicator)
 
     def _encode_minmax(self, aggregate, coef, constant, op, indicator):
         """Set encodings for ``coef * MIN/MAX(e) + constant <op> 0``.
@@ -536,22 +589,18 @@ class _Translator:
         if coef < 0:
             op = op.flip()
         plan = minmax_plan(aggregate.func, op)
-        values = self._values(aggregate.argument)
+        values, nulls = self._column(aggregate.argument)
         if plan.negate:
-            values = [None if v is None else -float(v) for v in values]
+            values = -values
             threshold = -threshold
 
         def select(op):
-            predicate = PLAN_PREDICATES[op]
-            return {
-                x: 1.0
-                for x, value in zip(self._x, values)
-                if value is not None and predicate(float(value), threshold)
-            }
+            chosen = ~nulls & PLAN_PREDICATES[op](values, threshold)
+            return chosen.astype(np.float64)
 
         if plan.bad is not None:
             bad = select(plan.bad)
-            if bad:
+            if bad.any():
                 self._emit(bad, "<=", 0.0, indicator)
         if plan.witness is not None:
             self._emit(select(plan.witness), ">=", 1.0, indicator)
@@ -561,6 +610,8 @@ class _Translator:
     # -- formula tree -----------------------------------------------------------
 
     def _encode_formula(self, node, indicator=None):
+        """Encode ``node``; ``indicator`` is the index of the binary
+        that switches it on (``None`` at the top level)."""
         if isinstance(node, ast.Literal):
             if node.value:
                 return
@@ -579,7 +630,7 @@ class _Translator:
         if isinstance(node, ast.Or):
             branch_vars = []
             for position, arg in enumerate(node.args):
-                z = self._model.add_binary(name=f"or_{id(node)}_{position}")
+                z = self._model.add_binary(name=f"or_{id(node)}_{position}").index
                 branch_vars.append(z)
                 self._encode_formula(arg, indicator=z)
             coeffs = {z: 1.0 for z in branch_vars}
@@ -612,13 +663,13 @@ class _Translator:
                     f"{aggregate.func.value} objectives have no linear "
                     "encoding; use a search strategy"
                 )
-        coeffs, constant = self._linearize(affine)
+        row, constant = self._linearize(affine)
         sense = (
             ObjectiveSense.MAXIMIZE
             if objective.direction is ast.Direction.MAXIMIZE
             else ObjectiveSense.MINIMIZE
         )
-        self._model.set_objective(coeffs, sense, constant=constant)
+        self._model.set_objective_row(self._x, row, sense, constant=constant)
 
     # -- driver -----------------------------------------------------------------
 

@@ -80,23 +80,24 @@ class BranchAndBoundOptions:
 
 
 def _most_fractional(x, integer_indices):
-    """Index of the integer variable farthest from integrality, or None."""
-    worst = None
-    worst_frac = INT_TOL
-    for index in integer_indices:
-        value = float(x[index])
-        fraction = abs(value - round(value))
-        if fraction > worst_frac:
-            worst_frac = fraction
-            worst = index
-    return worst
+    """Index of the integer variable farthest from integrality, or None.
+
+    Ties go to the first (lowest-index) variable.
+    """
+    if len(integer_indices) == 0:
+        return None
+    values = x[integer_indices]
+    fractions = np.abs(values - np.rint(values))
+    worst = int(np.argmax(fractions))
+    if fractions[worst] > INT_TOL:
+        return int(integer_indices[worst])
+    return None
 
 
 def _round_integral(x, integer_indices):
     """Snap near-integer values exactly (cleans up LP drift)."""
     cleaned = np.array(x, dtype=np.float64)
-    for index in integer_indices:
-        cleaned[index] = round(cleaned[index])
+    cleaned[integer_indices] = np.rint(cleaned[integer_indices])
     return cleaned
 
 
@@ -118,7 +119,7 @@ def _solve_knapsack(model, c, A, senses, b, lower, upper, options):
     n = len(c)
     if n == 0 or len(senses) != 1 or senses[0] is not ConstraintSense.LE:
         return None
-    if len(model.integer_indices()) != n:
+    if not model.is_integer.all():
         return None
     if np.any(lower != 0.0) or np.any(upper != 1.0):
         return None
@@ -300,7 +301,7 @@ def solve_milp(model, options=None):
         # package queries generate this cannot occur; report honestly.
         return Solution(Status.UNBOUNDED, iterations=total_iterations, nodes=nodes)
 
-    if not integer_indices:
+    if len(integer_indices) == 0:
         full = restore(root.x)
         return Solution(
             Status.OPTIMAL,
@@ -328,10 +329,9 @@ def solve_milp(model, options=None):
                 incumbent_value = float(c @ projected)
 
     if options.rounding:
-        for rounder in (round, math.floor, math.ceil):
+        for rounder in (np.rint, np.floor, np.ceil):
             candidate = np.array(root.x, dtype=np.float64)
-            for index in integer_indices:
-                candidate[index] = rounder(candidate[index])
+            candidate[integer_indices] = rounder(candidate[integer_indices])
             candidate = np.clip(candidate, lower, upper)
             if model.is_feasible(restore(candidate)):
                 value = float(c @ candidate)

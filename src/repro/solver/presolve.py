@@ -16,11 +16,9 @@ ablation.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.solver.model import ConstraintSense
+from repro.solver.model import ConstraintSense, sequential_sum
 
 
 class PresolveResult:
@@ -55,7 +53,8 @@ class FixedElimination:
 
     Attributes:
         c, A, senses, b, lower, upper: the reduced LP arrays.
-        integer_indices: integer positions in *reduced* coordinates.
+        integer_indices: integer positions in *reduced* coordinates
+            (an index array).
         keep: original indices of the surviving variables.
         infeasible: an empty row's residual test failed — the fixings
             alone violate a constraint.
@@ -98,10 +97,9 @@ class FixedElimination:
         self.b = residual[live_rows]
         self.senses = [senses[row] for row in live_rows]
 
-        position = {int(index): spot for spot, index in enumerate(self.keep)}
-        self.integer_indices = [
-            position[index] for index in integer_indices if index in position
-        ]
+        integer = np.zeros(self._length, dtype=bool)
+        integer[np.asarray(integer_indices, dtype=np.intp)] = True
+        self.integer_indices = np.flatnonzero(integer[self.keep])
 
     def restore(self, x):
         """Scatter a reduced solution back to full variable order."""
@@ -129,102 +127,82 @@ def eliminate_fixed(c, A, senses, b, lower, upper, integer_indices, tol=1e-9):
     return FixedElimination(c, A, senses, b, lower, upper, integer_indices, tol)
 
 
-def _activity_bounds(coeffs, lower, upper):
-    """Min and max of ``sum(a_j x_j)`` over the box (may be +-inf)."""
-    low = 0.0
-    high = 0.0
-    for index, coef in coeffs.items():
-        if coef > 0:
-            low += coef * lower[index]
-            high += coef * upper[index]
-        else:
-            low += coef * upper[index]
-            high += coef * lower[index]
-    return low, high
-
-
 def tighten_bounds(model, max_rounds=10, tol=1e-9):
     """Tighten the model's variable bounds from its constraints.
 
     The model itself is not modified; the returned
     :class:`PresolveResult` carries the new bound arrays for the
     branch-and-bound root.
+
+    Each row is one vector step over its columns: the per-term minimum
+    contributions are read once, before any bound moves, and a row
+    never holds a column twice, so tightening all of a row's columns
+    at once equals tightening them one by one.  Rows stay sequential —
+    a row sees the bounds the previous row tightened.
     """
-    lower = np.array([v.lower for v in model.variables], dtype=np.float64)
-    upper = np.array([v.upper for v in model.variables], dtype=np.float64)
-    integer = np.zeros(len(lower), dtype=bool)
-    for index in model.integer_indices():
-        integer[index] = True
+    lower = model.lower.copy()
+    upper = model.upper.copy()
     initially_fixed = int(np.sum(upper - lower <= tol))
 
+    # Every row as ``a'x <= b``, with what does not change between
+    # rounds precomputed: coefficient signs and column integrality.
     rows = []
     for constraint in model.constraints:
+        indices, values = constraint.indices, constraint.values
+        signed = []
         if constraint.sense in (ConstraintSense.LE, ConstraintSense.EQ):
-            rows.append((constraint.coeffs, constraint.rhs, True))
+            signed.append((values, constraint.rhs))
         if constraint.sense in (ConstraintSense.GE, ConstraintSense.EQ):
             # a'x >= b  <=>  (-a)'x <= -b
-            negated = {j: -c for j, c in constraint.coeffs.items()}
-            rows.append((negated, -constraint.rhs, True))
+            signed.append((-values, -constraint.rhs))
+        integer = model.is_integer[indices]
+        for values, rhs in signed:
+            rows.append((indices, values, rhs, values > 0, integer))
 
     rounds = 0
     changed = True
-    while changed and rounds < max_rounds:
-        changed = False
-        rounds += 1
-        for coeffs, rhs, _ in rows:
-            # Per-term minimum contributions; track infinities so the
-            # residual (activity minus one term) is well-defined.
-            term_lows = {}
-            infinite_terms = 0
-            finite_sum = 0.0
-            for index, coef in coeffs.items():
-                term = (
-                    coef * lower[index] if coef > 0 else coef * upper[index]
+    # Scalar float arithmetic overflowed silently; so does this.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while changed and rounds < max_rounds:
+            changed = False
+            rounds += 1
+            for indices, values, rhs, positive, integer in rows:
+                # Per-term minimum contributions; count infinities so
+                # the residual (activity minus one term) is well-defined.
+                term_lows = values * np.where(
+                    positive, lower[indices], upper[indices]
                 )
-                term_lows[index] = term
-                if math.isinf(term):
-                    infinite_terms += 1
+                infinite = np.isinf(term_lows)
+                infinite_terms = int(np.count_nonzero(infinite))
+                finite_sum = sequential_sum(np.where(infinite, 0.0, term_lows))
+                if infinite_terms == 0 and finite_sum > rhs + 1e-7:
+                    return PresolveResult(lower, upper, True, 0, rounds)
+                if infinite_terms > 1:
+                    continue  # every residual is -inf: no bound derivable
+                if infinite_terms == 1:
+                    # Only the infinite term's own residual is finite.
+                    slack = np.where(infinite, rhs - finite_sum, np.nan)
                 else:
-                    finite_sum += term
-            if infinite_terms == 0 and finite_sum > rhs + 1e-7:
+                    slack = rhs - (finite_sum - term_lows)
+                bound = slack / values
+                # Tiny (subnormal) coefficients overflow the quotient
+                # to inf; an infinite bound tightens nothing, so it is
+                # dropped instead of floor()-ed.
+                usable = np.isfinite(bound)
+                inward = np.where(
+                    positive, np.floor(bound + tol), np.ceil(bound - tol)
+                )
+                bound = np.where(integer, inward, bound)
+                cut_upper = usable & positive & (bound < upper[indices] - tol)
+                cut_lower = usable & ~positive & (bound > lower[indices] + tol)
+                if cut_upper.any():
+                    upper[indices[cut_upper]] = bound[cut_upper]
+                    changed = True
+                if cut_lower.any():
+                    lower[indices[cut_lower]] = bound[cut_lower]
+                    changed = True
+            if np.any(lower > upper + 1e-7):
                 return PresolveResult(lower, upper, True, 0, rounds)
-            for index, coef in coeffs.items():
-                term_low = term_lows[index]
-                if math.isinf(term_low):
-                    if infinite_terms > 1:
-                        continue
-                    residual = finite_sum
-                elif infinite_terms > 0:
-                    continue  # residual is -inf: no bound derivable
-                else:
-                    residual = finite_sum - term_low
-                slack = rhs - residual
-                if coef > 0:
-                    # float() keeps numpy scalars from warning when a
-                    # subnormal coefficient overflows the quotient.
-                    bound = float(slack) / float(coef)
-                    # Tiny (subnormal) coefficients overflow the
-                    # division to inf; an infinite bound tightens
-                    # nothing, so skip instead of floor()-ing inf.
-                    if not math.isfinite(bound):
-                        continue
-                    if integer[index]:
-                        bound = math.floor(bound + tol)
-                    if bound < upper[index] - tol:
-                        upper[index] = bound
-                        changed = True
-                else:
-                    # coef < 0 flips the division
-                    bound = float(slack) / float(coef)
-                    if not math.isfinite(bound):
-                        continue
-                    if integer[index]:
-                        bound = math.ceil(bound - tol)
-                    if bound > lower[index] + tol:
-                        lower[index] = bound
-                        changed = True
-        if np.any(lower > upper + 1e-7):
-            return PresolveResult(lower, upper, True, 0, rounds)
 
     fixed = int(np.sum(upper - lower <= tol)) - initially_fixed
     return PresolveResult(lower, upper, False, max(0, fixed), rounds)

@@ -82,22 +82,18 @@ def solve_milp_scipy(model):
                 lb_rows[i] = ub_rows[i] = b[i]
         constraint_list.append(LinearConstraint(A, lb_rows, ub_rows))
 
-    integrality = np.zeros(n)
-    for index in model.integer_indices():
-        integrality[index] = 1
-
+    integer = model.is_integer
     result = milp(
         c=c,
         constraints=constraint_list,
-        integrality=integrality,
+        integrality=integer.astype(np.float64),
         bounds=Bounds(lower, upper),
     )
 
     # HiGHS status codes: 0 optimal, 2 infeasible, 3 unbounded.
     if result.status == 0 and result.x is not None:
         x = np.asarray(result.x, dtype=np.float64)
-        for index in model.integer_indices():
-            x[index] = round(x[index])
+        x[integer] = np.rint(x[integer])
         return Solution(
             Status.OPTIMAL,
             x=x,

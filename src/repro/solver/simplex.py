@@ -96,12 +96,9 @@ def solve_lp(c, A, senses, b, lower, upper, iteration_limit=50000):
 
 def _solve_unconstrained(c, lower, upper):
     """Bound-only LP: each variable sits at whichever bound its cost likes."""
-    x = lower.copy()
-    for j in range(len(c)):
-        if c[j] < -TOL:
-            if math.isinf(upper[j]):
-                return LPResult(Status.UNBOUNDED)
-            x[j] = upper[j]
+    x = np.where(c < -TOL, upper, lower)
+    if np.isinf(x).any():
+        return LPResult(Status.UNBOUNDED)
     return LPResult(Status.OPTIMAL, x=x, objective=float(c @ x))
 
 

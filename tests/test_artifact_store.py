@@ -20,14 +20,16 @@ Four properties carry the subsystem:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 
-from repro.core.artifact_store import ArtifactStore
+from repro.core.artifact_store import STORE_FORMAT, ArtifactStore
 from repro.core.engine import EngineError, EngineOptions, PackageQueryEvaluator
 from repro.core.session import EvaluationSession
 from repro.datasets import clustered_relation
@@ -121,6 +123,20 @@ def _single_entry_path(root, layer):
     return paths
 
 
+_TRIPPED = []
+
+
+def _trip():
+    _TRIPPED.append("unpickled")
+
+
+class _Tripwire:
+    """Pickles to a call of :func:`_trip`: loading it leaves a mark."""
+
+    def __reduce__(self):
+        return (_trip, ())
+
+
 class TestRejection:
     def test_flipped_payload_byte_is_rejected_not_served(self, tmp_path):
         root = str(tmp_path / "store")
@@ -163,6 +179,61 @@ class TestRejection:
         assert "session" not in result.stats
         assert result.stats["artifacts"]["rejected"] >= 1
         assert other.stats()["hits"] == 0
+
+    def test_format_1_entries_are_rejected_unlinked_and_rewritten(self, tmp_path):
+        # Format 1 pickled one Variable dataclass per candidate inside
+        # every translation; format 2 pickles arrays.  An old entry
+        # must never reach the unpickler — every payload here is a
+        # checksum-valid tripwire that records being loaded.
+        assert STORE_FORMAT == 2
+        root = str(tmp_path / "store")
+        first = _populate(root)
+        store = ArtifactStore(root)
+        payload = pickle.dumps(_Tripwire())
+        downgraded = []
+        for layer, path, header in store.entries():
+            header.update(
+                format=1,
+                bytes=len(payload),
+                payload_hash=hashlib.blake2b(payload, digest_size=16).hexdigest(),
+            )
+            path.write_bytes(
+                json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
+            )
+            downgraded.append((layer, path))
+        assert {"translations", "results"} <= {layer for layer, _ in downgraded}
+
+        with _session(root) as restart:
+            result = restart.evaluate(QUERY)
+            counters = restart.store.stats()
+        assert _TRIPPED == []
+        assert "session" not in result.stats  # recomputed, not replayed
+        assert result.objective == first.objective
+        assert result.package.counts == first.package.counts
+        assert counters["hits"] == 0
+        assert counters["rejected"] == result.stats["artifacts"]["rejected"] >= 2
+        assert counters["writes"] >= counters["rejected"]
+        # Every entry the query asked for was unlinked and written
+        # again in the current format; none is left in the old one.
+        formats = {
+            header["format"] for _, _, header in ArtifactStore(root).entries()
+        }
+        assert formats <= {1, STORE_FORMAT}
+        rewritten = [
+            path
+            for _, path in downgraded
+            if path.exists()
+            and json.loads(path.read_bytes().split(b"\n", 1)[0])["format"]
+            == STORE_FORMAT
+        ]
+        assert len(rewritten) == counters["rejected"]
+        translation_paths = [p for layer, p in downgraded if layer == "translations"]
+        assert set(translation_paths) <= set(rewritten)
+
+        with _session(root) as warm:
+            replay = warm.evaluate(QUERY)
+        assert replay.stats["session"]["result_cache"] == "hit"
+        assert replay.stats["artifacts"]["rejected"] == 0
 
     def test_unknown_layer_raises(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "store"))

@@ -156,7 +156,8 @@ class TestArtifactLayer:
         loaded = cache().translations.get(key)
         assert loaded is not translation
         assert loaded.relation is relation
-        assert loaded.candidate_rids == translation.candidate_rids
+        assert loaded.candidate_rids.tolist() == rids
+        assert loaded.x_vars.tolist() == translation.x_vars.tolist()
         assert loaded.model.num_variables == translation.model.num_variables
 
 

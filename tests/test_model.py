@@ -46,7 +46,7 @@ class TestVariables:
         model = Model()
         model.add_variable()
         z = model.add_binary()
-        assert model.integer_indices() == [z.index]
+        assert model.integer_indices().tolist() == [z.index]
 
 
 class TestConstraints:

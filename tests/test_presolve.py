@@ -1,17 +1,22 @@
 """Tests for MILP presolve (bound tightening, fixed-variable
 elimination) and B&B ablations."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.solver import (
     BranchAndBoundOptions,
+    ConstraintSense,
     Model,
     ObjectiveSense,
     Status,
     solve_milp,
 )
-from repro.solver.presolve import eliminate_fixed, tighten_bounds
+from repro.solver.presolve import PresolveResult, eliminate_fixed, tighten_bounds
 
 
 class TestTightening:
@@ -103,6 +108,149 @@ class TestTightening:
         assert result.upper[y.index] == pytest.approx(10)
 
 
+def scalar_tighten_bounds(model, max_rounds=10, tol=1e-9):
+    """The scalar activity-based tightening ``tighten_bounds`` replaced,
+    kept as its reference: one Python step per coefficient, bounds
+    moving as the loop goes."""
+    lower = np.array([v.lower for v in model.variables], dtype=np.float64)
+    upper = np.array([v.upper for v in model.variables], dtype=np.float64)
+    integer = [v.is_integer for v in model.variables]
+
+    rows = []
+    for constraint in model.constraints:
+        if constraint.sense in (ConstraintSense.LE, ConstraintSense.EQ):
+            rows.append((constraint.coeffs, constraint.rhs))
+        if constraint.sense in (ConstraintSense.GE, ConstraintSense.EQ):
+            negated = {j: -c for j, c in constraint.coeffs.items()}
+            rows.append((negated, -constraint.rhs))
+
+    rounds = 0
+    changed = True
+    while changed and rounds < max_rounds:
+        changed = False
+        rounds += 1
+        for coeffs, rhs in rows:
+            term_lows = {}
+            infinite_terms = 0
+            finite_sum = 0.0
+            for index, coef in coeffs.items():
+                term = coef * lower[index] if coef > 0 else coef * upper[index]
+                term_lows[index] = term
+                if math.isinf(term):
+                    infinite_terms += 1
+                else:
+                    finite_sum += term
+            if infinite_terms == 0 and finite_sum > rhs + 1e-7:
+                return PresolveResult(lower, upper, True, 0, rounds)
+            for index, coef in coeffs.items():
+                term_low = term_lows[index]
+                if math.isinf(term_low):
+                    if infinite_terms > 1:
+                        continue
+                    residual = finite_sum
+                elif infinite_terms > 0:
+                    continue
+                else:
+                    residual = finite_sum - term_low
+                bound = float(rhs - residual) / float(coef)
+                if not math.isfinite(bound):
+                    continue
+                if coef > 0:
+                    if integer[index]:
+                        bound = math.floor(bound + tol)
+                    if bound < upper[index] - tol:
+                        upper[index] = bound
+                        changed = True
+                else:
+                    if integer[index]:
+                        bound = math.ceil(bound - tol)
+                    if bound > lower[index] + tol:
+                        lower[index] = bound
+                        changed = True
+        if np.any(lower > upper + 1e-7):
+            return PresolveResult(lower, upper, True, 0, rounds)
+    return PresolveResult(lower, upper, False, 0, rounds)
+
+
+_coefficient = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.floats(min_value=-50, max_value=50, allow_nan=False),
+    st.sampled_from([5e-324, -5e-324]),  # subnormal: the quotient overflows
+)
+
+
+@st.composite
+def small_models(draw):
+    """Random small models: integer and continuous columns, infinite
+    upper bounds, negative and subnormal coefficients, all senses."""
+    model = Model()
+    count = draw(st.integers(1, 12))
+    for _ in range(count):
+        lower = float(draw(st.integers(-3, 3)))
+        upper = draw(
+            st.one_of(st.just(math.inf), st.integers(0, 8).map(lambda w: lower + w))
+        )
+        model.add_variable(lower=lower, upper=upper, integer=draw(st.booleans()))
+    for _ in range(draw(st.integers(1, 5))):
+        columns = draw(
+            st.lists(st.integers(0, count - 1), min_size=1, max_size=count, unique=True)
+        )
+        coeffs = {column: draw(_coefficient) for column in columns}
+        rhs = draw(st.floats(min_value=-40, max_value=40, allow_nan=False))
+        model.add_constraint(coeffs, draw(st.sampled_from(["<=", ">=", "="])), rhs)
+    return model
+
+
+class TestMatchesScalarReference:
+    @given(small_models())
+    @settings(max_examples=400, deadline=None)
+    def test_same_bounds_verdict_and_rounds(self, model):
+        # A tiny coefficient can push a continuous bound to ~1e300, and
+        # the next row's activity past the float range: inf, quietly,
+        # in tighten_bounds — the reference's numpy scalars would warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = scalar_tighten_bounds(model)
+        result = tighten_bounds(model)
+        assert result.infeasible == expected.infeasible
+        assert result.rounds == expected.rounds
+        np.testing.assert_array_equal(result.lower, expected.lower)
+        np.testing.assert_array_equal(result.upper, expected.upper)
+
+    def test_wide_rows_add_left_to_right(self):
+        # Pairwise (np.sum) and left-to-right accumulation part ways
+        # in the last bits past eight terms; continuous bounds show it.
+        rng = np.random.default_rng(3)
+        model = Model()
+        widths = rng.uniform(1.0, 9.0, size=40)
+        for width in widths:
+            model.add_variable(lower=0.1, upper=float(width))
+        for slack in (2.0, 150.0):
+            row = rng.uniform(-3.0, 3.0, size=40)
+            # ``slack`` above the least activity: the first row is
+            # tight enough that most of its columns get a new bound.
+            least = float(np.where(row > 0, row * 0.1, row * widths).sum())
+            model.add_constraint(dict(enumerate(row.tolist())), "<=", least + slack)
+        expected = scalar_tighten_bounds(model)
+        result = tighten_bounds(model)
+        assert not expected.infeasible
+        assert (expected.upper < model.upper).any()
+        assert result.rounds == expected.rounds
+        assert result.lower.tolist() == expected.lower.tolist()
+        assert result.upper.tolist() == expected.upper.tolist()
+
+    def test_a_row_sees_what_the_previous_row_tightened(self):
+        # x <= 4 first, then y <= x: one round must already carry the
+        # 4 into y's bound (rows are sequential, columns are not).
+        model = Model()
+        x = model.add_variable(upper=10)
+        y = model.add_variable(upper=10)
+        model.add_constraint({x: 1}, "<=", 4)
+        model.add_constraint({y: 1, x: -1}, "<=", 0)
+        result = tighten_bounds(model, max_rounds=1)
+        assert result.upper.tolist() == [4.0, 4.0]
+        assert result.upper.tolist() == scalar_tighten_bounds(model, 1).upper.tolist()
+
+
 class TestFixedElimination:
     def _arrays(self, model):
         c, A, senses, b, lower, upper = model.lp_arrays()
@@ -126,7 +274,7 @@ class TestFixedElimination:
         # 9 - 3*2 = 3 remains for x + 2z.
         assert elimination.b[0] == pytest.approx(3.0)
         assert elimination.A.shape == (1, 2)
-        assert elimination.integer_indices == [0, 1]
+        assert elimination.integer_indices.tolist() == [0, 1]
 
     def test_restore_scatters_the_permutation_back(self):
         model = Model()

@@ -267,8 +267,10 @@ class TestWitnessFacts:
         ctx = evaluator.context(query, EngineOptions())
         assert ctx.forced_rids == (0,)
         translation = ctx.translation()
-        by_rid = dict(zip(translation.candidate_rids, translation.x_vars))
-        assert by_rid[0].lower == 1.0
+        by_rid = dict(
+            zip(translation.candidate_rids.tolist(), translation.x_vars.tolist())
+        )
+        assert translation.model.variables[by_rid[0]].lower == 1.0
         result = evaluator.evaluate(query, EngineOptions(strategy="ilp"))
         assert result.package.multiplicity(0) >= 1
 

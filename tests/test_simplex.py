@@ -135,6 +135,21 @@ class TestStatuses:
         )
         assert result.status is Status.UNBOUNDED
 
+    def test_zero_rows_unused_infinite_upper_is_not_unbounded(self):
+        # Only an infinite bound the cost actually pulls towards is
+        # unbounded; the second column rests at its lower bound.
+        result = solve_lp(
+            np.array([-1.0, 1.0]),
+            np.zeros((0, 2)),
+            [],
+            np.zeros(0),
+            np.array([1.0, 2.0]),
+            np.array([4.0, np.inf]),
+        )
+        assert result.status is Status.OPTIMAL
+        assert result.x.tolist() == [4.0, 2.0]
+        assert result.objective == -2.0
+
     def test_infinite_lower_bound_rejected(self):
         with pytest.raises(ValueError, match="finite lower"):
             solve_lp(

@@ -8,8 +8,9 @@ set encodings, strict comparisons, disjunctions (big-M indicators),
 negations, REPEAT multiplicities, and no-good cuts.
 """
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -20,9 +21,14 @@ from repro.core import (
     validate,
 )
 from repro.core.validator import objective_value
+from repro.paql.errors import PaQLError
+from repro.paql.printer import print_expr
 from repro.paql.semantics import parse_and_analyze
-from repro.relational import ColumnType, Relation, Schema
+from repro.relational import Column, ColumnType, Relation, Schema
 from repro.solver import solve_milp, Status
+
+from tests.paql_strategies import COLUMN_NAMES, aggregate_numeric, global_formulas
+from tests.scalar_translate_reference import ScalarTranslator
 
 
 def value_relation(values, extra=None):
@@ -269,8 +275,8 @@ class TestMinMaxEncodings:
             rel.schema,
         )
         translation = translate(query, rel, [0, 1, 2], forced_ones={1})
-        lowers = [variable.lower for variable in translation.x_vars]
-        assert lowers == [0.0, 1.0, 0.0]
+        lowers = translation.model.lower[translation.x_vars]
+        assert lowers.tolist() == [0.0, 1.0, 0.0]
         solution = solve_milp(translation.model)
         assert solution.status is Status.OPTIMAL
         assert translation.decode(solution).multiplicity(1) == 1
@@ -442,3 +448,185 @@ class TestRandomizedEquivalence:
         values, text = instance
         rel = value_relation(values)
         assert_matches_brute_force(text, rel)
+
+
+# ---------------------------------------------------------------------------
+# Array-native translation == the scalar per-row reference
+# ---------------------------------------------------------------------------
+
+_MIXED_SCHEMA = Schema(
+    [Column(name, ColumnType.INT) for name in COLUMN_NAMES[:2]]
+    + [Column(name, ColumnType.FLOAT) for name in COLUMN_NAMES[2:]]
+)
+
+# NULLs and exact zeros are over-represented on purpose: they are the
+# entries a SUM row drops, a COUNT(e) row keeps or drops, and an
+# AVG/MIN/MAX support row is defined by.
+_int_cell = st.one_of(st.none(), st.just(0), st.integers(-20, 20))
+_float_cell = st.one_of(
+    st.none(),
+    st.just(0.0),
+    st.floats(min_value=-100, max_value=100, allow_nan=False),
+)
+
+
+@st.composite
+def reference_instances(draw):
+    """``(relation, query text, forced rids)`` over the shared PaQL
+    generators: COUNT(*), COUNT(e), SUM, AVG, MIN/MAX, BETWEEN, IN,
+    AND/OR/NOT over NULL- and zero-laden INT and FLOAT columns."""
+    rows = draw(
+        st.lists(
+            st.fixed_dictionaries(
+                {
+                    **{name: _int_cell for name in COLUMN_NAMES[:2]},
+                    **{name: _float_cell for name in COLUMN_NAMES[2:]},
+                }
+            ),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    relation = Relation("T", _MIXED_SCHEMA, rows)
+    repeat = draw(st.sampled_from([1, 1, 3]))
+    text = f"SELECT PACKAGE(T) FROM T REPEAT {repeat}"
+    text += " SUCH THAT " + print_expr(draw(global_formulas()))
+    if draw(st.booleans()):
+        direction = draw(st.sampled_from(["MAXIMIZE", "MINIMIZE"]))
+        text += f" {direction} " + print_expr(draw(aggregate_numeric()))
+    forced = draw(st.sets(st.integers(0, len(rows) - 1), max_size=2))
+    return relation, text, forced
+
+
+class TestMatchesScalarReference:
+    """``translate`` builds its rows with mask arithmetic over whole
+    columns; the reference evaluates one row and one coefficient at a
+    time.  Same model, entry for entry."""
+
+    @given(reference_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_lp_arrays_equal_the_per_row_reference(self, instance):
+        relation, text, forced = instance
+        try:
+            query = parse_and_analyze(text, relation.schema)
+        except PaQLError:
+            assume(False)
+        rids = list(range(len(relation)))
+        try:
+            expected = ScalarTranslator(query, relation, rids, forced).translate()
+        except ILPTranslationError:
+            with pytest.raises(ILPTranslationError):
+                translate(query, relation, rids, forced_ones=forced)
+            return
+        model = translate(query, relation, rids, forced_ones=forced).model
+        c, A, senses, b, lower, upper = model.lp_arrays()
+        ref_c, ref_A, ref_senses, ref_b, ref_lower, ref_upper = expected.lp_arrays()
+        assert senses == ref_senses
+        np.testing.assert_array_equal(A, ref_A)
+        np.testing.assert_array_equal(b, ref_b)
+        np.testing.assert_array_equal(c, ref_c)
+        np.testing.assert_array_equal(lower, ref_lower)
+        np.testing.assert_array_equal(upper, ref_upper)
+        assert model.is_integer.tolist() == expected.is_integer.tolist()
+        assert model.objective_sense is expected.objective_sense
+        assert model.objective_constant == expected.objective_constant
+
+    def test_reference_covers_every_encoding(self):
+        # The property is only as good as its draw: one hand-written
+        # query through every aggregate, NULLs, zeros and a nested OR.
+        relation = Relation(
+            "T",
+            _MIXED_SCHEMA,
+            [
+                dict(calories=0, protein=None, fat=1.5, price=0.0, rating=None),
+                dict(calories=3, protein=2, fat=None, price=4.25, rating=2.0),
+                dict(calories=None, protein=0, fat=-2.0, price=9.0, rating=5.0),
+                dict(calories=7, protein=5, fat=0.0, price=None, rating=1.0),
+            ],
+        )
+        query = parse_and_analyze(
+            "SELECT PACKAGE(T) FROM T REPEAT 2 SUCH THAT "
+            "COUNT(*) >= 1 AND COUNT(T.protein) <= 3 AND "
+            "(AVG(T.fat) < 1 OR (MIN(T.price) >= 1 AND MAX(T.rating) = 5)) AND "
+            "SUM(T.calories) - SUM(T.price) > -4.5 "
+            "MAXIMIZE SUM(T.fat) + COUNT(T.calories)",
+            relation.schema,
+        )
+        rids = [0, 1, 2, 3]
+        model = translate(query, relation, rids, forced_ones={2}).model
+        expected = ScalarTranslator(query, relation, rids, {2}).translate()
+        assert model.num_constraints == expected.num_constraints >= 8
+        for mine, theirs in zip(model.lp_arrays(), expected.lp_arrays()):
+            assert np.array_equal(mine, theirs)
+
+
+# ---------------------------------------------------------------------------
+# The solver's walk is pinned: arrays changed how the model is stored,
+# not what the LP sees
+# ---------------------------------------------------------------------------
+
+#: ``(query, variables, nodes, simplex iterations, package)`` as commit
+#: 943e808 (dict-of-Variable models, scalar presolve and rounding)
+#: produced them on ``clustered_relation(2000, seed=11)`` with
+#: ``strategy="ilp", shards=8`` and the builtin solver.  Identical
+#: ``c, A, b, lower, upper`` give identical pivots; a drift here means
+#: a coefficient, a bound or a tie-break moved.
+PINNED_WALKS = {
+    "max-fixing": (
+        "SELECT PACKAGE(R) FROM Readings R "
+        "SUCH THAT COUNT(*) <= 10 AND MAX(R.ts) <= 25.5 MAXIMIZE SUM(R.gain)",
+        510, 1, 17,
+        ((54, 1), (92, 1), (127, 1), (219, 1), (289, 1), (301, 1), (309, 1),
+         (325, 1), (334, 1), (407, 1)),
+    ),
+    "band": (
+        "SELECT PACKAGE(R) FROM Readings R "
+        "WHERE R.ts BETWEEN 40.5 AND 47.25 AND R.cost + R.weight <= 70 "
+        "SUCH THAT COUNT(*) = 5 AND SUM(R.cost) <= 150 MAXIMIZE SUM(R.gain)",
+        31, 1, 18,
+        ((818, 1), (840, 1), (855, 1), (860, 1), (899, 1)),
+    ),
+    "non-selective": (
+        "SELECT PACKAGE(R) FROM Readings R "
+        "WHERE R.cost + R.weight <= 60.5 AND R.gain >= 20 "
+        "SUCH THAT COUNT(*) = 5 AND SUM(R.cost) <= 150 MAXIMIZE SUM(R.gain)",
+        286, 3, 64,
+        ((92, 1), (573, 1), (1111, 1), (1134, 1), (1917, 1)),
+    ),
+    "disjunction": (
+        "SELECT PACKAGE(R) FROM Readings R WHERE R.gain >= 90 SUCH THAT "
+        "(COUNT(*) = 3 AND SUM(R.cost) <= 60) OR "
+        "(COUNT(*) = 6 AND AVG(R.weight) <= 30) MAXIMIZE SUM(R.gain)",
+        195, 19, 7004,
+        ((219, 1), (573, 1), (1111, 1), (1134, 1), (1267, 1), (1828, 1)),
+    ),
+}
+
+
+class TestPinnedSolverWalk:
+    @pytest.fixture(scope="class")
+    def readings(self):
+        from repro.datasets import clustered_relation
+
+        return clustered_relation(2000, seed=11)
+
+    @pytest.mark.parametrize("family", sorted(PINNED_WALKS))
+    def test_nodes_iterations_and_package_match_the_dict_era(
+        self, readings, family
+    ):
+        from repro.core.engine import EngineOptions, PackageQueryEvaluator
+
+        text, variables, nodes, iterations, counts = PINNED_WALKS[family]
+        options = EngineOptions(strategy="ilp", shards=8, solver_backend="builtin")
+        evaluator = PackageQueryEvaluator(readings)
+        try:
+            result = evaluator.evaluate(text, options)
+        finally:
+            evaluator.close()
+        walk = (
+            result.stats["variables"],
+            result.stats["nodes"],
+            result.stats["iterations"],
+        )
+        assert walk == (variables, nodes, iterations)
+        assert result.package.counts == counts
