@@ -431,48 +431,6 @@ def _cmd_repl(args, out):
     return 0 if failures == 0 else 1
 
 
-def _cmd_session_bench(args, out):
-    from repro.core.sessionbench import run_session_bench, write_record
-
-    outcome = run_session_bench(
-        n=args.n,
-        length=args.length,
-        shards=args.shards,
-        strategy=args.strategy,
-    )
-    if args.record:
-        write_record(outcome, args.record)
-    if args.json:
-        print(json.dumps(outcome, indent=2, default=str), file=out)
-        return 0 if outcome["objectives_identical"] else 1
-    print(
-        f"workload: {outcome['n']} rows, {outcome['length']} queries over "
-        f"{outcome['templates']} templates, strategy={outcome['strategy']}",
-        file=out,
-    )
-    print(
-        f"cold 2nd..Nth:      {outcome['cold_tail_seconds'] * 1e3:8.1f} ms",
-        file=out,
-    )
-    print(
-        f"warm 2nd..Nth:      {outcome['warm_tail_seconds'] * 1e3:8.1f} ms  "
-        f"({outcome['warm_speedup']:.2f}x, {outcome['result_replays']} "
-        "validated replays)",
-        file=out,
-    )
-    print(
-        f"artifact-only:      {outcome['ablation_tail_seconds'] * 1e3:8.1f} ms  "
-        f"({outcome['ablation_speedup']:.2f}x, results re-solved)",
-        file=out,
-    )
-    print(
-        "objectives identical to cold runs: "
-        f"{'yes' if outcome['objectives_identical'] else 'NO'}",
-        file=out,
-    )
-    return 0 if outcome["objectives_identical"] else 1
-
-
 def _cmd_serve(args, out):
     """Run the long-lived package-query server until SIGTERM/SIGINT.
 
@@ -532,57 +490,6 @@ def _cmd_serve(args, out):
     return 0
 
 
-def _cmd_bench_traffic(args, out):
-    from repro.core.trafficbench import run_traffic_bench, write_record
-
-    outcome = run_traffic_bench(
-        n=args.n,
-        clients=args.clients,
-        length=args.length,
-        shards=args.shards,
-        strategy=args.strategy,
-        workers=args.workers,
-    )
-    if args.record:
-        write_record(outcome, args.record)
-    ok = (
-        outcome["objectives_identical"]
-        and outcome["admission"]["resolved"] == outcome["admission"]["burst"]
-    )
-    if args.json:
-        print(json.dumps(outcome, indent=2, default=str), file=out)
-        return 0 if ok else 1
-    print(
-        f"workload: {outcome['n']} rows, {outcome['clients']} clients x "
-        f"{outcome['length']} queries, strategy={outcome['strategy']}",
-        file=out,
-    )
-    print(
-        f"cold sequential:    {outcome['cold_throughput_qps']:8.1f} qps "
-        f"({outcome['cold_total_seconds'] * 1e3:.1f} ms for one stream)",
-        file=out,
-    )
-    print(
-        f"warm concurrent:    {outcome['warm_throughput_qps']:8.1f} qps "
-        f"({outcome['throughput_speedup']:.2f}x; p50 "
-        f"{outcome['warm_p50_ms']:.1f} ms, p99 "
-        f"{outcome['warm_p99_ms']:.1f} ms)",
-        file=out,
-    )
-    print(
-        f"admission probe:    {outcome['admission']['rejected']} of "
-        f"{outcome['admission']['burst']} burst requests answered 429, "
-        "all resolved",
-        file=out,
-    )
-    print(
-        "objectives identical to cold runs: "
-        f"{'yes' if outcome['objectives_identical'] else 'NO'}",
-        file=out,
-    )
-    return 0 if ok else 1
-
-
 def _cmd_describe(args, out):
     text = _read_query_text(args)
     query = parse(text)
@@ -597,170 +504,6 @@ def _cmd_strategies(args, out):
         print(f"{strategy.name} ({kind}, {auto})", file=out)
         print(f"  {strategy.summary}", file=out)
     return 0
-
-
-def _cmd_shard_bench(args, out):
-    from repro.core.shardbench import run_shard_bench
-
-    outcome = run_shard_bench(
-        n=args.n,
-        shards=args.shards,
-        workers=args.workers,
-        repeats=args.repeats,
-        backend=args.backend,
-    )
-    if args.json:
-        print(json.dumps(outcome, indent=2, default=str), file=out)
-        return (
-            0
-            if outcome["candidates_identical"] and outcome["results_identical"]
-            else 1
-        )
-    info = outcome["shard_info"]
-    print(
-        f"workload: {outcome['n']} rows, {outcome['candidates']} candidates "
-        f"({outcome['where_path']})",
-        file=out,
-    )
-    print(
-        f"shards: {info['count']}  zone-skipped: {info['skipped']}  "
-        f"evaluated: {info['evaluated']}  workers: {info['workers']}  "
-        f"backend: {outcome['backend']}",
-        file=out,
-    )
-    if outcome.get("attach_seconds") is not None:
-        print(
-            f"shm attach:   {outcome['attach_seconds'] * 1e3:8.2f} ms "
-            f"(one-time export+spawn+warm)  teardown: "
-            f"{outcome['teardown_seconds'] * 1e3:.2f} ms",
-            file=out,
-        )
-    print(
-        f"WHERE scan:   {outcome['unsharded_seconds'] * 1e3:8.2f} ms -> "
-        f"{outcome['sharded_seconds'] * 1e3:8.2f} ms  "
-        f"({outcome['speedup']:.2f}x)",
-        file=out,
-    )
-    print(
-        f"scan+bounds:  {outcome['unsharded_pipeline_seconds'] * 1e3:8.2f} ms -> "
-        f"{outcome['sharded_pipeline_seconds'] * 1e3:8.2f} ms  "
-        f"({outcome['pipeline_speedup']:.2f}x)",
-        file=out,
-    )
-    identical = (
-        outcome["candidates_identical"] and outcome["results_identical"]
-    )
-    print(
-        f"results identical to unsharded: {'yes' if identical else 'NO'}",
-        file=out,
-    )
-    return 0 if identical else 1
-
-
-def _cmd_reduce_bench(args, out):
-    from repro.core.reducebench import run_reduce_bench, write_record
-
-    outcome = run_reduce_bench(
-        n=args.n,
-        dominance_n=args.dominance_n,
-        repeats=args.repeats,
-        shards=args.shards,
-    )
-    if args.record:
-        write_record(outcome, args.record)
-    identical = (
-        outcome["fixing"]["objective_identical"]
-        and outcome["dominance"]["objective_identical"]
-    )
-    if args.json:
-        print(json.dumps(outcome, indent=2, default=str), file=out)
-        return 0 if identical else 1
-    fixing = outcome["fixing"]
-    reduction = fixing["reduction"]
-    print(
-        f"workload: {outcome['n']} rows, ILP strategy, "
-        f"best of {outcome['repeats']}",
-        file=out,
-    )
-    print(
-        f"fixing (safe):     {reduction['kept']} of {reduction['input']} "
-        f"candidates kept ({fixing['candidate_reduction']:.0%} reduced)",
-        file=out,
-    )
-    print(
-        f"  end-to-end:      {fixing['baseline_seconds'] * 1e3:8.1f} ms -> "
-        f"{fixing['reduced_seconds'] * 1e3:8.1f} ms  "
-        f"({fixing['speedup']:.2f}x)",
-        file=out,
-    )
-    if outcome["zone"] is not None:
-        zone = outcome["zone"]["stats"]
-        print(
-            f"  zone fast path:  {zone.get('fixed_shards', 0)} of "
-            f"{outcome['zone']['shards']} shards fixed without scanning",
-            file=out,
-        )
-    dominance = outcome["dominance"]
-    dom_stats = dominance["reduction"]
-    print(
-        f"dominance (aggr.): {dom_stats['kept']} of {dom_stats['input']} "
-        f"candidates kept at n={outcome['dominance_n']}",
-        file=out,
-    )
-    print(
-        f"  end-to-end:      {dominance['baseline_seconds'] * 1e3:8.1f} ms -> "
-        f"{dominance['reduced_seconds'] * 1e3:8.1f} ms  "
-        f"({dominance['speedup']:.2f}x)",
-        file=out,
-    )
-    print(
-        f"objectives identical to reduce=off: {'yes' if identical else 'NO'}",
-        file=out,
-    )
-    return 0 if identical else 1
-
-
-def _cmd_pushdown_bench(args, out):
-    from repro.core.pushdownbench import run_pushdown_bench, write_record
-
-    outcome = run_pushdown_bench(n=args.n, zone_rows=args.zone_rows)
-    if args.record:
-        write_record(outcome, args.record)
-    identical = outcome["results_identical"]
-    if args.json:
-        print(json.dumps(outcome, indent=2, default=str), file=out)
-        return 0 if identical else 1
-    print(
-        f"workload: {outcome['n']} rows streamed into sqlite in "
-        f"{outcome['build_seconds']:.1f} s "
-        f"(zone_rows={outcome['zone_rows']})",
-        file=out,
-    )
-    for entry in outcome["queries"]:
-        pushed = entry["pushdown"] or {}
-        print(
-            f"  {entry['where_path']}: {entry['candidate_count']} candidates, "
-            f"{pushed.get('sql_fixed', 0)} fixed in SQL, "
-            f"objective {entry['objective']}",
-            file=out,
-        )
-    print(
-        f"peak RSS: {outcome['pushdown_peak_rss_kb'] / 1024:.0f} MB streamed "
-        f"vs {outcome['materialize_peak_rss_kb'] / 1024:.0f} MB materialized "
-        f"({outcome['rss_ratio']:.1f}x smaller)",
-        file=out,
-    )
-    print(
-        f"wall clock: {outcome['pushdown_seconds']:.2f} s streamed vs "
-        f"{outcome['materialize_seconds']:.2f} s materialized",
-        file=out,
-    )
-    print(
-        f"packages identical to materialization: "
-        f"{'yes' if identical else 'NO'}",
-        file=out,
-    )
-    return 0 if identical else 1
 
 
 def _open_store(args):
@@ -1233,125 +976,6 @@ def build_parser():
     cache_clear.add_argument("--json", action="store_true", help="JSON output")
     cache_clear.set_defaults(func=_cmd_cache_clear)
 
-    session_bench = sub.add_parser(
-        "session-bench",
-        help=(
-            "time a repeated query stream through an EvaluationSession "
-            "against per-query cold starts (the E14 workload) and "
-            "verify objective parity"
-        ),
-    )
-    session_bench.add_argument(
-        "--n", type=int, default=100000, help="workload rows"
-    )
-    session_bench.add_argument(
-        "--length", type=int, default=10, help="stream length (queries)"
-    )
-    session_bench.add_argument(
-        "--shards", type=int, default=8, help="shard count for both sides"
-    )
-    session_bench.add_argument(
-        "--strategy",
-        default="ilp",
-        choices=["auto", *strategy_names()],
-        help="engine strategy for both sides",
-    )
-    session_bench.add_argument(
-        "--record",
-        help="write the outcome as a machine-readable JSON perf record",
-    )
-    session_bench.add_argument("--json", action="store_true", help="JSON output")
-    session_bench.set_defaults(func=_cmd_session_bench)
-
-    shard_bench = sub.add_parser(
-        "shard-bench",
-        help=(
-            "time the sharded scan pipeline against the single-pass "
-            "columnar path on the E12 clustered workload"
-        ),
-    )
-    shard_bench.add_argument(
-        "--n", type=int, default=100000, help="workload rows"
-    )
-    shard_bench.add_argument(
-        "--shards", type=int, default=8, help="shard count for the sharded side"
-    )
-    shard_bench.add_argument(
-        "--workers", type=int, default=0, help="worker threads (0 = per CPU)"
-    )
-    shard_bench.add_argument(
-        "--repeats", type=int, default=5, help="timing repetitions (best wins)"
-    )
-    shard_bench.add_argument(
-        "--backend",
-        default="thread",
-        choices=list(ENGINE_BACKENDS),
-        help=(
-            "parallel backend for the sharded side; shm-process also "
-            "reports its one-time attach/teardown overhead"
-        ),
-    )
-    shard_bench.add_argument("--json", action="store_true", help="JSON output")
-    shard_bench.set_defaults(func=_cmd_shard_bench)
-
-    reduce_bench = sub.add_parser(
-        "reduce-bench",
-        help=(
-            "time the reduced ILP pipeline against reduce=off on the "
-            "E13 workloads and verify objective parity"
-        ),
-    )
-    reduce_bench.add_argument(
-        "--n", type=int, default=100000, help="fixing-workload rows"
-    )
-    reduce_bench.add_argument(
-        "--dominance-n",
-        type=int,
-        default=30000,
-        help="dominance-workload rows (unreduced side pays generic B&B)",
-    )
-    reduce_bench.add_argument(
-        "--shards",
-        type=int,
-        default=8,
-        help="shard count for the zone fast-path check (0 disables)",
-    )
-    reduce_bench.add_argument(
-        "--repeats", type=int, default=3, help="timing repetitions (best wins)"
-    )
-    reduce_bench.add_argument(
-        "--record",
-        help="write the outcome as a machine-readable JSON perf record",
-    )
-    reduce_bench.add_argument("--json", action="store_true", help="JSON output")
-    reduce_bench.set_defaults(func=_cmd_reduce_bench)
-
-    pushdown_bench = sub.add_parser(
-        "pushdown-bench",
-        help=(
-            "stream the E19 out-of-core workload through the sql-backed "
-            "relation and verify package parity + peak-RSS savings "
-            "against full materialization"
-        ),
-    )
-    pushdown_bench.add_argument(
-        "--n", type=int, default=10_000_000, help="relation rows (built streaming)"
-    )
-    pushdown_bench.add_argument(
-        "--zone-rows",
-        type=int,
-        default=65536,
-        help="zone-map granularity of the backing table",
-    )
-    pushdown_bench.add_argument(
-        "--record",
-        help="write the outcome as a machine-readable JSON perf record",
-    )
-    pushdown_bench.add_argument(
-        "--json", action="store_true", help="JSON output"
-    )
-    pushdown_bench.set_defaults(func=_cmd_pushdown_bench)
-
     serve = sub.add_parser(
         "serve",
         help=(
@@ -1425,45 +1049,6 @@ def build_parser():
         help="parallel backend for shard-parallel stages",
     )
     serve.set_defaults(func=_cmd_serve)
-
-    bench_traffic = sub.add_parser(
-        "bench-traffic",
-        help=(
-            "benchmark N concurrent clients against an in-process "
-            "server on the E14 query stream (the E17 workload): warm "
-            "throughput vs cold sequential baseline, latency "
-            "percentiles, queue-full admission, objective parity"
-        ),
-    )
-    bench_traffic.add_argument(
-        "--n", type=int, default=100000, help="workload rows"
-    )
-    bench_traffic.add_argument(
-        "--clients", type=int, default=8, help="concurrent clients"
-    )
-    bench_traffic.add_argument(
-        "--length", type=int, default=10, help="queries per client"
-    )
-    bench_traffic.add_argument(
-        "--shards", type=int, default=8, help="shard count for both sides"
-    )
-    bench_traffic.add_argument(
-        "--strategy",
-        default="ilp",
-        choices=["auto", *strategy_names()],
-        help="engine strategy for both sides",
-    )
-    bench_traffic.add_argument(
-        "--workers", type=int, default=4, help="server worker threads"
-    )
-    bench_traffic.add_argument(
-        "--record",
-        help="write the outcome as a machine-readable JSON perf record",
-    )
-    bench_traffic.add_argument(
-        "--json", action="store_true", help="JSON output"
-    )
-    bench_traffic.set_defaults(func=_cmd_bench_traffic)
 
     demo = sub.add_parser("demo", help="run a built-in paper scenario")
     demo.add_argument("scenario", choices=sorted(_DEMOS))

@@ -395,7 +395,10 @@ class PackageQueryEvaluator:
         if query.where is None:
             return list(range(len(self._relation))), "none", None
         if self._db is not None:
-            rids = self._db.select_rids(self._relation.name, to_sql(query.where))
+            where_sql, params = to_sql(query.where)
+            rids = self._db.select_rids(
+                self._relation.name, where_sql, params=params
+            )
             return rids, "sql", None
         if options is not None and options.shards > 1:
             sharded = self._sharded_candidates(query, options)
@@ -437,16 +440,17 @@ class PackageQueryEvaluator:
         Derives the query's SQL fixing predicates (safe-mode reduction
         thresholds pushed into the scan), streams the candidate rows
         that survive them out of sqlite, and returns
-        ``(StreamOutcome, fixing_sqls)``.  Memoized on the candidate
-        content and the fixing set, so back-to-back queries sharing a
-        WHERE clause reuse the resident relation instead of
-        re-streaming it.
+        ``(StreamOutcome, fixing)``.  Memoized on the candidate content
+        and the fixing set, so back-to-back queries sharing a WHERE
+        clause reuse the resident relation instead of re-streaming it.
         """
         from repro.core import pushdown
 
         labels, fixing = pushdown.build_fixing_predicates(
             query, self._relation, options
         )
+        # Each predicate is an (sql, params) pair: the bound thresholds
+        # are part of the key, not just the placeholder text.
         key = (rids_fingerprint(candidate_rids), tuple(fixing))
         outcome = self._stream_cache.get(key)
         if outcome is None:

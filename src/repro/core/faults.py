@@ -39,7 +39,7 @@ Determinism: every rule draws from its own ``random.Random`` seeded
 with ``"{plan seed}:{site}"``, so a plan replays the identical fire
 sequence for the identical sequence of arrivals at each site —
 independent of what happens at other sites.  The chaos suite
-(``tests/test_faults.py``) runs the bench_e14 query stream under
+(``tests/test_faults.py``) runs a repeated session query stream under
 seeded random plans and asserts objectives bit-identical to the
 fault-free run: every injected fault must end in full recovery, a
 recorded degradation, or a clean error — never a wrong answer, never
@@ -61,8 +61,9 @@ Arming:
   this module afresh and parse the same environment).
 
 Disarmed cost: :func:`fault_point` is one module-global load and a
-``None`` check — benchmarked by ``benchmarks/bench_e18_faults.py`` to
-stay under 2% of the bench_e14 stream's wall-clock.
+``None`` check.  Every store read and write passes one, so the
+``session_mixed`` workload of ``python3 bench/run.py`` prices the
+disarmed hooks into its end-to-end latency.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ import numpy as np
 from repro.paql import ast
 from repro.paql.errors import PaQLUnsupportedError
 from repro.paql.eval import EvaluationError, eval_expr
-from repro.paql.to_sql import to_sql
+from repro.paql.to_sql import sql_constant, to_sql
 from repro.core.formula import conjunctive_leaves, normalize_formula
 from repro.core.greedy import greedy_seed, random_seed
 from repro.core.package import Package
@@ -735,32 +735,28 @@ class SwapSQLUnsupported(Exception):
     """
 
 
-def _delta_sql(aggregate, out_aliases, in_aliases):
+def _delta_sql(aggregate, out_aliases, in_aliases, params):
     """SQL for the change of ``aggregate`` under a k-replacement."""
     if aggregate.is_count_star:
         return None  # cardinality is unchanged by a pure replacement
-    argument = aggregate.argument
-    pieces = []
     if aggregate.func is ast.AggFunc.SUM:
-        for alias in out_aliases:
-            pieces.append(f"- COALESCE({to_sql(argument, alias + '.')}, 0)")
-        for alias in in_aliases:
-            pieces.append(f"+ COALESCE({to_sql(argument, alias + '.')}, 0)")
+        template = "{sign} COALESCE({expr}, 0)"
     elif aggregate.func is ast.AggFunc.COUNT:
-        for alias in out_aliases:
-            expr = to_sql(argument, alias + ".")
-            pieces.append(f"- (CASE WHEN {expr} IS NULL THEN 0 ELSE 1 END)")
-        for alias in in_aliases:
-            expr = to_sql(argument, alias + ".")
-            pieces.append(f"+ (CASE WHEN {expr} IS NULL THEN 0 ELSE 1 END)")
+        template = "{sign} (CASE WHEN {expr} IS NULL THEN 0 ELSE 1 END)"
     else:
         raise SwapSQLUnsupported(
             f"{aggregate.func.value} constraints have no swap-SQL form"
         )
+    pieces = []
+    for sign, aliases in (("-", out_aliases), ("+", in_aliases)):
+        for alias in aliases:
+            expr, values = to_sql(aggregate.argument, alias + ".")
+            params.extend(values)
+            pieces.append(template.format(sign=sign, expr=expr))
     return " ".join(pieces)
 
 
-def _comparison_sql(node, package, out_aliases, in_aliases):
+def _comparison_sql(node, package, out_aliases, in_aliases, params):
     """Render one conjunct as SQL over the post-swap aggregate values."""
     from repro.core.translate_ilp import ILPTranslationError, _affine_of
 
@@ -769,7 +765,7 @@ def _comparison_sql(node, package, out_aliases, in_aliases):
     except ILPTranslationError as exc:
         raise SwapSQLUnsupported(str(exc)) from exc
 
-    terms = [repr(float(affine.constant))]
+    terms = [sql_constant(float(affine.constant), params)]
     for aggregate, coef in affine.terms.items():
         if aggregate.func in (ast.AggFunc.AVG, ast.AggFunc.MIN, ast.AggFunc.MAX):
             raise SwapSQLUnsupported(
@@ -778,11 +774,13 @@ def _comparison_sql(node, package, out_aliases, in_aliases):
         current = package.aggregate(aggregate)
         if current is None:
             current = 0.0
-        delta = _delta_sql(aggregate, out_aliases, in_aliases)
+        coef_sql = sql_constant(coef, params)
+        current_sql = sql_constant(float(current), params)
+        delta = _delta_sql(aggregate, out_aliases, in_aliases, params)
         if delta is None:
-            terms.append(f"+ ({coef!r} * {float(current)!r})")
+            terms.append(f"+ ({coef_sql} * {current_sql})")
         else:
-            terms.append(f"+ ({coef!r} * ({float(current)!r} {delta}))")
+            terms.append(f"+ ({coef_sql} * ({current_sql} {delta}))")
     value_sql = " ".join(terms)
     return f"({value_sql}) {node.op.value} 0"
 
@@ -793,8 +791,9 @@ def build_swap_sql(query, relation, package, k, package_table="pkg"):
     The query joins ``k`` copies of the package table (via the base
     relation, to reach attribute values) with ``k`` copies of the base
     relation, and selects combinations whose replacement yields a valid
-    package.  Returns SQL producing columns
-    ``out_rid_1..k, in_rid_1..k``.
+    package.  Returns ``(sql, params)``: SQL producing columns
+    ``out_rid_1..k, in_rid_1..k`` and the values of its ``?``
+    placeholders.
 
     Raises:
         SwapSQLUnsupported: for constraint shapes outside the
@@ -818,6 +817,7 @@ def build_swap_sql(query, relation, package, k, package_table="pkg"):
 
     from_parts = []
     where_parts = []
+    params = []
     for i, alias in enumerate(out_aliases):
         pkg_alias = f"P{i + 1}"
         from_parts.append(f"{package_table} {pkg_alias}")
@@ -833,20 +833,25 @@ def build_swap_sql(query, relation, package, k, package_table="pkg"):
         if i > 0:
             where_parts.append(f"{in_aliases[i - 1]}.rid < {alias}.rid")
         if query.where is not None:
-            where_parts.append(to_sql(query.where, alias + "."))
+            where_sql, values = to_sql(query.where, alias + ".")
+            where_parts.append(where_sql)
+            params.extend(values)
 
     for leaf in leaves:
-        where_parts.append(_comparison_sql(leaf, package, out_aliases, in_aliases))
+        where_parts.append(
+            _comparison_sql(leaf, package, out_aliases, in_aliases, params)
+        )
 
     select_cols = [
         f"{alias}.rid AS out_rid_{i + 1}" for i, alias in enumerate(out_aliases)
     ] + [f"{alias}.rid AS in_rid_{i + 1}" for i, alias in enumerate(in_aliases)]
 
-    return (
+    sql = (
         f"SELECT {', '.join(select_cols)}\n"
         f"FROM {', '.join(from_parts)}\n"
         f"WHERE {' AND '.join(where_parts)}"
     )
+    return sql, tuple(params)
 
 
 def sql_k_swap(db, query, relation, package, k, limit=None, package_table="pkg"):
@@ -860,12 +865,12 @@ def sql_k_swap(db, query, relation, package, k, limit=None, package_table="pkg")
         from ``package`` by exactly ``k`` tuples and satisfying the
         (conjunctive) global constraints.
     """
-    sql = build_swap_sql(query, relation, package, k, package_table)
+    sql, params = build_swap_sql(query, relation, package, k, package_table)
     if limit is not None:
         sql += f"\nLIMIT {int(limit)}"
     db.create_temp_package_table(package_table, relation.name, list(package.rids))
     try:
-        rows = db.execute(sql)
+        rows = db.execute(sql, params)
     finally:
         db.drop_table(package_table)
     replacements = []

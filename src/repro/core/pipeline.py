@@ -225,7 +225,7 @@ def _run_stream(state):
             )
         )
         return
-    outcome, fixing_sqls = state.evaluator.stream_residents(
+    outcome, fixing = state.evaluator.stream_residents(
         state.query, state.options, state.candidate_rids
     )
     state.relation = outcome.resident
@@ -254,7 +254,7 @@ def _run_stream(state):
             state.artifacts,
             base,
             clause,
-            fixing_sqls,
+            fixing,
             outcome.rid_map,
             outcome.resident,
         )

@@ -104,6 +104,7 @@ class PushdownPlan:
     Attributes:
         prefilter_sql: the AND of all pushed (weakened) conjuncts, or
             ``None`` when nothing pushed.
+        prefilter_params: the values of its ``?`` placeholders.
         pushed: how many conjuncts pushed down.
         total: how many conjuncts the WHERE has.
         skipped: per-conjunct reasons for the ones that stayed home.
@@ -116,6 +117,7 @@ class PushdownPlan:
     total: int
     skipped: list = field(default_factory=list)
     where_columns: tuple = ()
+    prefilter_params: tuple = ()
 
 
 @dataclass
@@ -226,6 +228,7 @@ def build_prefilter(where, relation):
         )
         return plan
     pieces = []
+    params = []
     for conjunct in conjuncts:
         reason = _unpushable_literal(conjunct)
         if reason is not None:
@@ -236,7 +239,7 @@ def build_prefilter(where, relation):
             plan.skipped.append("INT column data beyond float64 exactness")
             continue
         try:
-            sql = to_sql(conjunct, quote_idents=True)
+            sql, conjunct_params = to_sql(conjunct, quote_idents=True)
         except PaQLSemanticError as exc:
             plan.skipped.append(f"not renderable: {exc}")
             continue
@@ -251,9 +254,11 @@ def build_prefilter(where, relation):
             )
             sql = f"({sql} OR {weaken})"
         pieces.append(sql)
+        params.extend(conjunct_params)
         plan.pushed += 1
     if pieces:
         plan.prefilter_sql = " AND ".join(pieces)
+        plan.prefilter_params = tuple(params)
     return plan
 
 
@@ -303,7 +308,8 @@ def _ranges_sql(ranges):
     )
 
 
-def _recheck_batches(relation, where, plan, where_sql, batch_rows=None):
+def _recheck_batches(relation, where, plan, where_sql, params,
+                     batch_rows=None):
     """Stream prefilter survivors and recheck each batch exactly.
 
     Yields ``(surviving_rids, label)`` per batch.  The recheck builds a
@@ -319,7 +325,7 @@ def _recheck_batches(relation, where, plan, where_sql, batch_rows=None):
     )
     kwargs = {} if batch_rows is None else {"batch_rows": batch_rows}
     for rids, rows in relation.iter_batches(
-        columns=columns or None, where_sql=where_sql, **kwargs
+        columns=columns or None, where_sql=where_sql, params=params, **kwargs
     ):
         if sub_schema is None:
             # WHERE references no columns: the predicate is
@@ -367,7 +373,7 @@ def run_where(relation, query, options, batch_rows=None):
 
     plan = build_prefilter(where, relation)
     estimated = (
-        relation.count_where(plan.prefilter_sql)
+        relation.count_where(plan.prefilter_sql, plan.prefilter_params)
         if plan.prefilter_sql is not None
         else rows
     )
@@ -419,8 +425,10 @@ def run_where(relation, query, options, batch_rows=None):
     candidates = []
     batches = 0
     recheck = None
+    # The zone ranges render as integer text; only the prefilter binds.
     for survivors, label in _recheck_batches(
-        relation, where, plan, where_sql, batch_rows=batch_rows
+        relation, where, plan, where_sql, plan.prefilter_params,
+        batch_rows=batch_rows,
     ):
         batches += 1
         recheck = label
@@ -462,8 +470,9 @@ def build_fixing_predicates(query, relation, options):
     FLOAT columns only: INT values compare exactly in sqlite but round
     through float64 in the reducer, and the two must agree bit for bit.
 
-    Returns ``(labels, predicates)``; streaming applies ``NOT
-    (predicate)`` so fixed tuples never leave the database.
+    Returns ``(labels, predicates)``, each predicate an ``(sql,
+    params)`` pair; streaming applies ``NOT (predicate)`` so fixed
+    tuples never leave the database.
     """
     if getattr(options, "reduce", "safe") == "off" or query.such_that is None:
         return [], []
@@ -514,17 +523,19 @@ def build_fixing_predicates(query, relation, options):
                 for zone in zones
             ):
                 continue
-        sql = minmax_fixing_sql(aggregate.func, op, constant, argument.name)
-        if sql is None:
+        predicate = minmax_fixing_sql(
+            aggregate.func, op, constant, argument.name
+        )
+        if predicate is None:
             continue
         labels.append(
             f"{aggregate.func.value}({argument.name}) {op.value} {constant:g}"
         )
-        predicates.append(sql)
+        predicates.append(predicate)
     return labels, predicates
 
 
-def stream_residents(relation, candidate_rids, fixing_labels, fixing_sqls,
+def stream_residents(relation, candidate_rids, fixing_labels, fixing,
                      batch_rows=None):
     """Materialize candidate rows as an in-memory resident relation.
 
@@ -532,13 +543,12 @@ def stream_residents(relation, candidate_rids, fixing_labels, fixing_sqls,
     streams full rows out in batches; rows matching any SQL fixing
     predicate are dropped by the database and never reach memory.  The
     resident relation's positions map back to absolute rids through
-    ``rid_map``.
+    ``rid_map``.  ``fixing`` holds ``(sql, params)`` predicates.
     """
     not_bad = (
-        " AND ".join(f"NOT {sql}" for sql in fixing_sqls)
-        if fixing_sqls
-        else None
+        " AND ".join(f"NOT {sql}" for sql, _ in fixing) if fixing else None
     )
+    params = tuple(value for _, values in fixing for value in values)
     rid_table = relation.create_temp_rid_table(candidate_rids)
     packed = []
     rid_chunks = []
@@ -546,7 +556,7 @@ def stream_residents(relation, candidate_rids, fixing_labels, fixing_sqls,
     kwargs = {} if batch_rows is None else {"batch_rows": batch_rows}
     try:
         for rids, rows in relation.iter_batches(
-            rid_table=rid_table, where_sql=not_bad, **kwargs
+            rid_table=rid_table, where_sql=not_bad, params=params, **kwargs
         ):
             batches += 1
             rid_chunks.append(rids)
@@ -566,7 +576,7 @@ def stream_residents(relation, candidate_rids, fixing_labels, fixing_sqls,
     )
 
 
-def derived_artifacts(base, relation, clause, fixing_sqls, candidate_rids,
+def derived_artifacts(base, relation, clause, fixing, candidate_rids,
                       resident):
     """An :class:`~repro.core.session.ArtifactCache` scoped to one
     resident relation.
@@ -590,9 +600,12 @@ def derived_artifacts(base, relation, clause, fixing_sqls, candidate_rids,
 
         key_material = hashlib.blake2b(digest_size=16)
         key_material.update(clause.encode("utf-8"))
-        for sql in fixing_sqls:
+        for sql, params in fixing:
+            # repr() spells every double exactly, so two thresholds
+            # sharing one placeholder text never share a key.
             key_material.update(b"\x00")
             key_material.update(sql.encode("utf-8"))
+            key_material.update(repr(params).encode("utf-8"))
         relation_hash = merge_digests(
             [
                 relation.relation_fingerprint(),

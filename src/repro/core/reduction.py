@@ -367,8 +367,11 @@ def minmax_fixing_sql(func, op, constant, column, tolerance=DEFAULT_TOLERANCE):
     Bit-for-bit agreement with the numpy mask holds because sqlite
     evaluates ``v < pivot - (tol * MAX(1.0, ABS(v), |pivot|))`` in the
     same IEEE doubles numpy uses (same rounding at every step), and
-    float literals round-trip exactly through ``repr`` →
-    :func:`~repro.paql.to_sql._sql_literal` → sqlite's REAL parser.
+    the constants reach it as bound parameters, which sqlite stores
+    bit for bit.  Spelled as SQL text they would not: sqlite's REAL
+    parser is not correctly rounded at extreme exponents, so a
+    threshold could land one ulp off and fix a tuple the validator
+    accepts.
 
     The caller owns the guards the vector path applies *before* its
     mask (NaN anywhere in the column, or a mirrored ``-inf`` under a
@@ -378,11 +381,11 @@ def minmax_fixing_sql(func, op, constant, column, tolerance=DEFAULT_TOLERANCE):
     so the ``IS NOT NULL`` conjunct also keeps the twin honest if a
     caller ever skips the NaN guard.
 
-    Returns ``None`` when the plan has no pure per-tuple fixing shape
-    (an EQ witness, or no bad set at all) — those conjuncts stay with
-    the in-memory reducer.
+    Returns ``(sql, params)``, or ``None`` when the plan has no pure
+    per-tuple fixing shape (an EQ witness, or no bad set at all) —
+    those conjuncts stay with the in-memory reducer.
     """
-    from repro.paql.to_sql import _sql_literal
+    from repro.paql.to_sql import sql_constant
     from repro.relational.schema import quote_ident
 
     try:
@@ -395,15 +398,18 @@ def minmax_fixing_sql(func, op, constant, column, tolerance=DEFAULT_TOLERANCE):
     pivot = -threshold if plan.negate else threshold
     col = quote_ident(column)
     mirrored = f"-{col}" if plan.negate else col
+    params = []
     if plan.bad is ast.CmpOp.LT:
-        slack = (
-            f"({_sql_literal(float(tolerance))} * "
-            f"MAX(1.0, ABS({col}), {_sql_literal(abs(pivot))}))"
+        pivot_sql = sql_constant(pivot, params)
+        tolerance_sql = sql_constant(float(tolerance), params)
+        magnitude_sql = sql_constant(abs(pivot), params)
+        bad = (
+            f"{mirrored} < {pivot_sql} - "
+            f"({tolerance_sql} * MAX(1.0, ABS({col}), {magnitude_sql}))"
         )
-        bad = f"{mirrored} < {_sql_literal(pivot)} - {slack}"
     else:  # LE comes from a strict comparison: exact
-        bad = f"{mirrored} <= {_sql_literal(pivot)}"
-    return f"({col} IS NOT NULL AND {bad})"
+        bad = f"{mirrored} <= {sql_constant(pivot, params)}"
+    return f"({col} IS NOT NULL AND {bad})", tuple(params)
 
 
 def _shm_values_task(spec):

@@ -619,7 +619,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
 
 class ServerClient:
-    """A minimal stdlib HTTP client for tests and the traffic bench.
+    """A minimal stdlib HTTP client for tests and benchmark drivers.
 
     Each instance owns one persistent connection (HTTP/1.1
     keep-alive); instances are not thread-safe — give each client

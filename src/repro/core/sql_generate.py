@@ -33,7 +33,7 @@ from __future__ import annotations
 from repro.paql import ast
 from repro.paql.errors import PaQLUnsupportedError
 from repro.paql.eval import eval_scalar
-from repro.paql.to_sql import to_sql
+from repro.paql.to_sql import sql_constant, to_sql
 from repro.core.formula import normalize_formula
 from repro.core.package import Package
 from repro.core.pruning import derive_bounds
@@ -44,31 +44,49 @@ class SQLGenerateUnsupported(Exception):
     """The query is outside the SQL-generation fragment."""
 
 
-def _aggregate_sql(aggregate, aliases, relation, candidate_rids):
-    """Render one aggregate over a k-tuple of relation aliases."""
+def _member_sql(argument, aliases, params):
+    """Render ``argument`` once per alias, binding its constants."""
+    exprs = []
+    for alias in aliases:
+        text, values = to_sql(argument, alias + ".")
+        exprs.append(text)
+        params.extend(values)
+    return exprs
+
+
+def _aggregate_sql(aggregate, aliases, relation, candidate_rids, params):
+    """Render one aggregate over a k-tuple of relation aliases.
+
+    Constants append to ``params`` in the order their ``?`` appears.
+    """
     if aggregate.is_count_star:
         return str(len(aliases))
 
     argument = aggregate.argument
     func = aggregate.func
-    member_exprs = [to_sql(argument, alias + ".") for alias in aliases]
 
     if func is ast.AggFunc.SUM:
-        pieces = [f"COALESCE({expr}, 0)" for expr in member_exprs]
+        pieces = [
+            f"COALESCE({expr}, 0)"
+            for expr in _member_sql(argument, aliases, params)
+        ]
         return "(" + " + ".join(pieces) + ")"
 
     if func is ast.AggFunc.COUNT:
         pieces = [
             f"(CASE WHEN {expr} IS NULL THEN 0 ELSE 1 END)"
-            for expr in member_exprs
+            for expr in _member_sql(argument, aliases, params)
         ]
         return "(" + " + ".join(pieces) + ")"
 
     if func is ast.AggFunc.AVG:
-        total = " + ".join(f"COALESCE({expr}, 0)" for expr in member_exprs)
+        total = " + ".join(
+            f"COALESCE({expr}, 0)"
+            for expr in _member_sql(argument, aliases, params)
+        )
         count = " + ".join(
             f"(CASE WHEN {expr} IS NULL THEN 0 ELSE 1 END)"
-            for expr in member_exprs
+            for expr in _member_sql(argument, aliases, params)
         )
         # NULLIF keeps the all-NULL case NULL (comparisons then fail),
         # matching aggregate AVG semantics.
@@ -82,52 +100,55 @@ def _aggregate_sql(aggregate, aliases, relation, candidate_rids):
                 f"{func.value} argument has NULLs among the candidates; "
                 "sqlite's scalar MIN/MAX would mis-handle them"
             )
+    member_exprs = _member_sql(argument, aliases, params)
     if len(member_exprs) == 1:
         return member_exprs[0]
     return f"{func.value}({', '.join(member_exprs)})"
 
 
-def _formula_sql(node, aliases, relation, candidate_rids):
+def _formula_sql(node, aliases, relation, candidate_rids, params):
     """Render a normalized global formula over a k-tuple join."""
     if isinstance(node, ast.Literal):
         return "1" if node.value else "0"
     if isinstance(node, ast.And):
         parts = [
-            _formula_sql(arg, aliases, relation, candidate_rids)
+            _formula_sql(arg, aliases, relation, candidate_rids, params)
             for arg in node.args
         ]
         return "(" + " AND ".join(parts) + ")"
     if isinstance(node, ast.Or):
         parts = [
-            _formula_sql(arg, aliases, relation, candidate_rids)
+            _formula_sql(arg, aliases, relation, candidate_rids, params)
             for arg in node.args
         ]
         return "(" + " OR ".join(parts) + ")"
     if isinstance(node, ast.Comparison):
-        left = _scalar_sql(node.left, aliases, relation, candidate_rids)
-        right = _scalar_sql(node.right, aliases, relation, candidate_rids)
+        left = _scalar_sql(node.left, aliases, relation, candidate_rids, params)
+        right = _scalar_sql(node.right, aliases, relation, candidate_rids, params)
         return f"({left} {node.op.value} {right})"
     raise SQLGenerateUnsupported(
         f"cannot render node {type(node).__name__} for SQL generation"
     )
 
 
-def _scalar_sql(node, aliases, relation, candidate_rids):
+def _scalar_sql(node, aliases, relation, candidate_rids, params):
     """Render an aggregate-bearing arithmetic expression."""
     if isinstance(node, ast.Literal):
         if node.value is None or isinstance(node.value, (bool, str)):
             raise SQLGenerateUnsupported(
                 f"non-numeric literal {node.value!r} in a global comparison"
             )
-        return repr(float(node.value))
+        return sql_constant(float(node.value), params)
     if isinstance(node, ast.Aggregate):
-        return _aggregate_sql(node, aliases, relation, candidate_rids)
+        return _aggregate_sql(node, aliases, relation, candidate_rids, params)
     if isinstance(node, ast.UnaryMinus):
-        inner = _scalar_sql(node.operand, aliases, relation, candidate_rids)
+        inner = _scalar_sql(
+            node.operand, aliases, relation, candidate_rids, params
+        )
         return f"(-{inner})"
     if isinstance(node, ast.BinaryOp):
-        left = _scalar_sql(node.left, aliases, relation, candidate_rids)
-        right = _scalar_sql(node.right, aliases, relation, candidate_rids)
+        left = _scalar_sql(node.left, aliases, relation, candidate_rids, params)
+        right = _scalar_sql(node.right, aliases, relation, candidate_rids, params)
         if node.op is ast.BinOp.DIV:
             return f"(CAST({left} AS REAL) / {right})"
         return f"({left} {node.op.value} {right})"
@@ -145,7 +166,8 @@ def build_generate_sql(query, relation, candidate_rids, cardinality, best_only):
         best_only: append ORDER BY objective + LIMIT 1.
 
     Returns:
-        SQL text selecting columns ``rid_1 .. rid_k``.
+        ``(sql, params)``: SQL text selecting columns ``rid_1 ..
+        rid_k`` and the values of its ``?`` placeholders.
 
     Raises:
         SQLGenerateUnsupported: outside the supported fragment.
@@ -161,11 +183,12 @@ def build_generate_sql(query, relation, candidate_rids, cardinality, best_only):
     from_clause = ", ".join(f"{relation.name} {alias}" for alias in aliases)
 
     where_parts = []
+    params = []
     for i, alias in enumerate(aliases):
         if i > 0:
             where_parts.append(f"{aliases[i - 1]}.rid < {alias}.rid")
         if query.where is not None:
-            where_parts.append(to_sql(query.where, alias + "."))
+            where_parts.extend(_member_sql(query.where, [alias], params))
 
     if query.such_that is not None:
         try:
@@ -173,7 +196,7 @@ def build_generate_sql(query, relation, candidate_rids, cardinality, best_only):
         except PaQLUnsupportedError as exc:
             raise SQLGenerateUnsupported(str(exc)) from exc
         where_parts.append(
-            _formula_sql(normalized, aliases, relation, candidate_rids)
+            _formula_sql(normalized, aliases, relation, candidate_rids, params)
         )
 
     select_cols = ", ".join(
@@ -185,7 +208,7 @@ def build_generate_sql(query, relation, candidate_rids, cardinality, best_only):
 
     if best_only and query.objective is not None:
         objective_sql = _scalar_sql(
-            query.objective.expr, aliases, relation, candidate_rids
+            query.objective.expr, aliases, relation, candidate_rids, params
         )
         direction = (
             "DESC"
@@ -195,7 +218,7 @@ def build_generate_sql(query, relation, candidate_rids, cardinality, best_only):
         sql += f"\nORDER BY ({objective_sql}) {direction}\nLIMIT 1"
     elif best_only:
         sql += "\nLIMIT 1"
-    return sql
+    return sql, tuple(params)
 
 
 def sql_find_best(db, query, relation, candidate_rids, bounds=None):
@@ -229,8 +252,8 @@ def sql_find_best(db, query, relation, candidate_rids, bounds=None):
             if not check_global(package, query):
                 continue
         else:
-            sql = build_generate_sql(query, relation, candidates, k, True)
-            rows = db.execute(sql)
+            sql, params = build_generate_sql(query, relation, candidates, k, True)
+            rows = db.execute(sql, params)
             if not rows:
                 continue
             rids = [rows[0][f"rid_{i + 1}"] for i in range(k)]
@@ -250,12 +273,12 @@ def sql_enumerate(db, query, relation, candidate_rids, cardinality, limit=None):
     Used by tests (cross-checking against the in-memory enumerator)
     and by the E2 bench.
     """
-    sql = build_generate_sql(
+    sql, params = build_generate_sql(
         query, relation, list(candidate_rids), cardinality, False
     )
     if limit is not None:
         sql += f"\nLIMIT {int(limit)}"
-    rows = db.execute(sql)
+    rows = db.execute(sql, params)
     packages = []
     for row in rows:
         rids = [row[f"rid_{i + 1}"] for i in range(cardinality)]

@@ -100,7 +100,7 @@ class SharedRelationHandle:
     :class:`~repro.relational.schema.Schema`, the row count, and per
     column a ``(name, values_spec, nulls_spec)`` triple.  A handful of
     hundred bytes pickled — the per-worker IPC cost of the whole
-    relation (pinned under 4 KB by the E15 benchmark).
+    relation (pinned under 4 KB by ``tests/test_shm.py``).
     """
 
     segment: str

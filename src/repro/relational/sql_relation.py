@@ -436,7 +436,7 @@ class SqlRelation:
     # -- streaming -------------------------------------------------------
 
     def iter_batches(self, columns=None, where_sql=None, rid_table=None,
-                     batch_rows=STREAM_BATCH_ROWS):
+                     batch_rows=STREAM_BATCH_ROWS, params=()):
         """Yield ``(rids, rows)`` batches in rid order.
 
         Args:
@@ -449,6 +449,7 @@ class SqlRelation:
                 column; when given, only rows whose rid appears there
                 are streamed (the resident-materialization join).
             batch_rows: rows per yielded batch.
+            params: values bound to ``where_sql``'s ``?`` placeholders.
 
         ``rids`` is an int64 numpy array of absolute row ids; ``rows``
         a list of decoded tuples.  At most one batch is in memory.
@@ -465,7 +466,7 @@ class SqlRelation:
             sql += " WHERE " + " AND ".join(clauses)
         sql += " ORDER BY rid"
         try:
-            cursor = self._connection.execute(sql)
+            cursor = self._connection.execute(sql, params)
         except sqlite3.Error as exc:
             raise SqlRelationError(f"stream failed: {exc}\n  sql: {sql}") from exc
         while True:
@@ -494,13 +495,16 @@ class SqlRelation:
     def drop_temp_table(self, name):
         self._connection.execute(f"DROP TABLE IF EXISTS temp.{quote_ident(name)}")
 
-    def count_where(self, where_sql=None):
-        """``COUNT(*)`` with an optional predicate — the selectivity probe."""
+    def count_where(self, where_sql=None, params=()):
+        """``COUNT(*)`` with an optional predicate — the selectivity probe.
+
+        ``params`` binds the predicate's ``?`` placeholders.
+        """
         sql = f"SELECT COUNT(*) FROM {quote_ident(self._name)}"
         if where_sql:
             sql += f" WHERE {where_sql}"
         try:
-            return int(self._connection.execute(sql).fetchone()[0])
+            return int(self._connection.execute(sql, params).fetchone()[0])
         except sqlite3.Error as exc:
             raise SqlRelationError(f"count failed: {exc}\n  sql: {sql}") from exc
 

@@ -28,7 +28,29 @@ from repro.core.engine import EngineOptions
 from repro.core.server import PackageQueryServer, ServerClient
 from repro.core.server_pool import SessionPool
 
-__all__ = ["ServerHarness", "corrupt_store_payloads"]
+__all__ = ["SESSION_QUERIES", "ServerHarness", "corrupt_store_payloads"]
+
+#: Three templates over ``clustered_relation``'s ``Readings`` sharing
+#: scan and global-constraint artifacts but differing in objective and
+#: cardinality cap — cycled, they give a repeated session stream whose
+#: exact repeats exercise the results layer.
+SESSION_QUERIES = (
+    """
+    SELECT PACKAGE(R) FROM Readings R
+    SUCH THAT COUNT(*) <= 12 AND MAX(R.ts) <= 30
+    MAXIMIZE SUM(R.gain)
+    """,
+    """
+    SELECT PACKAGE(R) FROM Readings R
+    SUCH THAT COUNT(*) <= 12 AND MAX(R.ts) <= 30
+    MINIMIZE SUM(R.cost)
+    """,
+    """
+    SELECT PACKAGE(R) FROM Readings R
+    SUCH THAT COUNT(*) <= 8 AND MAX(R.ts) <= 30
+    MAXIMIZE SUM(R.gain)
+    """,
+)
 
 
 class ServerHarness:

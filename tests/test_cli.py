@@ -333,24 +333,6 @@ class TestReplCommand:
         assert "status:" not in text  # nothing was evaluated
 
 
-class TestSessionBenchCommand:
-    def test_tiny_run_parity(self):
-        code, text = run(
-            [
-                "session-bench",
-                "--n",
-                "2000",
-                "--length",
-                "4",
-                "--shards",
-                "2",
-            ]
-        )
-        assert code == 0
-        assert "objectives identical to cold runs: yes" in text
-        assert "validated replays" in text
-
-
 class TestDescribeCommand:
     def test_describe(self):
         code, text = run(["describe", "--query", QUERY])

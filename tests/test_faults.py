@@ -5,7 +5,7 @@ site — store read/write/fsync, shm export/attach, pool worker task,
 server execute — must end in exactly one of **full recovery**,
 **recorded degradation**, or a **clean error**.  Never a wrong answer,
 never a poisoned cache.  The core assertion style is parity: run the
-bench_e14 query stream under randomized seeded fault plans and compare
+repeated session query stream under randomized seeded fault plans and compare
 statuses and objectives bit-for-bit against the fault-free run.
 
 Also here: the crash-recovery tests (a writer killed mid-write leaves
@@ -38,21 +38,20 @@ from repro.core.parallel import (
     collect_parallel_events,
 )
 from repro.core.session import EvaluationSession
-from repro.core.sessionbench import SESSION_BENCH_QUERIES
 from repro.core.validator import validate
 from repro.datasets import clustered_relation
 from repro.relational import shm as shm_mod
 
-from tests.serverharness import ServerHarness
+from tests.serverharness import SESSION_QUERIES, ServerHarness
 
 OPTIONS = EngineOptions(strategy="ilp", shards=4)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC_DIR = str(REPO_ROOT / "src")
 
-#: The bench_e14 stream shape: the three session-bench templates
-#: cycled twice, so exact repeats exercise the results layer too.
-STREAM = [SESSION_BENCH_QUERIES[i % 3] for i in range(6)]
+#: The session stream: the three ``SESSION_QUERIES`` templates cycled
+#: twice, so exact repeats exercise the results layer too.
+STREAM = [SESSION_QUERIES[i % 3] for i in range(6)]
 
 
 def subprocess_env(**extra):
@@ -276,14 +275,22 @@ class TestBoundedStore:
         with pytest.raises(ValueError):
             ArtifactStore(tmp_path / "store", max_bytes=0)
 
-    def test_session_respects_bound_under_stream(self, relation, tmp_path):
+    def test_session_respects_bound_under_stream(
+        self, relation, baseline, tmp_path
+    ):
         root = tmp_path / "store"
         outcomes = run_stream(
             relation, store_path=str(root), store_max_bytes=4096
         )
-        assert all(status for status, _ in outcomes)
+        # Eviction costs recomputes, never answers.
+        assert outcomes == baseline
         store = ArtifactStore(root, max_bytes=4096)
         assert store.disk_stats()["bytes"] <= 4096
+        assert sum(
+            layer.get("evicted", 0)
+            for layer in store.lifetime_counters().values()
+        ) > 0
+        assert store.verify()["failed"] == []
 
 
 class TestChaosStream:
@@ -538,7 +545,7 @@ class TestSupervisedShmRecovery:
         ), events
 
 
-BUDGET_QUERY = SESSION_BENCH_QUERIES[0]
+BUDGET_QUERY = SESSION_QUERIES[0]
 
 
 class TestBudgetFallback:

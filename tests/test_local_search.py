@@ -251,9 +251,10 @@ class TestSwapSQL:
         query = analyzed(
             "SELECT PACKAGE(T) FROM T SUCH THAT SUM(T.value) <= 100", rel
         )
-        sql = build_swap_sql(query, rel, Package(rel, [0, 1]), 1)
+        sql, params = build_swap_sql(query, rel, Package(rel, [0, 1]), 1)
         assert "FROM pkg P1, T OUT1, T IN1" in sql
         assert "NOT IN (SELECT rid FROM pkg)" in sql
+        assert sql.count("?") == len(params)
 
     def test_minmax_unsupported(self, rel):
         query = analyzed(

@@ -12,14 +12,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import pushdown
 from repro.core.engine import EngineOptions, PackageQueryEvaluator
 from repro.core.ir import STAGE_STREAM, STAGE_WHERE
 from repro.core.reduction import minmax_fixing_sql
-from repro.core.result import EngineError
+from repro.core.result import EngineError, ResultStatus
 from repro.core.session import EvaluationSession
 from repro.core.vectorize import try_predicate_mask
 from repro.paql import ast
@@ -188,6 +188,24 @@ class TestWhereParity:
         assert outcome.batches == 0  # proved empty, nothing streamed
 
 
+class TestScanPathChoice:
+    @pytest.mark.parametrize(
+        "rows, estimated, path",
+        [
+            (10_000_000, 10_000_000, "sql-pushdown"),  # past the row budget
+            (1_500_000, 1_500_000, "sql-pushdown"),
+            (220_000, 2_000, "sql-pushdown"),  # selective band
+            (220_000, 200_000, "materialize"),  # streams most rows anyway
+            (200_000, 1, "materialize"),  # fits the in-memory budget
+        ],
+    )
+    def test_auto_streams_large_or_selective_tables(self, rows, estimated, path):
+        from repro.core.cost import choose_scan_path
+
+        chosen, _ = choose_scan_path(rows, estimated, EngineOptions())
+        assert chosen == path
+
+
 class TestFixingParity:
     CASES = [
         (ast.AggFunc.MIN, ast.CmpOp.GE),  # bad: v < t (tolerance-narrowed)
@@ -207,7 +225,14 @@ class TestFixingParity:
             max_size=25,
         ),
         case=st.sampled_from(CASES),
-        threshold=st.floats(-1e6, 1e6),
+        threshold=st.floats(allow_nan=False, allow_infinity=False, width=64),
+    )
+    # sqlite 3.40.1 parses this literal one ulp low: a threshold spelled
+    # into the SQL text instead of bound would miss the equal row.
+    @example(
+        values=[1.95457294881716e-302],
+        case=(ast.AggFunc.MIN, ast.CmpOp.GT),
+        threshold=1.95457294881716e-302,
     )
     def test_sql_bad_set_matches_vector_formula(self, values, case, threshold):
         """The SQL fixing predicate selects exactly the rows the
@@ -216,10 +241,14 @@ class TestFixingParity:
         func, op = case
         predicate = minmax_fixing_sql(func, op, threshold, "v")
         assert predicate is not None
+        where_sql, params = predicate
         schema = Schema.of(v=ColumnType.FLOAT)
         relation = Relation("V", schema, [{"v": value} for value in values])
         sql = SqlRelation.from_relation(relation)
-        chunks = [rids for rids, _ in sql.iter_batches(where_sql=predicate)]
+        chunks = [
+            rids
+            for rids, _ in sql.iter_batches(where_sql=where_sql, params=params)
+        ]
         got = set(np.concatenate(chunks).tolist()) if chunks else set()
 
         from repro.core.translate_ilp import minmax_plan
@@ -358,6 +387,29 @@ class TestEngineParity:
         assert result.status == expected.status
         assert result.objective == expected.objective
         assert result.candidate_count == expected.candidate_count
+
+    def test_extreme_float_literal_agrees_on_every_path(self):
+        # The literal equals the first row's value; sqlite's text parser
+        # reads it one ulp low, which once made the pushed prefilter
+        # drop the only candidate (INFEASIBLE under pushdown="always").
+        schema = Schema.of(v=ColumnType.FLOAT, g=ColumnType.INT)
+        relation = Relation(
+            "R", schema, [{"v": 1.95457294881716e-302, "g": 1}, {"v": 1.0, "g": 2}]
+        )
+        sql = SqlRelation.from_relation(relation)
+        text = (
+            "SELECT PACKAGE(R) FROM R R WHERE R.v <= 1.95457294881716e-302 "
+            "SUCH THAT COUNT(*) = 1 MAXIMIZE SUM(R.g)"
+        )
+        results = [PackageQueryEvaluator(relation).evaluate(text)] + [
+            PackageQueryEvaluator(sql).evaluate(text, EngineOptions(pushdown=mode))
+            for mode in ("materialize", "always")
+        ]
+        assert results[2].stats["where_path"] == "sql-pushdown"
+        for result in results:
+            assert result.status is ResultStatus.OPTIMAL
+            assert result.objective == 1.0
+            assert result.candidate_count == 1
 
     def test_no_where_still_evaluates(self, twin):
         relation, sql = twin

@@ -378,6 +378,9 @@ class TestZoneFastPath:
         assert reduced.package.counts == baseline.package.counts
         assert reduced.bounds == baseline.bounds
         assert reduced.candidate_count == baseline.candidate_count
+        # The translation consumed the reduced set, not the scan.
+        assert reduced.stats["variables"] == reduced.stats["reduction"]["kept"]
+        assert reduced.stats["variables"] < baseline.stats["variables"]
 
 
 # ---------------------------------------------------------------------------

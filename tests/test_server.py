@@ -30,15 +30,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import EngineOptions, evaluate
-from repro.core.sessionbench import SESSION_BENCH_QUERIES
 from repro.datasets import clustered_relation
 from repro.relational import shm
 
-from tests.serverharness import ServerHarness, corrupt_store_payloads
+from tests.serverharness import (
+    SESSION_QUERIES,
+    ServerHarness,
+    corrupt_store_payloads,
+)
 
 OPTIONS = EngineOptions(strategy="ilp", shards=4)
 
-BUDGET_QUERY = SESSION_BENCH_QUERIES[0]
+BUDGET_QUERY = SESSION_QUERIES[0]
 
 
 def shm_segments():
@@ -57,7 +60,7 @@ def expected(relation):
     """Serial single-caller ground truth per template."""
     return {
         text: evaluate(text, relation, options=OPTIONS)
-        for text in SESSION_BENCH_QUERIES
+        for text in SESSION_QUERIES
     }
 
 
@@ -100,7 +103,7 @@ class TestConcurrentParity:
     def test_shuffled_concurrent_mix_matches_serial(
         self, harness, expected, seed
     ):
-        mix = list(SESSION_BENCH_QUERIES) * 3
+        mix = list(SESSION_QUERIES) * 3
         random.Random(seed).shuffle(mix)
         outcomes = harness.flood(
             [{"relation": "Readings", "query": text} for text in mix],
@@ -121,7 +124,7 @@ class TestAdmission:
             harness.slow_queries(0.25)
             outcomes = harness.flood(
                 [
-                    {"relation": "Readings", "query": SESSION_BENCH_QUERIES[0]}
+                    {"relation": "Readings", "query": SESSION_QUERIES[0]}
                     for _ in range(8)
                 ],
                 concurrency=8,
@@ -137,12 +140,12 @@ class TestAdmission:
             # Rejections corrupted nothing: the next caller still gets
             # the exact serial answer.
             code, payload = harness.query(
-                "Readings", SESSION_BENCH_QUERIES[0]
+                "Readings", SESSION_QUERIES[0]
             )
             assert code == 200
             assert (
                 payload["objective"]
-                == expected[SESSION_BENCH_QUERIES[0]].objective
+                == expected[SESSION_QUERIES[0]].objective
             )
             stats = harness.stats()
             assert stats["admission"]["rejected_full"] >= 1
@@ -203,7 +206,7 @@ class TestLifecycle:
 
         def inflight():
             outcome["response"] = harness.query(
-                "Readings", SESSION_BENCH_QUERIES[0]
+                "Readings", SESSION_QUERIES[0]
             )
 
         thread = threading.Thread(target=inflight)
@@ -232,7 +235,7 @@ class TestLifecycle:
             outcomes = harness.flood(
                 [
                     {"relation": "Readings", "query": text}
-                    for text in SESSION_BENCH_QUERIES
+                    for text in SESSION_QUERIES
                 ],
                 concurrency=3,
             )
@@ -245,15 +248,15 @@ class TestLifecycle:
         with ServerHarness([relation], options=OPTIONS) as harness:
             harness.slow_queries(0.3)
             harness.disconnect_mid_query(
-                "Readings", SESSION_BENCH_QUERIES[0]
+                "Readings", SESSION_QUERIES[0]
             )
             time.sleep(0.6)  # worker finishes against the dead socket
             harness.clear_hook()
-            code, body = harness.query("Readings", SESSION_BENCH_QUERIES[1])
+            code, body = harness.query("Readings", SESSION_QUERIES[1])
             assert code == 200
             assert (
                 body["objective"]
-                == expected[SESSION_BENCH_QUERIES[1]].objective
+                == expected[SESSION_QUERIES[1]].objective
             )
             stats = harness.stats()
             assert stats["admission"]["completed"] >= 1
@@ -265,7 +268,7 @@ class TestStoreFaults:
         self, relation, expected, tmp_path
     ):
         store_root = str(tmp_path / "store")
-        text = SESSION_BENCH_QUERIES[0]
+        text = SESSION_QUERIES[0]
         with ServerHarness(
             [relation], options=OPTIONS, store_root=store_root
         ) as harness:
@@ -287,7 +290,7 @@ class TestStoreFaults:
 
     def test_warm_restart_reuses_the_store(self, relation, tmp_path):
         store_root = str(tmp_path / "store")
-        text = SESSION_BENCH_QUERIES[0]
+        text = SESSION_QUERIES[0]
         with ServerHarness(
             [relation], options=OPTIONS, store_root=store_root
         ) as harness:

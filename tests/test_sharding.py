@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 from repro.core.engine import EngineOptions, PackageQueryEvaluator, evaluate
 from repro.core.pruning import derive_bounds
 from repro.core.result import ResultStatus
-from repro.core.shardbench import run_shard_bench
 from repro.core.vectorize import evaluator_for
+from repro.datasets import clustered_relation
 from repro.paql.eval import EvaluationError, eval_predicate
 from repro.paql.parser import parse
 from repro.paql.semantics import analyze
@@ -38,6 +38,7 @@ from repro.relational import (
     ShardedRelation,
     ZoneStats,
     merge_zone_stats,
+    shm,
 )
 
 from tests.paql_strategies import COLUMN_NAMES, TEXT_COLUMN_NAMES, predicates
@@ -442,6 +443,27 @@ def parity_cases(draw):
     return rows, text, shards, workers
 
 
+#: A selective ts band over ``clustered_relation`` plus a SUM global
+#: constraint, so pruning statistics run over the sharded candidates.
+_BAND_QUERY = """
+SELECT PACKAGE(R) FROM Readings R
+WHERE R.ts BETWEEN 42 AND 49 AND R.cost + R.weight <= 160
+SUCH THAT COUNT(*) = 5 AND SUM(R.cost) <= 400
+MAXIMIZE SUM(R.gain)
+"""
+
+_NEEDS_SHM = pytest.mark.skipif(
+    not shm.shm_available(), reason="no shared memory on this host"
+)
+
+
+@pytest.fixture(scope="module")
+def clustered_band():
+    """The clustered relation and its unsharded band-query answer."""
+    relation = clustered_relation(10000, seed=5)
+    return relation, evaluate(_BAND_QUERY, relation)
+
+
 class TestShardParity:
     @given(case=parity_cases())
     @settings(max_examples=120, deadline=None)
@@ -479,6 +501,45 @@ class TestShardParity:
             if key not in ("where_path", "shards", "stages")
         }
         assert sharded_stats == baseline_stats
+
+    @pytest.mark.parametrize(
+        "shards, workers, backend",
+        [
+            (3, 1, "thread"),
+            (3, 4, "thread"),
+            (8, 1, "thread"),
+            (8, 2, "thread"),
+            (8, 4, "thread"),
+            (64, 1, "thread"),
+            (64, 4, "thread"),
+            pytest.param(8, 1, "shm-process", marks=_NEEDS_SHM),
+            pytest.param(8, 2, "shm-process", marks=_NEEDS_SHM),
+        ],
+    )
+    def test_clustered_band_query_parity(
+        self, clustered_band, shards, workers, backend
+    ):
+        # Append-ordered data and a selective ts band: zone maps skip
+        # most shards, and the survivors' merge order decides the
+        # candidate list every later stage sees.
+        relation, baseline = clustered_band
+        evaluator = PackageQueryEvaluator(relation)
+        try:
+            sharded = evaluator.evaluate(
+                _BAND_QUERY,
+                EngineOptions(
+                    shards=shards, workers=workers, parallel_backend=backend
+                ),
+            )
+        finally:
+            evaluator.close()
+        assert sharded.status is baseline.status
+        assert sharded.objective == baseline.objective
+        assert sharded.package.counts == baseline.package.counts
+        assert sharded.candidate_count == baseline.candidate_count
+        assert sharded.bounds == baseline.bounds
+        assert sharded.stats["where_path"] == "vectorized-sharded"
+        assert sharded.stats["shards"]["skipped"] > 0
 
     def test_all_shards_pruned_matches_unsharded_infeasible(self):
         relation = Relation(
@@ -623,17 +684,8 @@ class TestShardedPruning:
 
 
 # ---------------------------------------------------------------------------
-# The shared bench harness and the parallel partition refinement
+# The parallel partition refinement
 # ---------------------------------------------------------------------------
-
-class TestShardBenchHarness:
-    def test_small_run_reports_parity(self):
-        outcome = run_shard_bench(n=2000, shards=4, workers=1, repeats=1)
-        assert outcome["candidates_identical"]
-        assert outcome["results_identical"]
-        assert outcome["where_path"] == "vectorized-sharded"
-        assert outcome["shard_info"]["count"] == 4
-
 
 class TestParallelRefine:
     #: Bimodal costs: any package with SUM(cost) in [130, 140] must mix

@@ -1,9 +1,9 @@
 """Shared-memory export/attach lifecycle and the shm-process backend.
 
-Satellite suite of the E15 zero-copy PR: handle pickling, zero-copy
-view identity, unlink-on-close, double-close, spawn-context worker
-parity, and the no-leaked-segments guarantee (exception paths
-included).
+Handle and task-spec pickling (O(KB) at any row count), zero-copy view
+identity, unlink-on-close, double-close, spawn-context worker parity,
+and the no-leaked-segments guarantee (exception paths included).  The
+multi-core scan-scaling curve lives in ``benchmarks/bench_e15_shm.py``.
 """
 
 from __future__ import annotations
@@ -74,12 +74,24 @@ class TestHandle:
 
     def test_handle_pickles_under_4kb(self):
         # The per-worker IPC cost of the whole relation: a handle,
-        # never the data — O(KB) regardless of row count.
-        export = shm.export_relation(clustered_relation(5000, seed=3))
+        # never the data — O(KB) regardless of row count.  The same
+        # bound holds for what rides each task: a compiled WHERE-scan
+        # spec and the EngineOptions the refine specs carry.
+        relation = clustered_relation(50000, seed=15)
+        export = shm.export_relation(relation)
         try:
             assert export.handle.pickled_size() < 4096
         finally:
             export.close()
+        evaluator = PackageQueryEvaluator(relation)
+        try:
+            query = evaluator.prepare(UNIFORM_QUERY)
+            spec = (query.where, 8, 3)  # the WHERE-scan task spec shape
+            assert len(pickle.dumps(spec)) < 4096
+            options = EngineOptions(shards=8, workers=2)
+            assert len(pickle.dumps(options)) < 4096
+        finally:
+            evaluator.close()
 
 
 class TestAttachParity:

@@ -22,36 +22,55 @@ from tests.paql_strategies import predicates
 
 class TestFragments:
     def test_literals(self):
-        assert to_sql(ast.Literal(3)) == "3"
-        assert to_sql(ast.Literal("a'b")) == "'a''b'"
-        assert to_sql(ast.Literal(True)) == "1"
-        assert to_sql(ast.Literal(None)) == "NULL"
+        assert to_sql(ast.Literal(3)) == ("?", (3,))
+        assert to_sql(ast.Literal("a'b")) == ("'a''b'", ())
+        assert to_sql(ast.Literal(True)) == ("1", ())
+        assert to_sql(ast.Literal(None)) == ("NULL", ())
+
+    def test_float_constant_binds_its_exact_double(self):
+        # sqlite 3.40.1 parses this spelling one ulp low; bound, the
+        # double reaches the predicate bit for bit.
+        value = 1.95457294881716e-302
+        text, params = to_sql(parse_expression(f"a <= {value!r}"))
+        assert text == "(a <= ?)"
+        assert len(params) == 1
+        assert params[0].hex() == value.hex()
+        assert DB.execute("SELECT ? AS v", params)[0]["v"].hex() == value.hex()
+
+    def test_non_finite_and_huge_constants(self):
+        assert to_sql(ast.Literal(float("inf"))) == ("9e999", ())
+        assert to_sql(ast.Literal(float("-inf"))) == ("-9e999", ())
+        assert to_sql(ast.Literal(float("nan"))) == ("NULL", ())
+        assert to_sql(ast.Literal(2**70)) == ("?", (float(2**70),))
 
     def test_comparison(self):
-        assert to_sql(parse_expression("a <= 3")) == "(a <= 3)"
+        assert to_sql(parse_expression("a <= 3")) == ("(a <= ?)", (3,))
 
     def test_ne_renders_sql_spelling(self):
-        assert to_sql(parse_expression("a != 3")) == "(a <> 3)"
+        assert to_sql(parse_expression("a != 3"))[0] == "(a <> ?)"
 
     def test_between(self):
-        assert to_sql(parse_expression("a BETWEEN 1 AND 2")) == "(a BETWEEN 1 AND 2)"
+        assert to_sql(parse_expression("a BETWEEN 1 AND 2")) == (
+            "(a BETWEEN ? AND ?)",
+            (1, 2),
+        )
 
     def test_not_between(self):
-        assert "NOT BETWEEN" in to_sql(parse_expression("a NOT BETWEEN 1 AND 2"))
+        assert "NOT BETWEEN" in to_sql(parse_expression("a NOT BETWEEN 1 AND 2"))[0]
 
     def test_in_list(self):
-        assert to_sql(parse_expression("a IN (1, 2)")) == "(a IN (1, 2))"
+        assert to_sql(parse_expression("a IN (1, 2)")) == ("(a IN (?, ?))", (1, 2))
 
     def test_is_null(self):
-        assert to_sql(parse_expression("a IS NULL")) == "(a IS NULL)"
-        assert to_sql(parse_expression("a IS NOT NULL")) == "(a IS NOT NULL)"
+        assert to_sql(parse_expression("a IS NULL")) == ("(a IS NULL)", ())
+        assert to_sql(parse_expression("a IS NOT NULL")) == ("(a IS NOT NULL)", ())
 
     def test_division_casts_to_real(self):
         # sqlite integer division truncates; PaQL division is real.
-        assert "CAST" in to_sql(parse_expression("a / 2"))
+        assert "CAST" in to_sql(parse_expression("a / 2"))[0]
 
     def test_column_prefix(self):
-        assert to_sql(parse_expression("a + b"), "R.") == "(R.a + R.b)"
+        assert to_sql(parse_expression("a + b"), "R.") == ("(R.a + R.b)", ())
 
     def test_qualified_ref_rejected(self):
         with pytest.raises(PaQLSemanticError, match="qualified"):
@@ -112,9 +131,9 @@ class TestSqliteEquivalence:
             # Division by zero etc.; sqlite would return NULL instead of
             # erroring, so the comparison is not meaningful there.
             return
-        sql = to_sql(predicate)
-        sqlite_rids = DB.select_rids("T", sql)
-        assert sqlite_rids == python_rids, sql
+        sql, params = to_sql(predicate)
+        sqlite_rids = DB.select_rids("T", sql, params)
+        assert sqlite_rids == python_rids, (sql, params)
 
     def test_headline_base_constraint(self):
         predicate = parse_expression("gluten = 'free'")
@@ -123,4 +142,4 @@ class TestSqliteEquivalence:
             for rid in range(len(RELATION))
             if eval_predicate(predicate, RELATION[rid])
         ]
-        assert DB.select_rids("T", to_sql(predicate)) == python_rids
+        assert DB.select_rids("T", *to_sql(predicate)) == python_rids
