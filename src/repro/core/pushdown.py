@@ -10,9 +10,9 @@ database* so only surviving candidate rows ever become numpy arrays:
    stay an over-approximation of the engine's semantics (see below).
 2. **Zone skipping** (:func:`zone_keep_ranges`): the same interval
    analysis the sharded in-memory scan uses
-   (:mod:`repro.relational.sharding`) runs against SQL-computed zone
-   statistics and excludes whole rid ranges the predicate provably
-   cannot match.
+   (:mod:`repro.relational.sharding`) runs against the zone statistics
+   the file persisted at build time and excludes whole rid ranges the
+   predicate provably cannot match.
 3. **Exact recheck** (:func:`run_where`): prefilter survivors stream
    out in batches of only the WHERE-referenced columns; each batch is
    rechecked by the *same* compiled kernel (or row interpreter) the
@@ -69,14 +69,14 @@ from repro.paql.to_sql import to_sql
 from repro.core.cost import choose_scan_path
 from repro.core.formula import conjunctive_leaves, normalize_formula
 from repro.core.pruning import match_aggregate_comparison
-from repro.core.reduction import minmax_fixing_sql
+from repro.core.reduction import minmax_fixing_sql, zones_block_minmax_fixing
 from repro.core.translate_ilp import ILPTranslationError, minmax_plan
 from repro.core.vectorize import try_predicate_mask
 from repro.paql.errors import PaQLUnsupportedError
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, quote_ident
 # One analysis, two consumers: the zone-interval verdict machinery is
-# sharding's; the sql backend feeds it zone stats through an adapter.
+# sharding's, and a SqlRelation is a zone source for it as it stands.
 from repro.relational.sharding import _MAY_TRUE, _contains_division, _verdicts
 from repro.relational.types import ColumnType
 
@@ -262,17 +262,6 @@ def build_prefilter(where, relation):
     return plan
 
 
-class _ZoneAdapter:
-    """Duck-types the slice of ShardedRelation the verdict analysis
-    reads: ``.relation.schema`` and ``.zone_stats(name)[index]``."""
-
-    def __init__(self, relation):
-        self.relation = relation
-
-    def zone_stats(self, name):
-        return self.relation.zone_stats(name)
-
-
 def zone_keep_ranges(relation, where):
     """Zone rid ranges that may contain a WHERE match.
 
@@ -284,11 +273,10 @@ def zone_keep_ranges(relation, where):
     total = relation.num_zones()
     if where is None or _contains_division(where) or total == 0:
         return None, total
-    adapter = _ZoneAdapter(relation)
     kept = [
         index
         for index in range(total)
-        if _verdicts(where, adapter, index) & _MAY_TRUE
+        if _verdicts(where, relation, index) & _MAY_TRUE
     ]
     if len(kept) == total:
         return None, total
@@ -503,26 +491,8 @@ def build_fixing_predicates(query, relation, options):
             continue
         if plan.witness is not None or plan.bad is None:
             continue
-        zones = relation.zone_stats(argument.name)
-        if any(
-            zone.minimum is not None
-            and (zone.minimum != zone.minimum or zone.maximum != zone.maximum)
-            for zone in zones
-        ):
-            continue  # NaN data: the vector path derives nothing here
-        if plan.bad is ast.CmpOp.LT:
-            # Mirrored -inf hands the validator infinite relative slack;
-            # the vector path derives nothing, so neither do we.
-            if plan.negate and any(
-                zone.maximum is not None and zone.maximum == float("inf")
-                for zone in zones
-            ):
-                continue
-            if not plan.negate and any(
-                zone.minimum is not None and zone.minimum == float("-inf")
-                for zone in zones
-            ):
-                continue
+        if zones_block_minmax_fixing(relation.zone_stats(argument.name), plan):
+            continue
         predicate = minmax_fixing_sql(
             aggregate.func, op, constant, argument.name
         )

@@ -91,6 +91,7 @@ __all__ = [
     "minmax_fixing_sql",
     "reduce_candidates",
     "reduction_gate_reason",
+    "zones_block_minmax_fixing",
 ]
 
 #: Recognized ``EngineOptions.reduce`` spellings.
@@ -355,6 +356,26 @@ def reduce_candidates(
     ).run(started)
 
 
+def zones_block_minmax_fixing(zones, plan):
+    """True when zone statistics show data MIN/MAX fixing must not touch.
+
+    The guards the vector path applies before its mask, answered from
+    zone statistics without a scan: NaN anywhere derives nothing, and
+    neither does a mirrored ``-inf`` under a ``LT`` bad set (it hands
+    the validator infinite relative slack, so it accepts any package
+    containing that value).
+    """
+    for zone in zones:
+        if not zone.non_null:
+            continue
+        if math.isnan(zone.minimum) or math.isnan(zone.maximum):
+            return True
+        extreme = -zone.maximum if plan.negate else zone.minimum
+        if plan.bad is ast.CmpOp.LT and extreme == -math.inf:
+            return True
+    return False
+
+
 def minmax_fixing_sql(func, op, constant, column, tolerance=DEFAULT_TOLERANCE):
     """SQL twin of :meth:`_Reducer._consume_minmax`'s per-tuple fixing.
 
@@ -374,12 +395,10 @@ def minmax_fixing_sql(func, op, constant, column, tolerance=DEFAULT_TOLERANCE):
     accepts.
 
     The caller owns the guards the vector path applies *before* its
-    mask (NaN anywhere in the column, or a mirrored ``-inf`` under a
-    ``LT`` bad-shape, derive nothing) — zone statistics answer both
-    without a scan.  NULL rows are never fixed, matching
-    ``np.where(nulls, False, bad)``; a stored NaN reads as SQL NULL,
-    so the ``IS NOT NULL`` conjunct also keeps the twin honest if a
-    caller ever skips the NaN guard.
+    mask (:func:`zones_block_minmax_fixing`).  NULL rows are never
+    fixed, matching ``np.where(nulls, False, bad)``; a stored NaN reads
+    as SQL NULL, so the ``IS NOT NULL`` conjunct also keeps the twin
+    honest if a caller ever skips the NaN guard.
 
     Returns ``(sql, params)``, or ``None`` when the plan has no pure
     per-tuple fixing shape (an EQ witness, or no bad set at all) —
@@ -942,18 +961,8 @@ class _Reducer:
         whole-shard verdicts remain sound for any candidate subset.
         """
         zones = self._sharded.zone_stats(column)
-        for zone in zones:
-            if zone.non_null and (
-                math.isnan(zone.minimum) or math.isnan(zone.maximum)
-            ):
-                return False
-            if plan.bad is ast.CmpOp.LT and zone.non_null:
-                # Same hazard as the vector path: a mirrored -inf value
-                # gives the validator infinite slack, accepting any
-                # package that contains it.
-                extreme = -zone.maximum if plan.negate else zone.minimum
-                if extreme == -math.inf:
-                    return False
+        if zones_block_minmax_fixing(zones, plan):
+            return False
         groups = self._sharded.split_rids(self._rids)
         values = nulls = None
         for zone, group in zip(zones, groups):

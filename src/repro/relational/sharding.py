@@ -41,6 +41,7 @@ __all__ = [
     "ShardedRelation",
     "ZoneStats",
     "merge_zone_stats",
+    "zone_stats_of",
 ]
 
 
@@ -69,6 +70,33 @@ class ZoneStats:
     @property
     def may_null(self):
         return self.null_count > 0
+
+
+def zone_stats_of(values, nulls, numeric):
+    """:class:`ZoneStats` of one zone's ``(values, nulls)`` arrays.
+
+    The one reduction behind every zone map: in-memory shards pass
+    slices of :meth:`Relation.column_arrays`, the sql backend passes
+    the same arrays rebuilt while its rows stream in, so both report
+    bit-identical min/max/sum.  Non-``numeric`` (TEXT) zones carry only
+    the counts and ``values`` is not read.
+    """
+    count = len(nulls)
+    null_count = int(np.count_nonzero(nulls))
+    if not numeric or count == null_count:
+        return ZoneStats(count, null_count)
+    kept = values[~nulls]
+    # NaN/±inf are valid FLOAT data and huge finite values may sum past
+    # the float64 range; the statistics are then non-finite (consumers
+    # handle that), so these warnings are expected noise here.
+    with np.errstate(invalid="ignore", over="ignore"):
+        return ZoneStats(
+            count=count,
+            null_count=null_count,
+            minimum=float(kept.min()),
+            maximum=float(kept.max()),
+            total=float(kept.sum()),
+        )
 
 
 def merge_zone_stats(parts):
@@ -172,6 +200,10 @@ class ShardedRelation:
     @property
     def relation(self):
         return self._relation
+
+    @property
+    def schema(self):
+        return self._relation.schema
 
     @property
     def num_shards(self):
@@ -279,40 +311,20 @@ class ShardedRelation:
         column = self._relation.schema[name]
         numeric = column.type is not ColumnType.TEXT
         stats = []
-        for index, part in enumerate(self._slices):
+        for index in range(self.num_shards):
             loaded = None
             if self._zone_source is not None:
                 loaded = self._zone_source[0](self.shard_fingerprint(index), name)
             if loaded is not None:
                 stats.append(loaded)
                 continue
-            computed = self._compute_zone(part, name, numeric)
+            computed = zone_stats_of(*self.shard_column_arrays(index, name), numeric)
             if self._zone_source is not None:
                 self._zone_source[1](self.shard_fingerprint(index), name, computed)
             stats.append(computed)
         stats = tuple(stats)
         self._zone_cache[name] = stats
         return stats
-
-    def _compute_zone(self, part, name, numeric):
-        values, nulls = self._relation.column_arrays(name)
-        count = part.stop - part.start
-        shard_nulls = nulls[part]
-        null_count = int(np.count_nonzero(shard_nulls))
-        if not numeric or count - null_count == 0:
-            return ZoneStats(count, null_count)
-        kept = values[part][~shard_nulls]
-        # NaN/±inf are valid FLOAT data; the reductions may produce
-        # non-finite statistics (consumers handle them), so the
-        # invalid-value warning is expected noise here.
-        with np.errstate(invalid="ignore"):
-            return ZoneStats(
-                count=count,
-                null_count=null_count,
-                minimum=float(kept.min()),
-                maximum=float(kept.max()),
-                total=float(kept.sum()),
-            )
 
     def column_zone(self, name):
         """Relation-level :class:`ZoneStats` (merged over all shards)."""
@@ -472,15 +484,7 @@ class ShardedRelation:
         def partial(index):
             values, nulls = self._relation.column_arrays(name)
             group = groups[index]
-            kept = values[group][~nulls[group]]
-            if kept.size == 0:
-                return ZoneStats(len(group), len(group))
-            return ZoneStats(
-                count=len(group),
-                null_count=len(group) - kept.size,
-                minimum=float(kept.min()),
-                maximum=float(kept.max()),
-            )
+            return zone_stats_of(values[group], nulls[group], numeric=True)
 
         parts = parallel_map(partial, live, workers=workers)
         zone = merge_zone_stats(parts) if parts else ZoneStats(0, 0)
@@ -563,7 +567,7 @@ def _interval(node, sharded, index):
             return _Interval(float(value), float(value), False, True)
         raise _Unsupported  # text literals have no numeric interval
     if isinstance(node, ast.ColumnRef):
-        schema = sharded.relation.schema
+        schema = sharded.schema
         if node.name not in schema or schema.type_of(node.name) is ColumnType.TEXT:
             raise _Unsupported
         zone = sharded.zone_stats(node.name)[index]
@@ -772,7 +776,7 @@ def _verdicts(node, sharded, index):
 def _null_verdicts(expr, sharded, index):
     """Verdict set of ``expr IS NULL`` (always TRUE or FALSE, never unknown)."""
     if isinstance(expr, ast.ColumnRef):
-        schema = sharded.relation.schema
+        schema = sharded.schema
         if expr.name not in schema:
             return _ALL
         zone = sharded.zone_stats(expr.name)[index]

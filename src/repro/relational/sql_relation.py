@@ -28,13 +28,16 @@ Design points:
   — so a sql-backed relation keys the durable artifact store exactly
   like its in-memory twin, and warm restarts rediscover cached layers.
 
-* **Zone statistics are SQL aggregates.**  :meth:`zone_stats` computes
-  per-zone count / null count / min / max / sum with one ``GROUP BY
-  rid / zone_rows`` query per column, returning the same
-  :class:`~repro.relational.sharding.ZoneStats` records the in-memory
-  :class:`~repro.relational.sharding.ShardedRelation` produces (NaN
-  poisoning rules included), so the zone-map pruning analysis runs
-  unmodified against a table it never loads.
+* **The zone map belongs to the file.**  While rows stream in, the
+  loader cuts the same per-column arrays the fingerprint hashes at
+  zone boundaries and reduces each zone with
+  :func:`~repro.relational.sharding.zone_stats_of` — the function the
+  in-memory :class:`~repro.relational.sharding.ShardedRelation` uses —
+  so every count / null count / min / max / sum is bit-identical to
+  the in-memory shard's.  The map is persisted beside the fingerprint
+  and :meth:`zone_stats` reads it back in O(zones): the zone-map
+  pruning analysis runs unmodified against a table it never loads,
+  and no open ever rescans the table for it.
 
 The WHERE/reduction pushdown planner that drives this backend lives in
 :mod:`repro.core.pushdown`; this module knows SQL and schemas, not
@@ -43,8 +46,10 @@ PaQL.
 
 from __future__ import annotations
 
+import json
 import math
 import sqlite3
+from dataclasses import astuple
 
 import numpy as np
 
@@ -62,7 +67,7 @@ from repro.relational.schema import (
     _check_identifier,
     quote_ident,
 )
-from repro.relational.sharding import ZoneStats
+from repro.relational.sharding import ZoneStats, zone_stats_of
 from repro.relational.types import ColumnType
 
 __all__ = ["SqlRelation", "SqlRelationError", "DEFAULT_ZONE_ROWS", "STREAM_BATCH_ROWS"]
@@ -180,25 +185,36 @@ def _decode_row(raw, decoders):
     return tuple(out)
 
 
-class _StreamingFingerprint:
-    """Accumulates the relation fingerprint while rows stream in."""
+class _StreamingSummary:
+    """Accumulates the fingerprint and the zone map while rows stream in.
 
-    def __init__(self, schema):
+    Each batch becomes, one column at a time, the ``(values, nulls)``
+    arrays :meth:`Relation.column_arrays` would hold.  The hasher
+    absorbs them whole; the zone map cuts them at zone boundaries
+    (batches may span zones and zones may span batches), buffers at
+    most one zone per column, and reduces each zone as one contiguous
+    array through :func:`zone_stats_of` — so its statistics are
+    bit-identical to the in-memory shard's over the same rows.
+    """
+
+    def __init__(self, schema, zone_rows):
         self._schema = schema
+        self._zone_rows = zone_rows
         self._hashers = [ColumnHasher(column_kind(c.type)) for c in schema]
+        self._numeric = [c.type is not ColumnType.TEXT for c in schema]
         self._count = 0
+        self._pending = [[] for _ in schema]  # pieces of each open zone
+        self._zones = [[] for _ in schema]
 
     def update(self, rows):
         """Absorb a batch of engine-value row tuples in schema order."""
         if not rows:
             return
+        buffered = self._count % self._zone_rows  # rows in the open zone
         self._count += len(rows)
-        for index, column in enumerate(self._schema):
-            if column.type is ColumnType.TEXT:
-                nulls = np.array([row[index] is None for row in rows], dtype=bool)
-                values = ["" if row[index] is None else row[index] for row in rows]
-            else:
-                nulls = np.array([row[index] is None for row in rows], dtype=bool)
+        for index, numeric in enumerate(self._numeric):
+            nulls = np.array([row[index] is None for row in rows], dtype=bool)
+            if numeric:
                 values = np.array(
                     [
                         np.nan if row[index] is None else float(row[index])
@@ -206,14 +222,61 @@ class _StreamingFingerprint:
                     ],
                     dtype=np.float64,
                 )
+            else:
+                values = ["" if row[index] is None else row[index] for row in rows]
             self._hashers[index].update(values, nulls)
+            start, room = 0, self._zone_rows - buffered
+            while start < len(rows):
+                stop = min(len(rows), start + room)
+                # TEXT zones keep counts only, so their values are not buffered.
+                self._pending[index].append(
+                    (values[start:stop] if numeric else None, nulls[start:stop])
+                )
+                if stop - start == room:
+                    self._close_zone(index)
+                start, room = stop, self._zone_rows
 
-    def hexdigest(self):
-        return fingerprint_parts(
+    def _close_zone(self, index):
+        pieces, self._pending[index] = self._pending[index], []
+        numeric = self._numeric[index]
+        nulls = np.concatenate([nulls for _, nulls in pieces])
+        values = np.concatenate([values for values, _ in pieces]) if numeric else None
+        self._zones[index].append(zone_stats_of(values, nulls, numeric))
+
+    def finish(self):
+        """``(fingerprint, zones)`` once every row has been absorbed;
+        ``zones`` maps each column name to its tuple of ZoneStats."""
+        if self._count % self._zone_rows:
+            for index in range(len(self._schema)):
+                self._close_zone(index)
+        fingerprint = fingerprint_parts(
             self._schema,
             self._count,
             [hasher.hexdigest() for hasher in self._hashers],
         )
+        zones = {
+            column.name: tuple(stats)
+            for column, stats in zip(self._schema, self._zones)
+        }
+        return fingerprint, zones
+
+
+def _dump_zones(zones):
+    """The zone map as one JSON text.
+
+    ``json`` writes floats with ``repr`` (exact round trip) and spells
+    NaN and ±inf out as ``NaN`` / ``Infinity`` / ``-Infinity``.
+    """
+    return json.dumps(
+        {name: [astuple(zone) for zone in stats] for name, stats in zones.items()}
+    )
+
+
+def _load_zones(text):
+    return {
+        name: tuple(ZoneStats(*zone) for zone in stats)
+        for name, stats in json.loads(text).items()
+    }
 
 
 class SqlRelation:
@@ -222,15 +285,15 @@ class SqlRelation:
     Construct with :meth:`from_relation` (materialize an in-memory
     relation), :meth:`from_row_batches` (stream rows in without ever
     holding them all — the 10M-row path), or :meth:`open` (reattach to
-    a database built earlier; fingerprints and schema come from the
-    embedded metadata table, so a warm restart needs no rescan).
+    a database built earlier; schema, fingerprint and zone map come
+    from the embedded metadata table, so a warm restart needs no
+    rescan).
     """
 
     #: Duck-typing marker the engine checks to route the pushdown path.
     is_sql_backed = True
 
-    def __init__(self, connection, path, name, schema, count, zone_rows,
-                 fingerprint=None):
+    def __init__(self, connection, path, name, schema, count, zone_rows):
         _check_identifier(name, "relation")
         _check_nan_collisions(schema)
         self._connection = connection
@@ -239,8 +302,7 @@ class SqlRelation:
         self._schema = schema
         self._count = count
         self._zone_rows = zone_rows
-        self._fingerprint = fingerprint
-        self._zone_cache = {}
+        self._summary = None  # (fingerprint, zones), read on first use
         self._materialized = None
         self._temp_serial = 0
 
@@ -292,7 +354,7 @@ class SqlRelation:
         width = sum(2 if c.type is ColumnType.FLOAT else 1 for c in schema)
         placeholders = ", ".join(["?"] * (width + 1))
         insert = f"INSERT INTO {quote_ident(name)} VALUES ({placeholders})"
-        hasher = _StreamingFingerprint(schema)
+        summary = _StreamingSummary(schema, zone_rows)
         types = [column.type for column in schema]
         rid = 0
         for batch in batches:
@@ -300,7 +362,7 @@ class SqlRelation:
                 for row in batch:
                     for ctype, value in zip(types, row):
                         ctype.validate(value)
-            hasher.update(batch)
+            summary.update(batch)
             encoded = []
             for row in batch:
                 flat = (rid + len(encoded),)
@@ -309,20 +371,21 @@ class SqlRelation:
                 encoded.append(flat)
             connection.executemany(insert, encoded)
             rid += len(batch)
+        fingerprint, zones = summary.finish()
         meta = {
             "name": name,
             "schema": schema_signature(schema),
             "count": str(rid),
             "zone_rows": str(zone_rows),
-            "fingerprint": hasher.hexdigest(),
+            "fingerprint": fingerprint,
+            "zones": _dump_zones(zones),
         }
         connection.executemany(
             f"INSERT INTO {_META_TABLE} (key, value) VALUES (?, ?)",
             sorted(meta.items()),
         )
         connection.commit()
-        return cls(connection, path, name, schema, rid, zone_rows,
-                   fingerprint=meta["fingerprint"])
+        return cls(connection, path, name, schema, rid, zone_rows)
 
     @classmethod
     def from_relation(cls, relation, path=":memory:",
@@ -365,7 +428,7 @@ class SqlRelation:
         schema = _parse_schema(meta["schema"])
         return cls(
             connection, path, meta["name"], schema, int(meta["count"]),
-            int(meta["zone_rows"]), fingerprint=meta.get("fingerprint"),
+            int(meta["zone_rows"]),
         )
 
     # -- relation interface ---------------------------------------------
@@ -536,26 +599,40 @@ class SqlRelation:
 
     # -- identity --------------------------------------------------------
 
-    def relation_fingerprint(self):
-        """Content fingerprint, bit-identical to the in-memory hash.
+    def _file_summary(self):
+        """``(fingerprint, zones)`` as persisted in the metadata table.
 
-        Computed while rows streamed in at build time and persisted in
-        the metadata table; reopened databases read it back without a
-        rescan.  Databases predating the fingerprint key fall back to
-        one streaming scan.
+        Both are accumulated while rows stream in at build time, so a
+        reopened database reads them back without touching the data
+        table.  A database lacking either key (built before the zone
+        map was persisted) gets one streaming pass through the same
+        accumulator, which writes both keys back for later opens.
         """
-        if self._fingerprint is None:
-            hasher = _StreamingFingerprint(self._schema)
-            for _, rows in self.iter_batches():
-                hasher.update(rows)
-            self._fingerprint = hasher.hexdigest()
-            self._connection.execute(
-                f"INSERT OR REPLACE INTO {_META_TABLE} (key, value) "
-                "VALUES ('fingerprint', ?)",
-                (self._fingerprint,),
+        if self._summary is None:
+            meta = dict(
+                self._connection.execute(
+                    f"SELECT key, value FROM {_META_TABLE} "
+                    "WHERE key IN ('fingerprint', 'zones')"
+                )
             )
-            self._connection.commit()
-        return self._fingerprint
+            if len(meta) < 2:
+                summary = _StreamingSummary(self._schema, self._zone_rows)
+                for _, rows in self.iter_batches():
+                    summary.update(rows)
+                fingerprint, zones = summary.finish()
+                meta = {"fingerprint": fingerprint, "zones": _dump_zones(zones)}
+                self._connection.executemany(
+                    f"INSERT OR REPLACE INTO {_META_TABLE} (key, value) "
+                    "VALUES (?, ?)",
+                    sorted(meta.items()),
+                )
+                self._connection.commit()
+            self._summary = (meta["fingerprint"], _load_zones(meta["zones"]))
+        return self._summary
+
+    def relation_fingerprint(self):
+        """Content fingerprint, bit-identical to the in-memory hash."""
+        return self._file_summary()[0]
 
     # -- zone map --------------------------------------------------------
 
@@ -570,74 +647,12 @@ class SqlRelation:
         return start, min(start + self._zone_rows, self._count)
 
     def zone_stats(self, name):
-        """Per-zone :class:`ZoneStats` for column ``name``, via one query.
+        """Per-zone :class:`ZoneStats` for column ``name``, from the file.
 
-        Matches the in-memory :meth:`ShardedRelation.zone_stats`
-        semantics: a zone containing NaN data reports NaN min/max/sum
-        (numpy's propagation), TEXT columns get counts only, and sums
-        that sqlite reports as NULL over non-empty data (mixed ±inf)
-        come back as NaN — exactly what ``inf + -inf`` produces on the
-        numpy side.
+        Bit-identical to the in-memory :meth:`ShardedRelation.zone_stats`
+        over the same row ranges: both come from :func:`zone_stats_of`.
         """
-        if name in self._zone_cache:
-            return self._zone_cache[name]
-        ctype = self._schema.type_of(name)
-        table = quote_ident(self._name)
-        col = quote_ident(name)
-        if ctype is ColumnType.TEXT:
-            sql = (
-                f"SELECT rid / {self._zone_rows} AS zone, COUNT(*), "
-                f"COUNT(*) - COUNT({col}) "
-                f"FROM {table} GROUP BY zone ORDER BY zone"
-            )
-            stats = tuple(
-                ZoneStats(count=int(count), null_count=int(nulls))
-                for _, count, nulls in self._connection.execute(sql)
-            )
-            self._zone_cache[name] = stats
-            return stats
-        if ctype is ColumnType.FLOAT:
-            nan_col = quote_ident(_nan_column(name))
-            null_expr = (
-                f"SUM(CASE WHEN {col} IS NULL AND {nan_col} = 0 "
-                "THEN 1 ELSE 0 END)"
-            )
-            nan_expr = f"SUM({nan_col})"
-        else:
-            null_expr = f"COUNT(*) - COUNT({col})"
-            nan_expr = "0"
-        sql = (
-            f"SELECT rid / {self._zone_rows} AS zone, COUNT(*), {null_expr}, "
-            f"{nan_expr}, MIN({col}), MAX({col}), SUM({col}) "
-            f"FROM {table} GROUP BY zone ORDER BY zone"
-        )
-        stats = []
-        for _, count, nulls, nans, low, high, total in self._connection.execute(sql):
-            count = int(count)
-            nulls = int(nulls)
-            nans = int(nans or 0)
-            if count - nulls == 0:
-                stats.append(ZoneStats(count=count, null_count=nulls))
-            elif nans:
-                nan = float("nan")
-                stats.append(
-                    ZoneStats(count=count, null_count=nulls,
-                              minimum=nan, maximum=nan, total=nan)
-                )
-            else:
-                stats.append(
-                    ZoneStats(
-                        count=count,
-                        null_count=nulls,
-                        minimum=float(low),
-                        maximum=float(high),
-                        # sqlite sums mixed ±inf to NULL; numpy calls it NaN.
-                        total=float("nan") if total is None else float(total),
-                    )
-                )
-        stats = tuple(stats)
-        self._zone_cache[name] = stats
-        return stats
+        return self._file_summary()[1][self._schema[name].name]
 
     # -- lifecycle -------------------------------------------------------
 

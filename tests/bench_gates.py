@@ -106,6 +106,12 @@ GATES = (
         lambda m: m["pushdown.sql_fixed_ratio"] >= 0.25,
         "E19: safe-mode fixing runs inside sqlite",
     ),
+    Gate(
+        "outofcore_bands",
+        "3 * sql_relation.zone_stats_ms <= pushdown.run_where_ms",
+        lambda m: 3 * m["sql_relation.zone_stats_ms"] <= m["pushdown.run_where_ms"],
+        "the zone map is read from the file, not recomputed",
+    ),
 )
 
 

@@ -21,7 +21,7 @@ from repro.core.ir import STAGE_STREAM, STAGE_WHERE
 from repro.core.reduction import minmax_fixing_sql
 from repro.core.result import EngineError, ResultStatus
 from repro.core.session import EvaluationSession
-from repro.core.vectorize import try_predicate_mask
+from repro.core.vectorize import OverflowPrecisionWarning, try_predicate_mask
 from repro.paql import ast
 from repro.paql.eval import eval_predicate
 from repro.paql.parser import parse
@@ -410,6 +410,33 @@ class TestEngineParity:
             assert result.status is ResultStatus.OPTIMAL
             assert result.objective == 1.0
             assert result.candidate_count == 1
+
+    @pytest.mark.parametrize("mode", ["always", "materialize"])
+    def test_int_sum_past_int64_agrees_on_every_path(self, mode):
+        # 2**62 + 2**62 overflows a 64-bit integer SUM (sqlite raised
+        # "integer overflow" building this zone map); float64 does not.
+        schema = Schema.of(v=ColumnType.INT, f=ColumnType.FLOAT)
+        relation = Relation(
+            "R",
+            schema,
+            [{"v": 2**62, "f": 0.25}, {"v": 2**62, "f": 0.25}, {"v": 3, "f": 0.125}],
+        )
+        text = (
+            "SELECT PACKAGE(R) FROM R R WHERE R.v > 0 "
+            "SUCH THAT COUNT(*) <= 2 MAXIMIZE SUM(R.f)"
+        )
+        sql = SqlRelation.from_relation(relation)
+        # The compiled WHERE kernel flags v's magnitude (its audited
+        # float64 rounding); the answers must agree regardless.
+        with pytest.warns(OverflowPrecisionWarning):
+            expected = PackageQueryEvaluator(relation).evaluate(text)
+            result = PackageQueryEvaluator(sql).evaluate(
+                text, EngineOptions(pushdown=mode)
+            )
+        assert expected.objective == 0.5
+        assert result.status == expected.status
+        assert result.objective == expected.objective
+        assert result.package.counts == expected.package.counts
 
     def test_no_where_still_evaluates(self, twin):
         relation, sql = twin

@@ -8,10 +8,11 @@ table.
 """
 
 import math
+import sqlite3
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.vectorize import UnsupportedExpression
@@ -19,7 +20,11 @@ from repro.relational.content_hash import relation_fingerprint
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema, SchemaError
 from repro.relational.sharding import ShardedRelation
-from repro.relational.sql_relation import SqlRelation, SqlRelationError
+from repro.relational.sql_relation import (
+    STREAM_BATCH_ROWS,
+    SqlRelation,
+    SqlRelationError,
+)
 from repro.relational.types import ColumnType
 
 SCHEMA = Schema.of(
@@ -233,34 +238,38 @@ ROW = st.fixed_dictionaries(
 )
 
 
+def assert_zones_equal(actual, expected):
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert got.count == want.count
+        assert got.null_count == want.null_count
+        assert values_equal(got.minimum, want.minimum)
+        assert values_equal(got.maximum, want.maximum)
+        assert values_equal(got.total, want.total)
+
+
+#: Nine floats whose sum depends on the order of addition: a
+#: left-to-right sum loses every 1.0 against 1e16, numpy's pairwise
+#: sum keeps six of them.
+ORDER_SENSITIVE_ROWS = [
+    {"label": None, "calories": value, "servings": 1, "vegan": None}
+    for value in [1e16] + [1.0] * 7 + [-1e16]
+] * 2
+
+
 class TestZoneParity:
     @staticmethod
-    def assert_zone_parity(rows, zone_rows):
+    def assert_zone_parity(rows, zone_rows, batch_rows=STREAM_BATCH_ROWS):
         relation = make_relation(rows)
-        sql = SqlRelation.from_relation(relation, zone_rows=zone_rows)
+        sql = SqlRelation.from_relation(
+            relation, zone_rows=zone_rows, batch_rows=batch_rows
+        )
         slices = [
             slice(*sql.zone_slice(index)) for index in range(sql.num_zones())
         ]
         sharded = ShardedRelation(relation, len(slices), slices=slices)
         for column in SCHEMA.names:
-            expected = sharded.zone_stats(column)
-            actual = sql.zone_stats(column)
-            assert len(actual) == len(expected)
-            for got, want in zip(actual, expected):
-                assert got.count == want.count
-                assert got.null_count == want.null_count
-                assert values_equal(got.minimum, want.minimum)
-                assert values_equal(got.maximum, want.maximum)
-                # Totals differ by summation order; NaN/None must match
-                # exactly, finite totals to float tolerance.
-                if want.total is None or math.isnan(want.total):
-                    assert values_equal(got.total, want.total)
-                elif math.isinf(want.total):
-                    assert got.total == want.total
-                else:
-                    assert math.isclose(
-                        got.total, want.total, rel_tol=1e-12, abs_tol=1e-9
-                    )
+            assert_zones_equal(sql.zone_stats(column), sharded.zone_stats(column))
 
     def test_zone_stats_match_in_memory_shards(self):
         self.assert_zone_parity(HOSTILE_ROWS * 7, zone_rows=4)
@@ -268,12 +277,70 @@ class TestZoneParity:
     def test_single_zone_covers_everything(self):
         self.assert_zone_parity(HOSTILE_ROWS, zone_rows=1024)
 
+    def test_large_zone_total_is_bit_identical(self):
+        values = np.random.default_rng(26).uniform(-1e3, 1e3, 5000)
+        rows = [
+            {"label": "x", "calories": float(value), "servings": 1, "vegan": True}
+            for value in values
+        ]
+        self.assert_zone_parity(rows, zone_rows=5000)
+
     @settings(max_examples=30, deadline=None)
     @given(rows=st.lists(ROW, min_size=1, max_size=40), zone_rows=st.integers(1, 9))
     def test_zone_stats_parity_property(self, rows, zone_rows):
         self.assert_zone_parity(rows, zone_rows)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rows=st.lists(ROW, min_size=1, max_size=60),
+        zone_rows=st.integers(1, 12),
+        batch_rows=st.integers(1, 12),
+    )
+    @example(rows=ORDER_SENSITIVE_ROWS, zone_rows=9, batch_rows=4)
+    def test_batch_boundaries_never_move_a_zone(self, rows, zone_rows, batch_rows):
+        self.assert_zone_parity(rows, zone_rows, batch_rows=batch_rows)
+
     def test_empty_relation_has_no_zones(self):
         sql = SqlRelation.from_relation(make_relation([]))
         assert sql.num_zones() == 0
         assert sql.zone_stats("calories") == ()
+
+
+class TestOlderFiles:
+    """Files built before the zone map was persisted still open."""
+
+    def test_missing_summary_is_rebuilt_once_and_persisted(self, tmp_path):
+        path = str(tmp_path / "meals.db")
+        relation = make_relation(HOSTILE_ROWS * 7)
+        fresh = SqlRelation.from_relation(relation, zone_rows=4)
+        SqlRelation.from_relation(relation, path=path, zone_rows=4).close()
+        connection = sqlite3.connect(path)
+        connection.execute(
+            "DELETE FROM _repro_meta WHERE key IN ('zones', 'fingerprint')"
+        )
+        connection.commit()
+        connection.close()
+
+        with SqlRelation.open(path) as reopened:
+            for column in SCHEMA.names:
+                assert_zones_equal(
+                    reopened.zone_stats(column), fresh.zone_stats(column)
+                )
+            assert reopened.relation_fingerprint() == fresh.relation_fingerprint()
+            keys = {
+                key
+                for (key,) in reopened.connection.execute(
+                    "SELECT key FROM _repro_meta"
+                )
+            }
+            assert {"zones", "fingerprint"} <= keys
+
+        with SqlRelation.open(path) as third:
+            statements = []
+            third.connection.set_trace_callback(statements.append)
+            for column in SCHEMA.names:
+                assert_zones_equal(third.zone_stats(column), fresh.zone_stats(column))
+            assert third.relation_fingerprint() == fresh.relation_fingerprint()
+            third.connection.set_trace_callback(None)
+        assert statements  # the metadata read is traced ...
+        assert not [s for s in statements if '"Meals"' in s]  # ... the data is not
