@@ -318,8 +318,8 @@ def _cmd_repl(args, out):
     Statements are read until a terminating ``;`` — from ``--file`` in
     batch mode, from stdin otherwise.  All statements share one
     :class:`~repro.core.session.EvaluationSession`: compiled kernels,
-    shard/zone statistics, WHERE scans, reduction facts, translations
-    and validated results carry across statements.  Meta-commands:
+    shard/zone statistics, WHERE scans, reduction facts and validated
+    results carry across statements.  Meta-commands:
     ``\\stats`` prints the cache counters, ``\\quit`` exits; prefixing
     a statement with ``EXPLAIN`` appends its stage table.
     """

@@ -22,7 +22,7 @@ Two scopes, one store::
 
     <root>/
       relations/<relation-hash>/<layer>/<key-digest>.art
-          where | bounds | facts | translations | results
+          where | bounds | facts | results
       shards/<layer>/<key-digest>.art
           zone | where_shard
       counters.json        (lifetime counters, merged on close)
@@ -63,7 +63,10 @@ writes (the pre-lock behavior, still safe for readers).
 **Bounded size.**  Pass ``max_bytes=`` and the store evicts
 least-recently-*used* entries (access time, bumped on every hit) until
 it fits, counting per-layer ``evicted``.  The store is a cache:
-evicting an entry can cost a recompute, never an answer.
+evicting an entry can cost a recompute, never an answer.  Sizing,
+eviction, ``verify`` and ``clear`` walk the layer directories actually
+on disk, so entries of a layer this version no longer reads (written
+by an older one) still count against the bound until they age out.
 
 **Degraded mode.**  Every I/O failure is caught at the site: per-entry
 problems (corruption, a vanished file) count and recompute, while
@@ -105,7 +108,7 @@ __all__ = ["ArtifactStore", "RELATION_LAYERS", "SHARD_LAYERS", "STORE_FORMAT"]
 STORE_FORMAT = 2
 
 #: Layers scoped under one relation's content hash.
-RELATION_LAYERS = ("where", "bounds", "facts", "translations", "results")
+RELATION_LAYERS = ("where", "bounds", "facts", "results")
 
 #: Content-addressed layers keyed by shard fingerprint alone.
 SHARD_LAYERS = ("zone", "where_shard")
@@ -127,6 +130,14 @@ _DEGRADE_ERRNOS = frozenset({ENOSPC, EACCES, EROFS, EDQUOT})
 
 def _key_digest(key):
     return hashlib.blake2b(repr(key).encode("utf-8"), digest_size=16).hexdigest()
+
+
+def _subdirectories(path):
+    """``path``'s child directories, sorted; none if it is missing."""
+    try:
+        return sorted(child for child in path.iterdir() if child.is_dir())
+    except OSError:
+        return []
 
 
 class ArtifactStore:
@@ -435,21 +446,25 @@ class ArtifactStore:
         return total, entries
 
     def _evict_if_needed(self):
-        """Evict LRU entries until the store fits ``max_bytes``.
+        """Evict LRU entries until the store fits ``max_bytes``; returns
+        the number evicted.
 
         Caller holds the write lock (eviction must not race another
         process's replace).  Cheap on the common path: the running
         byte estimate skips the directory walk until it crosses the
-        bound; the walk then refreshes the estimate exactly.
+        bound; the walk then refreshes the estimate exactly.  Entries
+        of a retired layer are evicted like any other but have no
+        counters to count them in.
         """
         if self.max_bytes is None:
-            return
+            return 0
         with self._counter_lock:
             approx = self._approx_bytes
         if approx is not None and approx <= self.max_bytes:
-            return
+            return 0
         total, entries = self._usage_walk()
         entries.sort()  # oldest access time first
+        evicted = 0
         for _, size, layer, path in entries:
             if total <= self.max_bytes:
                 break
@@ -458,9 +473,12 @@ class ArtifactStore:
             except OSError:
                 continue
             total -= size
-            self._count(self.counters[layer], "evicted")
+            evicted += 1
+            if layer in self.counters:
+                self._count(self.counters[layer], "evicted")
         with self._counter_lock:
             self._approx_bytes = total
+        return evicted
 
     def enforce_limit(self):
         """One explicit eviction pass down to ``max_bytes``; returns the
@@ -468,38 +486,32 @@ class ArtifactStore:
         if self.max_bytes is None:
             return 0
         with self._counter_lock:
-            before = sum(c["evicted"] for c in self.counters.values())
             self._approx_bytes = None  # force the walk
         with self._write_lock():
-            self._evict_if_needed()
-        with self._counter_lock:
-            return (
-                sum(c["evicted"] for c in self.counters.values()) - before
-            )
+            return self._evict_if_needed()
 
     # -- inspection ----------------------------------------------------------
 
     def _entry_paths(self, layer=None, relation_hash=None):
-        layers = (layer,) if layer else RELATION_LAYERS + SHARD_LAYERS
-        for name in layers:
-            if name in SHARD_LAYERS:
-                if relation_hash is not None:
-                    continue
-                roots = [self.root / "shards" / name]
-            elif relation_hash is not None:
-                roots = [self.root / "relations" / relation_hash / name]
-            else:
-                base = self.root / "relations"
-                roots = [
-                    child / name
-                    for child in (base.iterdir() if base.is_dir() else ())
-                    if child.is_dir()
-                ]
-            for directory in roots:
-                if not directory.is_dir():
-                    continue
-                for path in sorted(directory.glob("*.art")):
-                    yield name, path
+        """Yield ``(layer, path)`` for every entry file on disk.
+
+        Walks the layer directories that exist rather than a list of
+        known layer names, so a layer an older version wrote and this
+        one retired is still sized, evicted and cleared.  A relation
+        hash restricts the walk to that relation's layers.
+        """
+        if relation_hash is not None:
+            scopes = [self.root / "relations" / relation_hash]
+        else:
+            scopes = [
+                self.root / "shards",
+                *_subdirectories(self.root / "relations"),
+            ]
+        for scope in scopes:
+            for directory in _subdirectories(scope):
+                if layer is None or directory.name == layer:
+                    for path in sorted(directory.glob("*.art")):
+                        yield directory.name, path
 
     def entries(self, layer=None, relation_hash=None):
         """Yield ``(layer, path, header)`` for stored entries.
@@ -537,7 +549,8 @@ class ArtifactStore:
         return header, pickle.loads(payload)
 
     def disk_stats(self):
-        """Entries and bytes per layer, plus relation count and bound."""
+        """Entries and bytes per layer (retired layers still on disk
+        included), plus relation count and bound."""
         layers = {
             name: {"entries": 0, "bytes": 0}
             for name in RELATION_LAYERS + SHARD_LAYERS
@@ -547,14 +560,12 @@ class ArtifactStore:
                 size = path.stat().st_size
             except OSError:
                 continue
-            layers[name]["entries"] += 1
-            layers[name]["bytes"] += size
-        base = self.root / "relations"
-        relations = (
-            sorted(child.name for child in base.iterdir() if child.is_dir())
-            if base.is_dir()
-            else []
-        )
+            usage = layers.setdefault(name, {"entries": 0, "bytes": 0})
+            usage["entries"] += 1
+            usage["bytes"] += size
+        relations = [
+            child.name for child in _subdirectories(self.root / "relations")
+        ]
         return {
             "root": str(self.root),
             "relations": relations,

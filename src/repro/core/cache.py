@@ -20,8 +20,8 @@ __all__ = ["ArtifactLayer", "BoundedCache"]
 class BoundedCache:
     """A small LRU: recently used entries survive, the rest age out.
 
-    Layers whose entries hold O(candidates)-sized payloads (reduction
-    fact arrays, ILP translations) pass a ``sizer`` and ``max_bytes``
+    Layers whose entries hold O(candidates)-sized payloads (WHERE rid
+    arrays, reduction fact masks) pass a ``sizer`` and ``max_bytes``
     so memory — not just entry count — bounds the cache: a long-lived
     serving session over a large relation evicts by approximate bytes
     instead of retaining hundreds of megabytes of arrays.  The byte
@@ -123,18 +123,13 @@ class ArtifactLayer:
         layer_name: the store layer the entries live under.
         scope: the relation hash scoping a relation-level store layer;
             ``None`` for the content-addressed shard layers.
-        pack: maps a value to what the store persists (default: the
-            value itself).
-        unpack: the inverse, applied to what the store returns.
     """
 
-    def __init__(self, memory, store, layer_name, scope, pack=None, unpack=None):
+    def __init__(self, memory, store, layer_name, scope):
         self._memory = memory
         self._store = store
         self._layer_name = layer_name
         self._scope = scope
-        self._pack = pack
-        self._unpack = unpack
 
     def get(self, key):
         if self._memory is not None:
@@ -144,11 +139,7 @@ class ArtifactLayer:
         if self._store is None:
             return None
         loaded = self._store.get(self._layer_name, key, self._scope)
-        if loaded is None:
-            return None
-        if self._unpack is not None:
-            loaded = self._unpack(loaded)
-        if self._memory is not None:
+        if loaded is not None and self._memory is not None:
             self._memory.put(key, loaded)
         return loaded
 
@@ -156,8 +147,7 @@ class ArtifactLayer:
         if self._memory is not None:
             self._memory.put(key, value)
         if self._store is not None:
-            packed = value if self._pack is None else self._pack(value)
-            self._store.put(self._layer_name, key, packed, self._scope)
+            self._store.put(self._layer_name, key, value, self._scope)
 
     def stats(self):
         """The memory tier's counters (a store-served lookup is still

@@ -156,8 +156,8 @@ class PackageQueryEvaluator:
             base constraints are pushed down as SQL.
         artifacts: optional
             :class:`~repro.core.session.ArtifactCache` — evaluation
-            then reuses WHERE results, bounds, reduction facts and ILP
-            translations across queries (how
+            then reuses WHERE results, bounds and reduction facts
+            across queries (how
             :class:`~repro.core.session.EvaluationSession` wires its
             caches through the pipeline).
     """

@@ -251,12 +251,7 @@ def _run_stream(state):
             else ""
         )
         state.artifacts = derived_artifacts(
-            state.artifacts,
-            base,
-            clause,
-            fixing,
-            outcome.rid_map,
-            outcome.resident,
+            state.artifacts, base, clause, fixing, outcome.rid_map
         )
     state.record(
         StageRecord(
@@ -514,7 +509,6 @@ def run_analysis(
         sharded=state.sharded,
         shard_info=state.shard_info,
         reduction=state.reduction,
-        artifacts=state.artifacts,
         shm=state.shm,
     )
     return state

@@ -546,13 +546,12 @@ def stream_residents(relation, candidate_rids, fixing_labels, fixing,
     )
 
 
-def derived_artifacts(base, relation, clause, fixing, candidate_rids,
-                      resident):
+def derived_artifacts(base, relation, clause, fixing, candidate_rids):
     """An :class:`~repro.core.session.ArtifactCache` scoped to one
     resident relation.
 
-    Residents index by *position* (0..m-1), so bounds/translation keys
-    from two different WHERE clauses would collide on the base cache;
+    Residents index by *position* (0..m-1), so bounds/facts keys from
+    two different WHERE clauses would collide on the base cache;
     a derived cache namespaces them under a hash that pins the backing
     data, the clause, the SQL fixing predicates and the exact
     candidate set.  With a durable store attached the derived hash is
@@ -583,6 +582,4 @@ def derived_artifacts(base, relation, clause, fixing, candidate_rids,
                 rids_fingerprint(candidate_rids)[1],
             ]
         )
-    return ArtifactCache(
-        store=store, relation_hash=relation_hash, relation=resident
-    )
+    return ArtifactCache(store=store, relation_hash=relation_hash)

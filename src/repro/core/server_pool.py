@@ -3,8 +3,8 @@
 The server (:mod:`repro.core.server`) holds exactly one
 :class:`~repro.core.session.EvaluationSession` per served relation.
 That is the whole point of serving: every artifact layer the session
-carries — WHERE scans, derived bounds, reduction facts, ILP
-translations, validated result replays — amortizes across *all*
+carries — WHERE scans, derived bounds, reduction facts, validated
+result replays — amortizes across *all*
 clients instead of one caller's stream.  The pool owns those sessions:
 it builds them lazily on first use, binds each to a durable
 :class:`~repro.core.artifact_store.ArtifactStore` directory when a
@@ -102,8 +102,9 @@ class SessionPool:
             (per-request overrides are the server's concern).
         store_root: directory for durable artifact stores; each
             relation gets ``store_root/<name>`` as its ``store_path``,
-            so a restarted server re-reads scans, bounds, translations
-            and validated results from disk instead of recomputing.
+            so a restarted server re-reads scans, bounds, reduction
+            facts and validated results from disk instead of
+            recomputing.
         store_max_bytes: per-relation store size bound (LRU eviction);
             only meaningful with ``store_root``.
     """

@@ -5,8 +5,10 @@ analyst iterating on one dataset, the ``repro repl`` — re-pays, on
 every call to :func:`repro.core.engine.evaluate`, work that is a pure
 function of the *immutable* relation and fragments of the query:
 sharding and zone statistics, compiled vectorize kernels, the WHERE
-scan, cardinality bounds, reduction facts, the ILP translation, and
-(for an exactly repeated query) the solve itself.
+scan, cardinality bounds, reduction facts, and (for an exactly
+repeated query) the solve itself.  The ILP model is not cached: its
+key would be the result key in all but name, so a repeat replays the
+answer instead and a new question builds its own model.
 
 :class:`EvaluationSession` keeps one
 :class:`~repro.core.engine.PackageQueryEvaluator` alive and threads an
@@ -22,8 +24,8 @@ relation skips recompilation and re-sharding:
   :class:`~repro.relational.sharding.ShardedRelation` is built once
   per shard count; its zone stats and skip analyses are cached inside.
 * **artifact layers** — WHERE results, cardinality bounds,
-  per-conjunct reduction facts, ILP translations and validated
-  results, each one :class:`~repro.core.cache.ArtifactLayer` of the
+  per-conjunct reduction facts and validated results, each one
+  :class:`~repro.core.cache.ArtifactLayer` of the
   :class:`ArtifactCache` (``docs/caching.md`` has the table of
   layers, bounds and key fields).  Facts are keyed per *conjunct
   signature*, so queries that share a global constraint reuse its
@@ -124,18 +126,6 @@ class _CachedResult:
     stats: dict = field(default_factory=dict)
 
 
-def _pack_translation(translation):
-    # Strip the relation reference: pickling it would bloat every
-    # entry with the whole table, and the store's relation-hash
-    # scoping already identifies it exactly.
-    return (
-        translation.query,
-        translation.candidate_rids,
-        translation.model,
-        translation.x_vars,
-    )
-
-
 class ArtifactCache:
     """Every cached artifact of one relation: the per-relation unit.
 
@@ -148,11 +138,11 @@ class ArtifactCache:
     scheme, and every key covers all inputs its value depends on (see
     ``docs/caching.md`` for the layer table).
 
-    ``where``, ``bounds``, ``facts``, ``translations`` and ``results``
-    keep a bounded memory tier over the store's relation-scoped
-    layers; ``where_shard`` and ``zone`` are store-only and
-    content-addressed by shard fingerprint (no relation hash, so an
-    entry survives mutations that leave its shard's bytes unchanged).
+    ``where``, ``bounds``, ``facts`` and ``results`` keep a bounded
+    memory tier over the store's relation-scoped layers;
+    ``where_shard`` and ``zone`` are store-only and content-addressed
+    by shard fingerprint (no relation hash, so an entry survives
+    mutations that leave its shard's bytes unchanged).
 
     Args:
         store: optional durable
@@ -164,30 +154,20 @@ class ArtifactCache:
             or a digest derived from it for a sub-scope (see
             :func:`repro.core.pushdown.derived_artifacts`); required
             when ``store`` is given.
-        relation: the live relation, needed only to reattach loaded
-            ILP translations (their relation reference is stripped
-            before persisting).
     """
 
-    def __init__(self, store=None, relation_hash=None, relation=None):
+    def __init__(self, store=None, relation_hash=None):
         if store is not None and relation_hash is None:
             raise ValueError("a durable store requires relation_hash")
         self.store = store
         self.relation_hash = relation_hash
 
-        def unpack_translation(packed):
-            from repro.core.translate_ilp import ILPTranslation
-
-            query, candidate_rids, model, x_vars = packed
-            return ILPTranslation(query, relation, candidate_rids, model, x_vars)
-
-        def layer(name, memory, **codec):
-            return ArtifactLayer(memory, store, name, relation_hash, **codec)
+        def layer(name, memory):
+            return ArtifactLayer(memory, store, name, relation_hash)
 
         # The O(n)-payload layers are bounded by approximate bytes as
         # well as entry count: WHERE entries hold one compact rid array
-        # per clause, facts hold positional masks, translations the
-        # model's bound, row and decoding arrays (their real nbytes).
+        # per clause, facts hold positional masks.
         self.where = layer(
             "where",
             BoundedCache(
@@ -200,16 +180,6 @@ class ArtifactCache:
         self.facts = layer(
             "facts",
             BoundedCache(256, max_bytes=64 * 1024 * 1024, sizer=_facts_nbytes),
-        )
-        self.translations = layer(
-            "translations",
-            BoundedCache(
-                16,
-                max_bytes=128 * 1024 * 1024,
-                sizer=lambda translation: translation.nbytes,
-            ),
-            pack=_pack_translation,
-            unpack=unpack_translation,
         )
         self.results = layer("results", BoundedCache(256))
         self.where_shard = ArtifactLayer(None, store, "where_shard", None)
@@ -258,10 +228,6 @@ class ArtifactCache:
         )
 
     @staticmethod
-    def translation_key(query, fingerprint, forced):
-        return (print_query(query), fingerprint, tuple(forced))
-
-    @staticmethod
     def result_key(query, options):
         # Canonical query text (the printer round-trips ASTs) plus the
         # full options repr: any field that could change the outcome —
@@ -275,7 +241,6 @@ class ArtifactCache:
         out = {
             "where": self.where.stats(),
             "bounds": self.bounds.stats(),
-            "translations": self.translations.stats(),
             "reduction_facts": self.facts.stats(),
         }
         if self.store is not None:
@@ -284,9 +249,7 @@ class ArtifactCache:
         return out
 
     def clear(self):
-        for layer in (
-            self.where, self.bounds, self.facts, self.translations, self.results
-        ):
+        for layer in (self.where, self.bounds, self.facts, self.results):
             layer.clear()
 
 
@@ -352,9 +315,7 @@ class EvaluationSession:
             relation,
             db,
             artifacts=ArtifactCache(
-                store=self._artifact_store,
-                relation_hash=relation_hash,
-                relation=relation,
+                store=self._artifact_store, relation_hash=relation_hash
             ),
         )
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 from repro.core.pruning import search_space_size
 from repro.core.translate_ilp import ILPTranslationError, translate
-from repro.relational.content_hash import rids_fingerprint
 from repro.solver.branch_and_bound import BranchAndBoundOptions, solve_milp
 from repro.solver.scipy_backend import available as scipy_available
 from repro.solver.scipy_backend import solve_milp_scipy
@@ -68,11 +67,6 @@ class EvaluationContext:
             stays available as :attr:`base_candidate_count` for
             user-facing reporting.  With the pipeline's prune/reduce
             fixpoint this is the *merged* record across rounds.
-        artifacts: the session's
-            :class:`~repro.core.session.ArtifactCache` when evaluation
-            runs inside an :class:`~repro.core.session.EvaluationSession`
-            (``None`` otherwise); the ILP translation consults it so a
-            repeated query skips rebuilding the model.
         shm: the live :class:`~repro.core.parallel.ShmExecutionContext`
             when ``options.parallel_backend == "shm-process"`` and the
             evaluator's zero-copy export succeeded (``None`` otherwise);
@@ -80,11 +74,11 @@ class EvaluationContext:
             refinement waves) ship compiled task specs to its workers
             instead of pickling candidate data per task.
 
-    The ILP translation is computed lazily and cached: the cost model,
-    the planner and the ``ilp``/``partition`` strategies all share one
-    translation attempt instead of re-translating.  It consumes the
-    reduction's forced-tuple facts (variable lower bounds) when any
-    exist.
+    The ILP translation is computed lazily and kept on the context for
+    this one query (never across queries): the cost model, the planner
+    and the ``ilp``/``partition`` strategies all share one translation
+    attempt instead of re-translating.  It consumes the reduction's
+    forced-tuple facts (variable lower bounds) when any exist.
     """
 
     query: object
@@ -97,7 +91,6 @@ class EvaluationContext:
     sharded: object = None
     shard_info: dict | None = None
     reduction: object = None
-    artifacts: object = None
     shm: object = None
     _translation: object = field(default=None, init=False, repr=False)
     _translation_error: str | None = field(default=None, init=False, repr=False)
@@ -160,16 +153,6 @@ class EvaluationContext:
         """
         if not self._translation_tried:
             self._translation_tried = True
-            if self.artifacts is not None:
-                key = self.artifacts.translation_key(
-                    self.query,
-                    rids_fingerprint(self.candidate_rids),
-                    self.forced_rids,
-                )
-                cached = self.artifacts.translations.get(key)
-                if cached is not None:
-                    self._translation = cached
-                    return self._translation, self._translation_error
             try:
                 self._translation = translate(
                     self.query,
@@ -177,8 +160,6 @@ class EvaluationContext:
                     self.candidate_rids,
                     forced_ones=frozenset(self.forced_rids),
                 )
-                if self.artifacts is not None:
-                    self.artifacts.translations.put(key, self._translation)
             except ILPTranslationError as exc:
                 self._translation_error = str(exc)
         return self._translation, self._translation_error

@@ -233,11 +233,6 @@ class ILPTranslation:
         self.model = model
         self.x_vars = np.asarray(x_vars, dtype=np.intp)
 
-    @property
-    def nbytes(self):
-        """Bytes held by the model and the decoding arrays."""
-        return self.model.nbytes + self.candidate_rids.nbytes + self.x_vars.nbytes
-
     def positions(self, rids):
         """Where each of ``rids`` sits in ``candidate_rids`` (-1 when
         it is not a candidate)."""

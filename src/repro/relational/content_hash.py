@@ -184,8 +184,8 @@ def rids_fingerprint(rids):
     practical purposes — a collision could at worst replay an artifact
     for a *different* candidate set, which the engine's oracle gate and
     the parity suites would surface, not silently accept.  The one rid
-    digest in the tree: persisted ``bounds``/``facts``/``translations``
-    keys and the derived pushdown scope embed this exact pair, so its
+    digest in the tree: persisted ``bounds``/``facts`` keys and the
+    derived pushdown scope embed this exact pair, so its
     dtype and byte order are part of the store format.
     """
     array = np.ascontiguousarray(np.asarray(rids, dtype=np.int64))

@@ -342,19 +342,6 @@ class Model:
     def num_constraints(self):
         return len(self._constraints)
 
-    @property
-    def nbytes(self):
-        """Bytes held by the bound arrays, the rows and the objective."""
-        rows = [self._objective] + [
-            (row.indices, row.values) for row in self._constraints
-        ]
-        return (
-            self.lower.nbytes
-            + self.upper.nbytes
-            + self.is_integer.nbytes
-            + sum(indices.nbytes + values.nbytes for indices, values in rows)
-        )
-
     def integer_indices(self):
         """Indices of integer-constrained variables, ascending."""
         return np.flatnonzero(self.is_integer)

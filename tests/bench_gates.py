@@ -89,6 +89,12 @@ GATES = (
         "E16/E18: no stored entry fails its checksum",
     ),
     Gate(
+        "session_mixed",
+        "store.bytes_written_per_miss <= 24000",
+        lambda m: m["store.bytes_written_per_miss"] <= 24000,
+        "a miss persists analysis artifacts and the answer, not the ILP model",
+    ),
+    Gate(
         "served_zipf",
         "session.result_hit_ratio >= 0.45",
         lambda m: m["session.result_hit_ratio"] >= 0.45,

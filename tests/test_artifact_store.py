@@ -182,8 +182,8 @@ class TestRejection:
 
     def test_format_1_entries_are_rejected_unlinked_and_rewritten(self, tmp_path):
         # Format 1 pickled one Variable dataclass per candidate inside
-        # every translation; format 2 pickles arrays.  An old entry
-        # must never reach the unpickler — every payload here is a
+        # every ILP model; format 2 pickles arrays.  An old entry must
+        # never reach the unpickler — every payload here is a
         # checksum-valid tripwire that records being loaded.
         assert STORE_FORMAT == 2
         root = str(tmp_path / "store")
@@ -201,7 +201,7 @@ class TestRejection:
                 json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
             )
             downgraded.append((layer, path))
-        assert {"translations", "results"} <= {layer for layer, _ in downgraded}
+        assert {"where", "results"} <= {layer for layer, _ in downgraded}
 
         with _session(root) as restart:
             result = restart.evaluate(QUERY)
@@ -227,8 +227,8 @@ class TestRejection:
             == STORE_FORMAT
         ]
         assert len(rewritten) == counters["rejected"]
-        translation_paths = [p for layer, p in downgraded if layer == "translations"]
-        assert set(translation_paths) <= set(rewritten)
+        asked = [p for layer, p in downgraded if layer in ("where", "results")]
+        assert set(asked) <= set(rewritten)
 
         with _session(root) as warm:
             replay = warm.evaluate(QUERY)
@@ -367,3 +367,61 @@ class TestStoreMechanics:
         # keyed by shard content, shared across relation versions).
         assert store.get("zone", ("f" * 32, "cost")) == {"lo": 0}
         assert store.clear() == 2
+
+    @pytest.mark.parametrize("layer", ["translations", "retired"])
+    def test_retired_layer_entries_are_sized_evicted_and_cleared(
+        self, tmp_path, layer
+    ):
+        # A store written by an older version can hold a layer this one
+        # no longer reads; its entries must still count against
+        # max_bytes and leave with eviction and clear.
+        root = str(tmp_path / "store")
+        _populate(root)
+        (relation_hash,) = ArtifactStore(root).disk_stats()["relations"]
+        planted = _plant(root, relation_hash, layer)
+
+        usage = ArtifactStore(root).disk_stats()
+        assert usage["layers"][layer] == {
+            "entries": 1, "bytes": planted.stat().st_size,
+        }
+        assert ArtifactStore(root).verify()["failed"] == []
+        with _session(root) as warm:
+            replay = warm.evaluate(QUERY)
+        assert replay.stats["session"]["result_cache"] == "hit"
+        assert replay.stats["artifacts"]["rejected"] == 0
+
+        entries = ArtifactStore(root).disk_stats()["entries"]
+        assert ArtifactStore(root, max_bytes=1).enforce_limit() == entries
+        assert not planted.exists()
+
+        _populate(root)
+        planted = _plant(root, relation_hash, layer)
+        assert ArtifactStore(root).clear(relation_hash) >= 2
+        assert not planted.exists()
+        _populate(root)
+        _plant(root, relation_hash, layer)
+        ArtifactStore(root).clear()
+        assert list((tmp_path / "store").rglob("*.art")) == []
+
+
+def _plant(root, relation_hash, layer):
+    """Write a checksum-valid entry under ``relations/<hash>/<layer>/``
+    the way the store itself would, whether or not it knows ``layer``."""
+    store = ArtifactStore(root)
+    key = ("planted",)
+    payload = pickle.dumps({"rows": list(range(64))})
+    header = {
+        "format": STORE_FORMAT,
+        "engine": store.engine_version,
+        "layer": layer,
+        "key": repr(key),
+        "payload_hash": hashlib.blake2b(payload, digest_size=16).hexdigest(),
+        "bytes": len(payload),
+    }
+    directory = store.root / "relations" / relation_hash / layer
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / "planted.art"
+    path.write_bytes(
+        json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
+    )
+    return path

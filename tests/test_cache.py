@@ -4,20 +4,16 @@ keeps them the only ones."""
 from __future__ import annotations
 
 import pathlib
-import pickle
 
 import pytest
 
 import repro
-from repro.core.artifact_store import ArtifactStore
+from repro.core.artifact_store import RELATION_LAYERS, ArtifactStore
 from repro.core.cache import ArtifactLayer, BoundedCache
 from repro.core.engine import EngineOptions, evaluate
 from repro.core.parallel import ENGINE_BACKENDS
 from repro.core.session import ArtifactCache
-from repro.core.translate_ilp import translate
 from repro.datasets import clustered_relation
-from repro.paql.semantics import parse_and_analyze
-from repro.relational.content_hash import relation_fingerprint, rids_fingerprint
 
 
 class TestBoundedCache:
@@ -130,36 +126,6 @@ class TestArtifactLayer:
         store_only.clear()  # no memory tier: the durable entry stays
         assert store_only.get(("fp", "col")) == (1, 2)
 
-    def test_translations_round_trip_without_pickling_the_relation(
-        self, tmp_path
-    ):
-        relation = clustered_relation(300, seed=1)
-        query = parse_and_analyze(
-            "SELECT PACKAGE(R) FROM Readings R "
-            "SUCH THAT COUNT(*) <= 3 MAXIMIZE SUM(R.gain)",
-            relation.schema,
-        )
-        rids = list(range(len(relation)))
-        translation = translate(query, relation, rids)
-        store = ArtifactStore(tmp_path / "store")
-        scope = relation_fingerprint(relation)
-
-        def cache():
-            return ArtifactCache(
-                store=store, relation_hash=scope, relation=relation
-            )
-
-        key = ArtifactCache.translation_key(query, rids_fingerprint(rids), ())
-        cache().translations.put(key, translation)
-        ((_, path, _),) = store.entries("translations", scope)
-        assert pathlib.Path(path).stat().st_size < len(pickle.dumps(relation))
-        loaded = cache().translations.get(key)
-        assert loaded is not translation
-        assert loaded.relation is relation
-        assert loaded.candidate_rids.tolist() == rids
-        assert loaded.x_vars.tolist() == translation.x_vars.tolist()
-        assert loaded.model.num_variables == translation.model.num_variables
-
 
 class TestOnlyOneOfEach:
     """The structural guard: what stops the sixth LRU, the fourth rid
@@ -189,6 +155,14 @@ class TestOnlyOneOfEach:
             "core/artifact_store.py",
             "core/pushdown.py",
         }
+
+    def test_no_model_cache(self):
+        # The ILP model is rebuilt per question: its key was the result
+        # key in all but name, so the layer could only hit after the
+        # result layer had already answered.
+        assert RELATION_LAYERS == ("where", "bounds", "facts", "results")
+        assert not hasattr(ArtifactCache(), "translations")
+        assert self._files_containing("translation_key") == set()
 
     def test_process_backend_is_gone_not_silently_serial(self):
         assert "process" not in ENGINE_BACKENDS

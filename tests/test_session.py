@@ -190,13 +190,6 @@ class TestArtifactReuse:
         )
         assert session.evaluator.sharded_relation(4) is sharded
 
-    def test_translation_reused_across_backup_options(self, small_relation):
-        session = EvaluationSession(small_relation, reuse_results=False)
-        options = EngineOptions(strategy="ilp")
-        session.evaluate(QUERY, options)
-        session.evaluate(QUERY, options)
-        assert session.cache_stats()["translations"]["hits"] >= 1
-
     def test_fact_cache_evicts_by_bytes(self):
         from repro.core.session import ArtifactCache, ConjunctFacts
         import numpy as np
