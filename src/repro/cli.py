@@ -319,7 +319,8 @@ def _cmd_repl(args, out):
     batch mode, from stdin otherwise.  All statements share one
     :class:`~repro.core.session.EvaluationSession`: compiled kernels,
     shard/zone statistics, WHERE scans, reduction facts and validated
-    results carry across statements.  Meta-commands:
+    results carry across statements; with ``--store`` the WHERE scans
+    and validated results also outlive the process.  Meta-commands:
     ``\\stats`` prints the cache counters, ``\\quit`` exits; prefixing
     a statement with ``EXPLAIN`` appends its stage table.
     """

@@ -3,9 +3,9 @@
 The in-memory :class:`~repro.core.session.ArtifactCache` (PR 5) earns
 its warm speedups only for the lifetime of one process: a restarted
 server, or a second process over the same data, pays full cold cost.
-:class:`ArtifactStore` persists those cache layers on disk, keyed so
-that *only identity, never freshness,* decides whether an entry may be
-served:
+:class:`ArtifactStore` persists the cache layers that are read back —
+WHERE scans and validated results — on disk, keyed so that *only
+identity, never freshness,* decides whether an entry may be served:
 
 * **relation content hash** — what the data is
   (:func:`repro.relational.content_hash.relation_fingerprint`); a
@@ -22,19 +22,21 @@ Two scopes, one store::
 
     <root>/
       relations/<relation-hash>/<layer>/<key-digest>.art
-          where | bounds | facts | results
+          where | results
       shards/<layer>/<key-digest>.art
-          zone | where_shard
+          where_shard
       counters.json        (lifetime counters, merged on close)
       .lock                (cross-process advisory write lock)
 
 Relation-scoped layers answer "this exact relation saw this exact
-query".  Shard-scoped layers are **content-addressed by shard
-fingerprint alone** — a shard's zone statistics and per-shard WHERE
-partials depend on nothing but that shard's bytes — which is what
-makes invalidation *mutation-aware*: after an append or delete, the
-untouched shards keep their fingerprints, so their entries are found
-again, and only the dirty shards miss and recompute.
+query".  The shard-scoped layer is **content-addressed by shard
+fingerprint alone** — a shard's WHERE partial depends on nothing but
+that shard's bytes — which is what makes invalidation
+*mutation-aware*: after an append or delete, the untouched shards keep
+their fingerprints, so their entries are found again, and only the
+dirty shards miss and recompute.  Analysis artifacts (cardinality
+bounds, reduction facts, zone maps) are not persisted: each is cheaper
+to recompute than one fsynced write, and none is trusted from disk.
 
 Every entry is one file: a JSON header line (format, engine version,
 layer, the full ``repr`` of the key, payload checksum and length)
@@ -108,10 +110,10 @@ __all__ = ["ArtifactStore", "RELATION_LAYERS", "SHARD_LAYERS", "STORE_FORMAT"]
 STORE_FORMAT = 2
 
 #: Layers scoped under one relation's content hash.
-RELATION_LAYERS = ("where", "bounds", "facts", "results")
+RELATION_LAYERS = ("where", "results")
 
 #: Content-addressed layers keyed by shard fingerprint alone.
-SHARD_LAYERS = ("zone", "where_shard")
+SHARD_LAYERS = ("where_shard",)
 
 _COUNTER_FIELDS = (
     "hits",

@@ -112,8 +112,9 @@ class ArtifactLayer:
 
     ``get`` looks in memory, then in the store (filling memory on a
     store hit); ``put`` writes both.  Either tier may be absent:
-    ``memory=None`` is a store-only layer (the shard-scoped layers,
-    whose values live in the structures that asked for them),
+    ``memory=None`` is a store-only layer (the shard-scoped
+    ``where_shard``, whose values live in the structures that asked
+    for them),
     ``store=None`` is a plain in-memory cache.
 
     Args:
@@ -122,7 +123,7 @@ class ArtifactLayer:
             or ``None``.
         layer_name: the store layer the entries live under.
         scope: the relation hash scoping a relation-level store layer;
-            ``None`` for the content-addressed shard layers.
+            ``None`` for the content-addressed shard layer.
     """
 
     def __init__(self, memory, store, layer_name, scope):

@@ -212,25 +212,11 @@ class PackageQueryEvaluator:
         Rebuilt only when the shard count changes; zone statistics are
         cached inside and column arrays are shared with the base
         relation, so repeated evaluation at one shard count pays the
-        split exactly once.  With a durable artifact store attached,
-        zone statistics additionally read through to the store's
-        content-addressed ``zone`` layer (keyed by shard fingerprint),
-        so they survive restarts and mutations of *other* shards.
+        split exactly once.
         """
         with self._shared_state_lock:
             if self._sharded is None or self._sharded.num_shards != shards:
-                zone_source = None
-                if self._artifacts is not None and self._artifacts.store is not None:
-                    zone = self._artifacts.zone
-                    zone_source = (
-                        lambda fingerprint, column: zone.get((fingerprint, column)),
-                        lambda fingerprint, column, stats: zone.put(
-                            (fingerprint, column), stats
-                        ),
-                    )
-                self._sharded = ShardedRelation(
-                    self._relation, shards, zone_source=zone_source
-                )
+                self._sharded = ShardedRelation(self._relation, shards)
             return self._sharded
 
     def adopt_sharded(self, sharded):
@@ -439,10 +425,10 @@ class PackageQueryEvaluator:
 
         Derives the query's SQL fixing predicates (safe-mode reduction
         thresholds pushed into the scan), streams the candidate rows
-        that survive them out of sqlite, and returns
-        ``(StreamOutcome, fixing)``.  Memoized on the candidate content
-        and the fixing set, so back-to-back queries sharing a WHERE
-        clause reuse the resident relation instead of re-streaming it.
+        that survive them out of sqlite, and returns the
+        ``StreamOutcome``.  Memoized on the candidate content and the
+        fixing set, so back-to-back queries sharing a WHERE clause reuse
+        the resident relation instead of re-streaming it.
         """
         from repro.core import pushdown
 
@@ -458,7 +444,7 @@ class PackageQueryEvaluator:
                 self._relation, candidate_rids, labels, fixing
             )
             self._stream_cache.put(key, outcome)
-        return outcome, fixing
+        return outcome
 
     def _sharded_candidates(self, query, options):
         """Shard-parallel WHERE filtering; ``None`` when no kernel exists.

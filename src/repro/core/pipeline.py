@@ -225,12 +225,16 @@ def _run_stream(state):
             )
         )
         return
-    outcome, fixing = state.evaluator.stream_residents(
+    outcome = state.evaluator.stream_residents(
         state.query, state.options, state.candidate_rids
     )
     state.relation = outcome.resident
     state.rid_map = outcome.rid_map
     state.candidate_rids = list(range(len(outcome.resident)))
+    # Residents index by position, so bounds and facts keys on the base
+    # relation's cache would collide across residents: the stages after
+    # this one run uncached.
+    state.artifacts = None
     state.stream_info = {
         "path": "stream",
         "decision": decision,
@@ -238,21 +242,6 @@ def _run_stream(state):
         "fixing": list(outcome.fixing),
         "batches": outcome.batches,
     }
-    if state.artifacts is not None:
-        # Residents index by position, so cached layers keyed on the
-        # base relation would collide across WHERE clauses; rescope
-        # them under a hash pinning exactly this resident's content.
-        from repro.core.pushdown import derived_artifacts
-        from repro.paql.printer import print_expr
-
-        clause = (
-            print_expr(state.query.where)
-            if state.query.where is not None
-            else ""
-        )
-        state.artifacts = derived_artifacts(
-            state.artifacts, base, clause, fixing, outcome.rid_map
-        )
     state.record(
         StageRecord(
             STAGE_STREAM,

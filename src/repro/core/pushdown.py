@@ -57,7 +57,6 @@ three-valued logic agrees with sqlite's on them (pinned by the
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -544,42 +543,3 @@ def stream_residents(relation, candidate_rids, fixing_labels, fixing,
         fixing=list(fixing_labels),
         batches=batches,
     )
-
-
-def derived_artifacts(base, relation, clause, fixing, candidate_rids):
-    """An :class:`~repro.core.session.ArtifactCache` scoped to one
-    resident relation.
-
-    Residents index by *position* (0..m-1), so bounds/facts keys from
-    two different WHERE clauses would collide on the base cache;
-    a derived cache namespaces them under a hash that pins the backing
-    data, the clause, the SQL fixing predicates and the exact
-    candidate set.  With a durable store attached the derived hash is
-    deterministic across processes — a warm restart rediscovers the
-    resident's stored layers.
-    """
-    if base is None:
-        return None
-    from repro.core.session import ArtifactCache
-
-    store = getattr(base, "store", None)
-    relation_hash = None
-    if store is not None:
-        from repro.relational.content_hash import merge_digests, rids_fingerprint
-
-        key_material = hashlib.blake2b(digest_size=16)
-        key_material.update(clause.encode("utf-8"))
-        for sql, params in fixing:
-            # repr() spells every double exactly, so two thresholds
-            # sharing one placeholder text never share a key.
-            key_material.update(b"\x00")
-            key_material.update(sql.encode("utf-8"))
-            key_material.update(repr(params).encode("utf-8"))
-        relation_hash = merge_digests(
-            [
-                relation.relation_fingerprint(),
-                key_material.hexdigest(),
-                rids_fingerprint(candidate_rids)[1],
-            ]
-        )
-    return ArtifactCache(store=store, relation_hash=relation_hash)

@@ -8,8 +8,8 @@ result replays — amortizes across *all*
 clients instead of one caller's stream.  The pool owns those sessions:
 it builds them lazily on first use, binds each to a durable
 :class:`~repro.core.artifact_store.ArtifactStore` directory when a
-store root is configured (so a restarted server comes back warm), and
-closes them as one unit on drain.
+store root is configured (so a restarted server comes back with its
+scans and validated results), and closes them as one unit on drain.
 
 Sessions are concurrency-safe (see docs/pipeline.md, "Session locking
 contract"), so the pool hands the *same* session to every worker
@@ -102,9 +102,8 @@ class SessionPool:
             (per-request overrides are the server's concern).
         store_root: directory for durable artifact stores; each
             relation gets ``store_root/<name>`` as its ``store_path``,
-            so a restarted server re-reads scans, bounds, reduction
-            facts and validated results from disk instead of
-            recomputing.
+            so a restarted server re-reads WHERE scans and validated
+            results from disk instead of recomputing.
         store_max_bytes: per-relation store size bound (LRU eviction);
             only meaningful with ``store_root``.
     """

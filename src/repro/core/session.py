@@ -22,15 +22,15 @@ relation skips recompilation and re-sharding:
   queries is what keeps the kernel cache hot.
 * **sharding + zone statistics** — the evaluator's cached
   :class:`~repro.relational.sharding.ShardedRelation` is built once
-  per shard count; its zone stats and skip analyses are cached inside.
+  per shard count; its zone stats and skip analyses are cached inside
+  and always computed from the data.
 * **artifact layers** — WHERE results, cardinality bounds,
-  per-conjunct reduction facts and validated results, each one
-  :class:`~repro.core.cache.ArtifactLayer` of the
-  :class:`ArtifactCache` (``docs/caching.md`` has the table of
-  layers, bounds and key fields).  Facts are keyed per *conjunct
-  signature*, so queries that share a global constraint reuse its
-  fixing mask, witness sets, and dominance keys even when objectives
-  differ.
+  per-conjunct reduction facts and validated results, each a bounded
+  cache on the :class:`ArtifactCache` (``docs/caching.md`` has the
+  table of layers, bounds and key fields).  Facts are keyed per
+  *conjunct signature*, so queries that share a global constraint
+  reuse its fixing mask, witness sets, and dominance keys even when
+  objectives differ.
 * **results** — an exactly repeated (query, options) pair replays the
   stored package *through the engine's oracle gate*: the package is
   re-validated against the query before being returned, so a stale or
@@ -48,18 +48,19 @@ parity tests pin warm results bit-identical to cold ones.
 
 **Durability.** Pass ``store=`` (an
 :class:`~repro.core.artifact_store.ArtifactStore`) or ``store_path=``
-(a directory; the session then owns the store) and every layer above
-becomes read-through/write-through against disk, keyed by the
-relation's *content hash* — a fresh process over bit-identical data
-warms instantly, including validated-result replays (still behind the
-oracle gate).  Per-query store activity is surfaced as
-``stats["artifacts"]``.
+(a directory; the session then owns the store) and the WHERE, per-shard
+WHERE and result layers become read-through/write-through against
+disk, keyed by the relation's *content hash* — a fresh process over
+bit-identical data skips its scans and replays validated results
+(still behind the oracle gate).  Bounds and facts stay in memory: they
+are cheaper to recompute than to persist.  Per-query store activity is
+surfaced as ``stats["artifacts"]``.
 
 **Mutation.** :meth:`EvaluationSession.append_rows` and
 :meth:`EvaluationSession.delete_rows` swap in a mutated relation
-without discarding the store: shard-scoped artifacts (zone statistics,
-per-shard WHERE partials) are keyed by *shard content fingerprint*,
-so only the shards a mutation touched recompute — the
+without discarding the store: per-shard WHERE partials are keyed by
+*shard content fingerprint*, so only the shards a mutation touched
+rescan — the
 :class:`~repro.relational.sharding.MutationReport` returned names
 exactly which — while relation-scoped layers re-key under the new
 relation hash: the session builds a fresh :class:`ArtifactCache` for
@@ -132,28 +133,29 @@ class ArtifactCache:
     One instance per relation content — the session builds a new one
     whenever a mutation replaces the relation, and a query reads and
     writes only the instance it started with — so keys never include
-    the relation.  Each attribute is an
-    :class:`~repro.core.cache.ArtifactLayer` (``get(key)`` /
-    ``put(key, value)``); the ``*_key`` builders are the one keying
-    scheme, and every key covers all inputs its value depends on (see
+    the relation.  Each attribute has ``get(key)`` / ``put(key,
+    value)``; the ``*_key`` builders are the one keying scheme, and
+    every key covers all inputs its value depends on (see
     ``docs/caching.md`` for the layer table).
 
-    ``where``, ``bounds``, ``facts`` and ``results`` keep a bounded
-    memory tier over the store's relation-scoped layers;
-    ``where_shard`` and ``zone`` are store-only and content-addressed
-    by shard fingerprint (no relation hash, so an entry survives
-    mutations that leave its shard's bytes unchanged).
+    ``where`` and ``results`` are each an
+    :class:`~repro.core.cache.ArtifactLayer`, a bounded memory tier
+    over the store's relation-scoped layer; ``where_shard`` is
+    store-only and content-addressed by shard fingerprint (no relation
+    hash, so an entry survives mutations that leave its shard's bytes
+    unchanged).  ``bounds`` and ``facts`` are plain
+    :class:`~repro.core.cache.BoundedCache` instances with no store
+    tier: recomputing one costs less than an fsynced write.
 
     Args:
         store: optional durable
-            :class:`~repro.core.artifact_store.ArtifactStore`; every
-            layer then reads through to disk on a memory miss and
-            writes fresh values back, scoped under ``relation_hash``.
+            :class:`~repro.core.artifact_store.ArtifactStore`; the
+            durable layers then read through to disk on a memory miss
+            and write fresh values back, scoped under
+            ``relation_hash``.
         relation_hash: the relation's content fingerprint
-            (:func:`repro.relational.content_hash.relation_fingerprint`),
-            or a digest derived from it for a sub-scope (see
-            :func:`repro.core.pushdown.derived_artifacts`); required
-            when ``store`` is given.
+            (:func:`repro.relational.content_hash.relation_fingerprint`);
+            required when ``store`` is given.
     """
 
     def __init__(self, store=None, relation_hash=None):
@@ -176,14 +178,12 @@ class ArtifactCache:
                 sizer=lambda entry: entry[0].nbytes,
             ),
         )
-        self.bounds = layer("bounds", BoundedCache(256))
-        self.facts = layer(
-            "facts",
-            BoundedCache(256, max_bytes=64 * 1024 * 1024, sizer=_facts_nbytes),
+        self.bounds = BoundedCache(256)
+        self.facts = BoundedCache(
+            256, max_bytes=64 * 1024 * 1024, sizer=_facts_nbytes
         )
         self.results = layer("results", BoundedCache(256))
         self.where_shard = ArtifactLayer(None, store, "where_shard", None)
-        self.zone = ArtifactLayer(None, store, "zone", None)
 
     # -- the keying scheme --------------------------------------------------
 
@@ -516,10 +516,9 @@ class EvaluationSession:
         Returns the :class:`~repro.relational.sharding.MutationReport`
         naming the touched shards.  The relation is replaced (relations
         are immutable), relation-scoped caches re-key under the new
-        content hash, and — with a durable store — shard-scoped
-        artifacts (zone statistics, per-shard WHERE partials) for the
-        untouched shards are rediscovered by content fingerprint, so
-        only the dirty shards recompute.
+        content hash, and — with a durable store — the per-shard WHERE
+        partials of the untouched shards are rediscovered by content
+        fingerprint, so only the dirty shards rescan.
 
         Shard layout stays *aligned*: appended rows extend the last
         shard, keeping every other shard's boundaries and content

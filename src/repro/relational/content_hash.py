@@ -18,7 +18,7 @@ Three levels of identity, built from one canonical serialization:
 
 * :func:`range_fingerprint` — one row range across *all* columns (a
   shard's identity).  Artifacts that are pure functions of one shard's
-  content (zone statistics, per-shard WHERE scans) key on this, which
+  content (per-shard WHERE scans) key on this, which
   is what makes invalidation *shard-level*: an append that only grows
   the tail shard leaves every other shard's fingerprint — and
   therefore every other shard's cached artifacts — untouched.
@@ -184,9 +184,8 @@ def rids_fingerprint(rids):
     practical purposes — a collision could at worst replay an artifact
     for a *different* candidate set, which the engine's oracle gate and
     the parity suites would surface, not silently accept.  The one rid
-    digest in the tree: persisted ``bounds``/``facts`` keys and the
-    derived pushdown scope embed this exact pair, so its
-    dtype and byte order are part of the store format.
+    digest in the tree: the in-memory ``bounds``/``facts`` keys embed
+    this exact pair.
     """
     array = np.ascontiguousarray(np.asarray(rids, dtype=np.int64))
     digest = hashlib.blake2b(array.tobytes(), digest_size=DIGEST_SIZE)

@@ -164,15 +164,9 @@ class ShardedRelation:
             mutation — rebalancing via ``chunk_slices`` would move
             every boundary and destroy the content-hash stability of
             untouched shards.  When given, ``shards`` is ignored.
-        zone_source: optional ``(load, save)`` hook pair for zone
-            statistics keyed by shard content —
-            ``load(fingerprint, column) -> tuple[ZoneStats] | None``
-            and ``save(fingerprint, column, stats)``.  The durable
-            artifact store plugs in here so zone maps survive process
-            restarts and follow shard content across mutations.
     """
 
-    def __init__(self, relation, shards, slices=None, zone_source=None):
+    def __init__(self, relation, shards, slices=None):
         from repro.core.parallel import chunk_slices
 
         self._relation = relation
@@ -193,7 +187,6 @@ class ShardedRelation:
                     f"{len(relation)}"
                 )
         self._zone_cache = {}
-        self._zone_source = zone_source
 
     # -- structure -----------------------------------------------------------
 
@@ -299,30 +292,14 @@ class ShardedRelation:
 
         Numeric and BOOL columns get min/max/sum; TEXT columns carry
         only the counts (enough for IS NULL reasoning).
-
-        With a ``zone_source`` attached, each shard's statistics are
-        first looked up by the shard's *content* fingerprint (so a
-        restarted process, or the untouched shards after a mutation,
-        reuse stored zone maps); only missing shards are scanned, and
-        freshly computed statistics are written back.
         """
         if name in self._zone_cache:
             return self._zone_cache[name]
-        column = self._relation.schema[name]
-        numeric = column.type is not ColumnType.TEXT
-        stats = []
-        for index in range(self.num_shards):
-            loaded = None
-            if self._zone_source is not None:
-                loaded = self._zone_source[0](self.shard_fingerprint(index), name)
-            if loaded is not None:
-                stats.append(loaded)
-                continue
-            computed = zone_stats_of(*self.shard_column_arrays(index, name), numeric)
-            if self._zone_source is not None:
-                self._zone_source[1](self.shard_fingerprint(index), name, computed)
-            stats.append(computed)
-        stats = tuple(stats)
+        numeric = self._relation.schema[name].type is not ColumnType.TEXT
+        stats = tuple(
+            zone_stats_of(*self.shard_column_arrays(index, name), numeric)
+            for index in range(self.num_shards)
+        )
         self._zone_cache[name] = stats
         return stats
 
@@ -351,10 +328,7 @@ class ShardedRelation:
         last = self.num_shards - 1
         slices = list(self._slices)
         slices[last] = slice(slices[last].start, len(relation))
-        sharded = ShardedRelation(
-            relation, self.num_shards, slices=slices,
-            zone_source=self._zone_source,
-        )
+        sharded = ShardedRelation(relation, self.num_shards, slices=slices)
         touched = (last,) if rows else ()
         return sharded, MutationReport(
             kind="append",
@@ -388,10 +362,7 @@ class ShardedRelation:
             size = (part.stop - part.start) - int(drops[index])
             slices.append(slice(start, start + size))
             start += size
-        sharded = ShardedRelation(
-            relation, self.num_shards, slices=slices,
-            zone_source=self._zone_source,
-        )
+        sharded = ShardedRelation(relation, self.num_shards, slices=slices)
         touched = tuple(int(i) for i in np.flatnonzero(drops))
         return sharded, MutationReport(
             kind="delete",

@@ -34,6 +34,7 @@ from repro.core.engine import EngineError, EngineOptions, PackageQueryEvaluator
 from repro.core.session import EvaluationSession
 from repro.datasets import clustered_relation
 from repro.paql.printer import print_query
+from repro.relational.sharding import ShardedRelation, ZoneStats
 
 QUERY = (
     "SELECT PACKAGE(R) FROM Readings R WHERE R.cost <= 80.0 "
@@ -359,16 +360,18 @@ class TestStoreMechanics:
         store = ArtifactStore(root)
         store.put("results", ("k",), 1, "a" * 32)
         store.put("results", ("k",), 2, "b" * 32)
-        store.put("zone", ("f" * 32, "cost"), {"lo": 0})
+        store.put("where_shard", ("f" * 32, "R.cost <= 1"), {"lo": 0})
         removed = store.clear(relation_hash="a" * 32)
         assert removed == 1
         assert store.get("results", ("k",), "b" * 32) == 2
         # Shard-scoped layers survive relation-scoped clears (they are
         # keyed by shard content, shared across relation versions).
-        assert store.get("zone", ("f" * 32, "cost")) == {"lo": 0}
+        assert store.get("where_shard", ("f" * 32, "R.cost <= 1")) == {"lo": 0}
         assert store.clear() == 2
 
-    @pytest.mark.parametrize("layer", ["translations", "retired"])
+    @pytest.mark.parametrize(
+        "layer", ["translations", "retired", "bounds", "facts", "zone"]
+    )
     def test_retired_layer_entries_are_sized_evicted_and_cleared(
         self, tmp_path, layer
     ):
@@ -378,7 +381,8 @@ class TestStoreMechanics:
         root = str(tmp_path / "store")
         _populate(root)
         (relation_hash,) = ArtifactStore(root).disk_stats()["relations"]
-        planted = _plant(root, relation_hash, layer)
+        scope = "shards" if layer == "zone" else f"relations/{relation_hash}"
+        planted = _plant(root, scope, layer)
 
         usage = ArtifactStore(root).disk_stats()
         assert usage["layers"][layer] == {
@@ -395,21 +399,70 @@ class TestStoreMechanics:
         assert not planted.exists()
 
         _populate(root)
-        planted = _plant(root, relation_hash, layer)
+        planted = _plant(root, scope, layer)
         assert ArtifactStore(root).clear(relation_hash) >= 2
-        assert not planted.exists()
+        # Shard-scoped entries are shared across relation versions and
+        # only leave with a full clear.
+        assert planted.exists() == (scope == "shards")
         _populate(root)
-        _plant(root, relation_hash, layer)
+        _plant(root, scope, layer)
         ArtifactStore(root).clear()
         assert list((tmp_path / "store").rglob("*.art")) == []
 
+    def test_stored_zone_map_never_decides_an_answer(self, tmp_path):
+        # A checksum-valid zone map that lies about every shard's cost
+        # range would prove each shard empty of ``cost <= 70``; zone
+        # maps are computed from the data, so it must change nothing.
+        root = str(tmp_path / "store")
+        relation = clustered_relation(300, seed=42)
+        options = EngineOptions(shards=4)
+        query = (
+            "SELECT PACKAGE(R) FROM Readings R WHERE R.cost <= {} "
+            "SUCH THAT COUNT(*) <= 5 AND MAX(R.ts) <= 30 MAXIMIZE SUM(R.gain)"
+        )
+        with EvaluationSession(
+            relation, options=options, store_path=root
+        ) as session:
+            session.evaluate(query.format("80.0"))
+        sharded = ShardedRelation(relation, 4)
+        for index, rows in enumerate(sharded.shard_sizes()):
+            _plant(
+                root,
+                "shards",
+                "zone",
+                key=(sharded.shard_fingerprint(index), "cost"),
+                value=ZoneStats(
+                    count=rows,
+                    null_count=0,
+                    minimum=1e9,
+                    maximum=1e9,
+                    total=1e9 * rows,
+                ),
+            )
 
-def _plant(root, relation_hash, layer):
-    """Write a checksum-valid entry under ``relations/<hash>/<layer>/``
-    the way the store itself would, whether or not it knows ``layer``."""
+        with EvaluationSession(
+            clustered_relation(300, seed=42),
+            options=options,
+            reuse_results=False,
+            store_path=root,
+        ) as fresh:
+            result = fresh.evaluate(query.format("70.0"))
+        cold = PackageQueryEvaluator(relation).evaluate(
+            query.format("70.0"), options
+        )
+        assert result.status is cold.status
+        assert result.objective == cold.objective
+        assert result.candidate_count == cold.candidate_count
+
+
+def _plant(root, scope, layer, key=("planted",), value=None):
+    """Write a checksum-valid entry under ``<scope>/<layer>/`` (``scope``
+    is ``relations/<hash>`` or ``shards``) at the path the store itself
+    would use for ``key``, whether or not it knows ``layer``."""
     store = ArtifactStore(root)
-    key = ("planted",)
-    payload = pickle.dumps({"rows": list(range(64))})
+    if value is None:
+        value = {"rows": list(range(64))}
+    payload = pickle.dumps(value)
     header = {
         "format": STORE_FORMAT,
         "engine": store.engine_version,
@@ -418,9 +471,10 @@ def _plant(root, relation_hash, layer):
         "payload_hash": hashlib.blake2b(payload, digest_size=16).hexdigest(),
         "bytes": len(payload),
     }
-    directory = store.root / "relations" / relation_hash / layer
+    directory = store.root / scope / layer
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "planted.art"
+    digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=16)
+    path = directory / f"{digest.hexdigest()}.art"
     path.write_bytes(
         json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
     )

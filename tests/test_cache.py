@@ -8,7 +8,11 @@ import pathlib
 import pytest
 
 import repro
-from repro.core.artifact_store import RELATION_LAYERS, ArtifactStore
+from repro.core.artifact_store import (
+    RELATION_LAYERS,
+    SHARD_LAYERS,
+    ArtifactStore,
+)
 from repro.core.cache import ArtifactLayer, BoundedCache
 from repro.core.engine import EngineOptions, evaluate
 from repro.core.parallel import ENGINE_BACKENDS
@@ -78,10 +82,10 @@ class _SpyStore:
 class TestArtifactLayer:
     def test_store_hit_fills_memory(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
-        store.put("bounds", ("k",), "value", "scope")
+        store.put("results", ("k",), "value", "scope")
         spy = _SpyStore(store)
         memory = BoundedCache(4)
-        layer = ArtifactLayer(memory, spy, "bounds", "scope")
+        layer = ArtifactLayer(memory, spy, "results", "scope")
         assert layer.get(("k",)) == "value"
         assert layer.get(("k",)) == "value"
         assert spy.gets == 1  # the second lookup never left memory
@@ -91,34 +95,34 @@ class TestArtifactLayer:
     def test_put_writes_both_tiers(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         memory = BoundedCache(4)
-        layer = ArtifactLayer(memory, store, "bounds", "scope")
+        layer = ArtifactLayer(memory, store, "results", "scope")
         layer.put(("k",), "value")
         assert memory.get(("k",)) == "value"
-        assert store.get("bounds", ("k",), "scope") == "value"
+        assert store.get("results", ("k",), "scope") == "value"
         # Another scope over the same store does not see it.
-        other = ArtifactLayer(BoundedCache(4), store, "bounds", "other")
+        other = ArtifactLayer(BoundedCache(4), store, "results", "other")
         assert other.get(("k",)) is None
 
     def test_corrupted_store_entry_is_a_miss(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
-        layer = ArtifactLayer(BoundedCache(4), store, "bounds", "scope")
+        layer = ArtifactLayer(BoundedCache(4), store, "results", "scope")
         layer.put(("k",), "value")
-        ((_, path, _),) = store.entries("bounds", "scope")
+        ((_, path, _),) = store.entries("results", "scope")
         blob = pathlib.Path(path).read_bytes()
         pathlib.Path(path).write_bytes(blob[:-1] + bytes([blob[-1] ^ 0xFF]))
-        fresh = ArtifactLayer(BoundedCache(4), store, "bounds", "scope")
+        fresh = ArtifactLayer(BoundedCache(4), store, "results", "scope")
         assert fresh.get(("k",)) is None
-        assert store.stats()["layers"]["bounds"]["rejected"] == 1
+        assert store.stats()["layers"]["results"]["rejected"] == 1
 
     def test_memory_only_and_store_only(self, tmp_path):
-        memory_only = ArtifactLayer(BoundedCache(4), None, "bounds", None)
+        memory_only = ArtifactLayer(BoundedCache(4), None, "results", None)
         memory_only.put("k", "v")
         assert memory_only.get("k") == "v"
         memory_only.clear()
         assert memory_only.get("k") is None
 
         store = ArtifactStore(tmp_path / "store")
-        store_only = ArtifactLayer(None, store, "zone", None)
+        store_only = ArtifactLayer(None, store, "where_shard", None)
         assert store_only.get(("fp", "col")) is None
         store_only.put(("fp", "col"), (1, 2))
         assert store_only.get(("fp", "col")) == (1, 2)
@@ -153,16 +157,21 @@ class TestOnlyOneOfEach:
         assert self._files_containing("blake2b(") == {
             "relational/content_hash.py",
             "core/artifact_store.py",
-            "core/pushdown.py",
         }
 
     def test_no_model_cache(self):
         # The ILP model is rebuilt per question: its key was the result
         # key in all but name, so the layer could only hit after the
-        # result layer had already answered.
-        assert RELATION_LAYERS == ("where", "bounds", "facts", "results")
+        # result layer had already answered.  Bounds, facts and zone
+        # maps are not persisted either: the store keeps only what is
+        # read back.
+        assert RELATION_LAYERS == ("where", "results")
+        assert SHARD_LAYERS == ("where_shard",)
         assert not hasattr(ArtifactCache(), "translations")
+        assert not hasattr(ArtifactCache(), "zone")
         assert self._files_containing("translation_key") == set()
+        assert self._files_containing("zone_source") == set()
+        assert self._files_containing("derived_artifacts") == set()
 
     def test_process_backend_is_gone_not_silently_serial(self):
         assert "process" not in ENGINE_BACKENDS

@@ -188,46 +188,46 @@ class TestStoreFaultSites:
     def test_torn_write_is_rejected_never_served(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         with faults.inject(faults.FaultPlan.from_spec("store.write:1.0:1:torn")):
-            assert store.put("zone", ("k", 1), {"v": 1}) is True
+            assert store.put("where_shard", ("k", 1), {"v": 1}) is True
         # The entry landed torn (truncated payload under a full
         # checksum); a fresh handle must reject it as a miss.
         reader = ArtifactStore(tmp_path / "store")
-        assert reader.get("zone", ("k", 1)) is None
-        assert reader.counters["zone"]["rejected"] == 1
+        assert reader.get("where_shard", ("k", 1)) is None
+        assert reader.counters["where_shard"]["rejected"] == 1
         # Rejection deletes the entry: the next read is a plain miss.
-        assert reader.get("zone", ("k", 1)) is None
-        assert reader.counters["zone"]["rejected"] == 1
+        assert reader.get("where_shard", ("k", 1)) is None
+        assert reader.counters["where_shard"]["rejected"] == 1
 
     def test_enospc_degrades_to_memory_only(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
-        assert store.put("zone", ("k", 0), {"v": 0}) is True
+        assert store.put("where_shard", ("k", 0), {"v": 0}) is True
         with faults.inject(
             faults.FaultPlan.from_spec("store.write:1.0:1:enospc")
         ):
-            assert store.put("zone", ("k", 1), {"v": 1}) is False
+            assert store.put("where_shard", ("k", 1), {"v": 1}) is False
         assert store.degraded is not None
-        assert store.counters["zone"]["degraded"] == 1
+        assert store.counters["where_shard"]["degraded"] == 1
         # Sticky: later writes are no-ops even with the plan gone...
-        assert store.put("zone", ("k", 2), {"v": 2}) is False
+        assert store.put("where_shard", ("k", 2), {"v": 2}) is False
         # ...but reads keep serving what disk still has.
-        assert store.get("zone", ("k", 0)) == {"v": 0}
+        assert store.get("where_shard", ("k", 0)) == {"v": 0}
         assert store.stats()["degraded"] is not None
         assert store.disk_stats()["degraded"] is not None
 
     def test_read_fault_is_a_counted_miss(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
-        store.put("zone", ("k", 1), {"v": 1})
+        store.put("where_shard", ("k", 1), {"v": 1})
         with faults.inject(faults.FaultPlan.from_spec("store.read:1.0:1")):
-            assert store.get("zone", ("k", 1)) is None
-        assert store.counters["zone"]["errors"] == 1
+            assert store.get("where_shard", ("k", 1)) is None
+        assert store.counters["where_shard"]["errors"] == 1
         assert store.degraded is None  # EIO is per-entry, not environmental
-        assert store.get("zone", ("k", 1)) == {"v": 1}
+        assert store.get("where_shard", ("k", 1)) == {"v": 1}
 
     def test_fsync_fault_leaves_no_partial_entry(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         with faults.inject(faults.FaultPlan.from_spec("store.fsync:1.0:1")):
-            assert store.put("zone", ("k", 1), {"v": 1}) is False
-        assert store.get("zone", ("k", 1)) is None
+            assert store.put("where_shard", ("k", 1), {"v": 1}) is False
+        assert store.get("where_shard", ("k", 1)) is None
         assert not list((tmp_path / "store").rglob("*.tmp"))
 
 
@@ -238,7 +238,7 @@ class TestBoundedStore:
     def test_eviction_bounds_size(self, tmp_path):
         store = ArtifactStore(tmp_path / "store", max_bytes=20_000)
         for i in range(50):
-            assert store.put("zone", ("k", i), self.entry(i)) is True
+            assert store.put("where_shard", ("k", i), self.entry(i)) is True
         disk = store.disk_stats()
         assert disk["bytes"] <= 20_000
         assert disk["entries"] > 0
@@ -253,23 +253,23 @@ class TestBoundedStore:
         # Bound the store to 3.5 equal-sized entries: the fourth write
         # forces exactly one eviction.
         probe = ArtifactStore(tmp_path / "probe")
-        probe.put("zone", ("k", "p"), self.entry(0))
+        probe.put("where_shard", ("k", "p"), self.entry(0))
         entry_bytes = probe.disk_stats()["bytes"]
         store = ArtifactStore(
             tmp_path / "store", max_bytes=int(entry_bytes * 3.5)
         )
-        store.put("zone", ("k", "a"), self.entry(0))
+        store.put("where_shard", ("k", "a"), self.entry(0))
         time.sleep(0.02)
-        store.put("zone", ("k", "b"), self.entry(1))
+        store.put("where_shard", ("k", "b"), self.entry(1))
         time.sleep(0.02)
-        assert store.get("zone", ("k", "a")) is not None  # bump a's atime
+        assert store.get("where_shard", ("k", "a")) is not None  # bump a's atime
         time.sleep(0.02)
-        store.put("zone", ("k", "c"), self.entry(2))
+        store.put("where_shard", ("k", "c"), self.entry(2))
         time.sleep(0.02)
-        store.put("zone", ("k", "d"), self.entry(3))
+        store.put("where_shard", ("k", "d"), self.entry(3))
         # b is now the least recently used entry and must be the victim.
-        assert store.get("zone", ("k", "b")) is None
-        assert store.get("zone", ("k", "a")) is not None
+        assert store.get("where_shard", ("k", "b")) is None
+        assert store.get("where_shard", ("k", "a")) is not None
 
     def test_invalid_max_bytes_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -371,7 +371,7 @@ class TestCrashRecovery:
         "from repro.core.artifact_store import ArtifactStore\n"
         "store = ArtifactStore(sys.argv[1])\n"
         "for i in range(10_000):\n"
-        "    store.put('zone', ('crash', i), {'i': i, 'pad': 'x' * 256})\n"
+        "    store.put('where_shard', ('crash', i), {'i': i, 'pad': 'x' * 256})\n"
         "    print(i, flush=True)\n"
     )
 
@@ -396,9 +396,9 @@ class TestCrashRecovery:
         # (recompute), the next write sweeps the orphan, nothing stale
         # blocks the store.
         store = ArtifactStore(root)
-        assert store.get("zone", ("crash", 0)) is None
-        assert store.put("zone", ("crash", 0), {"i": 0}) is True
-        assert store.get("zone", ("crash", 0)) == {"i": 0}
+        assert store.get("where_shard", ("crash", 0)) is None
+        assert store.put("where_shard", ("crash", 0), {"i": 0}) is True
+        assert store.get("where_shard", ("crash", 0)) == {"i": 0}
         assert not list(pathlib.Path(root).rglob("*.tmp"))
         assert store.verify()["failed"] == []
 
@@ -421,24 +421,24 @@ class TestCrashRecovery:
                 proc.kill()
         store = ArtifactStore(root)
         started = time.perf_counter()
-        assert store.put("zone", ("after", 1), {"ok": True}) is True
+        assert store.put("where_shard", ("after", 1), {"ok": True}) is True
         assert time.perf_counter() - started < 5.0  # no lock wait
-        assert store.get("zone", ("after", 1)) == {"ok": True}
+        assert store.get("where_shard", ("after", 1)) == {"ok": True}
         assert store.verify()["failed"] == []
 
     def test_truncated_entry_is_rejected_and_recomputed(self, tmp_path):
         """A torn tail (crash mid-sector) fails the checksum gate."""
         root = tmp_path / "store"
         store = ArtifactStore(root)
-        store.put("zone", ("torn", 1), {"v": list(range(200))})
+        store.put("where_shard", ("torn", 1), {"v": list(range(200))})
         [(_, path)] = [(n, p) for n, p, _ in store.entries()]
         blob = pathlib.Path(path).read_bytes()
         pathlib.Path(path).write_bytes(blob[: len(blob) - 16])
         reader = ArtifactStore(root)
-        assert reader.get("zone", ("torn", 1)) is None
-        assert reader.counters["zone"]["rejected"] == 1
-        assert reader.put("zone", ("torn", 1), {"v": 1}) is True
-        assert reader.get("zone", ("torn", 1)) == {"v": 1}
+        assert reader.get("where_shard", ("torn", 1)) is None
+        assert reader.counters["where_shard"]["rejected"] == 1
+        assert reader.put("where_shard", ("torn", 1), {"v": 1}) is True
+        assert reader.get("where_shard", ("torn", 1)) == {"v": 1}
 
 
 class TestMultiProcessWriters:
@@ -450,9 +450,9 @@ class TestMultiProcessWriters:
         "ok = 0\n"
         "for i in range(120):\n"
         "    # Overlapping keys: both writers race the same final paths.\n"
-        "    if store.put('zone', ('shared', i % 40), {'w': widx, 'i': i}):\n"
+        "    if store.put('where_shard', ('shared', i % 40), {'w': widx, 'i': i}):\n"
         "        ok += 1\n"
-        "    if store.put('zone', ('own', widx, i), {'w': widx}):\n"
+        "    if store.put('where_shard', ('own', widx, i), {'w': widx}):\n"
         "        ok += 1\n"
         "store.close()\n"
         "print(json.dumps({'ok': ok}))\n"
@@ -484,7 +484,7 @@ class TestMultiProcessWriters:
         assert store.verify()["failed"] == []
         assert store.disk_stats()["entries"] == 40 + 2 * 120
         for i in range(40):
-            value = store.get("zone", ("shared", i))
+            value = store.get("where_shard", ("shared", i))
             assert value is not None and value["i"] % 40 == i
         assert not list(pathlib.Path(root).rglob("*.tmp"))
         # Lifetime counters merged from both processes are sane.
