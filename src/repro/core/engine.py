@@ -1,12 +1,12 @@
 """The package query evaluator.
 
 Orchestrates the full pipeline of Section 4: parse and analyze the
-PaQL text, push base constraints down (to the DBMS via SQL when a
-:class:`~repro.relational.sqlite_backend.Database` is attached, else
-in memory), derive cardinality bounds, and evaluate with one of the
-registered strategies (:mod:`repro.core.strategies`) — or, like the
-demo system, "heuristically combine all of them" via the shared cost
-model (:mod:`repro.core.cost`):
+PaQL text, filter by the base constraints (compiled kernels in
+memory; a weakened SQL prefilter plus the same kernels for a
+sql-backed relation), derive cardinality bounds, and evaluate with
+one of the registered strategies (:mod:`repro.core.strategies`) — or,
+like the demo system, "heuristically combine all of them" via the
+shared cost model (:mod:`repro.core.cost`):
 
 * ``ilp`` — translate to an integer program and solve exactly;
 * ``brute-force`` — pruned exhaustive enumeration (exact, small n);
@@ -44,10 +44,8 @@ import numpy as np
 
 from repro.paql.parser import parse
 from repro.paql.semantics import analyze
-from repro.paql.to_sql import to_sql
-from repro.paql.eval import eval_predicate
 from repro.core.cache import BoundedCache
-from repro.core.vectorize import evaluator_for, try_predicate_mask
+from repro.core.vectorize import evaluator_for, where_positions
 from repro.core.ir import records_payload
 from repro.core.local_search import LocalSearch, LocalSearchOptions
 from repro.core.parallel import (
@@ -150,10 +148,9 @@ class PackageQueryEvaluator:
     """Evaluates PaQL queries over one relation.
 
     Args:
-        relation: the base :class:`~repro.relational.relation.Relation`.
-        db: optional :class:`~repro.relational.sqlite_backend.Database`;
-            when given, the relation is loaded into it (if absent) and
-            base constraints are pushed down as SQL.
+        relation: the base :class:`~repro.relational.relation.Relation`
+            (or a sql-backed
+            :class:`~repro.relational.sql_relation.SqlRelation`).
         artifacts: optional
             :class:`~repro.core.session.ArtifactCache` — evaluation
             then reuses WHERE results, bounds and reduction facts
@@ -162,9 +159,8 @@ class PackageQueryEvaluator:
             caches through the pipeline).
     """
 
-    def __init__(self, relation, db=None, artifacts=None):
+    def __init__(self, relation, artifacts=None):
         self._relation = relation
-        self._db = db
         self._sharded = None
         self._artifacts = artifacts
         self._shm_ctx = None
@@ -180,13 +176,6 @@ class PackageQueryEvaluator:
         # concurrent callers (one session serving many threads).  Held
         # only around build/teardown, never around query work.
         self._shared_state_lock = threading.RLock()
-        if db is not None and getattr(relation, "is_sql_backed", False):
-            raise EngineError(
-                "a sql-backed relation already lives in its own database; "
-                "attaching a separate Database is unsupported"
-            )
-        if db is not None and not db.has_relation(relation.name):
-            db.load_relation(relation)
 
     # -- helpers --------------------------------------------------------------
 
@@ -194,11 +183,6 @@ class PackageQueryEvaluator:
     def relation(self):
         """The base relation this evaluator answers queries over."""
         return self._relation
-
-    @property
-    def db(self):
-        """The attached sqlite database, or ``None``."""
-        return self._db
 
     @property
     def artifacts(self):
@@ -315,7 +299,7 @@ class PackageQueryEvaluator:
         return analyze(query, self._relation.schema)
 
     def candidates(self, query, options=None):
-        """rids satisfying the base constraints (SQL pushdown when possible)."""
+        """rids satisfying the base constraints."""
         return self._candidates_with_path(query, options)[0]
 
     def filtered_candidates(self, query, options=None, artifacts=None):
@@ -357,12 +341,12 @@ class PackageQueryEvaluator:
         """``(rids, path, shard_info)`` for the WHERE stage.
 
         ``path`` records which WHERE engine ran.  Preference order: no
-        WHERE at all (``none``), SQL pushdown (``sql``), the compiled
-        columnar kernel — shard-parallel with zone-map skipping when
-        ``options.shards > 1`` (``vectorized-sharded``), single-pass
-        otherwise (``vectorized``) — and only when no kernel exists
-        the per-row AST interpreter (``interpreted``), the
-        compile-failure fallback.  ``shard_info`` is the
+        WHERE at all (``none``), the compiled columnar kernel —
+        shard-parallel with zone-map skipping when ``options.shards >
+        1`` (``vectorized-sharded``), single-pass otherwise
+        (``vectorized``) — and only when no kernel exists the per-row
+        AST interpreter (``interpreted``), the compile-failure
+        fallback.  ``shard_info`` is the
         ``stats["shards"]`` payload when the sharded path ran, else
         ``None``.
 
@@ -380,25 +364,13 @@ class PackageQueryEvaluator:
             return list(outcome.candidate_rids), outcome.path, None
         if query.where is None:
             return list(range(len(self._relation))), "none", None
-        if self._db is not None:
-            where_sql, params = to_sql(query.where)
-            rids = self._db.select_rids(
-                self._relation.name, where_sql, params=params
-            )
-            return rids, "sql", None
         if options is not None and options.shards > 1:
             sharded = self._sharded_candidates(query, options)
             if sharded is not None:
                 rids, shard_info = sharded
                 return rids, "vectorized-sharded", shard_info
-        mask = try_predicate_mask(query.where, self._relation)
-        if mask is not None:
-            return np.flatnonzero(mask).tolist(), "vectorized", None
-        return [
-            rid
-            for rid in range(len(self._relation))
-            if eval_predicate(query.where, self._relation[rid])
-        ], "interpreted", None
+        positions, path = where_positions(query.where, self._relation)
+        return positions.tolist(), path, None
 
     def _pushdown_scan(self, query, options):
         """The out-of-core WHERE scan, memoized on the clause text.
@@ -719,7 +691,6 @@ def _shm_where_scan(spec):
 def evaluate(
     query_text,
     relation,
-    db=None,
     options=None,
     shards=None,
     workers=None,
@@ -755,7 +726,7 @@ def evaluate(
         from dataclasses import replace
 
         options = replace(options or EngineOptions(), **overrides)
-    evaluator = PackageQueryEvaluator(relation, db)
+    evaluator = PackageQueryEvaluator(relation)
     try:
         return evaluator.evaluate(query_text, options)
     finally:

@@ -291,8 +291,7 @@ def _run_zone_skip(state):
             )
         )
         return
-    if state.evaluator.db is None:
-        state.sharded = state.evaluator.sharded_relation(options.shards)
+    state.sharded = state.evaluator.sharded_relation(options.shards)
     if state.shard_info is None:
         state.record(
             StageRecord(
@@ -493,7 +492,6 @@ def run_analysis(
         candidate_rids=state.candidate_rids,
         bounds=state.bounds,
         options=options,
-        db=evaluator.db,
         where_path=state.where_path,
         sharded=state.sharded,
         shard_info=state.shard_info,

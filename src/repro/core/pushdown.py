@@ -70,7 +70,7 @@ from repro.core.formula import conjunctive_leaves, normalize_formula
 from repro.core.pruning import match_aggregate_comparison
 from repro.core.reduction import minmax_fixing_sql, zones_block_minmax_fixing
 from repro.core.translate_ilp import ILPTranslationError, minmax_plan
-from repro.core.vectorize import try_predicate_mask
+from repro.core.vectorize import where_positions
 from repro.paql.errors import PaQLUnsupportedError
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, quote_ident
@@ -301,10 +301,11 @@ def _recheck_batches(relation, where, plan, where_sql, params,
 
     Yields ``(surviving_rids, label)`` per batch.  The recheck builds a
     throwaway in-memory mini-relation of only the WHERE-referenced
-    columns and runs the same compiled kernel — or, when no kernel
-    exists, the same row interpreter — the in-memory path uses, so
-    concatenated survivors equal the in-memory candidate set bit for
-    bit (kernels are elementwise; batching cannot change the mask).
+    columns and runs the in-memory path's own WHERE over it
+    (:func:`~repro.core.vectorize.where_positions`: the compiled kernel,
+    else the row interpreter), so concatenated survivors equal the
+    in-memory candidate set bit for bit (kernels are elementwise;
+    batching cannot change the mask).
     """
     columns = plan.where_columns
     sub_schema = (
@@ -321,19 +322,8 @@ def _recheck_batches(relation, where, plan, where_sql, params,
             yield (rids if verdict else rids[:0]), "constant"
             continue
         mini = Relation._from_packed(relation.name, sub_schema, rows)
-        mask = try_predicate_mask(where, mini)
-        if mask is not None:
-            yield rids[np.asarray(mask, dtype=bool)], "vectorized"
-        else:
-            keep = np.fromiter(
-                (
-                    bool(eval_predicate(where, dict(zip(columns, row))))
-                    for row in rows
-                ),
-                dtype=bool,
-                count=len(rows),
-            )
-            yield rids[keep], "interpreted"
+        positions, label = where_positions(where, mini)
+        yield rids[positions], label
 
 
 def run_where(relation, query, options, batch_rows=None):
@@ -368,19 +358,9 @@ def run_where(relation, query, options, batch_rows=None):
 
     if path == "materialize":
         materialized = relation.materialize()
-        mask = try_predicate_mask(where, materialized)
-        if mask is not None:
-            rids = np.flatnonzero(mask).tolist()
-            recheck = "vectorized"
-        else:
-            rids = [
-                rid
-                for rid in range(len(materialized))
-                if eval_predicate(where, materialized[rid])
-            ]
-            recheck = "interpreted"
+        rids, recheck = where_positions(where, materialized)
         return WhereOutcome(
-            candidate_rids=rids,
+            candidate_rids=rids.tolist(),
             path="materialized",
             decision=decision,
             estimated_rows=estimated,

@@ -259,8 +259,6 @@ class EvaluationSession:
     Args:
         relation: the base :class:`~repro.relational.relation.Relation`
             (treated as immutable for the session's lifetime).
-        db: optional sqlite backend, as for
-            :class:`~repro.core.engine.PackageQueryEvaluator`.
         options: default :class:`~repro.core.engine.EngineOptions` for
             ``evaluate``/``plan``/``explain`` calls that pass none.
         reuse_results: replay validated results for exactly repeated
@@ -275,7 +273,7 @@ class EvaluationSession:
             eviction; only meaningful with ``store_path``).
     """
 
-    def __init__(self, relation, db=None, options=None, reuse_results=True,
+    def __init__(self, relation, options=None, reuse_results=True,
                  store=None, store_path=None, store_max_bytes=None):
         if store is not None and store_path is not None:
             raise ValueError("pass store= or store_path=, not both")
@@ -299,9 +297,9 @@ class EvaluationSession:
         # and writes only into the unit it snapshotted (see
         # docs/pipeline.md, "Session locking contract").
         self._state_lock = threading.RLock()
-        self._bind(relation, db)
+        self._bind(relation)
 
-    def _bind(self, relation, db=None):
+    def _bind(self, relation):
         """(Re)build the per-relation unit: content hash, artifact
         cache, evaluator.  Called at construction and after mutations.
         The evaluator carries its artifact cache, so publishing the
@@ -313,7 +311,6 @@ class EvaluationSession:
             relation_hash = relation_fingerprint(relation)
         self._evaluator = PackageQueryEvaluator(
             relation,
-            db,
             artifacts=ArtifactCache(
                 store=self._artifact_store, relation_hash=relation_hash
             ),
@@ -522,7 +519,7 @@ class EvaluationSession:
 
         Shard layout stays *aligned*: appended rows extend the last
         shard, keeping every other shard's boundaries and content
-        bit-identical.  Not supported with an attached sql database.
+        bit-identical.  Not supported on a sql-backed relation.
         """
         return self._mutate("append", rows)
 
@@ -537,13 +534,6 @@ class EvaluationSession:
 
     def _mutate(self, kind, payload):
         with self._state_lock:
-            if self._evaluator.db is not None:
-                from repro.core.result import EngineError
-
-                raise EngineError(
-                    "session mutation is not supported with an attached "
-                    "database (the sqlite copy would go stale)"
-                )
             if getattr(self._evaluator.relation, "is_sql_backed", False):
                 from repro.core.result import EngineError
 

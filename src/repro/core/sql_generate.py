@@ -7,7 +7,9 @@ constraint optimization problems".  Option (ii) lives in
 
 For each cardinality ``k`` inside the pruned bounds, one SQL query
 joins ``k`` copies of the base relation (``R1.rid < R2.rid < ...`` for
-set semantics), applies the base constraints to every copy, rewrites
+set semantics), restricts every copy to the candidate rids the engine
+kept (bound as one JSON array and read back with ``json_each``; WHERE
+is never re-rendered, since sqlite reads a stored NaN as NULL), rewrites
 the *entire* global formula over the k-tuple's aggregate expressions
 (``SUM(e)`` becomes ``e(R1) + ... + e(Rk)``, ``MIN`` uses sqlite's
 n-ary scalar ``MIN``, ``AVG`` divides the two, ``COUNT(*)`` folds to
@@ -20,15 +22,18 @@ k-way join's combinatorial cost, which is precisely why the paper
 pairs it with pruning and ultimately leans on the solver; benchmark
 E2 quantifies the trade.
 
-Supported fragment: set semantics (``REPEAT 1``), and — only when the
-formula or objective uses MIN/MAX — no NULLs in their arguments
-(sqlite's scalar ``MIN``/``MAX`` return NULL if *any* argument is
-NULL, which diverges from aggregate semantics that skip NULLs).
-Everything else raises :class:`SQLGenerateUnsupported` and the engine
-falls back.
+Supported fragment: set semantics (``REPEAT 1``), no NaN among the
+candidates' aggregate arguments (sqlite would read it as NULL), and —
+only when the formula or objective uses MIN/MAX — no NULLs in their
+arguments (sqlite's scalar ``MIN``/``MAX`` return NULL if *any*
+argument is NULL, which diverges from aggregate semantics that skip
+NULLs).  Everything else raises :class:`SQLGenerateUnsupported`.
 """
 
 from __future__ import annotations
+
+import json
+import math
 
 from repro.paql import ast
 from repro.paql.errors import PaQLUnsupportedError
@@ -54,6 +59,29 @@ def _member_sql(argument, aliases, params):
     return exprs
 
 
+def _refuse_unrepresentable(aggregate, relation, candidate_rids):
+    """Raise when sqlite would read a candidate's argument differently.
+
+    sqlite stores float NaN as NULL, so a NaN argument would silently
+    count as NULL inside SQL while the validator sees NaN.  Scalar
+    ``MIN``/``MAX`` return NULL if *any* argument is NULL, unlike the
+    aggregates, which skip NULLs.
+    """
+    minmax = aggregate.func in (ast.AggFunc.MIN, ast.AggFunc.MAX)
+    for rid in candidate_rids:
+        value = eval_scalar(aggregate.argument, relation[rid])
+        if isinstance(value, float) and math.isnan(value):
+            raise SQLGenerateUnsupported(
+                f"{aggregate.func.value} argument has NaN among the "
+                "candidates; sqlite would store it as NULL"
+            )
+        if value is None and minmax:
+            raise SQLGenerateUnsupported(
+                f"{aggregate.func.value} argument has NULLs among the "
+                "candidates; sqlite's scalar MIN/MAX would mis-handle them"
+            )
+
+
 def _aggregate_sql(aggregate, aliases, relation, candidate_rids, params):
     """Render one aggregate over a k-tuple of relation aliases.
 
@@ -64,6 +92,7 @@ def _aggregate_sql(aggregate, aliases, relation, candidate_rids, params):
 
     argument = aggregate.argument
     func = aggregate.func
+    _refuse_unrepresentable(aggregate, relation, candidate_rids)
 
     if func is ast.AggFunc.SUM:
         pieces = [
@@ -92,14 +121,8 @@ def _aggregate_sql(aggregate, aliases, relation, candidate_rids, params):
         # matching aggregate AVG semantics.
         return f"(CAST(({total}) AS REAL) / NULLIF(({count}), 0))"
 
-    # MIN / MAX: sqlite's n-ary scalar form, valid only on NULL-free
-    # arguments (scalar MIN/MAX return NULL if any argument is NULL).
-    for rid in candidate_rids:
-        if eval_scalar(argument, relation[rid]) is None:
-            raise SQLGenerateUnsupported(
-                f"{func.value} argument has NULLs among the candidates; "
-                "sqlite's scalar MIN/MAX would mis-handle them"
-            )
+    # MIN / MAX: sqlite's n-ary scalar form (NULL-free arguments only,
+    # see _refuse_unrepresentable).
     member_exprs = _member_sql(argument, aliases, params)
     if len(member_exprs) == 1:
         return member_exprs[0]
@@ -162,6 +185,8 @@ def build_generate_sql(query, relation, candidate_rids, cardinality, best_only):
 
     Args:
         query: analyzed query (set semantics only).
+        candidate_rids: the rids that passed WHERE (and reduction);
+            every join alias is restricted to them.
         cardinality: the package size ``k`` this statement targets.
         best_only: append ORDER BY objective + LIMIT 1.
 
@@ -184,11 +209,12 @@ def build_generate_sql(query, relation, candidate_rids, cardinality, best_only):
 
     where_parts = []
     params = []
+    kept = json.dumps([int(rid) for rid in candidate_rids])
     for i, alias in enumerate(aliases):
         if i > 0:
             where_parts.append(f"{aliases[i - 1]}.rid < {alias}.rid")
-        if query.where is not None:
-            where_parts.extend(_member_sql(query.where, [alias], params))
+        where_parts.append(f"{alias}.rid IN (SELECT value FROM json_each(?))")
+        params.append(kept)
 
     if query.such_that is not None:
         try:

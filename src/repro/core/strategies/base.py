@@ -46,14 +46,15 @@ class EvaluationContext:
         candidate_rids: rids surviving the base constraints.
         bounds: derived :class:`~repro.core.pruning.CardinalityBounds`.
         options: the :class:`~repro.core.engine.EngineOptions` in force.
-        db: optional sqlite :class:`~repro.relational.sqlite_backend.Database`
-            (the ``sql`` strategy uses it; others ignore it).
         where_path: which WHERE evaluation engine produced
-            ``candidate_rids`` — ``none`` | ``sql`` | ``vectorized`` |
+            ``candidate_rids`` — ``none`` | ``vectorized`` |
             ``vectorized-sharded`` (per-shard kernels with zone-map
             skipping) | ``interpreted`` (the row-interpreter
-            fallback); surfaced in result stats so benchmarks can
-            assert the columnar path ran.
+            fallback) | ``sql-pushdown`` (a sql-backed relation's
+            weakened SQL prefilter, every batch rechecked by the same
+            kernels) | ``materialized`` (a sql-backed relation loaded
+            whole, then filtered in memory); surfaced in result stats
+            so benchmarks can assert the columnar path ran.
         sharded: the :class:`~repro.relational.sharding.ShardedRelation`
             in force when ``options.shards > 1`` (``None`` otherwise);
             scan-shaped strategy work may fan out over it.
@@ -86,7 +87,6 @@ class EvaluationContext:
     candidate_rids: list
     bounds: object
     options: object
-    db: object = None
     where_path: str = "none"
     sharded: object = None
     shard_info: dict | None = None

@@ -5,6 +5,10 @@ SQL statements and validate them in the database.  Exact, but the
 generated SQL joins grow with package cardinality, so it is only
 sensible on small pruned spaces — which is why it is dispatch-only:
 ``evaluate(strategy="sql")`` runs it, ``auto`` never picks it.
+
+Each run loads the relation into a private in-memory sqlite database.
+The engine has already decided WHERE, so the statements restrict each
+join alias to the kept candidate rids instead of re-deciding it.
 """
 
 from __future__ import annotations
@@ -38,19 +42,11 @@ class SQLStrategy(Strategy):
         from repro.core.sql_generate import sql_find_best
         from repro.relational.sqlite_backend import Database
 
-        db = ctx.db
-        owned = False
-        if db is None:
-            db = Database()
+        with Database() as db:
             db.load_relation(ctx.relation)
-            owned = True
-        try:
             package = sql_find_best(
                 db, ctx.query, ctx.relation, ctx.candidate_rids, ctx.bounds
             )
-        finally:
-            if owned:
-                db.close()
         status = ResultStatus.OPTIMAL if package else ResultStatus.INFEASIBLE
         return EvaluationResult(
             package=package,

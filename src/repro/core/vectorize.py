@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.paql import ast
-from repro.paql.eval import EvaluationError
+from repro.paql.eval import EvaluationError, eval_predicate
 from repro.relational.relation import aggregate_reduce
 from repro.relational.types import ColumnType
 
@@ -66,6 +66,7 @@ __all__ = [
     "aggregate_value",
     "evaluator_for",
     "try_predicate_mask",
+    "where_positions",
 ]
 
 
@@ -678,6 +679,24 @@ def try_predicate_mask(node, relation, rids=None):
         return evaluator_for(relation).predicate_mask(node, rids)
     except UnsupportedExpression:
         return None
+
+
+def where_positions(where, relation):
+    """``(positions, path)``: the rows of ``relation`` satisfying ``where``.
+
+    The one in-memory WHERE: the compiled kernel when one exists
+    (``vectorized``), else the per-row interpreter (``interpreted``).
+    ``positions`` is an ascending ``intp`` array of row indices.
+    """
+    mask = try_predicate_mask(where, relation)
+    if mask is not None:
+        return np.flatnonzero(mask), "vectorized"
+    keep = np.fromiter(
+        (bool(eval_predicate(where, relation[rid])) for rid in range(len(relation))),
+        dtype=bool,
+        count=len(relation),
+    )
+    return np.flatnonzero(keep), "interpreted"
 
 
 def aggregate_value(node, relation, rids, weights=None):

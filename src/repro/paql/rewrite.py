@@ -110,9 +110,10 @@ class _Interval:
 
 
 def _number(value):
-    if float(value).is_integer():
+    # An int stays exact: float() of one past ~1.8e308 overflows.
+    if isinstance(value, float) and value.is_integer():
         return ast.Literal(int(value))
-    return ast.Literal(float(value))
+    return ast.Literal(value)
 
 
 def _numeric_literal(node):

@@ -15,7 +15,7 @@ from repro.relational.sharding import (
     ZoneStats,
     merge_zone_stats,
 )
-from repro.relational.sqlite_backend import Database, DatabaseError, load_database
+from repro.relational.sqlite_backend import Database, DatabaseError
 from repro.relational.types import ColumnType, infer_type
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "ZoneStats",
     "column_digest",
     "infer_type",
-    "load_database",
     "merge_digests",
     "merge_zone_stats",
     "range_fingerprint",

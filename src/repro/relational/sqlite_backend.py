@@ -2,11 +2,15 @@
 
 The PackageBuilder paper positions the system as "an external module
 which communicates with the DBMS, where the data resides, via SQL"
-(Section 4).  This module is that DBMS boundary.  Relations are
+(Section 4).  This module is that boundary for the paper's two SQL
+algorithms: the ``sql`` strategy's generate-and-validate self-join
+(:mod:`repro.core.sql_generate`) and the local-search replacement
+query (:func:`repro.core.local_search.sql_k_swap`).  Relations are
 materialized into sqlite tables with an explicit ``rid`` column that
-records the in-memory row index, so SQL-produced candidates (base
-constraint pushdown, local-search replacement queries) can be mapped
-back to :class:`repro.relational.relation.Relation` rows.
+records the in-memory row index, so SQL-produced packages map back to
+:class:`repro.relational.relation.Relation` rows.  Neither algorithm
+decides WHERE here: sqlite stores float NaN as NULL, so the engine's
+kernels choose the candidates and the SQL only reads their rids.
 
 Every identifier that reaches SQL text goes through
 :func:`repro.relational.schema.quote_ident`: schema validation already
@@ -15,24 +19,20 @@ restricts names to ASCII identifier characters, but a column named
 makes it (and any future caller-supplied temp-table name) safe to
 interpolate.
 
-Data moves in batches: :meth:`Database.load_relation` inserts
-``executemany`` chunks built straight from packed row tuples,
-:meth:`Database.fetch_relation` rebuilds the relation from
-``fetchmany`` batches without intermediate per-row dicts, and
-:meth:`Database.iter_rows` streams row batches for consumers that must
-never hold the whole table (the out-of-core path in
-:mod:`repro.relational.sql_relation`).
+:meth:`Database.load_relation` inserts ``executemany`` chunks built
+straight from packed row tuples.  The out-of-core relation, whose
+table is the data itself and is streamed in batches by
+:meth:`~repro.relational.sql_relation.SqlRelation.iter_batches`, lives
+in :mod:`repro.relational.sql_relation`.
 """
 
 from __future__ import annotations
 
 import sqlite3
 
-from repro.relational.relation import Relation
 from repro.relational.schema import quote_ident
-from repro.relational.types import ColumnType
 
-#: Rows per executemany / fetchmany chunk.  Large enough to amortize
+#: Rows per executemany chunk.  Large enough to amortize
 #: the sqlite statement overhead, small enough that a batch is noise
 #: next to the page cache.
 BATCH_ROWS = 4096
@@ -49,7 +49,7 @@ class Database:
 
         db = Database()                    # in-memory
         db.load_relation(recipes)
-        rids = db.select_rids("Recipes", "gluten = 'free'")
+        rows = db.execute("SELECT rid FROM Recipes WHERE rid < ?", (3,))
     """
 
     def __init__(self, path=":memory:"):
@@ -105,65 +105,11 @@ class Database:
         self._connection.commit()
         self._schemas[name] = relation.schema
 
-    def has_relation(self, name):
-        return name in self._schemas
-
     def schema_of(self, name):
         try:
             return self._schemas[name]
         except KeyError:
             raise DatabaseError(f"no relation {name!r} loaded") from None
-
-    def _coercers(self, schema):
-        """Per-column converters restoring engine value types."""
-        coercers = []
-        for column in schema:
-            if column.type is ColumnType.BOOL:
-                coercers.append(lambda v: None if v is None else bool(v))
-            elif column.type is ColumnType.FLOAT:
-                coercers.append(lambda v: None if v is None else float(v))
-            else:
-                coercers.append(lambda v: v)
-        return coercers
-
-    def fetch_relation(self, name, batch_rows=BATCH_ROWS):
-        """Read a previously loaded table back into a :class:`Relation`.
-
-        Bool columns (stored as 0/1 integers) are coerced back to
-        Python booleans via the remembered schema.  Rows stream out in
-        ``fetchmany`` batches and are packed straight into the
-        relation's internal tuple layout — no intermediate row dicts.
-        """
-        schema = self.schema_of(name)
-        coercers = self._coercers(schema)
-        packed = []
-        for batch in self.iter_rows(name, batch_rows=batch_rows):
-            packed.extend(
-                tuple(coerce(value) for coerce, value in zip(coercers, record))
-                for record in batch
-            )
-        return Relation._from_packed(name, schema, packed)
-
-    def iter_rows(self, name, batch_rows=BATCH_ROWS, where_sql=None):
-        """Yield row-tuple batches of table ``name`` in rid order.
-
-        Each batch is a list of value tuples in schema order (raw
-        sqlite values; callers needing engine types apply the schema's
-        coercions).  This is the streaming boundary: at no point does
-        the whole table exist in Python memory.
-        """
-        schema = self.schema_of(name)
-        columns = ", ".join(quote_ident(c) for c in schema.names)
-        sql = f"SELECT {columns} FROM {quote_ident(name)}"
-        if where_sql:
-            sql += f" WHERE {where_sql}"
-        sql += " ORDER BY rid"
-        cursor = self._connection.execute(sql)
-        while True:
-            batch = cursor.fetchmany(batch_rows)
-            if not batch:
-                return
-            yield [tuple(record) for record in batch]
 
     # -- querying ------------------------------------------------------------
 
@@ -178,28 +124,6 @@ class Database:
             return cursor.fetchall()
         except sqlite3.Error as exc:
             raise DatabaseError(f"SQL failed: {exc}\n  sql: {sql}") from exc
-
-    def select_rids(self, name, where_sql=None, params=()):
-        """Return rids of rows in table ``name`` matching ``where_sql``.
-
-        This is base-constraint pushdown: the WHERE clause of a PaQL
-        query, rendered to SQL by :mod:`repro.paql.to_sql`, runs inside
-        the DBMS and only the surviving row ids come back.
-        """
-        self.schema_of(name)  # raises if unknown
-        sql = f"SELECT rid FROM {quote_ident(name)}"
-        if where_sql:
-            sql += f" WHERE {where_sql}"
-        sql += " ORDER BY rid"
-        return [record["rid"] for record in self.execute(sql, params)]
-
-    def aggregate(self, name, expression_sql, where_sql=None):
-        """Compute a single SQL aggregate over a table, e.g. MIN(calories)."""
-        sql = f"SELECT {expression_sql} AS value FROM {quote_ident(name)}"
-        if where_sql:
-            sql += f" WHERE {where_sql}"
-        rows = self.execute(sql)
-        return rows[0]["value"] if rows else None
 
     def create_temp_package_table(self, table_name, relation_name, rids):
         """Materialize a candidate package as a temp table of rids.
@@ -223,10 +147,3 @@ class Database:
         self._connection.execute(f"DROP TABLE IF EXISTS {quote_ident(table_name)}")
         self._connection.commit()
 
-
-def load_database(relations, path=":memory:"):
-    """Create a :class:`Database` and load every relation in ``relations``."""
-    db = Database(path)
-    for relation in relations:
-        db.load_relation(relation)
-    return db

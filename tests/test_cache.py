@@ -3,7 +3,10 @@ keeps them the only ones."""
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -14,9 +17,10 @@ from repro.core.artifact_store import (
     ArtifactStore,
 )
 from repro.core.cache import ArtifactLayer, BoundedCache
-from repro.core.engine import EngineOptions, evaluate
+from repro.core.engine import EngineOptions, PackageQueryEvaluator, evaluate
 from repro.core.parallel import ENGINE_BACKENDS
-from repro.core.session import ArtifactCache
+from repro.core.session import ArtifactCache, EvaluationSession
+from repro.core.strategies import EvaluationContext
 from repro.datasets import clustered_relation
 
 
@@ -172,6 +176,27 @@ class TestOnlyOneOfEach:
         assert self._files_containing("translation_key") == set()
         assert self._files_containing("zone_source") == set()
         assert self._files_containing("derived_artifacts") == set()
+
+    def test_one_where_judge(self):
+        # WHERE is decided by the engine's kernels (or the pushdown
+        # recheck, which runs them): sqlite stores NaN as NULL, so no
+        # path may hand the rendered clause to the database and trust
+        # its answer.
+        for entry_point in (
+            PackageQueryEvaluator.__init__,
+            EvaluationSession.__init__,
+            evaluate,
+        ):
+            assert "db" not in inspect.signature(entry_point).parameters
+        assert "db" not in {
+            field.name for field in dataclasses.fields(EvaluationContext)
+        }
+        assert self._files_containing("select_rids") == set()
+        returns_sql_path = re.compile(r"""return\b[^\n]*,\s*["']sql["']\s*,""")
+        assert not any(
+            returns_sql_path.search(path.read_text(encoding="utf-8"))
+            for path in self.SRC.rglob("*.py")
+        )
 
     def test_process_backend_is_gone_not_silently_serial(self):
         assert "process" not in ENGINE_BACKENDS

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import EngineError, EngineOptions, PackageQueryEvaluator, ResultStatus
 from repro.core.engine import evaluate
-from repro.relational import ColumnType, Database, Relation, Schema
+from repro.relational import ColumnType, Relation, Schema
 
 from tests.conftest import HEADLINE
 
@@ -46,19 +46,6 @@ class TestPipeline:
 
 
 class TestBasePushdown:
-    def test_sql_and_python_filtering_agree(self, meals):
-        in_memory = PackageQueryEvaluator(meals)
-        with Database() as db:
-            pushed = PackageQueryEvaluator(meals, db=db)
-            query = in_memory.prepare(HEADLINE)
-            assert in_memory.candidates(query) == pushed.candidates(query)
-
-    def test_results_identical_with_db(self, meals):
-        plain = evaluate(HEADLINE, meals)
-        with Database() as db:
-            with_db = PackageQueryEvaluator(meals, db=db).evaluate(HEADLINE)
-        assert plain.objective == pytest.approx(with_db.objective)
-
     def test_no_where_selects_everything(self, meals):
         evaluator = PackageQueryEvaluator(meals)
         query = evaluator.prepare("SELECT PACKAGE(R) FROM Recipes R")

@@ -21,7 +21,8 @@ from repro.datasets import (
     generate_stocks,
     generate_travel_products,
 )
-from repro.relational import ColumnType, Database, Relation, Schema
+from repro.relational import ColumnType, Relation, Schema
+from repro.relational.sql_relation import SqlRelation
 from repro.solver import scipy_available
 
 
@@ -38,11 +39,13 @@ class TestPaperScenarios:
 
     def test_meal_planner_through_dbms(self):
         recipes = generate_recipes(200)
-        with Database() as db:
-            result = PackageQueryEvaluator(recipes, db=db).evaluate(
-                MEAL_PLANNER_QUERY
+        with SqlRelation.from_relation(recipes) as sql:
+            result = PackageQueryEvaluator(sql).evaluate(
+                MEAL_PLANNER_QUERY, EngineOptions(pushdown="always")
             )
         assert result.status is ResultStatus.OPTIMAL
+        assert result.stats["where_path"] == "sql-pushdown"
+        assert result.objective == evaluate(MEAL_PLANNER_QUERY, recipes).objective
 
     def test_vacation_planner_disjunction(self):
         travel = generate_travel_products()

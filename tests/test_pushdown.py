@@ -21,9 +21,8 @@ from repro.core.ir import STAGE_STREAM, STAGE_WHERE
 from repro.core.reduction import minmax_fixing_sql
 from repro.core.result import EngineError, ResultStatus
 from repro.core.session import EvaluationSession
-from repro.core.vectorize import OverflowPrecisionWarning, try_predicate_mask
+from repro.core.vectorize import OverflowPrecisionWarning, where_positions
 from repro.paql import ast
-from repro.paql.eval import eval_predicate
 from repro.paql.parser import parse
 from repro.paql.semantics import analyze
 from repro.relational.relation import Relation
@@ -47,14 +46,7 @@ def query_for(where_fragment):
 
 
 def in_memory_candidates(relation, query):
-    mask = try_predicate_mask(query.where, relation)
-    if mask is not None:
-        return np.flatnonzero(mask).tolist()
-    return [
-        rid
-        for rid in range(len(relation))
-        if eval_predicate(query.where, relation[rid])
-    ]
+    return where_positions(query.where, relation)[0].tolist()
 
 
 #: WHERE fragments spanning every pushdown hazard: NaN-poisoned float
@@ -438,6 +430,37 @@ class TestEngineParity:
         assert result.objective == expected.objective
         assert result.package.counts == expected.package.counts
 
+    def test_nan_under_not_agrees_on_every_path(self):
+        # sqlite stores NaN as NULL, so NOT (v > 5) is unknown there for
+        # the NaN rows the engine keeps; only kernels may decide WHERE.
+        schema = Schema.of(id=ColumnType.INT, v=ColumnType.FLOAT)
+        relation = Relation(
+            "T",
+            schema,
+            [
+                {"id": i, "v": math.nan if i % 3 == 0 else float(i)}
+                for i in range(12)
+            ],
+        )
+        sql = SqlRelation.from_relation(relation, zone_rows=5)
+        text = (
+            "SELECT PACKAGE(T) FROM T WHERE NOT (T.v > 5) "
+            "SUCH THAT COUNT(*) = 4 MINIMIZE SUM(T.id)"
+        )
+        results = [
+            PackageQueryEvaluator(relation).evaluate(
+                text, EngineOptions(strategy=strategy)
+            )
+            for strategy in ("auto", "sql", "brute-force")
+        ] + [
+            PackageQueryEvaluator(sql).evaluate(text, EngineOptions(pushdown=mode))
+            for mode in ("always", "materialize")
+        ]
+        for result in results:
+            assert result.status is ResultStatus.OPTIMAL
+            assert result.objective == 6.0
+            assert result.candidate_count == 8
+
     def test_no_where_still_evaluates(self, twin):
         relation, sql = twin
         text = (
@@ -482,10 +505,3 @@ class TestSessionIntegration:
                 [{"label": "new", "calories": 1.0, "servings": 1, "vegan": True}]
             )
         session.close()
-
-    def test_attached_database_rejected(self):
-        from repro.relational.sqlite_backend import Database
-
-        sql = SqlRelation.from_relation(Relation("Meals", SCHEMA, clean_rows(10)))
-        with pytest.raises(EngineError, match="sql-backed"):
-            PackageQueryEvaluator(sql, db=Database())

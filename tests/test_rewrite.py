@@ -54,6 +54,12 @@ class TestConstantFolding:
         node, _ = rewritten("calories <= -(3 + 4)")
         assert node == parse_expression("calories <= -7")
 
+    def test_int_past_float_range_folds(self):
+        # 0.00390625 / 2.225073858507e-311 folds to an integral double
+        # near 1.8e308; doubling it exactly once raised OverflowError.
+        node, _ = rewritten("0 = 2 * (0.00390625 / 2.225073858507e-311)")
+        assert node == ast.Literal(False)
+
 
 class TestBooleanSimplification:
     def test_true_absorbed_in_and(self):

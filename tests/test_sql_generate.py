@@ -1,11 +1,14 @@
 """Tests for SQL-based candidate generation (paper evaluation option (i))."""
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
     EngineOptions,
+    PackageQueryEvaluator,
     SQLGenerateUnsupported,
     build_generate_sql,
     find_best,
@@ -196,6 +199,20 @@ class TestUnsupportedFragment:
         with pytest.raises(SQLGenerateUnsupported, match="set semantics"):
             build_generate_sql(query, rel, [0], 2, False)
 
+    def test_nan_aggregate_argument_rejected(self):
+        # Probe 3: sqlite would read the NaN rows' SUM(value) as 0.
+        rel = id_value_relation(
+            [math.nan if i % 3 == 0 else i for i in range(9)]
+        )
+        text = (
+            "SELECT PACKAGE(T) FROM T SUCH THAT COUNT(*) = 2 AND "
+            "SUM(T.value) <= 100 MINIMIZE SUM(T.id)"
+        )
+        with pytest.raises(SQLGenerateUnsupported, match="NaN"):
+            evaluate(text, rel, options=EngineOptions(strategy="sql"))
+        exact = evaluate(text, rel, options=EngineOptions(strategy="brute-force"))
+        assert exact.objective == 3.0
+
     def test_minmax_with_nulls_rejected(self):
         rel = value_relation([10, None])
         query = analyzed(
@@ -217,46 +234,74 @@ class TestEngineIntegration:
         assert via_sql.objective == pytest.approx(via_ilp.objective)
         assert via_sql.strategy == "sql"
 
-    def test_sql_strategy_with_attached_db(self, meals, headline_query):
-        from repro.core import PackageQueryEvaluator
 
-        with Database() as db:
-            evaluator = PackageQueryEvaluator(meals, db=db)
-            result = evaluator.evaluate(
-                headline_query, EngineOptions(strategy="sql")
-            )
-        assert result.found
+def id_value_relation(values):
+    schema = Schema.of(id=ColumnType.INT, value=ColumnType.FLOAT)
+    return Relation(
+        "T",
+        schema,
+        [{"id": i, "value": float(v)} for i, v in enumerate(values)],
+    )
+
+
+#: Probe 2: NaN rows pass NOT (value > 5) in the engine, while sqlite
+#: (which stores NaN as NULL) would drop them; rid 0 is in the optimum.
+NAN_UNDER_NOT = (
+    [math.nan, 1, 2, math.nan, 4, 5, math.nan, 7, 8],
+    "SELECT PACKAGE(T) FROM T WHERE NOT (T.value > 5) "
+    "SUCH THAT COUNT(*) = 2 MINIMIZE SUM(T.id)",
+)
 
 
 @st.composite
 def sql_instances(draw):
     n = draw(st.integers(3, 6))
-    values = draw(st.lists(st.integers(1, 60), min_size=n, max_size=n))
+    values = draw(
+        st.lists(
+            st.one_of(st.integers(1, 60), st.just(math.nan)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    where = draw(
+        st.sampled_from(
+            ["", f"WHERE NOT (T.value > {draw(st.integers(1, 60))}) "]
+        )
+    )
+    column = draw(st.sampled_from(["id", "value"]))
     count_high = draw(st.integers(1, 3))
     op = draw(st.sampled_from(["<=", ">="]))
     rhs = draw(st.integers(10, 150))
     direction = draw(st.sampled_from(["MAXIMIZE", "MINIMIZE"]))
     text = (
-        f"SELECT PACKAGE(T) FROM T SUCH THAT "
-        f"COUNT(*) BETWEEN 1 AND {count_high} AND SUM(T.value) {op} {rhs} "
-        f"{direction} SUM(T.value)"
+        f"SELECT PACKAGE(T) FROM T {where}SUCH THAT "
+        f"COUNT(*) BETWEEN 1 AND {count_high} AND SUM(T.{column}) {op} {rhs} "
+        f"{direction} SUM(T.{column})"
     )
     return values, text
 
 
 class TestRandomizedAgreement:
     @given(sql_instances())
+    @example(NAN_UNDER_NOT)
     @settings(max_examples=40, deadline=None)
     def test_sql_matches_brute_force(self, instance):
         values, text = instance
-        rel = value_relation(values)
+        rel = id_value_relation(values)
         query = analyzed(text, rel)
+        candidates = PackageQueryEvaluator(rel).candidates(query)
+        exact = find_best(query, rel, candidates)
         db = db_for(rel)
         try:
-            via_sql = sql_find_best(db, query, rel, range(len(values)))
+            if "SUM(T.value)" in text and any(
+                math.isnan(values[rid]) for rid in candidates
+            ):
+                with pytest.raises(SQLGenerateUnsupported, match="NaN"):
+                    sql_find_best(db, query, rel, candidates)
+                return
+            via_sql = sql_find_best(db, query, rel, candidates)
         finally:
             db.close()
-        exact = find_best(query, rel, range(len(values)))
         if exact is None:
             assert via_sql is None
         else:

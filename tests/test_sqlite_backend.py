@@ -9,7 +9,6 @@ from repro.relational import (
     DatabaseError,
     Relation,
     Schema,
-    load_database,
 )
 
 
@@ -31,20 +30,32 @@ def rel():
     return Relation("T", schema, rows)
 
 
+def stored_rows(db, name):
+    """The stored table, in rid order, as value tuples (bools as 0/1)."""
+    return [
+        tuple(row)
+        for row in db.execute(f"SELECT * FROM {name} ORDER BY rid")
+    ]
+
+
 class TestLoadAndFetch:
     def test_round_trip_preserves_values(self, rel):
         with Database() as db:
             db.load_relation(rel)
-            back = db.fetch_relation("T")
-        assert back.rows() == rel.rows()
+            stored = stored_rows(db, "T")
+        assert stored == [
+            (0, "a", 1.5, 1, 3),
+            (1, "b", None, 0, 1),
+            (2, "c", -2.0, None, 7),
+        ]
 
-    def test_bools_round_trip_as_python_bools(self, rel):
+    def test_bools_stored_as_integers(self, rel):
         with Database() as db:
             db.load_relation(rel)
-            back = db.fetch_relation("T")
-        assert back[0]["active"] is True
-        assert back[1]["active"] is False
-        assert back[2]["active"] is None
+            stored = [row[3] for row in stored_rows(db, "T")]
+        # Stored as 0/1 integers; NULL stays NULL.
+        assert stored == [1, 0, None]
+        assert [type(value) for value in stored] == [int, int, type(None)]
 
     def test_int_valued_floats_come_back_as_floats(self):
         rel = Relation(
@@ -54,66 +65,34 @@ class TestLoadAndFetch:
         )
         with Database() as db:
             db.load_relation(rel)
-            back = db.fetch_relation("F")
-        assert isinstance(back[0]["v"], float)
+            (row,) = db.execute("SELECT v FROM F")
+        assert isinstance(row["v"], float)
 
     def test_replace_reloads(self, rel):
         with Database() as db:
             db.load_relation(rel)
             smaller = rel.take([0], name="T")
             db.load_relation(smaller)
-            assert len(db.fetch_relation("T")) == 1
-
-    def test_has_relation(self, rel):
-        with Database() as db:
-            assert not db.has_relation("T")
-            db.load_relation(rel)
-            assert db.has_relation("T")
+            assert len(stored_rows(db, "T")) == 1
 
     def test_unknown_relation_raises(self):
         with Database() as db:
             with pytest.raises(DatabaseError, match="no relation"):
-                db.fetch_relation("missing")
-
-    def test_load_database_helper(self, rel):
-        db = load_database([rel])
-        assert db.has_relation("T")
-        db.close()
+                db.create_temp_package_table("pkg", "missing", [0])
 
 
 class TestQuerying:
-    def test_select_rids_all(self, rel):
+    def test_execute_binds_params(self, rel):
         with Database() as db:
             db.load_relation(rel)
-            assert db.select_rids("T") == [0, 1, 2]
-
-    def test_select_rids_filtered(self, rel):
-        with Database() as db:
-            db.load_relation(rel)
-            assert db.select_rids("T", "count > 2") == [0, 2]
-
-    def test_select_rids_with_params(self, rel):
-        with Database() as db:
-            db.load_relation(rel)
-            assert db.select_rids("T", "name = ?", ("b",)) == [1]
-
-    def test_select_rids_unknown_table(self):
-        with Database() as db:
-            with pytest.raises(DatabaseError):
-                db.select_rids("missing")
+            rows = db.execute("SELECT rid FROM T WHERE name = ?", ("b",))
+            assert [row["rid"] for row in rows] == [1]
 
     def test_bad_sql_wrapped(self, rel):
         with Database() as db:
             db.load_relation(rel)
             with pytest.raises(DatabaseError, match="SQL failed"):
                 db.execute("SELECT nope FROM T")
-
-    def test_aggregate(self, rel):
-        with Database() as db:
-            db.load_relation(rel)
-            assert db.aggregate("T", "MIN(count)") == 1
-            assert db.aggregate("T", "MAX(value)") == 1.5
-            assert db.aggregate("T", "SUM(count)", "count > 1") == 10
 
 
 class TestPackageTempTable:

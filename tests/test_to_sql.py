@@ -117,6 +117,11 @@ DB = Database()
 DB.load_relation(RELATION)
 
 
+def sqlite_rids(sql, params):
+    rows = DB.execute(f"SELECT rid FROM T WHERE {sql} ORDER BY rid", params)
+    return [row["rid"] for row in rows]
+
+
 class TestSqliteEquivalence:
     @given(predicates())
     @settings(max_examples=200, deadline=None)
@@ -132,8 +137,7 @@ class TestSqliteEquivalence:
             # erroring, so the comparison is not meaningful there.
             return
         sql, params = to_sql(predicate)
-        sqlite_rids = DB.select_rids("T", sql, params)
-        assert sqlite_rids == python_rids, (sql, params)
+        assert sqlite_rids(sql, params) == python_rids, (sql, params)
 
     def test_headline_base_constraint(self):
         predicate = parse_expression("gluten = 'free'")
@@ -142,4 +146,4 @@ class TestSqliteEquivalence:
             for rid in range(len(RELATION))
             if eval_predicate(predicate, RELATION[rid])
         ]
-        assert DB.select_rids("T", *to_sql(predicate)) == python_rids
+        assert sqlite_rids(*to_sql(predicate)) == python_rids
