@@ -33,7 +33,7 @@ import sys
 
 from repro.core.engine import EngineError, EngineOptions, PackageQueryEvaluator
 from repro.core.enumeration import diverse_subset, enumerate_top
-from repro.core.parallel import ENGINE_BACKENDS
+from repro.core.parallel import BACKENDS
 from repro.core.strategies import all_strategies, strategy_names
 from repro.core.translate_ilp import ILPTranslationError
 from repro.core.validator import objective_value
@@ -760,13 +760,10 @@ def build_parser():
         command.add_argument(
             "--parallel-backend",
             default="thread",
-            choices=list(ENGINE_BACKENDS),
+            choices=list(BACKENDS),
             help=(
                 "execution backend for shard-parallel stages: thread "
-                "(default), shm-process "
-                "(zero-copy shared-memory workers; degrades to thread "
-                "with the reason recorded in stats['parallel']), or "
-                "serial"
+                "(default) or serial"
             ),
         )
         command.add_argument(
@@ -1046,7 +1043,7 @@ def build_parser():
     serve.add_argument(
         "--parallel-backend",
         default="thread",
-        choices=list(ENGINE_BACKENDS),
+        choices=list(BACKENDS),
         help="parallel backend for shard-parallel stages",
     )
     serve.set_defaults(func=_cmd_serve)

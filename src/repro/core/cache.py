@@ -1,10 +1,9 @@
 """The one bounded cache and the one tiered artifact layer.
 
 Every in-memory cache in the engine — session artifact layers, the
-out-of-core scan and resident memos, shared-memory scratch exports on
-both sides of the worker pool — is a :class:`BoundedCache`: one LRU,
-one lock, one stats shape.  :class:`ArtifactLayer` stacks one of them
-over one layer of a durable
+out-of-core scan and resident memos — is a :class:`BoundedCache`: one
+LRU, one lock, one stats shape.  :class:`ArtifactLayer` stacks one of
+them over one layer of a durable
 :class:`~repro.core.artifact_store.ArtifactStore`, which is the only
 place the read-through / write-through rule is written down.
 """
@@ -29,7 +28,7 @@ class BoundedCache:
 
     ``on_evict(key, value)`` runs once for every entry that leaves
     through a bound or through :meth:`clear` — entries that own a
-    resource (a shared-memory export) release it there.  It runs under
+    resource (an open file, a handle) release it there.  It runs under
     the cache's lock, so it must not call back into the cache.
 
     Thread-safe: the LRU bookkeeping (``move_to_end``, eviction, the

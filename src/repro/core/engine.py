@@ -49,14 +49,10 @@ from repro.core.vectorize import evaluator_for, where_positions
 from repro.core.ir import records_payload
 from repro.core.local_search import LocalSearch, LocalSearchOptions
 from repro.core.parallel import (
-    ShmExecutionContext,
-    ShmUnavailable,
+    BACKENDS,
     collect_parallel_events,
     effective_workers,
-    note_parallel_event,
     parallel_map,
-    pool_backend,
-    shm_worker_state,
 )
 from repro.core.partitioning import PartitionOptions
 from repro.core.pipeline import dispatch_strategy, run_analysis, run_validate
@@ -106,12 +102,10 @@ class EngineOptions:
         workers: workers for shard- and partition-parallel stages;
             0 means one per available CPU, 1 forces serial execution.
         parallel_backend: execution backend for those stages —
-            ``thread`` (default; numpy kernels release the GIL),
-            ``shm-process`` (zero-copy shared-memory workers that
-            attach to the relation once — the multi-core scan path,
-            see ``docs/sharding.md``), or ``serial``.  Backends never
-            change results; every degradation (e.g. shared memory
-            unavailable) is recorded in ``stats["parallel"]``.
+            ``thread`` (default; numpy kernels release the GIL) or
+            ``serial``.  Checked on construction.  Backends never
+            change results; every degradation (e.g. a thread pool
+            that cannot start) is recorded in ``stats["parallel"]``.
         reduce: candidate-space reduction mode (``docs/reduction.md``):
             ``safe`` (the default) fixes out tuples the global
             constraints prove absent from every acceptable package —
@@ -143,6 +137,13 @@ class EngineOptions:
     parallel_backend: str = "thread"
     pushdown: str = "auto"
 
+    def __post_init__(self):
+        if self.parallel_backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {self.parallel_backend!r} "
+                f"(choose from {BACKENDS})"
+            )
+
 
 class PackageQueryEvaluator:
     """Evaluates PaQL queries over one relation.
@@ -163,8 +164,6 @@ class PackageQueryEvaluator:
         self._relation = relation
         self._sharded = None
         self._artifacts = artifacts
-        self._shm_ctx = None
-        self._shm_failure = None
         # Out-of-core scan results (sql-backed relations only): the
         # last few WHERE outcomes keyed by clause, and the last
         # streamed resident sets keyed by candidate content.  Small
@@ -172,9 +171,9 @@ class PackageQueryEvaluator:
         self._scan_cache = BoundedCache(4)
         self._stream_cache = BoundedCache(2)
         # Serializes the evaluator's lazily-built shared state — the
-        # cached ShardedRelation and the shm execution context — under
-        # concurrent callers (one session serving many threads).  Held
-        # only around build/teardown, never around query work.
+        # cached ShardedRelation — under concurrent callers (one
+        # session serving many threads).  Held only around the build,
+        # never around query work.
         self._shared_state_lock = threading.RLock()
 
     # -- helpers --------------------------------------------------------------
@@ -219,64 +218,14 @@ class PackageQueryEvaluator:
             )
         self._sharded = sharded
 
-    def execution_context(self, options):
-        """The shared-memory execution context for ``options``, or ``None``.
-
-        Created lazily on the first sharded evaluation with
-        ``parallel_backend="shm-process"`` and cached for the
-        evaluator's lifetime (the export and the worker pool amortize
-        across queries — the session workload).  Rebuilt when the
-        requested worker count changes; any creation failure is
-        recorded as a parallel event once and cached so later calls
-        degrade instantly instead of retrying a broken host.
-        """
-        if (
-            options is None
-            or getattr(options, "parallel_backend", "thread") != "shm-process"
-            or getattr(options, "shards", 1) <= 1
-        ):
-            return None
-        requested = getattr(options, "workers", 0)
-        with self._shared_state_lock:
-            if self._shm_ctx is not None:
-                ctx, ctx_requested = self._shm_ctx
-                if ctx.alive and ctx_requested == requested:
-                    return ctx
-                # Rebuild only when no concurrent caller can still be
-                # mapping on the old context: closing it out from under
-                # them would turn their in-flight maps into recorded
-                # thread fallbacks mid-query for a mere worker-count
-                # change.  Leave the old context in place for this call
-                # (the thread pool covers it); the next quiet moment
-                # (or close()) retires it.
-                if ctx.alive and ctx.busy:
-                    return ctx
-                ctx.close()
-                self._shm_ctx = None
-            if self._shm_failure is not None:
-                note_parallel_event("shm-process", self._shm_failure)
-                return None
-            try:
-                ctx = ShmExecutionContext.create(self._relation, requested)
-            except ShmUnavailable as exc:
-                self._shm_failure = f"{exc}; degraded to the thread backend"
-                note_parallel_event("shm-process", self._shm_failure)
-                return None
-            self._shm_ctx = (ctx, requested)
-            return ctx
-
     def close(self):
-        """Release owned resources (the shm export + worker pool).
+        """Release owned resources; idempotent.
 
-        Idempotent; the evaluator remains usable afterwards (a later
-        shm evaluation recreates the context).  Sessions call this
-        from their own ``close()``.
+        Nothing needs releasing — shard scans run on threads over the
+        relation's own arrays — but callers that manage evaluator
+        lifetimes, and ``with`` blocks, may treat every evaluator as
+        closeable.
         """
-        with self._shared_state_lock:
-            if self._shm_ctx is not None:
-                ctx, _ = self._shm_ctx
-                ctx.close()
-                self._shm_ctx = None
 
     def __enter__(self):
         return self
@@ -428,12 +377,6 @@ class PackageQueryEvaluator:
         elementwise).  Shards the zone-map analysis proves cannot
         contain a match are skipped without touching their data.
 
-        With ``parallel_backend="shm-process"`` the live shards are
-        dispatched to the persistent attached workers — each task spec
-        is ``(where AST, shard count, shard index)``, a few hundred
-        bytes — and merged in the identical shard order; any pool
-        failure degrades to the thread path with a recorded event.
-
         With a durable artifact store attached, each live shard's
         partial result is first looked up by ``(shard content
         fingerprint, clause)`` — rids are stored shard-relative so the
@@ -475,32 +418,17 @@ class PackageQueryEvaluator:
                         relative, dtype=np.intp
                     )
 
-        pieces = None
-        backend = pool_backend(options)
-        workers = effective_workers(options.workers, max(1, len(pending)))
-        shm = self.execution_context(options) if len(pending) > 1 else None
-        if shm is not None:
-            specs = [(query.where, options.shards, index) for index in pending]
-            try:
-                pieces = shm.map(_shm_where_scan, specs)
-                backend = "shm-process"
-                workers = min(shm.workers, max(1, len(pending)))
-            except ShmUnavailable as exc:
-                note_parallel_event(
-                    "shm-process", f"{exc}; WHERE scan ran on threads"
-                )
-                pieces = None
+        def shard_rids(index):
+            part = sharded.shard_slice(index)
+            mask = evaluator.predicate_mask(query.where, part)
+            return part.start + np.flatnonzero(mask)
 
-        if pieces is None:
-
-            def shard_rids(index):
-                part = sharded.shard_slice(index)
-                mask = evaluator.predicate_mask(query.where, part)
-                return part.start + np.flatnonzero(mask)
-
-            pieces = parallel_map(
-                shard_rids, pending, workers=options.workers, backend=backend
-            )
+        pieces = parallel_map(
+            shard_rids,
+            pending,
+            workers=options.workers,
+            backend=options.parallel_backend,
+        )
         for index, piece in zip(pending, pieces):
             by_shard[index] = piece
             if use_store:
@@ -519,8 +447,10 @@ class PackageQueryEvaluator:
             "count": sharded.num_shards,
             "evaluated": len(live),
             "skipped": sharded.num_shards - len(live),
-            "workers": workers,
-            "backend": backend,
+            "workers": effective_workers(
+                options.workers, max(1, len(pending))
+            ),
+            "backend": options.parallel_backend,
         }
         if use_store:
             shard_info["scanned"] = len(pending)
@@ -672,22 +602,6 @@ class PackageQueryEvaluator:
         result.objective = report.objective
 
 
-def _shm_where_scan(spec):
-    """shm-process worker task: one shard's WHERE scan.
-
-    ``spec`` is ``(where AST, shard count, shard index)`` — bytes on
-    the wire; the relation comes from the worker's one-time attach.
-    Returns absolute rids, exactly what the in-process shard task
-    produces (the kernels are elementwise, so bit-identical).
-    """
-    where, shards, index = spec
-    state = shm_worker_state()
-    sharded = state.sharded(shards)
-    part = sharded.shard_slice(index)
-    mask = evaluator_for(state.relation).predicate_mask(where, part)
-    return part.start + np.flatnonzero(mask)
-
-
 def evaluate(
     query_text,
     relation,
@@ -708,7 +622,7 @@ def evaluate(
             reduction mode (``off`` | ``safe`` | ``aggressive``).
         parallel_backend: shortcut for
             ``EngineOptions.parallel_backend`` (``thread`` |
-            ``shm-process`` | ``serial``).
+            ``serial``).
 
     All shortcuts override the corresponding field of ``options``
     when given.
@@ -726,10 +640,4 @@ def evaluate(
         from dataclasses import replace
 
         options = replace(options or EngineOptions(), **overrides)
-    evaluator = PackageQueryEvaluator(relation)
-    try:
-        return evaluator.evaluate(query_text, options)
-    finally:
-        # One-shot calls own no session: any shm export/pool created
-        # for this query is torn down (unlinked) before returning.
-        evaluator.close()
+    return PackageQueryEvaluator(relation).evaluate(query_text, options)

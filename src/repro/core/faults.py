@@ -12,9 +12,6 @@ site               where it fires
 ``store.read``     :meth:`ArtifactStore.get` / ``load_entry`` before disk I/O
 ``store.write``    :meth:`ArtifactStore.put` before the temp-file write
 ``store.fsync``    :meth:`ArtifactStore.put` between write and atomic rename
-``shm.export``     :meth:`ShmExecutionContext.create` before segment export
-``shm.attach``     shm worker initializer, before attaching the relation
-``pool.task``      inside every shm-process worker task, before the work
 ``server.execute`` :meth:`PackageQueryServer._execute` before evaluation
 =================  ==========================================================
 
@@ -31,9 +28,10 @@ each with a firing probability, an optional cap on total fires, and an
   interprets it by writing a checksum-invalid entry (a torn write that
   an ``os.replace`` crash could leave behind), which the read path
   must *reject*, never serve;
-* ``kill``   — ``os._exit`` the current process.  Meaningful inside
-  shm-process workers (the parent sees ``BrokenProcessPool`` and must
-  supervise: respawn, retry, or degrade to threads).
+* ``kill``   — ``os._exit`` the current process.  Meaningful inside a
+  writer subprocess armed from the environment: a kill at
+  ``store.fsync`` dies between write and rename, leaving the orphan
+  temp file that store recovery must clean up.
 
 Determinism: every rule draws from its own ``random.Random`` seeded
 with ``"{plan seed}:{site}"``, so a plan replays the identical fire
@@ -52,13 +50,15 @@ Arming:
       with inject(FaultPlan.from_spec("store.write:0.5:2:enospc", seed=7)):
           ...
 
-* via environment, for chaos CI and spawned worker processes::
+* via environment, for chaos CI and subprocesses::
 
-      REPRO_FAULTS="seed=7,store.read:0.2,pool.task:0.1:1:kill" pytest ...
+      REPRO_FAULTS="seed=7,store.read:0.2,store.fsync:0.1:1:kill" pytest ...
 
   The module arms itself from ``REPRO_FAULTS`` at import time, which
-  is what carries a plan into spawn-context shm workers (they import
-  this module afresh and parse the same environment).
+  is what carries a plan into a child process started with that
+  environment — the crash-recovery tests' writer subprocess imports
+  this module afresh and parses the same plan, with no arming code of
+  its own.
 
 Disarmed cost: :func:`fault_point` is one module-global load and a
 ``None`` check.  Every store read and write passes one, so the
@@ -89,9 +89,6 @@ SITES = (
     "store.read",
     "store.write",
     "store.fsync",
-    "shm.export",
-    "shm.attach",
-    "pool.task",
     "server.execute",
 )
 
@@ -185,7 +182,7 @@ class FaultPlan:
             "store.write"                       # always fire, forever
             "store.read:0.2"                    # 20% of reads
             "store.write:1.0:2:enospc"          # first two writes ENOSPC
-            "seed=7,pool.task:0.1:1:kill"       # one worker kill, p=0.1
+            "seed=7,store.fsync:0.1:1:kill"     # one writer kill, p=0.1
         """
         rules = []
         parsed_seed = 0
@@ -284,7 +281,7 @@ def fault_point(site):
     Disarmed (no active plan): one global load + ``None`` check.
     Armed: draws the site's rule; on fire, ``error``/``enospc``/
     ``eacces`` raise :class:`InjectedFault`, ``kill`` exits the
-    process (simulating a crashed worker), and ``torn`` is *returned*
+    process (simulating a crashed writer), and ``torn`` is *returned*
     for the call site to interpret.  Returns ``None`` when nothing
     fires.
     """
@@ -302,7 +299,7 @@ def fault_point(site):
 
 
 def arm_from_env(environ=None):
-    """Install a plan from ``REPRO_FAULTS`` (chaos CI / spawned workers).
+    """Install a plan from ``REPRO_FAULTS`` (chaos CI / subprocesses).
 
     No-op when the variable is unset or a plan is already installed
     (an explicitly injected plan wins over the environment).  Returns
@@ -318,6 +315,7 @@ def arm_from_env(environ=None):
     return _PLAN
 
 
-# Spawn-context worker processes import this module afresh: arming at
-# import time is what carries REPRO_FAULTS into them.
+# A child process started with REPRO_FAULTS in its environment (the
+# crash-recovery tests' writer subprocess) imports this module afresh:
+# arming at import time is what carries the plan into it.
 arm_from_env()

@@ -25,13 +25,6 @@ Backends:
 
 * ``thread`` (default) — the hot per-task work is numpy kernels, which
   release the GIL on large arrays.
-* ``shm-process`` — the zero-copy multi-core path: a persistent
-  spawn-safe :class:`ShmPool` whose workers attach *once* to a
-  relation exported through :mod:`repro.relational.shm`, then receive
-  only compiled task specs — per-task IPC is bytes, never the
-  relation.  Owned by an :class:`ShmExecutionContext` (engine /
-  session lifetime); every failure mode degrades to the thread
-  backend with a recorded event.
 * ``serial`` — always the plain loop.
 """
 
@@ -39,34 +32,22 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from dataclasses import dataclass
 
-from repro.core import faults
-from repro.core.cache import BoundedCache
-
 __all__ = [
+    "BACKENDS",
     "ExecutorPool",
     "ParallelOptions",
-    "ShmExecutionContext",
-    "ShmPool",
-    "ShmUnavailable",
     "chunk_slices",
     "collect_parallel_events",
     "effective_workers",
     "note_parallel_event",
     "parallel_map",
-    "pool_backend",
-    "shm_worker_state",
 ]
 
-#: Recognized ``ParallelOptions.backend`` spellings (``shm-process`` is
-#: dispatched by the engine through :class:`ShmExecutionContext`, and
-#: maps to ``thread`` inside the ordinary pool — see :func:`pool_backend`).
+#: Recognized backend spellings, for ``ParallelOptions.backend`` and
+#: ``EngineOptions.parallel_backend`` alike.
 BACKENDS = ("thread", "serial")
-
-#: Engine-level backend spellings (``EngineOptions.parallel_backend``).
-ENGINE_BACKENDS = ("thread", "shm-process", "serial")
 
 
 def available_cpus():
@@ -160,18 +141,6 @@ def note_parallel_event(backend, fallback, task=None):
         entry["task"] = task
     if entry not in events:
         events.append(entry)
-
-
-def pool_backend(options):
-    """The :class:`ExecutorPool` backend for an ``EngineOptions``.
-
-    ``shm-process`` is dispatched by the engine through its
-    :class:`ShmExecutionContext`; whenever shard work reaches the
-    ordinary pool instead (context creation failed, non-shard-parallel
-    stages), threads are its degradation target.
-    """
-    backend = getattr(options, "parallel_backend", "thread")
-    return "thread" if backend == "shm-process" else backend
 
 
 @dataclass(frozen=True)
@@ -276,399 +245,3 @@ def parallel_map(fn, items, workers=0, backend="thread"):
         fn, items
     )
 
-
-# -- the shm-process backend --------------------------------------------------
-
-
-class ShmUnavailable(RuntimeError):
-    """The shm-process path cannot run (callers degrade to threads)."""
-
-
-class _ShmWorkerState:
-    """Per-worker-process state: the attached relation and derived views."""
-
-    def __init__(self, relation):
-        self._relation = relation
-        self._sharded = {}
-        self._scratch = BoundedCache(8, on_evict=_detach_scratch)
-
-    @property
-    def relation(self):
-        """The zero-copy :class:`~repro.relational.shm.AttachedRelation`."""
-        return self._relation
-
-    def sharded(self, shards):
-        """A cached zero-copy ``ShardedRelation`` view at ``shards``."""
-        view = self._sharded.get(shards)
-        if view is None:
-            from repro.relational.sharding import ShardedRelation
-
-            view = ShardedRelation(self._relation, shards)
-            self._sharded[shards] = view
-        return view
-
-    def scratch_array(self, handle):
-        """Attach (or reuse) a shared scratch array by handle.
-
-        A small LRU of attachments: repeated tasks over the same
-        candidate-rid export attach once per worker, not once per task.
-        """
-        entry = self._scratch.get(handle.segment)
-        if entry is None:
-            from repro.relational import shm as shm_mod
-
-            entry = shm_mod.attach_array(handle)
-            self._scratch.put(handle.segment, entry)
-        return entry[0]
-
-
-def _detach_scratch(_name, entry):
-    _, segment = entry
-    try:
-        segment.close()
-    except BufferError:
-        pass
-
-
-_WORKER_STATE = None
-
-
-def _shm_worker_init(handle):
-    """Pool initializer: attach to the shared relation exactly once.
-
-    The ``shm.attach`` fault site fires here (workers arm from the
-    ``REPRO_FAULTS`` environment at import); a failed attach breaks
-    the pool, which the parent supervises — respawn, then threads.
-    """
-    global _WORKER_STATE
-    from repro.relational.shm import attach_relation
-
-    faults.fault_point("shm.attach")
-    _WORKER_STATE = _ShmWorkerState(attach_relation(handle))
-
-
-def _supervised_task(fn, spec):
-    """Run one worker task under the ``pool.task`` fault site.
-
-    Every shm task funnels through this wrapper, so a ``kill`` rule
-    crashes the worker mid-wave (the parent sees ``BrokenProcessPool``)
-    and an ``error`` rule raises inside the task — both recovery paths
-    the supervisor must survive.
-    """
-    faults.fault_point("pool.task")
-    return fn(spec)
-
-
-def shm_worker_state():
-    """The current worker's :class:`_ShmWorkerState` (task functions
-    call this instead of receiving data in their spec)."""
-    if _WORKER_STATE is None:
-        raise RuntimeError("not inside a shm-process worker")
-    return _WORKER_STATE
-
-
-def _shm_probe_task(_spec):
-    """No-op warmup task (forces worker spawn + attach)."""
-    return os.getpid()
-
-
-class ShmPool:
-    """A persistent spawn-context pool attached to one shared relation.
-
-    Workers run :func:`_shm_worker_init` once (attach, build state) and
-    then serve ordered maps of ``(module-level task fn, spec)`` pairs —
-    the fn pickles by reference, the spec is bytes.  Spawn (never fork)
-    keeps the pool safe under threads and on every platform.
-    """
-
-    def __init__(self, handle, workers):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        self._workers = max(1, int(workers))
-        try:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._workers,
-                mp_context=multiprocessing.get_context("spawn"),
-                initializer=_shm_worker_init,
-                initargs=(handle,),
-            )
-        except (OSError, RuntimeError, ValueError) as exc:
-            raise ShmUnavailable(f"cannot start shm worker pool: {exc}") from exc
-        self._broken = False
-
-    @property
-    def workers(self):
-        return self._workers
-
-    @property
-    def broken(self):
-        return self._broken
-
-    def map(self, fn, specs):
-        """Ordered map with lowest-index failure propagation.
-
-        Task exceptions propagate as themselves (determinism rule 3);
-        pool infrastructure death raises :class:`ShmUnavailable`, which
-        callers turn into a recorded thread-backend fallback.
-        """
-        from concurrent.futures.process import BrokenProcessPool
-
-        specs = list(specs)
-        try:
-            futures = [
-                self._pool.submit(_supervised_task, fn, spec) for spec in specs
-            ]
-        except RuntimeError as exc:  # shut down, or spawn refused
-            self._broken = True
-            raise ShmUnavailable(f"cannot submit to shm pool: {exc}") from exc
-        try:
-            return [future.result() for future in futures]
-        except BrokenProcessPool as exc:
-            # Pool infrastructure died; task exceptions propagate
-            # as themselves above, exactly like the serial loop.
-            self._broken = True
-            raise ShmUnavailable(f"shm worker pool broke: {exc}") from exc
-
-    def warm(self):
-        """Spin up every worker (spawn + attach) ahead of timed work."""
-        self.map(_shm_probe_task, range(self._workers))
-
-    def close(self):
-        # wait=True joins the worker processes before the caller
-        # unlinks the segment — a worker still spawning must finish
-        # (or fail) its attach first, not race an unlinked name.
-        self._broken = True
-        self._pool.shutdown(wait=True, cancel_futures=True)
-
-
-class ShmExecutionContext:
-    """Owns one relation's shared-memory export plus its worker pool.
-
-    The engine (or session) holds exactly one of these per evaluator
-    while ``parallel_backend="shm-process"`` is in force; ``close()``
-    tears down the pool, every scratch export, and the relation
-    segment (unlink included).  Also usable as a context manager.
-    """
-
-    #: Supervised recovery bounds: how many times a crashed pool is
-    #: respawned over the context's lifetime, and how many retries one
-    #: map attempts, before the recorded thread-backend fallback.
-    RESPAWN_LIMIT = 2
-    RESPAWN_BACKOFF_SECONDS = 0.05
-
-    def __init__(self, export, pool):
-        self._export = export
-        self._pool = pool
-        self._scratch = BoundedCache(
-            4, on_evict=lambda _key, export: export.close()
-        )
-        self._closed = False
-        # Supervision state: generation counts pool replacements so
-        # concurrent mappers that all saw generation N crash elect one
-        # respawner; _respawn_lock serializes the (slow) respawn itself.
-        self._generation = 0
-        self._respawns = 0
-        self._respawn_lock = threading.Lock()
-        # Concurrent serving callers share one context: the scratch
-        # LRU is a read-modify-write structure (and evicting an export
-        # a sibling is about to hand to workers would unlink it out
-        # from under them), and close() racing a map must never free
-        # the relation segment while tasks are being submitted.  The
-        # lock serializes the bookkeeping; pool.map itself runs
-        # outside it (ProcessPoolExecutor.submit is thread-safe).
-        self._lock = threading.RLock()
-        self._inflight = 0
-
-    @classmethod
-    def create(cls, relation, workers):
-        """Export ``relation`` and start the worker pool.
-
-        Raises:
-            ShmUnavailable: shared memory or the pool cannot be set up
-                (callers record the event and degrade to threads).
-        """
-        from repro.relational import shm as shm_mod
-
-        resolved = max(1, effective_workers(workers, task_count=1 << 30))
-        try:
-            faults.fault_point("shm.export")
-            export = shm_mod.export_relation(relation)
-        except (shm_mod.SharedMemoryUnavailable, faults.InjectedFault) as exc:
-            raise ShmUnavailable(str(exc)) from exc
-        try:
-            pool = ShmPool(export.handle, resolved)
-        except ShmUnavailable:
-            export.close()
-            raise
-        return cls(export, pool)
-
-    @property
-    def handle(self):
-        """The relation's :class:`~repro.relational.shm.SharedRelationHandle`."""
-        return self._export.handle
-
-    @property
-    def workers(self):
-        return self._pool.workers
-
-    @property
-    def alive(self):
-        return not self._closed and not self._pool.broken
-
-    @property
-    def busy(self):
-        """Whether any thread is currently inside :meth:`map`."""
-        with self._lock:
-            return self._inflight > 0
-
-    def map(self, fn, specs):
-        """Ordered map over the persistent attached workers, supervised.
-
-        Safe under concurrent callers; a close() racing this call
-        surfaces as :class:`ShmUnavailable` (the caller's recorded
-        thread fallback), never as a crash on freed memory.
-
-        Supervision: when the pool infrastructure dies (a worker was
-        killed mid-wave, an attach failed), the whole spec wave is
-        retried on a freshly spawned pool — bounded by
-        :data:`RESPAWN_LIMIT` respawns per context with doubling
-        backoff, each recorded via :func:`note_parallel_event` — before
-        :class:`ShmUnavailable` escapes to the caller's thread
-        fallback.  Replaying the wave is sound because shm task specs
-        are pure: workers read the immutable shared relation and
-        return fresh values, so a re-run computes the identical result.
-        """
-        specs = list(specs)
-        failure = None
-        for attempt in range(self.RESPAWN_LIMIT + 1):
-            with self._lock:
-                if self._closed:
-                    raise ShmUnavailable("shm execution context is closed")
-                pool = self._pool
-                generation = self._generation
-                self._inflight += 1
-            try:
-                if pool.broken:
-                    raise ShmUnavailable("shm worker pool broke")
-                return pool.map(fn, specs)
-            except ShmUnavailable as exc:
-                failure = exc
-            finally:
-                with self._lock:
-                    self._inflight -= 1
-            if attempt >= self.RESPAWN_LIMIT:
-                break
-            self._respawn_pool(generation, attempt)
-        raise failure
-
-    def _respawn_pool(self, generation, attempt):
-        """Replace a crashed pool (one respawner elected per crash).
-
-        Raises :class:`ShmUnavailable` when the context is closed or
-        the lifetime respawn budget is spent; returns silently when a
-        sibling thread already respawned this generation (the caller
-        simply retries on the new pool).
-        """
-        with self._respawn_lock:
-            with self._lock:
-                if self._closed:
-                    raise ShmUnavailable("shm execution context is closed")
-                if self._generation != generation:
-                    return  # a sibling already replaced this pool
-                if self._respawns >= self.RESPAWN_LIMIT:
-                    raise ShmUnavailable(
-                        f"shm worker pool crashed {self._respawns + 1} times; "
-                        "respawn budget spent"
-                    )
-                self._respawns += 1
-                broken = self._pool
-            try:
-                broken.close()
-            except Exception:
-                pass
-            # Deterministic doubling backoff: give the OS a beat to
-            # reap the dead workers before spawning replacements.
-            time.sleep(self.RESPAWN_BACKOFF_SECONDS * (2 ** attempt))
-            pool = ShmPool(self._export.handle, broken.workers)
-            with self._lock:
-                if self._closed:
-                    closed_after = True
-                else:
-                    self._pool = pool
-                    self._generation += 1
-                    closed_after = False
-            if closed_after:
-                try:
-                    pool.close()
-                except Exception:
-                    pass
-                raise ShmUnavailable("shm execution context is closed")
-            note_parallel_event(
-                "shm-process",
-                f"worker pool crashed; respawned "
-                f"(retry {self._respawns}/{self.RESPAWN_LIMIT})",
-            )
-
-    def warm(self):
-        if not self.alive:
-            raise ShmUnavailable("shm execution context is closed")
-        self._pool.warm()
-
-    def shared_rids(self, rids):
-        """Export a candidate-rid array once; reuse across stages.
-
-        Keyed by content digest, so the pruner's and reducer's passes
-        over the same candidate set ship the rids to workers exactly
-        once per set (a small LRU bounds retained segments).
-        """
-        import numpy as np
-
-        from repro.relational import shm as shm_mod
-        from repro.relational.content_hash import rids_fingerprint
-
-        array = np.ascontiguousarray(np.asarray(rids, dtype=np.intp))
-        key = rids_fingerprint(array)
-        # The context lock spans lookup, export and eviction: closing
-        # an evicted export must stay serialized with handing a
-        # sibling's handle to workers.
-        with self._lock:
-            if not self.alive:
-                raise ShmUnavailable("shm execution context is closed")
-            entry = self._scratch.get(key)
-            if entry is None:
-                try:
-                    entry = shm_mod.export_array(array)
-                except shm_mod.SharedMemoryUnavailable as exc:
-                    raise ShmUnavailable(str(exc)) from exc
-                self._scratch.put(key, entry)
-            return entry.handle
-
-    def close(self):
-        """Tear down pool + exports; idempotent, unlinks every segment."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        # Pool shutdown waits for in-flight work outside the lock (a
-        # mapping thread must be able to decrement _inflight).
-        try:
-            self._pool.close()
-        except Exception:
-            pass
-        # No entry can be added once _closed is set (shared_rids
-        # checks it under the lock); clear() closes every export.
-        self._scratch.clear()
-        self._export.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-    def __del__(self):
-        try:
-            self.close()
-        except Exception:
-            pass

@@ -56,7 +56,6 @@ from repro.core.ir import (
     STAGE_ZONE_SKIP,
     StageRecord,
 )
-from repro.core.parallel import pool_backend
 from repro.core.pruning import derive_bounds
 from repro.core.reduction import apply_reduction, merge_reductions, reduction_gate_reason
 from repro.relational.content_hash import rids_fingerprint
@@ -105,10 +104,6 @@ class PipelineState:
     relation: object = None
     rid_map: object = None
     stream_info: dict | None = None
-    #: Live :class:`~repro.core.parallel.ShmExecutionContext` (or
-    #: ``None``): the zero-copy worker pool the sharded stages hand
-    #: their shard tasks to when ``parallel_backend="shm-process"``.
-    shm: object = None
     base_candidate_count: int = 0
     bounds: object = None
     reduction: object = None
@@ -329,8 +324,7 @@ def _run_bounds(state, round_number):
             state.candidate_rids,
             sharded=state.sharded,
             workers=getattr(state.options, "workers", 0),
-            shm=state.shm,
-            backend=pool_backend(state.options),
+            backend=getattr(state.options, "parallel_backend", "thread"),
         )
         if state.artifacts is not None:
             state.artifacts.bounds.put(key, bounds)
@@ -375,7 +369,6 @@ def _run_reduce(state, round_number):
         state.options,
         state.sharded,
         artifacts=state.artifacts,
-        shm=state.shm,
     )
     state.candidate_rids = kept
     detail = {}
@@ -481,10 +474,6 @@ def run_analysis(
     state.base_candidate_count = len(state.candidate_rids)
     _run_stream(state)
     _run_zone_skip(state)
-    if state.sharded is not None:
-        context_for = getattr(evaluator, "execution_context", None)
-        if context_for is not None:
-            state.shm = context_for(options)
     _run_prune_fixpoint(state)
     state.ctx = EvaluationContext(
         query=state.query,
@@ -496,7 +485,6 @@ def run_analysis(
         sharded=state.sharded,
         shard_info=state.shard_info,
         reduction=state.reduction,
-        shm=state.shm,
     )
     return state
 

@@ -221,15 +221,8 @@ class CardinalityPruner:
             shard order.  Either way the derived min/max (and hence
             the bounds) are bit-identical to the unsharded scan.
         workers: worker threads for the shard-parallel partials.
-        shm: optional
-            :class:`~repro.core.parallel.ShmExecutionContext` —
-            shard-parallel partials then run on the attached
-            zero-copy workers (per-task payload: the expression AST
-            plus positional offsets into a shared rid array); any
-            failure degrades to the thread path with a recorded
-            event.  The merged extent is bit-identical either way.
         backend: the :func:`~repro.core.parallel.parallel_map` backend
-            for the non-shm partials.
+            for those partials.
     """
 
     def __init__(
@@ -239,7 +232,6 @@ class CardinalityPruner:
         candidate_rids,
         sharded=None,
         workers=0,
-        shm=None,
         backend="thread",
     ):
         self._query = query
@@ -248,7 +240,6 @@ class CardinalityPruner:
         self._max_cardinality = len(self._candidates) * query.repeat
         self._sharded = sharded
         self._workers = workers
-        self._shm = shm
         self._backend = backend
         self._value_cache = {}
 
@@ -321,19 +312,14 @@ class CardinalityPruner:
             or len(self._candidates) < _SHARD_STATS_MIN_CANDIDATES
         ):
             return extent_of(self._candidates)
-        partials = self._shm_extents(expr)
-        if partials is None:
-            groups = [
-                group
-                for group in self._sharded.split_rids(self._candidates)
-                if len(group)
-            ]
-            partials = parallel_map(
-                extent_of,
-                groups,
-                workers=self._workers,
-                backend=self._backend,
-            )
+        groups = [
+            group
+            for group in self._sharded.split_rids(self._candidates)
+            if len(group)
+        ]
+        partials = parallel_map(
+            extent_of, groups, workers=self._workers, backend=self._backend
+        )
         extents = [extent for extent in partials if extent is not None]
         if not extents:
             return None
@@ -345,35 +331,6 @@ class CardinalityPruner:
         if any(math.isnan(value) for value in lows + highs):
             return (math.nan, math.nan)
         return (min(lows), max(highs))
-
-    def _shm_extents(self, expr):
-        """Per-shard extents from the attached workers, or ``None``.
-
-        Ships the candidate-rid array to shared memory once (reused
-        across expressions and stages via the context's digest-keyed
-        cache) and sends each worker only ``(expr, rid handle, start,
-        stop)`` — positional offsets into the shared array.
-        """
-        if self._shm is None:
-            return None
-        import numpy as np
-
-        from repro.core.parallel import ShmUnavailable, note_parallel_event
-
-        try:
-            rids = np.asarray(self._candidates, dtype=np.intp)
-            handle = self._shm.shared_rids(rids)
-            specs = [
-                (expr, handle, start, stop)
-                for start, stop in self._sharded.split_positions(rids)
-                if stop > start
-            ]
-            return self._shm.map(_shm_extent_task, specs)
-        except ShmUnavailable as exc:
-            note_parallel_event(
-                "shm-process", f"{exc}; pruning statistics ran on threads"
-            )
-            return None
 
     # -- public API -----------------------------------------------------------
 
@@ -593,42 +550,20 @@ def _compare_const(value, op, constant):
     return value != constant
 
 
-def _shm_extent_task(spec):
-    """shm-process worker task: one shard group's argument extent.
-
-    ``spec`` is ``(expression AST, shared rid handle, start, stop)``;
-    the rids and the relation both live in shared memory already.
-    Mirrors the in-process ``extent_of`` exactly (same kernels, same
-    NaN propagation), so the merged extent is bit-identical.
-    """
-    from repro.core.parallel import shm_worker_state
-    from repro.core.vectorize import evaluator_for
-
-    expr, handle, start, stop = spec
-    state = shm_worker_state()
-    rids = state.scratch_array(handle)[start:stop]
-    array, nulls = evaluator_for(state.relation).scalar_arrays(expr, rids)
-    kept = array[~nulls]
-    if kept.size == 0:
-        return None
-    return (float(kept.min()), float(kept.max()))
-
-
 def derive_bounds(
     query,
     relation,
     candidate_rids,
     sharded=None,
     workers=0,
-    shm=None,
     backend="thread",
 ):
     """Convenience wrapper around :class:`CardinalityPruner`.
 
-    ``sharded``/``workers``/``shm``/``backend`` switch the argument
-    statistics onto per-shard partials (zone stats, parallel kernel
-    scans, or the attached shared-memory workers) without changing any
-    derived bound — see :class:`CardinalityPruner`.
+    ``sharded``/``workers``/``backend`` switch the argument statistics
+    onto per-shard partials (zone stats or parallel kernel scans)
+    without changing any derived bound — see
+    :class:`CardinalityPruner`.
     """
     return CardinalityPruner(
         query,
@@ -636,7 +571,6 @@ def derive_bounds(
         candidate_rids,
         sharded=sharded,
         workers=workers,
-        shm=shm,
         backend=backend,
     ).bounds()
 

@@ -208,7 +208,6 @@ def apply_reduction(
     options,
     sharded=None,
     artifacts=None,
-    shm=None,
 ):
     """The pipeline's reduction stage: gate, run, and unpack.
 
@@ -230,8 +229,6 @@ def apply_reduction(
     """
     if reduction_gate_reason(query, candidate_rids, bounds, options) is not None:
         return candidate_rids, None
-    from repro.core.parallel import pool_backend
-
     reduction = reduce_candidates(
         query,
         relation,
@@ -241,8 +238,7 @@ def apply_reduction(
         sharded=sharded,
         workers=getattr(options, "workers", 0),
         artifacts=artifacts,
-        shm=shm,
-        backend=pool_backend(options),
+        backend=getattr(options, "parallel_backend", "thread"),
     )
     return reduction.kept_rids, reduction
 
@@ -300,7 +296,6 @@ def reduce_candidates(
     workers=0,
     tolerance=DEFAULT_TOLERANCE,
     artifacts=None,
-    shm=None,
     backend="thread",
 ):
     """Reduce ``candidate_rids`` for ``query`` (see module docstring).
@@ -352,7 +347,7 @@ def reduce_candidates(
         )
     return _Reducer(
         query, relation, rids, bounds, mode, sharded, workers, tolerance,
-        artifacts, shm=shm, backend=backend,
+        artifacts, backend=backend,
     ).run(started)
 
 
@@ -431,29 +426,12 @@ def minmax_fixing_sql(func, op, constant, column, tolerance=DEFAULT_TOLERANCE):
     return f"({col} IS NOT NULL AND {bad})", tuple(params)
 
 
-def _shm_values_task(spec):
-    """shm-process worker task: one shard group's ``(values, nulls)``.
-
-    Mirrors the in-process ``extract`` exactly: float64 values with
-    NULL entries as NaN, plus the NULL mask, over the shared rid
-    array's ``[start:stop]`` positions.
-    """
-    from repro.core.parallel import shm_worker_state
-
-    expr, handle, start, stop = spec
-    state = shm_worker_state()
-    rids = state.scratch_array(handle)[start:stop]
-    values, nulls = evaluator_for(state.relation).scalar_arrays(expr, rids)
-    values = np.asarray(values, dtype=np.float64)
-    return np.where(nulls, np.nan, values), nulls
-
-
 class _Reducer:
     """One reduction run; all masks are positional over the input rids."""
 
     def __init__(
         self, query, relation, rids, bounds, mode, sharded, workers, tolerance,
-        artifacts=None, shm=None, backend="thread",
+        artifacts=None, backend="thread",
     ):
         self._query = query
         self._relation = relation
@@ -469,7 +447,6 @@ class _Reducer:
             sharded = None
         self._sharded = sharded
         self._workers = workers
-        self._shm = shm if sharded is not None else None
         self._backend = backend
         self._tol = float(tolerance)
         self._artifacts = artifacts
@@ -667,48 +644,20 @@ class _Reducer:
             or len(self._rids) < SHARD_REDUCTION_MIN_CANDIDATES
         ):
             return extract(self._rids)
-        parts = self._shm_values(expr)
-        if parts is None:
-            from repro.core.parallel import parallel_map
+        from repro.core.parallel import parallel_map
 
-            groups = [
-                group
-                for group in self._sharded.split_rids(self._rids)
-                if len(group)
-            ]
-            parts = parallel_map(
-                extract, groups, workers=self._workers, backend=self._backend
-            )
+        groups = [
+            group
+            for group in self._sharded.split_rids(self._rids)
+            if len(group)
+        ]
+        parts = parallel_map(
+            extract, groups, workers=self._workers, backend=self._backend
+        )
         return (
             np.concatenate([part[0] for part in parts]),
             np.concatenate([part[1] for part in parts]),
         )
-
-    def _shm_values(self, expr):
-        """Per-shard value extraction on the attached workers, or ``None``.
-
-        Same shared-rid-array scheme as the pruner: per-task payload is
-        the expression plus positional offsets; the returned per-group
-        ``(values, nulls)`` arrays concatenate in shard order to the
-        bit-identical single-pass result.
-        """
-        if self._shm is None:
-            return None
-        from repro.core.parallel import ShmUnavailable, note_parallel_event
-
-        try:
-            handle = self._shm.shared_rids(self._rids)
-            specs = [
-                (expr, handle, start, stop)
-                for start, stop in self._sharded.split_positions(self._rids)
-                if stop > start
-            ]
-            return self._shm.map(_shm_values_task, specs)
-        except ShmUnavailable as exc:
-            note_parallel_event(
-                "shm-process", f"{exc}; reduction extraction ran on threads"
-            )
-            return None
 
     def _slack(self, *magnitudes):
         """Vectorized validator slack: ``tol * max(1, |each magnitude|)``."""

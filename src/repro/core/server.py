@@ -43,8 +43,7 @@ Endpoints (JSON over HTTP):
 
 Shutdown drains: the listener stops accepting, in-flight handlers and
 queued jobs finish, workers exit on sentinels, and the pool closes its
-sessions (releasing shared-memory segments and flushing durable-store
-counters).
+sessions (flushing durable-store counters).
 """
 
 from __future__ import annotations
@@ -270,8 +269,8 @@ class PackageQueryServer:
         Order matters: stop accepting first, then join handler threads
         (whose queued jobs the still-running workers finish), then
         stop the workers with sentinels — FIFO puts them behind every
-        admitted job — and finally close the pool, which releases
-        shared-memory contexts and flushes durable-store counters.
+        admitted job — and finally close the pool, which flushes
+        durable-store counters.
         """
         with self._lifecycle_lock:
             if self._closed:

@@ -198,7 +198,7 @@ class SessionPool:
         }
 
     def close(self):
-        """Close every pooled session (shm contexts, store flushes)."""
+        """Close every pooled session (store flushes)."""
         with self._lock:
             if self._closed:
                 return

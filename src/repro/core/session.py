@@ -332,12 +332,8 @@ class EvaluationSession:
         return self.artifacts.relation_hash
 
     def close(self):
-        """Release pooled resources (the evaluator's shared-memory
-        execution context, when one was created; a session-owned
-        durable store's counters are flushed).  Idempotent; the
-        session stays usable — a later shm-process evaluation simply
-        rebuilds the context."""
-        self._evaluator.close()
+        """Release pooled resources (a session-owned durable store's
+        counters are flushed).  Idempotent; the session stays usable."""
         if self._owns_store and self._artifact_store is not None:
             self._artifact_store.close()
 
@@ -554,10 +550,7 @@ class EvaluationSession:
             # the new relation hash scopes the durable relation-level
             # layers.  In-flight queries that snapshotted the old
             # evaluator finish against the pre-mutation relation and
-            # write into the retired cache; their shm context is torn
-            # down here, which they survive by degrading to the thread
-            # backend (recorded).
-            self._evaluator.close()
+            # write into the retired cache.
             self._bind(sharded.relation)
             self._evaluator.adopt_sharded(sharded)
             return report

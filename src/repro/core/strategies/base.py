@@ -68,12 +68,6 @@ class EvaluationContext:
             stays available as :attr:`base_candidate_count` for
             user-facing reporting.  With the pipeline's prune/reduce
             fixpoint this is the *merged* record across rounds.
-        shm: the live :class:`~repro.core.parallel.ShmExecutionContext`
-            when ``options.parallel_backend == "shm-process"`` and the
-            evaluator's zero-copy export succeeded (``None`` otherwise);
-            strategies with shard-parallel phases (``partition``'s
-            refinement waves) ship compiled task specs to its workers
-            instead of pickling candidate data per task.
 
     The ILP translation is computed lazily and kept on the context for
     this one query (never across queries): the cost model, the planner
@@ -91,7 +85,6 @@ class EvaluationContext:
     sharded: object = None
     shard_info: dict | None = None
     reduction: object = None
-    shm: object = None
     _translation: object = field(default=None, init=False, repr=False)
     _translation_error: str | None = field(default=None, init=False, repr=False)
     _translation_tried: bool = field(default=False, init=False, repr=False)

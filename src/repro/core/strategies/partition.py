@@ -33,6 +33,7 @@ ILP.
 from __future__ import annotations
 
 from repro.core.package import Package
+from repro.core.parallel import parallel_map
 from repro.core.partitioning import build_partitioning
 from repro.core.result import EvaluationResult, ResultStatus
 from repro.core.strategies.base import Strategy, StrategyEstimate, solve_model
@@ -43,11 +44,11 @@ _SOLVED = (Status.OPTIMAL, Status.FEASIBLE)
 
 
 def _summarize(translation, solution, backend):
-    """One refinement attempt's picklable outcome.
+    """One refinement attempt's compact outcome.
 
-    Waves never ship models or solver state across the pool boundary —
-    only the status, objective, node count, and the nonzero variable
-    counts the caller needs to pick a winner and commit pins.
+    Waves never keep models or solver state past the attempt — only
+    the status, objective, node count, and the nonzero variable counts
+    the caller needs to pick a winner and commit pins.
     """
     counts = translation.counts(solution) if solution.status in _SOLVED else {}
     return {
@@ -69,23 +70,6 @@ def _pinned_translation(query, relation, rids, upper, pins):
             {variable: 1.0}, "=", float(multiplicity), name="pin"
         )
     return translation
-
-
-def _shm_refine_task(spec):
-    """shm-process worker task: solve one refinement attempt.
-
-    The spec carries only compiled inputs — query AST, rid list, upper
-    bounds, pinned multiplicities, engine options; the candidate data
-    itself is read zero-copy from the worker's attached shared-memory
-    relation.
-    """
-    from repro.core.parallel import shm_worker_state
-
-    query, rids, upper, pins, options = spec
-    relation = shm_worker_state().relation
-    translation = _pinned_translation(query, relation, rids, upper, pins)
-    solution, backend = solve_model(translation.model, options)
-    return _summarize(translation, solution, backend)
 
 
 class PartitionStrategy(Strategy):
@@ -270,12 +254,13 @@ class PartitionStrategy(Strategy):
                 from repro.solver.model import ObjectiveSense
 
                 wave = sorted(loaded)
-                outcomes, wave_backend = self._refine_wave(
-                    ctx, wave, refine_inputs, attempt_summary, pinned, workers
+                backend = getattr(ctx.options, "parallel_backend", "thread")
+                outcomes = parallel_map(
+                    attempt_summary, wave, workers=workers, backend=backend
                 )
                 stats["refine_steps"] += len(wave)
                 stats["refine_waves"] = stats.get("refine_waves", 0) + 1
-                stats["refine_backend"] = wave_backend
+                stats["refine_backend"] = backend
                 for outcome in outcomes:
                     account(outcome)
                 solved = [
@@ -329,44 +314,6 @@ class PartitionStrategy(Strategy):
             query=ctx.query,
             stats=stats,
         )
-
-    def _refine_wave(self, ctx, wave, refine_inputs, attempt_summary, pinned,
-                     workers):
-        """Solve one wave of independent refine ILPs concurrently.
-
-        Returns ``(summaries, backend)`` in wave order.  On the
-        shm-process backend each attempt ships as a compiled spec
-        (query AST, rid list, upper bounds, pins, options) to the
-        zero-copy workers; any pool failure degrades to the thread
-        path below, recording the event — task-level solver errors
-        propagate unchanged either way.
-        """
-        from repro.core.parallel import (
-            ShmUnavailable,
-            note_parallel_event,
-            parallel_map,
-            pool_backend,
-        )
-
-        shm = getattr(ctx, "shm", None)
-        if shm is not None:
-            pins = dict(pinned)
-            specs = []
-            for group_index in wave:
-                rids, upper = refine_inputs(group_index)
-                specs.append((ctx.query, rids, upper, pins, ctx.options))
-            try:
-                return shm.map(_shm_refine_task, specs), "shm-process"
-            except ShmUnavailable as exc:
-                note_parallel_event(
-                    "shm-process",
-                    f"{exc}; refinement wave ran on threads",
-                )
-        backend = pool_backend(ctx.options)
-        summaries = parallel_map(
-            attempt_summary, wave, workers=workers, backend=backend
-        )
-        return summaries, backend
 
     def _fallback(self, ctx, reason, stats):
         """Sketch/refine dead end: defer to the next-best strategy.

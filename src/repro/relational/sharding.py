@@ -257,25 +257,6 @@ class ShardedRelation:
             start = cut
         return out
 
-    def split_positions(self, rids):
-        """Per-shard ``(start, stop)`` positions *into* ascending ``rids``.
-
-        The positional twin of :meth:`split_rids`:
-        ``rids[start:stop]`` is shard ``i``'s sub-array.  Lets a
-        consumer that shipped the rid array elsewhere (the shared-
-        memory workers) address per-shard groups by offsets instead of
-        re-sending the arrays.
-        """
-        rids = np.asarray(rids, dtype=np.intp)
-        edges = [part.stop for part in self._slices]
-        cuts = np.searchsorted(rids, edges, side="left")
-        out = []
-        start = 0
-        for cut in cuts:
-            out.append((start, int(cut)))
-            start = int(cut)
-        return out
-
     def shard_column_arrays(self, index, name):
         """``(values, nulls)`` views of column ``name`` in shard ``index``.
 

@@ -18,7 +18,7 @@ from repro.core.artifact_store import (
 )
 from repro.core.cache import ArtifactLayer, BoundedCache
 from repro.core.engine import EngineOptions, PackageQueryEvaluator, evaluate
-from repro.core.parallel import ENGINE_BACKENDS
+from repro.core.parallel import BACKENDS
 from repro.core.session import ArtifactCache, EvaluationSession
 from repro.core.strategies import EvaluationContext
 from repro.datasets import clustered_relation
@@ -198,13 +198,34 @@ class TestOnlyOneOfEach:
             for path in self.SRC.rglob("*.py")
         )
 
-    def test_process_backend_is_gone_not_silently_serial(self):
-        assert "process" not in ENGINE_BACKENDS
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("backend", ["process", "shm-process"])
+    def test_process_backend_is_gone_not_silently_serial(
+        self, backend, shards
+    ):
+        # Rejected when the options are built, so a single-shard query
+        # (which never dispatches a parallel stage) cannot run on it.
+        assert backend not in BACKENDS
         relation = clustered_relation(400, seed=2)
-        with pytest.raises(ValueError, match="unknown backend 'process'"):
+        with pytest.raises(ValueError, match=f"unknown backend '{backend}'"):
             evaluate(
                 "SELECT PACKAGE(R) FROM Readings R WHERE R.cost <= 50 "
                 "SUCH THAT COUNT(*) <= 2 MAXIMIZE SUM(R.gain)",
                 relation,
-                options=EngineOptions(shards=4, parallel_backend="process"),
+                options=EngineOptions(
+                    shards=shards, parallel_backend=backend
+                ),
             )
+
+    def test_no_process_backend(self):
+        # Shard scans are numpy passes that release the GIL: threads
+        # are the one parallel executor, with no shared-memory export
+        # or worker-process pool beside them.
+        for needle in (
+            "shared_memory",
+            "ProcessPoolExecutor",
+            "shm_worker_state",
+            "split_positions",
+        ):
+            assert self._files_containing(needle) == set(), needle
+        assert "shm-process" not in BACKENDS

@@ -1,9 +1,9 @@
 """Chaos suite: every injected fault recovers, degrades, or errors cleanly.
 
 The contract under test (ISSUE 9): an injected fault at any registered
-site — store read/write/fsync, shm export/attach, pool worker task,
-server execute — must end in exactly one of **full recovery**,
-**recorded degradation**, or a **clean error**.  Never a wrong answer,
+site — store read/write/fsync, server execute — must end in exactly
+one of **full recovery**, **recorded degradation**, or a **clean
+error**.  Never a wrong answer,
 never a poisoned cache.  The core assertion style is parity: run the
 repeated session query stream under randomized seeded fault plans and compare
 statuses and objectives bit-for-bit against the fault-free run.
@@ -29,18 +29,11 @@ import pytest
 
 from repro.core import faults
 from repro.core.artifact_store import ArtifactStore
-from repro.core.engine import EngineOptions, PackageQueryEvaluator, evaluate
+from repro.core.engine import EngineOptions, PackageQueryEvaluator
 from repro.core.package import Package
-from repro.core.parallel import (
-    ShmExecutionContext,
-    ShmUnavailable,
-    _shm_probe_task,
-    collect_parallel_events,
-)
 from repro.core.session import EvaluationSession
 from repro.core.validator import validate
 from repro.datasets import clustered_relation
-from repro.relational import shm as shm_mod
 
 from tests.serverharness import SESSION_QUERIES, ServerHarness
 
@@ -175,13 +168,13 @@ class TestFaultPlan:
                 "plan = faults.active_plan(); "
                 "print(plan is not None and plan.sites)",
             ],
-            env=subprocess_env(REPRO_FAULTS="seed=5,pool.task:0.5"),
+            env=subprocess_env(REPRO_FAULTS="seed=5,store.read:0.5"),
             capture_output=True,
             text=True,
             timeout=60,
         )
         assert out.returncode == 0, out.stderr
-        assert "pool.task" in out.stdout
+        assert "store.read" in out.stdout
 
 
 class TestStoreFaultSites:
@@ -342,7 +335,7 @@ class TestAmbientChaos:
     real store-backed streams.  The rest of this module arms plans
     per-test and asserts exact counters, so the ambient legs run only
     this class (``-k TestAmbientChaos``); site plans beyond the store
-    (``pool.task`` kills, ``server.execute``) would crash the test
+    (``server.execute``) would crash the test
     process itself and belong in the per-test scenarios above.
     """
 
@@ -378,7 +371,9 @@ class TestCrashRecovery:
     def test_writer_killed_mid_write_leaves_recoverable_store(self, tmp_path):
         """Deterministic mid-write death: a kill fault on store.fsync
         exits between the temp write and the atomic replace — exactly
-        the window a SIGKILL could land in."""
+        the window a SIGKILL could land in.  The writer subprocess has
+        no arming code: ``repro.core.faults`` arms itself from the
+        ``REPRO_FAULTS`` environment at import time."""
         root = str(tmp_path / "store")
         out = subprocess.run(
             [sys.executable, "-c", self.WRITER, root],
@@ -490,59 +485,6 @@ class TestMultiProcessWriters:
         # Lifetime counters merged from both processes are sane.
         lifetime = store.lifetime_counters()
         assert sum(c.get("writes", 0) for c in lifetime.values()) >= 480
-
-
-@pytest.mark.skipif(
-    not shm_mod.shm_available(), reason="no shared memory on this host"
-)
-class TestSupervisedShmRecovery:
-    def test_respawn_after_pool_death_recovers(self, relation):
-        ctx = ShmExecutionContext.create(relation, workers=2)
-        try:
-            assert len(ctx.map(_shm_probe_task, range(4))) == 4
-            # Kill the pool out from under the context (what a crashed
-            # worker does to ProcessPoolExecutor).
-            ctx._pool._pool.shutdown(wait=False, cancel_futures=True)
-            events = []
-            with collect_parallel_events(events):
-                pids = ctx.map(_shm_probe_task, range(4))
-            assert len(pids) == 4
-            assert ctx._respawns == 1
-            assert any("respawned" in e["fallback"] for e in events)
-        finally:
-            ctx.close()
-
-    def test_worker_kill_faults_end_in_recorded_thread_fallback(
-        self, relation, monkeypatch
-    ):
-        """Arm a kill rule via the environment: every spawned worker
-        crashes on its first task, so respawns exhaust their budget and
-        the engine's recorded thread fallback must deliver parity."""
-        query = (
-            "SELECT PACKAGE(R) FROM Readings R WHERE R.ts >= 0 "
-            "SUCH THAT COUNT(*) <= 6 MAXIMIZE SUM(R.gain)"
-        )
-        expected = evaluate(query, relation, options=OPTIONS)
-        monkeypatch.setattr(ShmExecutionContext, "RESPAWN_LIMIT", 1)
-        monkeypatch.setenv("REPRO_FAULTS", "pool.task:1.0:1:kill")
-        shm_options = EngineOptions(
-            strategy="ilp",
-            shards=4,
-            workers=2,
-            parallel_backend="shm-process",
-        )
-        evaluator = PackageQueryEvaluator(relation)
-        try:
-            result = evaluator.evaluate(query, shm_options)
-        finally:
-            evaluator.close()
-        assert result.status == expected.status
-        assert result.objective == expected.objective
-        events = result.stats.get("parallel", [])
-        assert any(
-            "respawn" in e["fallback"] or "thread" in e["fallback"]
-            for e in events
-        ), events
 
 
 BUDGET_QUERY = SESSION_QUERIES[0]

@@ -16,7 +16,6 @@ from repro.core.parallel import (
     effective_workers,
     note_parallel_event,
     parallel_map,
-    pool_backend,
 )
 
 
@@ -218,15 +217,6 @@ class TestParallelEvents:
             note_parallel_event("thread", "outer again")
         assert [e["fallback"] for e in outer] == ["outer event", "outer again"]
         assert [e["fallback"] for e in inner] == ["inner event"]
-
-    def test_pool_backend_maps_shm_to_thread(self):
-        class Opts:
-            parallel_backend = "shm-process"
-
-        assert pool_backend(Opts()) == "thread"
-        Opts.parallel_backend = "serial"
-        assert pool_backend(Opts()) == "serial"
-        assert pool_backend(object()) == "thread"
 
 
 class TestExecutorPool:

@@ -11,16 +11,13 @@ harness in :mod:`tests.serverharness`):
   corrupted by rejections.
 * **Budgets** — a budget-expired query returns the anytime incumbent
   (or a clean ``budget`` status) and never poisons the result cache.
-* **Faults** — drain finishes in-flight queries and releases shm
-  segments; a corrupted durable store is rejected and recomputed
-  (counted, never served); a client hanging up mid-query does not
-  kill the worker.
+* **Faults** — drain finishes in-flight queries; a corrupted durable
+  store is rejected and recomputed (counted, never served); a client
+  hanging up mid-query does not kill the worker.
 """
 
 from __future__ import annotations
 
-import glob
-import os
 import random
 import threading
 import time
@@ -31,7 +28,6 @@ from hypothesis import strategies as st
 
 from repro.core.engine import EngineOptions, evaluate
 from repro.datasets import clustered_relation
-from repro.relational import shm
 
 from tests.serverharness import (
     SESSION_QUERIES,
@@ -42,12 +38,6 @@ from tests.serverharness import (
 OPTIONS = EngineOptions(strategy="ilp", shards=4)
 
 BUDGET_QUERY = SESSION_QUERIES[0]
-
-
-def shm_segments():
-    return {
-        os.path.basename(path) for path in glob.glob("/dev/shm/psm_*")
-    }
 
 
 @pytest.fixture(scope="module")
@@ -219,28 +209,6 @@ class TestLifecycle:
         code, payload = outcome["response"]
         assert code == 200
         assert payload["status"] == "optimal"
-
-    @pytest.mark.skipif(
-        not shm.shm_available(), reason="no shared memory on this host"
-    )
-    def test_drain_releases_shm_segments(self, relation):
-        before = shm_segments()
-        options = EngineOptions(
-            strategy="ilp",
-            shards=4,
-            workers=2,
-            parallel_backend="shm-process",
-        )
-        with ServerHarness([relation], options=options) as harness:
-            outcomes = harness.flood(
-                [
-                    {"relation": "Readings", "query": text}
-                    for text in SESSION_QUERIES
-                ],
-                concurrency=3,
-            )
-            assert all(code == 200 for code, _ in outcomes)
-        assert shm_segments() <= before
 
     def test_client_disconnect_does_not_kill_the_worker(
         self, relation, expected

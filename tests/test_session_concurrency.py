@@ -6,29 +6,20 @@ session refactor closed:
 
 * ``BoundedCache`` LRU bookkeeping under a get/put hammer,
 * concurrent ``session.evaluate`` staying bit-identical to serial,
-* ``ShmExecutionContext`` close() racing map()/shared_rids() without
-  crashing or leaking ``/dev/shm`` segments,
 * ``sharded_relation`` building exactly one sharded view per count.
 """
 
 from __future__ import annotations
 
-import glob
-import os
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-import pytest
-
-from repro.core.engine import EngineOptions, PackageQueryEvaluator, evaluate
-from repro.core.parallel import ShmExecutionContext, ShmUnavailable
+from repro.core.engine import PackageQueryEvaluator, evaluate
 from repro.core.cache import BoundedCache
 from repro.core.session import EvaluationSession
 from repro.datasets import clustered_relation
 from repro.relational import Column, ColumnType, Relation, Schema
-from repro.relational import shm
 
 _SCHEMA = Schema(
     [Column("cost", ColumnType.FLOAT), Column("gain", ColumnType.FLOAT)]
@@ -49,12 +40,6 @@ def small_relation():
     return Relation(
         "Red", _SCHEMA, [{"cost": c, "gain": g} for c, g in rows]
     )
-
-
-def shm_segments():
-    return {
-        os.path.basename(path) for path in glob.glob("/dev/shm/psm_*")
-    }
 
 
 class TestBoundedCacheUnderThreads:
@@ -162,89 +147,6 @@ class TestEvaluatorSharedState:
             views = list(pool.map(lambda _: build(), range(6)))
         assert all(view is views[0] for view in views)
         evaluator.close()
-
-
-@pytest.mark.skipif(
-    not shm.shm_available(), reason="no shared memory on this host"
-)
-class TestShmContextRaces:
-    def test_close_racing_map_never_crashes(self):
-        relation = clustered_relation(400, seed=2)
-        before = shm_segments()
-        from repro.core.parallel import _shm_probe_task
-
-        ctx = ShmExecutionContext.create(relation, workers=1)
-        start = threading.Barrier(2)
-        outcomes = []
-
-        def mapper():
-            start.wait()
-            for _ in range(5):
-                try:
-                    outcomes.append(ctx.map(_shm_probe_task, range(2)))
-                except ShmUnavailable:
-                    outcomes.append("degraded")
-
-        def closer():
-            start.wait()
-            ctx.close()
-
-        threads = [
-            threading.Thread(target=mapper),
-            threading.Thread(target=closer),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert outcomes  # every attempt resolved, none crashed
-        assert shm_segments() <= before
-
-    def test_concurrent_shared_rids_with_eviction_pressure(self):
-        relation = clustered_relation(400, seed=2)
-        before = shm_segments()
-        ctx = ShmExecutionContext.create(relation, workers=1)
-        try:
-
-            def worker(seed):
-                rng = random.Random(seed)
-                for _ in range(20):
-                    size = rng.randrange(5, 25)
-                    rids = np.arange(size, dtype=np.intp)
-                    handle = ctx.shared_rids(rids)
-                    assert handle is not None
-
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                list(pool.map(worker, range(4)))
-        finally:
-            ctx.close()
-        assert shm_segments() <= before
-
-    def test_session_shm_queries_from_threads(self):
-        relation = clustered_relation(2000, seed=15)
-        options = EngineOptions(
-            shards=4, workers=2, parallel_backend="shm-process"
-        )
-        text = (
-            "SELECT PACKAGE(R) FROM Readings R "
-            "WHERE R.cost + R.weight <= 60 AND R.gain >= 20 "
-            "SUCH THAT COUNT(*) = 5 AND SUM(R.cost) <= 150 "
-            "MAXIMIZE SUM(R.gain)"
-        )
-        cold = evaluate(text, relation)
-        before = shm_segments()
-        session = EvaluationSession(relation, options=options)
-        try:
-            with ThreadPoolExecutor(max_workers=3) as pool:
-                results = list(
-                    pool.map(lambda _: session.evaluate(text), range(6))
-                )
-        finally:
-            session.close()
-        for result in results:
-            assert result.status is cold.status
-            assert result.objective == cold.objective
-        assert shm_segments() <= before
 
 
 class TestInFlightQueryAcrossMutation:

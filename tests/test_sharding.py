@@ -38,7 +38,6 @@ from repro.relational import (
     ShardedRelation,
     ZoneStats,
     merge_zone_stats,
-    shm,
 )
 
 from tests.paql_strategies import COLUMN_NAMES, TEXT_COLUMN_NAMES, predicates
@@ -452,11 +451,6 @@ SUCH THAT COUNT(*) = 5 AND SUM(R.cost) <= 400
 MAXIMIZE SUM(R.gain)
 """
 
-_NEEDS_SHM = pytest.mark.skipif(
-    not shm.shm_available(), reason="no shared memory on this host"
-)
-
-
 @pytest.fixture(scope="module")
 def clustered_band():
     """The clustered relation and its unsharded band-query answer."""
@@ -512,8 +506,6 @@ class TestShardParity:
             (8, 4, "thread"),
             (64, 1, "thread"),
             (64, 4, "thread"),
-            pytest.param(8, 1, "shm-process", marks=_NEEDS_SHM),
-            pytest.param(8, 2, "shm-process", marks=_NEEDS_SHM),
         ],
     )
     def test_clustered_band_query_parity(
