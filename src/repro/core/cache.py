@@ -26,11 +26,6 @@ class BoundedCache:
     instead of retaining hundreds of megabytes of arrays.  The byte
     bound always keeps at least one entry.
 
-    ``on_evict(key, value)`` runs once for every entry that leaves
-    through a bound or through :meth:`clear` — entries that own a
-    resource (an open file, a handle) release it there.  It runs under
-    the cache's lock, so it must not call back into the cache.
-
     Thread-safe: the LRU bookkeeping (``move_to_end``, eviction, the
     byte totals) is a read-modify-write sequence over an
     ``OrderedDict``, which concurrent serving callers would corrupt —
@@ -39,11 +34,10 @@ class BoundedCache:
     callers is safe.
     """
 
-    def __init__(self, maxsize, max_bytes=None, sizer=None, on_evict=None):
+    def __init__(self, maxsize, max_bytes=None, sizer=None):
         self._maxsize = maxsize
         self._max_bytes = max_bytes
         self._sizer = sizer
-        self._on_evict = on_evict
         self._entries = OrderedDict()
         self._sizes = {}
         self._total_bytes = 0
@@ -80,16 +74,11 @@ class BoundedCache:
                 and self._total_bytes > self._max_bytes
                 and len(self._entries) > 1
             ):
-                evicted, old = self._entries.popitem(last=False)
+                evicted, _ = self._entries.popitem(last=False)
                 self._total_bytes -= self._sizes.pop(evicted, 0)
-                if self._on_evict is not None:
-                    self._on_evict(evicted, old)
 
     def clear(self):
         with self._lock:
-            if self._on_evict is not None:
-                for key, value in self._entries.items():
-                    self._on_evict(key, value)
             self._entries.clear()
             self._sizes.clear()
             self._total_bytes = 0

@@ -493,6 +493,7 @@ class PackageQueryEvaluator:
             ctx.relation,
             ctx.candidate_rids,
             ctx.options.local_search,
+            columns=ctx.columns,
         ).run()
         if outcome.package is None:
             return None

@@ -21,6 +21,7 @@ import numpy as np
 from repro.paql import ast
 from repro.core.package import Package
 from repro.core.pruning import derive_bounds
+from repro.core.vectorize import CandidateColumns
 
 
 def _target_cardinality(bounds, n_candidates, repeat, rng):
@@ -33,76 +34,44 @@ def _target_cardinality(bounds, n_candidates, repeat, rng):
     return max(low, min(high, midpoint))
 
 
-def _per_tuple_scores(query, relation, candidate_rids):
+def _per_tuple_scores(query, columns):
     """Objective contribution of each candidate, if linearly scorable.
 
-    Returns a float array aligned with ``candidate_rids`` or ``None``
+    Returns a float array aligned with ``columns.rids`` or ``None``
     when the objective is missing or has no per-tuple linear
     decomposition (AVG/MIN/MAX objectives).
     """
     if query.objective is None:
         return None
     from repro.core.translate_ilp import ILPTranslationError, _affine_of
-    from repro.paql.eval import eval_scalar
 
     try:
         affine = _affine_of(query.objective.expr)
     except ILPTranslationError:
         return None
-    for aggregate in affine.terms:
-        if aggregate.func in (ast.AggFunc.AVG, ast.AggFunc.MIN, ast.AggFunc.MAX):
-            return None
-
-    scores = _columnar_scores(affine, relation, candidate_rids)
-    if scores is None:
-        scores = []
-        for rid in candidate_rids:
-            row = relation[rid]
-            score = 0.0
-            for aggregate, coef in affine.terms.items():
-                if aggregate.is_count_star:
-                    score += coef
-                    continue
-                value = eval_scalar(aggregate.argument, row)
-                if value is None:
-                    continue
-                if aggregate.func is ast.AggFunc.COUNT:
-                    score += coef
-                else:  # SUM
-                    score += coef * float(value)
-            scores.append(score)
-        scores = np.array(scores, dtype=np.float64)
-    if query.objective.direction is ast.Direction.MINIMIZE:
-        scores = -scores
-    return scores
-
-
-def _columnar_scores(affine, relation, candidate_rids):
-    """Vectorized per-tuple contributions, or ``None`` on no kernel."""
-    from repro.core.vectorize import UnsupportedExpression, evaluator_for
-
-    evaluator = evaluator_for(relation)
-    total = np.full(len(candidate_rids), 0.0)
-    try:
-        for aggregate, coef in affine.terms.items():
-            if aggregate.is_count_star:
-                total += coef
-                continue
-            values, nulls = evaluator.scalar_arrays(
-                aggregate.argument, candidate_rids
-            )
-            if aggregate.func is ast.AggFunc.COUNT:
-                total += coef * ~nulls
-            else:  # SUM: NULL contributes nothing
-                if values.dtype.kind not in "fiu":
-                    return None
-                total += coef * np.where(nulls, 0.0, values)
-    except UnsupportedExpression:
+    nonlinear = (ast.AggFunc.AVG, ast.AggFunc.MIN, ast.AggFunc.MAX)
+    if any(aggregate.func in nonlinear for aggregate in affine.terms):
         return None
+    total = np.full(len(columns.rids), 0.0)
+    for aggregate, coef in affine.terms.items():
+        if aggregate.is_count_star:
+            total += coef
+            continue
+        values, nulls = columns.get(aggregate.argument)
+        if aggregate.func is ast.AggFunc.COUNT:
+            total += coef * ~nulls
+        elif values.dtype.kind not in "fiu":
+            return None
+        else:  # SUM
+            total += coef * np.where(nulls, 0.0, values)
+    if query.objective.direction is ast.Direction.MINIMIZE:
+        total = -total
     return total
 
 
-def random_seed(query, relation, candidate_rids, bounds=None, rng=None):
+def random_seed(
+    query, relation, candidate_rids, bounds=None, rng=None, columns=None
+):
     """A uniformly random package at a cardinality inside the bounds.
 
     Returns ``None`` when the bounds are provably empty.
@@ -110,7 +79,7 @@ def random_seed(query, relation, candidate_rids, bounds=None, rng=None):
     rng = rng or random.Random(0)
     candidates = list(candidate_rids)
     if bounds is None:
-        bounds = derive_bounds(query, relation, candidates)
+        bounds = derive_bounds(query, relation, candidates, columns=columns)
     target = _target_cardinality(bounds, len(candidates), query.repeat, rng)
     if target is None:
         return None
@@ -119,17 +88,23 @@ def random_seed(query, relation, candidate_rids, bounds=None, rng=None):
     return Package(relation, picks)
 
 
-def greedy_seed(query, relation, candidate_rids, bounds=None, rng=None):
+def greedy_seed(
+    query, relation, candidate_rids, bounds=None, rng=None, columns=None
+):
     """A package of the objective-best candidates inside the bounds.
 
     Falls back to :func:`random_seed` when the objective cannot be
     decomposed per tuple.  Returns ``None`` on provably empty bounds.
+    Scores read the candidates' ``CandidateColumns`` (built here when
+    ``columns`` is ``None``).
     """
     rng = rng or random.Random(0)
     candidates = list(candidate_rids)
+    if columns is None:
+        columns = CandidateColumns(relation, candidates)
     if bounds is None:
-        bounds = derive_bounds(query, relation, candidates)
-    scores = _per_tuple_scores(query, relation, candidates)
+        bounds = derive_bounds(query, relation, candidates, columns=columns)
+    scores = _per_tuple_scores(query, columns)
     if scores is None:
         return random_seed(query, relation, candidates, bounds, rng)
     target = _target_cardinality(bounds, len(candidates), query.repeat, rng)

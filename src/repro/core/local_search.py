@@ -36,7 +36,7 @@ from repro.core.greedy import greedy_seed, random_seed
 from repro.core.package import Package
 from repro.core.pruning import derive_bounds
 from repro.core.validator import compare_objectives, is_valid, objective_value
-from repro.core.vectorize import UnsupportedExpression, evaluator_for
+from repro.core.vectorize import CandidateColumns, UnsupportedExpression
 
 # ---------------------------------------------------------------------------
 # Violation measure (search guidance)
@@ -103,7 +103,8 @@ class VectorMoveScorer:
     single-tuple move, so one per-candidate contribution vector per
     aggregate prices all neighbors at once:
     ``new = base - contrib[out] + contrib[in]`` broadcast over the
-    whole move set.
+    whole move set.  The vectors are built from ``columns``, the
+    candidates' :class:`~repro.core.vectorize.CandidateColumns`.
 
     Construction raises :class:`UnsupportedExpression` for formulas or
     objectives outside that fragment (MIN/MAX aggregates, non-numeric
@@ -112,10 +113,10 @@ class VectorMoveScorer:
     then adds, then removes) so first-minimum tie-breaking matches.
     """
 
-    def __init__(self, query, relation, candidate_rids, normalized, bounds):
+    def __init__(self, query, columns, normalized, bounds):
         self._query = query
-        self._relation = relation
-        self._candidates = list(candidate_rids)
+        self._columns = columns
+        self._candidates = columns.rids.tolist()
         self._pos = {rid: i for i, rid in enumerate(self._candidates)}
         self._repeat = query.repeat
         self._bounds = bounds
@@ -130,14 +131,11 @@ class VectorMoveScorer:
         if self._objective is not None:
             self._check_value(self._objective)
             roots.append(self._objective)
-        evaluator = evaluator_for(relation)
         self._specs = {}
         for root in roots:
             for aggregate in ast.find_aggregates(root):
                 if aggregate not in self._specs:
-                    self._specs[aggregate] = self._contribution(
-                        aggregate, evaluator
-                    )
+                    self._specs[aggregate] = self._contribution(aggregate)
 
     # -- compile-time shape checks ----------------------------------------
 
@@ -182,13 +180,11 @@ class VectorMoveScorer:
             f"cannot delta-score value node {type(node).__name__}"
         )
 
-    def _contribution(self, aggregate, evaluator):
+    def _contribution(self, aggregate):
         """Per-candidate contribution vectors of one aggregate."""
         if aggregate.is_count_star:
             return ("plain", np.ones(len(self._candidates)))
-        values, nulls = evaluator.scalar_arrays(
-            aggregate.argument, self._candidates
-        )
+        values, nulls = self._columns.get(aggregate.argument)
         notnull = (~nulls).astype(np.float64)
         if aggregate.func is ast.AggFunc.COUNT:
             return ("plain", notnull)
@@ -511,14 +507,25 @@ class LocalSearchResult:
 
 
 class LocalSearch:
-    """Heuristic search for a valid (and locally optimal) package."""
+    """Heuristic search for a valid (and locally optimal) package.
 
-    def __init__(self, query, relation, candidate_rids, options=None):
+    ``columns`` is the candidates'
+    :class:`~repro.core.vectorize.CandidateColumns` (built here when
+    none is passed); the bounds, the seed and the move scorer read
+    their aggregate arguments from it.
+    """
+
+    def __init__(self, query, relation, candidate_rids, options=None, columns=None):
         self._query = query
         self._relation = relation
         self._candidates = list(candidate_rids)
         self._options = options or LocalSearchOptions()
-        self._bounds = derive_bounds(query, relation, self._candidates)
+        if columns is None:
+            columns = CandidateColumns(relation, self._candidates)
+        self._columns = columns
+        self._bounds = derive_bounds(
+            query, relation, self._candidates, columns=columns
+        )
         self._normalized = (
             normalize_formula(query.such_that)
             if query.such_that is not None
@@ -529,7 +536,7 @@ class LocalSearch:
         self._moves = 0
         try:
             self._scorer = VectorMoveScorer(
-                query, relation, self._candidates, self._normalized, self._bounds
+                query, columns, self._normalized, self._bounds
             )
         except UnsupportedExpression:
             self._scorer = None  # row-path scoring fallback
@@ -588,6 +595,7 @@ class LocalSearch:
             self._candidates,
             self._bounds,
             rng=self._rng,
+            columns=self._columns,
         )
 
     # -- repair phase ----------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.paql import ast
-from repro.paql.eval import eval_scalar
+from repro.core.vectorize import CandidateColumns
 
 
 @dataclass
@@ -140,32 +140,9 @@ def _bin_counts(k, dims):
     return counts
 
 
-def _feature_column(expr, relation, rids):
-    """Per-candidate values of one binning attribute, NULL as NaN.
-
-    Columnar when the expression compiles, row-interpreted otherwise.
-    """
-    from repro.core.vectorize import UnsupportedExpression, evaluator_for
-
-    try:
-        values, nulls = evaluator_for(relation).scalar_arrays(expr, rids)
-        if values.dtype.kind in "fiu":
-            values = values.astype(float, copy=True)
-            values[nulls] = np.nan
-            return values
-    except UnsupportedExpression:
-        pass
-    return np.array(
-        [
-            np.nan if (value := eval_scalar(expr, relation[rid])) is None
-            else float(value)
-            for rid in rids
-        ],
-        dtype=float,
-    )
-
-
-def build_partitioning(query, relation, candidate_rids, k, max_attributes=3, workers=0):
+def build_partitioning(
+    query, relation, candidate_rids, k, max_attributes=3, workers=0, columns=None
+):
     """Quantile-bin ``candidate_rids`` into (at most) ``k`` partitions.
 
     Args:
@@ -178,6 +155,9 @@ def build_partitioning(query, relation, candidate_rids, k, max_attributes=3, wor
         workers: binning-attribute feature columns are independent
             scans and evaluate concurrently through the worker pool
             (0 = one worker per CPU); the binning itself is unchanged.
+        columns: the candidates' ``CandidateColumns`` (built when
+            ``None``); a numeric feature is NULL as NaN, a text one
+            (only ``COUNT`` takes it) its non-NULL indicator.
 
     Returns:
         :class:`Partitioning`.
@@ -198,14 +178,12 @@ def build_partitioning(query, relation, candidate_rids, k, max_attributes=3, wor
 
     from repro.core.parallel import parallel_map
 
-    columns = parallel_map(
-        lambda expr: _feature_column(expr, relation, rids),
-        attributes,
-        workers=workers,
-    )
+    if columns is None:
+        columns = CandidateColumns(relation, rids)
+    gathered = parallel_map(columns.get, attributes, workers=workers)
     features = np.empty((n, len(attributes)), dtype=float)
-    for column, values in enumerate(columns):
-        features[:, column] = values
+    for column, (values, nulls) in enumerate(gathered):
+        features[:, column] = values if values.dtype.kind in "fiu" else ~nulls
     # NULLs bin with the column median so they do not distort spreads.
     for column in range(features.shape[1]):
         values = features[:, column]

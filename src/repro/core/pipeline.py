@@ -58,6 +58,7 @@ from repro.core.ir import (
 )
 from repro.core.pruning import derive_bounds
 from repro.core.reduction import apply_reduction, merge_reductions, reduction_gate_reason
+from repro.core.vectorize import CandidateColumns
 from repro.relational.content_hash import rids_fingerprint
 
 __all__ = [
@@ -105,6 +106,9 @@ class PipelineState:
     rid_map: object = None
     stream_info: dict | None = None
     base_candidate_count: int = 0
+    #: ``CandidateColumns`` over ``relation`` and ``candidate_rids``,
+    #: built after zone-skip; reduction rounds narrow it.
+    columns: object = None
     bounds: object = None
     reduction: object = None
     prune_rounds: int = 1
@@ -323,8 +327,7 @@ def _run_bounds(state, round_number):
             state.relation,
             state.candidate_rids,
             sharded=state.sharded,
-            workers=getattr(state.options, "workers", 0),
-            backend=getattr(state.options, "parallel_backend", "thread"),
+            columns=state.columns,
         )
         if state.artifacts is not None:
             state.artifacts.bounds.put(key, bounds)
@@ -369,6 +372,7 @@ def _run_reduce(state, round_number):
         state.options,
         state.sharded,
         artifacts=state.artifacts,
+        columns=state.columns,
     )
     state.candidate_rids = kept
     detail = {}
@@ -474,6 +478,13 @@ def run_analysis(
     state.base_candidate_count = len(state.candidate_rids)
     _run_stream(state)
     _run_zone_skip(state)
+    state.columns = CandidateColumns(
+        state.relation,
+        state.candidate_rids,
+        sharded=state.sharded,
+        workers=getattr(options, "workers", 0),
+        backend=getattr(options, "parallel_backend", "thread"),
+    )
     _run_prune_fixpoint(state)
     state.ctx = EvaluationContext(
         query=state.query,
@@ -485,6 +496,7 @@ def run_analysis(
         sharded=state.sharded,
         shard_info=state.shard_info,
         reduction=state.reduction,
+        columns=state.columns,
     )
     return state
 

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 from repro.paql import ast
 from repro.paql.errors import PaQLUnsupportedError
-from repro.paql.eval import eval_scalar
 from repro.core.formula import normalize_formula
+from repro.core.vectorize import CandidateColumns
 
 
 @dataclass(frozen=True)
@@ -195,14 +195,8 @@ def search_space_size(n, bounds, limit=None):
     return sum(math.comb(n, k) for k in range(low, high + 1))
 
 
-#: Sentinel: "this statistics path does not apply, try the next one".
+#: Sentinel: "the zone statistics do not apply, read the columns".
 _UNCOMPUTED = object()
-
-#: Below this many candidates a single kernel pass beats per-shard
-#: dispatch (split + pool overhead exceeds the scan itself); the
-#: sharded statistics path only engages past it.  Either path computes
-#: the identical extent.
-_SHARD_STATS_MIN_CANDIDATES = 32768
 
 
 class CardinalityPruner:
@@ -214,15 +208,13 @@ class CardinalityPruner:
         candidate_rids: rids surviving the base constraints (ascending).
         sharded: optional
             :class:`~repro.relational.sharding.ShardedRelation` over
-            ``relation``; argument statistics then reduce per-shard
-            partials — straight from the cached zone statistics for
-            bare columns over full candidate coverage (O(shards), no
-            scan), otherwise shard-parallel kernel partials merged in
-            shard order.  Either way the derived min/max (and hence
-            the bounds) are bit-identical to the unsharded scan.
-        workers: worker threads for the shard-parallel partials.
-        backend: the :func:`~repro.core.parallel.parallel_map` backend
-            for those partials.
+            ``relation``; a bare numeric column over full candidate
+            coverage then reads its extent straight from the cached
+            zone statistics (O(shards), no scan).  The derived bounds
+            are bit-identical either way.
+        workers, backend: the columns' shard fan-out.
+        columns: the query's ``CandidateColumns`` over
+            ``candidate_rids`` (built when ``None``).
     """
 
     def __init__(
@@ -233,15 +225,17 @@ class CardinalityPruner:
         sharded=None,
         workers=0,
         backend="thread",
+        columns=None,
     ):
+        if columns is None:
+            columns = CandidateColumns(
+                relation, candidate_rids, sharded, workers, backend
+            )
         self._query = query
         self._relation = relation
-        self._candidates = list(candidate_rids)
-        self._max_cardinality = len(self._candidates) * query.repeat
+        self._columns = columns
+        self._max_cardinality = len(columns.rids) * query.repeat
         self._sharded = sharded
-        self._workers = workers
-        self._backend = backend
-        self._value_cache = {}
 
     # -- data statistics ------------------------------------------------------
 
@@ -250,31 +244,24 @@ class CardinalityPruner:
 
         ``None`` when no candidate yields a non-NULL value.  Paths, in
         preference order: zone statistics (bare numeric column, full
-        candidate coverage), compiled kernels over the cached column
-        arrays (per-shard partials when sharding is in force), and the
-        row interpreter as the compile-failure fallback.
+        candidate coverage), then min/max over the candidates' gathered
+        column, where a NaN anywhere makes both ends NaN.
         """
-        if expr in self._value_cache:
-            return self._value_cache[expr]
         extent = self._zone_range(expr)
-        if extent is _UNCOMPUTED:
-            extent = self._vectorized_range(expr)
-        if extent is _UNCOMPUTED:
-            values = []
-            for rid in self._candidates:
-                value = eval_scalar(expr, self._relation[rid])
-                if value is not None:
-                    values.append(float(value))
-            extent = (min(values), max(values)) if values else None
-        self._value_cache[expr] = extent
-        return extent
+        if extent is not _UNCOMPUTED:
+            return extent
+        values, nulls = self._columns.get(expr)
+        present = values[~nulls]
+        if present.size == 0:
+            return None
+        return (float(present.min()), float(present.max()))
 
     def _zone_range(self, expr):
         """Min/max from zone statistics — exact only with every row a
         candidate (a shard's zone min/max is over *all* its rows)."""
         if (
             self._sharded is None
-            or len(self._candidates) != len(self._relation)
+            or len(self._columns.rids) != len(self._relation)
             or not isinstance(expr, ast.ColumnRef)
             or expr.name not in self._relation.schema
         ):
@@ -287,50 +274,6 @@ class CardinalityPruner:
         if zone.non_null == 0:
             return None
         return (zone.minimum, zone.maximum)
-
-    def _vectorized_range(self, expr):
-        from repro.core.parallel import parallel_map
-        from repro.core.vectorize import UnsupportedExpression, evaluator_for
-
-        evaluator = evaluator_for(self._relation)
-        try:
-            probe, _ = evaluator.scalar_arrays(expr, [])
-        except UnsupportedExpression:
-            return _UNCOMPUTED
-        if probe.dtype.kind not in "fiu":
-            return _UNCOMPUTED
-
-        def extent_of(rids):
-            array, nulls = evaluator.scalar_arrays(expr, rids)
-            kept = array[~nulls]
-            if kept.size == 0:
-                return None
-            return (float(kept.min()), float(kept.max()))
-
-        if (
-            self._sharded is None
-            or len(self._candidates) < _SHARD_STATS_MIN_CANDIDATES
-        ):
-            return extent_of(self._candidates)
-        groups = [
-            group
-            for group in self._sharded.split_rids(self._candidates)
-            if len(group)
-        ]
-        partials = parallel_map(
-            extent_of, groups, workers=self._workers, backend=self._backend
-        )
-        extents = [extent for extent in partials if extent is not None]
-        if not extents:
-            return None
-        lows = [extent[0] for extent in extents]
-        highs = [extent[1] for extent in extents]
-        # Python min/max drop NaN order-dependently; the unsharded
-        # whole-subset reduction propagates it, and the merged extent
-        # must match that whichever shard the NaN landed in.
-        if any(math.isnan(value) for value in lows + highs):
-            return (math.nan, math.nan)
-        return (min(lows), max(highs))
 
     # -- public API -----------------------------------------------------------
 
@@ -532,10 +475,6 @@ def match_aggregate_comparison(node):
     return None, None, None
 
 
-#: Backwards-compatible private spelling (pre-reduction callers).
-_match_simple_comparison = match_aggregate_comparison
-
-
 def _compare_const(value, op, constant):
     if op is ast.CmpOp.EQ:
         return value == constant
@@ -557,14 +496,9 @@ def derive_bounds(
     sharded=None,
     workers=0,
     backend="thread",
+    columns=None,
 ):
-    """Convenience wrapper around :class:`CardinalityPruner`.
-
-    ``sharded``/``workers``/``backend`` switch the argument statistics
-    onto per-shard partials (zone stats or parallel kernel scans)
-    without changing any derived bound — see
-    :class:`CardinalityPruner`.
-    """
+    """Convenience wrapper around :class:`CardinalityPruner`."""
     return CardinalityPruner(
         query,
         relation,
@@ -572,6 +506,7 @@ def derive_bounds(
         sharded=sharded,
         workers=workers,
         backend=backend,
+        columns=columns,
     ).bounds()
 
 

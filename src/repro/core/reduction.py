@@ -80,7 +80,7 @@ from repro.core.formula import conjunctive_leaves, normalize_formula
 from repro.core.pruning import match_aggregate_comparison
 from repro.core.translate_ilp import ILPTranslationError, minmax_plan
 from repro.core.validator import DEFAULT_TOLERANCE
-from repro.core.vectorize import UnsupportedExpression, evaluator_for
+from repro.core.vectorize import CandidateColumns
 from repro.relational.content_hash import rids_fingerprint
 
 __all__ = [
@@ -96,11 +96,6 @@ __all__ = [
 
 #: Recognized ``EngineOptions.reduce`` spellings.
 REDUCE_MODES = ("off", "safe", "aggressive")
-
-#: Below this many candidates the value-extraction pass runs serially
-#: even when a ShardedRelation is in force (pool dispatch would cost
-#: more than the scan); matches the pruner's statistics threshold.
-SHARD_REDUCTION_MIN_CANDIDATES = 32768
 
 #: Dominance with two or more ordered key dimensions counts dominators
 #: pairwise (quadratic); past this many kept candidates it is skipped.
@@ -208,6 +203,7 @@ def apply_reduction(
     options,
     sharded=None,
     artifacts=None,
+    columns=None,
 ):
     """The pipeline's reduction stage: gate, run, and unpack.
 
@@ -222,6 +218,7 @@ def apply_reduction(
             layer reuses per-conjunct facts (fixing masks, witness
             sets, dominance keys) across queries sharing a conjunct
             over the same candidate set.
+        columns: see :func:`reduce_candidates`.
 
     Returns:
         ``(kept_rids, reduction)`` where ``reduction`` is the
@@ -239,6 +236,7 @@ def apply_reduction(
         workers=getattr(options, "workers", 0),
         artifacts=artifacts,
         backend=getattr(options, "parallel_backend", "thread"),
+        columns=columns,
     )
     return reduction.kept_rids, reduction
 
@@ -297,6 +295,7 @@ def reduce_candidates(
     tolerance=DEFAULT_TOLERANCE,
     artifacts=None,
     backend="thread",
+    columns=None,
 ):
     """Reduce ``candidate_rids`` for ``query`` (see module docstring).
 
@@ -309,14 +308,18 @@ def reduce_candidates(
         mode: ``safe`` (fixing only) or ``aggressive`` (fixing plus
             proof-gated dominance).  ``off`` returns the identity.
         sharded: optional :class:`~repro.relational.sharding.ShardedRelation`
-            enabling the zone-map whole-shard fast path and
-            shard-parallel value extraction.
-        workers: worker threads for shard-parallel extraction.
+            enabling the zone-map whole-shard fast path and the
+            columns' shard fan-out.
+        workers: worker threads for that fan-out.
         tolerance: the validator's boundary tolerance; fixing widens
             non-strict thresholds by it so reduction never removes a
             tuple some oracle-acceptable package contains.
         artifacts: optional artifact cache whose ``facts`` layer
             memoizes per-conjunct facts (see :func:`apply_reduction`).
+        columns: the query's ``CandidateColumns`` over
+            ``candidate_rids`` (built when ``None``), narrowed in place
+            to the kept candidates; dominance gathers the objective
+            only over the candidates fixing kept.
 
     Returns:
         :class:`Reduction`.
@@ -345,9 +348,11 @@ def reduce_candidates(
             else "skipped: no global constraints",
             elapsed_seconds=time.perf_counter() - started,
         )
+    if columns is None:
+        columns = CandidateColumns(relation, rids, sharded, workers, backend)
     return _Reducer(
-        query, relation, rids, bounds, mode, sharded, workers, tolerance,
-        artifacts, backend=backend,
+        query, relation, rids, bounds, mode, sharded, tolerance, artifacts,
+        columns,
     ).run(started)
 
 
@@ -430,8 +435,8 @@ class _Reducer:
     """One reduction run; all masks are positional over the input rids."""
 
     def __init__(
-        self, query, relation, rids, bounds, mode, sharded, workers, tolerance,
-        artifacts=None, backend="thread",
+        self, query, relation, rids, bounds, mode, sharded, tolerance,
+        artifacts, columns,
     ):
         self._query = query
         self._relation = relation
@@ -446,16 +451,13 @@ class _Reducer:
             # of deriving garbage.
             sharded = None
         self._sharded = sharded
-        self._workers = workers
-        self._backend = backend
         self._tol = float(tolerance)
         self._artifacts = artifacts
         # One fingerprint per run, reused in every per-leaf cache key.
         self._rids_key = (
             rids_fingerprint(self._rids) if artifacts is not None else None
         )
-        self._evaluator = evaluator_for(relation)
-        self._value_cache = {}
+        self._columns = columns
         self._zero = np.zeros(len(rids), dtype=bool)
         self._witness_checks = []
         self._dominance_keys = []
@@ -477,6 +479,9 @@ class _Reducer:
                 self._consume_with_cache(leaf)
         fixed = int(np.count_nonzero(self._zero))
         forced, infeasible_reason = self._resolve_witnesses()
+        # Fixing is final: dominance and every later reader of the
+        # columns see only the candidates it kept.
+        self._columns.narrow(~self._zero)
 
         dominated = 0
         dominance = "not requested"
@@ -610,54 +615,14 @@ class _Reducer:
 
     # -- value extraction ----------------------------------------------------
 
-    def _values(self, expr):
-        """``(values, nulls)`` float64/bool arrays over the candidates.
-
-        ``None`` when no numeric kernel exists (the conjunct is then
-        skipped — reduction facts are always optional).  Values at
-        NULL positions are normalized to NaN.  Past the size threshold
-        with a ShardedRelation in force, per-shard extractions run
-        through the worker pool and concatenate in shard order
-        (kernels are elementwise, so the result is bit-identical).
-        """
-        if expr in self._value_cache:
-            return self._value_cache[expr]
-        result = self._compute_values(expr)
-        self._value_cache[expr] = result
-        return result
-
-    def _compute_values(self, expr):
-        try:
-            probe, _ = self._evaluator.scalar_arrays(expr, [])
-        except UnsupportedExpression:
+    def _numeric(self, expr):
+        """``(values, nulls)`` over the input candidates, NULL as NaN;
+        ``None`` for a non-numeric argument (the conjunct is then
+        skipped — reduction facts are always optional)."""
+        values, nulls = self._columns.get(expr)
+        if values.dtype.kind not in "fiu":
             return None
-        if probe.dtype.kind not in "fiu":
-            return None
-
-        def extract(rids):
-            values, nulls = self._evaluator.scalar_arrays(expr, rids)
-            values = np.asarray(values, dtype=np.float64)
-            return np.where(nulls, np.nan, values), nulls
-
-        if (
-            self._sharded is None
-            or len(self._rids) < SHARD_REDUCTION_MIN_CANDIDATES
-        ):
-            return extract(self._rids)
-        from repro.core.parallel import parallel_map
-
-        groups = [
-            group
-            for group in self._sharded.split_rids(self._rids)
-            if len(group)
-        ]
-        parts = parallel_map(
-            extract, groups, workers=self._workers, backend=self._backend
-        )
-        return (
-            np.concatenate([part[0] for part in parts]),
-            np.concatenate([part[1] for part in parts]),
-        )
+        return values, nulls
 
     def _slack(self, *magnitudes):
         """Vectorized validator slack: ``tol * max(1, |each magnitude|)``."""
@@ -682,10 +647,10 @@ class _Reducer:
         accepts — widened by the validator tolerance on non-strict
         ops — ``j`` cannot appear in any acceptable package.
         """
-        extracted = self._values(argument)
+        extracted = self._numeric(argument)
         if extracted is None:
             self._block_dominance(
-                f"{kind.upper()} argument has no columnar kernel"
+                f"{kind.upper()} argument is not numeric"
             )
             return
         values, nulls = extracted
@@ -759,9 +724,9 @@ class _Reducer:
         among the kept candidates, which doubles as an infeasibility /
         forced-tuple witness exactly like the MIN/MAX support sets.
         """
-        extracted = self._values(aggregate.argument)
+        extracted = self._numeric(aggregate.argument)
         if extracted is None:
-            self._block_dominance("AVG argument has no columnar kernel")
+            self._block_dominance("AVG argument is not numeric")
             return
         values, nulls = extracted
         label = f"AVG {op.value} {constant:g}"
@@ -817,9 +782,9 @@ class _Reducer:
                     self._block_dominance("non-finite data under MIN/MAX")
                 return
 
-        extracted = self._values(argument)
+        extracted = self._numeric(argument)
         if extracted is None:
-            self._block_dominance("MIN/MAX argument has no columnar kernel")
+            self._block_dominance("MIN/MAX argument is not numeric")
             return
         values, nulls = extracted
         with np.errstate(invalid="ignore"):
@@ -1013,11 +978,8 @@ class _Reducer:
             return 0, "skipped: nothing left to dominate"
         from repro.core.greedy import _per_tuple_scores
 
-        scores = _per_tuple_scores(
-            self._query,
-            self._relation,
-            [int(rid) for rid in self._rids[kept_idx]],
-        )
+        # The columns were narrowed to ``kept_idx`` after fixing.
+        scores = _per_tuple_scores(self._query, self._columns)
         if scores is None:
             return 0, "skipped: objective has no per-tuple decomposition"
         scores = np.asarray(scores, dtype=np.float64)
@@ -1076,6 +1038,7 @@ class _Reducer:
         count = int(np.count_nonzero(removed))
         if count:
             self._zero[kept_idx[removed]] = True
+            self._columns.narrow(~removed)
         return count, "applied"
 
 

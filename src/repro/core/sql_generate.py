@@ -33,16 +33,17 @@ NULLs).  Everything else raises :class:`SQLGenerateUnsupported`.
 from __future__ import annotations
 
 import json
-import math
+
+import numpy as np
 
 from repro.paql import ast
 from repro.paql.errors import PaQLUnsupportedError
-from repro.paql.eval import eval_scalar
 from repro.paql.to_sql import sql_constant, to_sql
 from repro.core.formula import normalize_formula
 from repro.core.package import Package
 from repro.core.pruning import derive_bounds
 from repro.core.validator import compare_objectives, objective_value
+from repro.core.vectorize import CandidateColumns
 
 
 class SQLGenerateUnsupported(Exception):
@@ -59,30 +60,32 @@ def _member_sql(argument, aliases, params):
     return exprs
 
 
-def _refuse_unrepresentable(aggregate, relation, candidate_rids):
+def _refuse_unrepresentable(aggregate, columns):
     """Raise when sqlite would read a candidate's argument differently.
 
     sqlite stores float NaN as NULL, so a NaN argument would silently
     count as NULL inside SQL while the validator sees NaN.  Scalar
     ``MIN``/``MAX`` return NULL if *any* argument is NULL, unlike the
-    aggregates, which skip NULLs.
+    aggregates, which skip NULLs.  The first offending candidate, in
+    candidate order, picks the message.
     """
+    values, nulls = columns.get(aggregate.argument)
+    nan = ~nulls & (np.isnan(values) if values.dtype.kind in "fiu" else False)
     minmax = aggregate.func in (ast.AggFunc.MIN, ast.AggFunc.MAX)
-    for rid in candidate_rids:
-        value = eval_scalar(aggregate.argument, relation[rid])
-        if isinstance(value, float) and math.isnan(value):
-            raise SQLGenerateUnsupported(
-                f"{aggregate.func.value} argument has NaN among the "
-                "candidates; sqlite would store it as NULL"
-            )
-        if value is None and minmax:
-            raise SQLGenerateUnsupported(
-                f"{aggregate.func.value} argument has NULLs among the "
-                "candidates; sqlite's scalar MIN/MAX would mis-handle them"
-            )
+    refused = nan | nulls if minmax else nan
+    if refused.any() and nan[refused.argmax()]:
+        raise SQLGenerateUnsupported(
+            f"{aggregate.func.value} argument has NaN among the "
+            "candidates; sqlite would store it as NULL"
+        )
+    if refused.any():
+        raise SQLGenerateUnsupported(
+            f"{aggregate.func.value} argument has NULLs among the "
+            "candidates; sqlite's scalar MIN/MAX would mis-handle them"
+        )
 
 
-def _aggregate_sql(aggregate, aliases, relation, candidate_rids, params):
+def _aggregate_sql(aggregate, aliases, columns, params):
     """Render one aggregate over a k-tuple of relation aliases.
 
     Constants append to ``params`` in the order their ``?`` appears.
@@ -92,7 +95,7 @@ def _aggregate_sql(aggregate, aliases, relation, candidate_rids, params):
 
     argument = aggregate.argument
     func = aggregate.func
-    _refuse_unrepresentable(aggregate, relation, candidate_rids)
+    _refuse_unrepresentable(aggregate, columns)
 
     if func is ast.AggFunc.SUM:
         pieces = [
@@ -129,32 +132,32 @@ def _aggregate_sql(aggregate, aliases, relation, candidate_rids, params):
     return f"{func.value}({', '.join(member_exprs)})"
 
 
-def _formula_sql(node, aliases, relation, candidate_rids, params):
+def _formula_sql(node, aliases, columns, params):
     """Render a normalized global formula over a k-tuple join."""
     if isinstance(node, ast.Literal):
         return "1" if node.value else "0"
     if isinstance(node, ast.And):
         parts = [
-            _formula_sql(arg, aliases, relation, candidate_rids, params)
+            _formula_sql(arg, aliases, columns, params)
             for arg in node.args
         ]
         return "(" + " AND ".join(parts) + ")"
     if isinstance(node, ast.Or):
         parts = [
-            _formula_sql(arg, aliases, relation, candidate_rids, params)
+            _formula_sql(arg, aliases, columns, params)
             for arg in node.args
         ]
         return "(" + " OR ".join(parts) + ")"
     if isinstance(node, ast.Comparison):
-        left = _scalar_sql(node.left, aliases, relation, candidate_rids, params)
-        right = _scalar_sql(node.right, aliases, relation, candidate_rids, params)
+        left = _scalar_sql(node.left, aliases, columns, params)
+        right = _scalar_sql(node.right, aliases, columns, params)
         return f"({left} {node.op.value} {right})"
     raise SQLGenerateUnsupported(
         f"cannot render node {type(node).__name__} for SQL generation"
     )
 
 
-def _scalar_sql(node, aliases, relation, candidate_rids, params):
+def _scalar_sql(node, aliases, columns, params):
     """Render an aggregate-bearing arithmetic expression."""
     if isinstance(node, ast.Literal):
         if node.value is None or isinstance(node.value, (bool, str)):
@@ -163,15 +166,13 @@ def _scalar_sql(node, aliases, relation, candidate_rids, params):
             )
         return sql_constant(float(node.value), params)
     if isinstance(node, ast.Aggregate):
-        return _aggregate_sql(node, aliases, relation, candidate_rids, params)
+        return _aggregate_sql(node, aliases, columns, params)
     if isinstance(node, ast.UnaryMinus):
-        inner = _scalar_sql(
-            node.operand, aliases, relation, candidate_rids, params
-        )
+        inner = _scalar_sql(node.operand, aliases, columns, params)
         return f"(-{inner})"
     if isinstance(node, ast.BinaryOp):
-        left = _scalar_sql(node.left, aliases, relation, candidate_rids, params)
-        right = _scalar_sql(node.right, aliases, relation, candidate_rids, params)
+        left = _scalar_sql(node.left, aliases, columns, params)
+        right = _scalar_sql(node.right, aliases, columns, params)
         if node.op is ast.BinOp.DIV:
             return f"(CAST({left} AS REAL) / {right})"
         return f"({left} {node.op.value} {right})"
@@ -180,7 +181,9 @@ def _scalar_sql(node, aliases, relation, candidate_rids, params):
     )
 
 
-def build_generate_sql(query, relation, candidate_rids, cardinality, best_only):
+def build_generate_sql(
+    query, relation, candidate_rids, cardinality, best_only, columns=None
+):
     """Build the k-way self-join that generates and validates packages.
 
     Args:
@@ -189,6 +192,7 @@ def build_generate_sql(query, relation, candidate_rids, cardinality, best_only):
             every join alias is restricted to them.
         cardinality: the package size ``k`` this statement targets.
         best_only: append ORDER BY objective + LIMIT 1.
+        columns: the candidates' ``CandidateColumns`` (optional).
 
     Returns:
         ``(sql, params)``: SQL text selecting columns ``rid_1 ..
@@ -204,6 +208,8 @@ def build_generate_sql(query, relation, candidate_rids, cardinality, best_only):
     if cardinality == 0:
         raise SQLGenerateUnsupported("use Python for the empty package")
 
+    if columns is None:
+        columns = CandidateColumns(relation, candidate_rids)
     aliases = [f"R{i}" for i in range(1, cardinality + 1)]
     from_clause = ", ".join(f"{relation.name} {alias}" for alias in aliases)
 
@@ -222,7 +228,7 @@ def build_generate_sql(query, relation, candidate_rids, cardinality, best_only):
         except PaQLUnsupportedError as exc:
             raise SQLGenerateUnsupported(str(exc)) from exc
         where_parts.append(
-            _formula_sql(normalized, aliases, relation, candidate_rids, params)
+            _formula_sql(normalized, aliases, columns, params)
         )
 
     select_cols = ", ".join(
@@ -234,7 +240,7 @@ def build_generate_sql(query, relation, candidate_rids, cardinality, best_only):
 
     if best_only and query.objective is not None:
         objective_sql = _scalar_sql(
-            query.objective.expr, aliases, relation, candidate_rids, params
+            query.objective.expr, aliases, columns, params
         )
         direction = (
             "DESC"
@@ -247,12 +253,13 @@ def build_generate_sql(query, relation, candidate_rids, cardinality, best_only):
     return sql, tuple(params)
 
 
-def sql_find_best(db, query, relation, candidate_rids, bounds=None):
+def sql_find_best(db, query, relation, candidate_rids, bounds=None, columns=None):
     """Find the best valid package via per-cardinality SQL statements.
 
     Iterates ``k`` over the pruned cardinality window, runs one
     generate-and-validate statement per ``k`` (with ORDER BY + LIMIT 1
-    when an objective exists), and keeps the best winner.
+    when an objective exists), and keeps the best winner.  Every
+    statement reads the candidates' arguments from one ``columns``.
 
     Returns:
         The optimal :class:`~repro.core.package.Package`, or ``None``.
@@ -261,8 +268,10 @@ def sql_find_best(db, query, relation, candidate_rids, bounds=None):
         SQLGenerateUnsupported: outside the supported fragment.
     """
     candidates = list(candidate_rids)
+    if columns is None:
+        columns = CandidateColumns(relation, candidates)
     if bounds is None:
-        bounds = derive_bounds(query, relation, candidates)
+        bounds = derive_bounds(query, relation, candidates, columns=columns)
     if bounds.empty:
         return None
 
@@ -278,7 +287,9 @@ def sql_find_best(db, query, relation, candidate_rids, bounds=None):
             if not check_global(package, query):
                 continue
         else:
-            sql, params = build_generate_sql(query, relation, candidates, k, True)
+            sql, params = build_generate_sql(
+                query, relation, candidates, k, True, columns
+            )
             rows = db.execute(sql, params)
             if not rows:
                 continue

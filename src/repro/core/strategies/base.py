@@ -68,6 +68,9 @@ class EvaluationContext:
             stays available as :attr:`base_candidate_count` for
             user-facing reporting.  With the pipeline's prune/reduce
             fixpoint this is the *merged* record across rounds.
+        columns: the :class:`~repro.core.vectorize.CandidateColumns`
+            over ``candidate_rids`` that pruning and reduction
+            gathered; the strategies read it instead of re-gathering.
 
     The ILP translation is computed lazily and kept on the context for
     this one query (never across queries): the cost model, the planner
@@ -85,6 +88,7 @@ class EvaluationContext:
     sharded: object = None
     shard_info: dict | None = None
     reduction: object = None
+    columns: object = None
     _translation: object = field(default=None, init=False, repr=False)
     _translation_error: str | None = field(default=None, init=False, repr=False)
     _translation_tried: bool = field(default=False, init=False, repr=False)
@@ -152,6 +156,7 @@ class EvaluationContext:
                     self.relation,
                     self.candidate_rids,
                     forced_ones=frozenset(self.forced_rids),
+                    columns=self.columns,
                 )
             except ILPTranslationError as exc:
                 self._translation_error = str(exc)

@@ -28,13 +28,18 @@ def _warm_start(ctx, translation):
     resulting package validates against the query, its multiplicities
     become the builtin branch-and-bound's initial primal bound.  The
     solver re-checks the vector against the model, so a bad seed can
-    only be ignored, never believed.
+    only be ignored, never believed.  The seed ranks by the objective
+    column the translation already gathered into ``ctx.columns``.
     """
     from repro.core.greedy import greedy_seed
     from repro.core.validator import is_valid
 
     seed = greedy_seed(
-        ctx.query, ctx.relation, ctx.candidate_rids, bounds=ctx.bounds
+        ctx.query,
+        ctx.relation,
+        ctx.candidate_rids,
+        bounds=ctx.bounds,
+        columns=ctx.columns,
     )
     if seed is None or not is_valid(seed, ctx.query):
         return None

@@ -36,6 +36,7 @@ class LocalSearchStrategy(Strategy):
             ctx.relation,
             ctx.candidate_rids,
             ctx.options.local_search,
+            columns=ctx.columns,
         )
         outcome = search.run()
         stats = {

@@ -157,6 +157,7 @@ class PartitionStrategy(Strategy):
             opts.resolved_count(ctx.candidate_count),
             max_attributes=opts.max_attributes,
             workers=workers,
+            columns=ctx.columns,
         )
         stats = {
             "partitions": len(parts),

@@ -45,7 +45,12 @@ class SQLStrategy(Strategy):
         with Database() as db:
             db.load_relation(ctx.relation)
             package = sql_find_best(
-                db, ctx.query, ctx.relation, ctx.candidate_rids, ctx.bounds
+                db,
+                ctx.query,
+                ctx.relation,
+                ctx.candidate_rids,
+                ctx.bounds,
+                columns=ctx.columns,
             )
         status = ResultStatus.OPTIMAL if package else ResultStatus.INFEASIBLE
         return EvaluationResult(

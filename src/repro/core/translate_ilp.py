@@ -36,16 +36,15 @@ finite (``repeat``).
 Array-native construction
 -------------------------
 The coefficients already sit in numpy columns, so the translator never
-leaves them: :meth:`VectorEvaluator.scalar_arrays
-<repro.core.vectorize.VectorEvaluator.scalar_arrays>` hands back one
-``(values, nulls)`` pair per aggregate argument, every linear form is
-a dense float64 row over the candidates built with mask arithmetic
-(NULL and zero entries are 0 and dropped by
-:meth:`Model.add_row <repro.solver.model.Model.add_row>`), MIN/MAX
-sets are boolean masks, and :meth:`ILPTranslation.decode` reads the
-solution vector back through an index array.  No Python object is
-created per candidate; only an argument the column compiler cannot
-handle is row-evaluated into the same ``(values, nulls)`` shape.
+leaves them: the query's :class:`~repro.core.vectorize.CandidateColumns`
+hands back one ``(values, nulls)`` pair per aggregate argument (the
+pair pruning and reduction already gathered, when the pipeline passes
+its columns), every linear form is a dense float64 row over the
+candidates built with mask arithmetic (NULL and zero entries are 0 and
+dropped by :meth:`Model.add_row <repro.solver.model.Model.add_row>`),
+MIN/MAX sets are boolean masks, and :meth:`ILPTranslation.decode`
+reads the solution vector back through an index array.  No Python
+object is created per candidate.
 
 What cannot translate raises :class:`ILPTranslationError` — objectives
 using AVG/MIN/MAX, MIN/MAX compared against non-constants, and products
@@ -62,9 +61,9 @@ import numpy as np
 
 from repro.paql import ast
 from repro.paql.errors import PaQLUnsupportedError
-from repro.paql.eval import eval_scalar
 from repro.core.formula import normalize_formula
 from repro.core.package import Package
+from repro.core.vectorize import CandidateColumns
 from repro.solver.model import Model, ObjectiveSense, sequential_sum
 
 #: Slack used to encode strict inequalities over continuous sums.
@@ -337,6 +336,7 @@ class _Translator:
         epsilon,
         upper_bounds=None,
         forced_ones=None,
+        columns=None,
     ):
         self._query = query
         self._relation = relation
@@ -358,7 +358,9 @@ class _Translator:
         # added later has a larger one: rows come out index-ordered.
         self._x = self._model.add_variables(count, lower, upper, integer=True)
         self._x_upper = self._model.upper[self._x]
-        self._columns = {}
+        if columns is None:
+            columns = CandidateColumns(relation, self._rids)
+        self._columns = columns
         self._support_added = []
 
     # -- data access -------------------------------------------------------
@@ -368,48 +370,12 @@ class _Translator:
 
         ``values`` is float64 with NULL rows zeroed (``None`` for a
         non-numeric argument, which only COUNT may take); ``nulls``
-        marks the NULL rows.  Pulled from the relation's cached column
-        arrays when the argument compiles
-        (:mod:`repro.core.vectorize`); row-evaluated otherwise.
+        marks the NULL rows.
         """
-        if argument not in self._columns:
-            self._columns[argument] = self._vectorized_column(
-                argument
-            ) or self._interpreted_column(argument)
-        return self._columns[argument]
-
-    def _vectorized_column(self, argument):
-        from repro.core.vectorize import UnsupportedExpression, evaluator_for
-
-        if len(self._rids) == 0:
-            return None
-        try:
-            values, nulls = evaluator_for(self._relation).scalar_arrays(
-                argument, self._rids
-            )
-        except UnsupportedExpression:
-            return None
+        values, nulls = self._columns.get(argument)
         if values.dtype.kind not in "fiu":
-            return None
+            return None, nulls
         return np.where(nulls, 0.0, values), nulls
-
-    def _interpreted_column(self, argument):
-        raw = [
-            eval_scalar(argument, self._relation[rid])
-            for rid in self._rids.tolist()
-        ]
-        nulls = np.fromiter(
-            (value is None for value in raw), dtype=bool, count=len(raw)
-        )
-        try:
-            values = np.fromiter(
-                (0.0 if value is None else float(value) for value in raw),
-                dtype=np.float64,
-                count=len(raw),
-            )
-        except (TypeError, ValueError):
-            values = None
-        return values, nulls
 
     # -- linear forms over x ---------------------------------------------------
 
@@ -688,6 +654,7 @@ def translate(
     epsilon=DEFAULT_EPSILON,
     upper_bounds=None,
     forced_ones=None,
+    columns=None,
 ):
     """Translate an analyzed package query into an ILP.
 
@@ -708,6 +675,8 @@ def translate(
             into outright eliminations when ``REPEAT`` is 1.  Sound
             facts only tighten the model — they never cut a feasible
             solution.
+        columns: the query's ``CandidateColumns`` over
+            ``candidate_rids`` (built when ``None``).
 
     Returns:
         :class:`ILPTranslation`.
@@ -717,5 +686,6 @@ def translate(
             evaluator falls back to search strategies).
     """
     return _Translator(
-        query, relation, candidate_rids, epsilon, upper_bounds, forced_ones
+        query, relation, candidate_rids, epsilon, upper_bounds, forced_ones,
+        columns,
     ).translate()

@@ -41,7 +41,10 @@ Anything outside the compilable fragment — aggregates in scalar
 positions, text arithmetic, ordered comparisons across kinds — raises
 :class:`UnsupportedExpression` at compile time, and every caller falls
 back to the row interpreter, so vectorization is always a pure
-optimization, never a semantics change.
+optimization, never a semantics change.  Two functions hold those
+fallbacks for the candidate set: :func:`where_positions` for WHERE,
+and :class:`CandidateColumns` for the aggregate arguments every
+analysis layer reads (gathered once per query).
 """
 
 from __future__ import annotations
@@ -54,12 +57,14 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.paql import ast
-from repro.paql.eval import EvaluationError, eval_predicate
+from repro.paql.eval import EvaluationError, eval_predicate, eval_scalar
 from repro.relational.relation import aggregate_reduce
 from repro.relational.types import ColumnType
 
 __all__ = [
+    "CandidateColumns",
     "OverflowPrecisionWarning",
+    "SHARD_GATHER_MIN_CANDIDATES",
     "TriBool",
     "UnsupportedExpression",
     "VectorEvaluator",
@@ -697,6 +702,117 @@ def where_positions(where, relation):
         count=len(relation),
     )
     return np.flatnonzero(keep), "interpreted"
+
+
+#: Below this many candidates one kernel pass beats per-shard dispatch
+#: (split + pool overhead exceeds the scan itself), so the shard
+#: fan-out of :class:`CandidateColumns` only engages past it.  Either
+#: way the gathered arrays are identical.
+SHARD_GATHER_MIN_CANDIDATES = 32768
+
+
+class CandidateColumns:
+    """The candidates' aggregate-argument columns, gathered once per query.
+
+    Pruning, reduction, the ILP translation, the seeds, local search,
+    partitioning and SQL generation all read the same per-candidate
+    values of the same aggregate arguments from one instance.
+    :meth:`get` gathers an argument on first request, over the
+    *current* candidates, and keeps it; :meth:`narrow` drops
+    candidates by indexing what was gathered, so an argument first
+    asked for after a reduction round is never gathered over the
+    larger set before it.
+
+    A numeric argument comes back as float64 with NULL rows as NaN
+    (NaN *data* stays NaN, told apart by ``nulls``); for any other
+    argument (text) only ``nulls`` is meaningful.  Each consumer keeps
+    its own NULL convention on top.
+
+    Args:
+        relation: the relation the rids index.
+        rids: candidate rids, in the order every gathered array follows.
+        sharded: optional
+            :class:`~repro.relational.sharding.ShardedRelation`; past
+            :data:`SHARD_GATHER_MIN_CANDIDATES` strictly ascending
+            candidates a gather runs per shard through the worker pool
+            and concatenates in shard order (bit-identical: kernels
+            are elementwise).
+        workers, backend: the :func:`~repro.core.parallel.parallel_map`
+            settings of that fan-out.
+    """
+
+    def __init__(self, relation, rids, sharded=None, workers=0, backend="thread"):
+        self._relation = relation
+        self.rids = np.asarray(rids, dtype=np.intp)
+        if sharded is not None and np.any(np.diff(self.rids) <= 0):
+            sharded = None
+        self._sharded = sharded
+        self._workers = workers
+        self._backend = backend
+        self._gathered = {}
+
+    def get(self, node):
+        """``(values, nulls)`` of scalar expression ``node`` per candidate.
+
+        Raises:
+            EvaluationError: a runtime fault the row interpreter would
+                also raise (division by zero on a candidate).
+        """
+        pair = self._gathered.get(node)
+        if pair is None:
+            # setdefault: concurrent first requests for one node keep
+            # one answer (both gathers are equal anyway).
+            pair = self._gathered.setdefault(node, self._gather(node))
+        return pair
+
+    def narrow(self, keep):
+        """Keep only the candidates the bool mask ``keep`` (over the
+        current rids) selects, in their current order."""
+        if keep.all():
+            return
+        self.rids = self.rids[keep]
+        self._gathered = {
+            node: (values[keep], nulls[keep])
+            for node, (values, nulls) in self._gathered.items()
+        }
+
+    def _gather(self, node):
+        evaluator = evaluator_for(self._relation)
+        if not evaluator.supports(node):
+            return self._interpret(node)
+        if self._sharded is None or len(self.rids) < SHARD_GATHER_MIN_CANDIDATES:
+            values, nulls = evaluator.scalar_arrays(node, self.rids)
+        else:
+            from repro.core.parallel import parallel_map
+
+            groups = [
+                group for group in self._sharded.split_rids(self.rids) if len(group)
+            ]
+            parts = parallel_map(
+                lambda group: evaluator.scalar_arrays(node, group),
+                groups,
+                workers=self._workers,
+                backend=self._backend,
+            )
+            values = np.concatenate([part[0] for part in parts])
+            nulls = np.concatenate([part[1] for part in parts])
+        if values.dtype.kind in "fiu":
+            values = np.where(nulls, np.nan, values)
+        return values, nulls
+
+    def _interpret(self, node):
+        """The row interpreter, for arguments no kernel compiles."""
+        raw = [eval_scalar(node, self._relation[rid]) for rid in self.rids.tolist()]
+        nulls = np.array([value is None for value in raw], dtype=bool)
+        if all(isinstance(value, (int, float)) for value in raw if value is not None):
+            values = np.fromiter(
+                (np.nan if value is None else float(value) for value in raw),
+                dtype=np.float64,
+                count=len(raw),
+            )
+        else:
+            values = np.array(["" if value is None else str(value) for value in raw])
+        return values, nulls
 
 
 def aggregate_value(node, relation, rids, weights=None):

@@ -129,7 +129,7 @@ def _check_trivial_bounds(query, relation, warnings):
     if query.such_that is None or len(relation) == 0:
         return
     from repro.core.formula import conjunctive_leaves, normalize_formula
-    from repro.core.pruning import _match_simple_comparison
+    from repro.core.pruning import match_aggregate_comparison
 
     try:
         normalized = normalize_formula(query.such_that)
@@ -138,7 +138,7 @@ def _check_trivial_bounds(query, relation, warnings):
     for leaf in conjunctive_leaves(normalized):
         if not isinstance(leaf, ast.Comparison):
             continue
-        aggregate, op, constant = _match_simple_comparison(leaf)
+        aggregate, op, constant = match_aggregate_comparison(leaf)
         if aggregate is None or aggregate.func is not ast.AggFunc.SUM:
             continue
         values = []

@@ -51,18 +51,6 @@ class TestBoundedCache:
             "entries": 1, "hits": 0, "misses": 0, "approx_bytes": 30,
         }
 
-    def test_on_evict_fires_once_per_entry_leaving(self):
-        evicted = []
-        cache = BoundedCache(2, on_evict=lambda k, v: evicted.append((k, v)))
-        for index in range(4):
-            cache.put(index, str(index))
-        assert evicted == [(0, "0"), (1, "1")]
-        cache.clear()
-        assert sorted(evicted) == [(0, "0"), (1, "1"), (2, "2"), (3, "3")]
-        assert len(cache) == 0
-        cache.clear()
-        assert len(evicted) == 4
-
     def test_stats_shape(self):
         cache = BoundedCache(4)
         cache.put("k", "v")
@@ -151,6 +139,20 @@ class TestOnlyOneOfEach:
     def test_one_lru(self):
         assert self._files_containing("OrderedDict") == {"core/cache.py"}
         assert self._files_containing("popitem(last=False)") == {"core/cache.py"}
+
+    def test_one_candidate_column_source(self):
+        # Pruning, reduction, translation, the seeds, local search,
+        # partitioning and SQL generation read the candidates'
+        # aggregate arguments from one CandidateColumns: one gather
+        # per argument per query, one shard fan-out, one interpreter
+        # fallback (package.py keeps the validator's own).
+        assert self._files_containing("scalar_arrays(") == {"core/vectorize.py"}
+        assert {
+            path
+            for path in self._files_containing("eval_scalar")
+            if path.startswith("core/")
+        } <= {"core/vectorize.py", "core/package.py"}
+        assert self._files_containing("_value_cache") == set()
 
     def test_one_rid_digest(self):
         # Hashing raw array bytes happens in one module; the other

@@ -613,15 +613,16 @@ class TestShardedPruning:
     def test_extent_merge_propagates_nan_regardless_of_shard(
         self, nan_row, monkeypatch
     ):
-        # The shard-parallel statistics path merges per-shard extents;
-        # Python min/max drop NaN order-dependently while the unsharded
-        # whole-subset numpy reduction propagates it, so whichever
-        # shard holds the NaN the merged extent (and hence the bounds)
-        # must match the unsharded run.
+        # Past the fan-out threshold the candidates' columns gather per
+        # shard and concatenate in shard order; the extent is then one
+        # whole-array numpy reduction, which propagates NaN, so
+        # whichever shard holds the NaN the extent (and hence the
+        # bounds) must match the unsharded run.
         import repro.core.pruning as pruning
+        import repro.core.vectorize as vectorize
         from repro.paql import ast
 
-        monkeypatch.setattr(pruning, "_SHARD_STATS_MIN_CANDIDATES", 4)
+        monkeypatch.setattr(vectorize, "SHARD_GATHER_MIN_CANDIDATES", 4)
         values = [float(i) for i in range(50)]
         values[nan_row] = math.nan
         relation = _relation(values)
@@ -633,24 +634,52 @@ class TestShardedPruning:
             relation.schema,
         )
         rids = list(range(len(relation)))
-        plain = pruning.CardinalityPruner(query, relation, rids)
+        arg = ast.BinaryOp(
+            ast.BinOp.ADD,
+            ast.ColumnRef(None, "value"),
+            ast.ColumnRef(None, "value"),
+        )
+        plain_columns = vectorize.CandidateColumns(relation, rids)
+        sharded_columns = vectorize.CandidateColumns(
+            relation, rids, sharded=ShardedRelation(relation, 7), workers=2
+        )
+        gathers = []
+        scalar_arrays = vectorize.VectorEvaluator.scalar_arrays
+
+        def counting(evaluator, node, rids=None):
+            gathers.append(len(rids))
+            return scalar_arrays(evaluator, node, rids)
+
+        monkeypatch.setattr(
+            vectorize.VectorEvaluator, "scalar_arrays", counting
+        )
+        plain_values, plain_nulls = plain_columns.get(arg)
+        assert gathers == [50]
+        sharded_values, sharded_nulls = sharded_columns.get(arg)
+        assert len(gathers) == 1 + 7  # one gather per shard
+        assert np.array_equal(plain_values, sharded_values, equal_nan=True)
+        assert np.array_equal(plain_nulls, sharded_nulls)
+
+        plain = pruning.CardinalityPruner(
+            query, relation, rids, columns=plain_columns
+        )
         sharded = pruning.CardinalityPruner(
+            query,
+            relation,
+            rids,
+            sharded=ShardedRelation(relation, 7),
+            columns=sharded_columns,
+        )
+        assert all(math.isnan(bound) for bound in plain._argument_range(arg))
+        assert all(math.isnan(bound) for bound in sharded._argument_range(arg))
+        assert plain.bounds() == sharded.bounds()
+        assert sharded.bounds() == pruning.derive_bounds(
             query,
             relation,
             rids,
             sharded=ShardedRelation(relation, 7),
             workers=2,
         )
-        arg = ast.BinaryOp(
-            ast.BinOp.ADD,
-            ast.ColumnRef(None, "value"),
-            ast.ColumnRef(None, "value"),
-        )
-        plain_extent = plain._vectorized_range(arg)
-        sharded_extent = sharded._vectorized_range(arg)
-        assert all(math.isnan(bound) for bound in plain_extent)
-        assert all(math.isnan(bound) for bound in sharded_extent)
-        assert plain.bounds() == sharded.bounds()
 
     def test_plan_reports_sharding(self):
         from repro.core.plan import plan

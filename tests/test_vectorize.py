@@ -573,3 +573,212 @@ class TestOverflowPrecisionWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error", OverflowPrecisionWarning)
             assert try_predicate_mask(where, relation) is not None
+
+
+# ---------------------------------------------------------------------------
+# CandidateColumns: one gather per argument per query
+# ---------------------------------------------------------------------------
+
+_special_float = st.one_of(
+    st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6),
+)
+
+
+def _gathered(columns, node):
+    """``columns.get(node)``, or ``None`` when the row interpreter
+    would raise too (division by zero on a candidate)."""
+    try:
+        return columns.get(node)
+    except EvaluationError:
+        return None
+
+
+def _assert_same_pair(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got[0].dtype == want[0].dtype
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+    assert np.array_equal(got[1], want[1])
+
+
+class TestCandidateColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        node=scalar_numeric(),
+        rows=st.lists(
+            st.fixed_dictionaries(
+                {
+                    **{name: _special_float for name in COLUMN_NAMES},
+                    **{name: _text_values for name in TEXT_COLUMN_NAMES},
+                }
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+        data=st.data(),
+    )
+    def test_narrowed_sharded_and_interpreted_columns_agree(
+        self, node, rows, data
+    ):
+        from unittest import mock
+
+        import repro.core.vectorize as vectorize
+        from repro.relational.sharding import ShardedRelation
+
+        node = _map_literals(node, _as_float)
+        relation = Relation("r", _FLOAT_SCHEMA, rows)
+        rids = sorted(
+            data.draw(
+                st.sets(st.integers(min_value=0, max_value=len(rows) - 1))
+            )
+        )
+        keep = data.draw(
+            st.lists(st.booleans(), min_size=len(rids), max_size=len(rids))
+        )
+        kept = [rid for rid, chosen in zip(rids, keep) if chosen]
+
+        # Gathered, then narrowed == a fresh gather over the kept rids.
+        columns = vectorize.CandidateColumns(relation, rids)
+        full = _gathered(columns, node)
+        fresh = _gathered(vectorize.CandidateColumns(relation, kept), node)
+        if full is not None:
+            columns.narrow(np.asarray(keep, dtype=bool))
+            assert columns.rids.tolist() == kept
+            _assert_same_pair(columns.get(node), fresh)
+
+        # Sharded (fan-out forced on) == unsharded.
+        shards = data.draw(st.integers(min_value=1, max_value=5))
+        with mock.patch.object(vectorize, "SHARD_GATHER_MIN_CANDIDATES", 1):
+            sharded = vectorize.CandidateColumns(
+                relation, rids, sharded=ShardedRelation(relation, shards)
+            )
+            _assert_same_pair(_gathered(sharded, node), full)
+
+        # The interpreter fallback == the kernels == eval_scalar rows.
+        with mock.patch.object(
+            vectorize.VectorEvaluator, "supports", lambda *args, **kw: False
+        ):
+            interpreted = _gathered(
+                vectorize.CandidateColumns(relation, rids), node
+            )
+        _assert_same_pair(interpreted, full)
+        if full is not None:
+            raw = [eval_scalar(node, relation[rid]) for rid in rids]
+            rows_values = np.array(
+                [math.nan if value is None else float(value) for value in raw],
+                dtype=np.float64,
+            )
+            assert np.array_equal(full[0], rows_values, equal_nan=True)
+            assert full[1].tolist() == [value is None for value in raw]
+
+    def test_concurrent_first_requests_keep_one_pair_per_argument(self):
+        # The partition strategy gathers its binning attributes from
+        # worker threads; no request may lose another's gather.
+        import sys
+        import threading
+
+        from repro.core.vectorize import CandidateColumns
+
+        row = dict.fromkeys(TEXT_COLUMN_NAMES)
+        relation = Relation(
+            "r",
+            _FLOAT_SCHEMA,
+            [{**row, **dict.fromkeys(COLUMN_NAMES, float(i))} for i in range(64)],
+        )
+        nodes = [
+            ast.BinaryOp(
+                ast.BinOp.ADD, ast.ColumnRef(None, name), ast.Literal(float(k))
+            )
+            for name in COLUMN_NAMES
+            for k in range(8)
+        ]
+        columns = CandidateColumns(relation, range(64))
+        seen = [[] for _ in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda out=out: out.extend(
+                        columns.get(node) for node in nodes
+                    )
+                )
+                for out in seen
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        stored = [columns.get(node) for node in nodes]
+        for pairs in seen:
+            assert all(pair is kept for pair, kept in zip(pairs, stored))
+
+    def test_every_argument_is_gathered_once_per_query(self, monkeypatch):
+        # A band query through the prune/reduce fixpoint (two rounds,
+        # aggressive dominance, four shards), the ILP translation and
+        # the greedy warm start: each distinct aggregate argument is
+        # gathered once, the objective over the candidates fixing kept
+        # (dominance ranks them), everything after it by narrowing.
+        # Validation is out of scope: the package-level aggregates the
+        # validator computes are its own path.
+        import repro.core.validator as validator
+        import repro.core.vectorize as vectorize
+        from repro.core.engine import EngineOptions, PackageQueryEvaluator
+        from repro.core.pipeline import run_analysis
+        from repro.core.strategies.ilp import _warm_start
+        from repro.core.translate_ilp import translate
+        from repro.datasets import clustered_relation
+
+        relation = clustered_relation(3000, seed=4)
+        evaluator = PackageQueryEvaluator(relation)
+        query = evaluator.prepare(
+            "SELECT PACKAGE(R) FROM Readings R "
+            "WHERE R.ts BETWEEN 10 AND 60 AND R.cost + R.weight <= 70 "
+            "SUCH THAT COUNT(*) = 5 AND SUM(R.cost) <= 150 "
+            "MAXIMIZE SUM(R.gain)"
+        )
+        options = EngineOptions(strategy="ilp", shards=4, reduce="aggressive")
+        gathers = {}
+        scalar_arrays = vectorize.VectorEvaluator.scalar_arrays
+
+        def counting(self, node, rids=None):
+            gathers.setdefault(node, []).append(len(rids))
+            return scalar_arrays(self, node, rids)
+
+        monkeypatch.setattr(vectorize.VectorEvaluator, "scalar_arrays", counting)
+        monkeypatch.setattr(validator, "is_valid", lambda package, query: True)
+
+        state = run_analysis(evaluator, query, options)
+        assert state.sharded is not None
+        assert state.reduction.rounds >= 2
+        translation = state.ctx.translation()
+        assert _warm_start(state.ctx, translation) is not None
+
+        cost = ast.ColumnRef(None, "cost")
+        gain = ast.ColumnRef(None, "gain")
+        assert set(gathers) == {cost, gain}
+        assert gathers[cost] == [state.base_candidate_count]
+        (gain_rows,) = gathers[gain]
+        assert len(state.ctx.candidate_rids) < gain_rows
+        assert gain_rows <= state.base_candidate_count
+
+        # Narrowed columns give the model a fresh gather gives.
+        monkeypatch.undo()
+        fresh = translate(
+            state.ctx.query,
+            relation,
+            state.ctx.candidate_rids,
+            forced_ones=frozenset(state.ctx.forced_rids),
+        )
+        got = translation.model.lp_arrays()
+        want = fresh.model.lp_arrays()
+        assert got[2] == want[2]
+        for have, expected in zip(got[:2] + got[3:], want[:2] + want[3:]):
+            np.testing.assert_array_equal(have, expected)
