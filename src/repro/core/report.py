@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 from repro.paql import ast
 from repro.paql.describe import _condition_sentence
-from repro.paql.eval import eval_expr, eval_predicate
+from repro.paql.eval import eval_expr
 from repro.paql.printer import print_expr
 from repro.core.formula import conjunctive_leaves, normalize_formula
-from repro.core.validator import objective_value
+from repro.core.validator import DEFAULT_TOLERANCE, _holds, validate
 
 
 @dataclass
@@ -28,7 +28,8 @@ class ConstraintReport:
     Attributes:
         paql: the conjunct as PaQL text.
         sentence: the conjunct in English.
-        satisfied: whether the package meets it.
+        satisfied: whether the package meets it, by the validator's
+            tolerant rule.
         actual: the measured aggregate-side value (None when the
             conjunct is not a simple comparison or is NULL-valued).
     """
@@ -44,7 +45,7 @@ class PackageReport:
     """Full narrated validation of one package against one query.
 
     Attributes:
-        valid: the overall verdict.
+        valid: the overall verdict (:func:`~repro.core.validator.validate`'s).
         cardinality: the package's COUNT(*).
         objective: objective value (None without an objective clause).
         base_violations: ``(rid, row)`` pairs failing the WHERE clause.
@@ -107,43 +108,33 @@ def _leaf_actual(leaf, package):
 def explain(package, query):
     """Build a :class:`PackageReport` for ``package`` under ``query``.
 
-    The query must be analyzed (unqualified references).
+    The query must be analyzed (unqualified references).  The verdict,
+    the base and the repeat violations are one
+    :func:`~repro.core.validator.validate` call's, so a package the
+    engine returns is never explained as invalid.
     """
-    base_violations = []
-    if query.where is not None:
-        for rid, _ in package.counts:
-            row = package.relation[rid]
-            if not eval_predicate(query.where, row):
-                base_violations.append((rid, row))
-
-    repeat_violations = [
-        rid for rid, mult in package.counts if mult > query.repeat
-    ]
+    verdict = validate(package, query)
 
     constraints = []
     if query.such_that is not None:
         normalized = normalize_formula(query.such_that)
         for leaf in conjunctive_leaves(normalized):
-            satisfied = eval_expr(leaf, None, package.aggregate) is True
             constraints.append(
                 ConstraintReport(
                     paql=print_expr(leaf),
                     sentence=_condition_sentence(leaf, "the package"),
-                    satisfied=satisfied,
+                    satisfied=_holds(leaf, package, DEFAULT_TOLERANCE),
                     actual=_leaf_actual(leaf, package),
                 )
             )
 
-    valid = (
-        not base_violations
-        and not repeat_violations
-        and all(report.satisfied for report in constraints)
-    )
     return PackageReport(
-        valid=valid,
+        valid=verdict.valid,
         cardinality=package.cardinality,
-        objective=objective_value(package, query),
-        base_violations=base_violations,
-        repeat_violations=repeat_violations,
+        objective=verdict.objective,
+        base_violations=[
+            (rid, package.relation[rid]) for rid in verdict.base_violations
+        ],
+        repeat_violations=verdict.repeat_violations,
         constraints=constraints,
     )

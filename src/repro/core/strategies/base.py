@@ -54,7 +54,7 @@ class EvaluationContext:
             weakened SQL prefilter, every batch rechecked by the same
             kernels) | ``materialized`` (a sql-backed relation loaded
             whole, then filtered in memory); surfaced in result stats
-            so benchmarks can assert the columnar path ran.
+            so tests and paqlbench can assert the columnar path ran.
         sharded: the :class:`~repro.relational.sharding.ShardedRelation`
             in force when ``options.shards > 1`` (``None`` otherwise);
             scan-shaped strategy work may fan out over it.

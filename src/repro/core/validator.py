@@ -2,8 +2,9 @@
 
 Every evaluation strategy in this library — brute force, local search,
 ILP, partition — returns packages that are re-checked here before
-being handed to the user.  Tests and benchmarks use the same oracle,
-so a bug in a strategy cannot silently leak an invalid package.
+being handed to the user.  Tests, paqlbench and
+:func:`repro.core.report.explain` use the same oracle, so a bug in a
+strategy cannot silently leak an invalid package.
 
 Global-constraint checks allow a tiny *accepting* relative tolerance
 (:data:`DEFAULT_TOLERANCE`) on non-strict comparisons.  Solvers work
@@ -22,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.paql import ast
-from repro.paql.eval import eval_expr, eval_predicate
-from repro.core.vectorize import try_predicate_mask
+from repro.paql.eval import eval_expr
+from repro.core.vectorize import where_positions
 
 #: Relative slack allowed on non-strict global-constraint comparisons.
 DEFAULT_TOLERANCE = 1e-9
@@ -38,6 +39,7 @@ class ValidationReport:
         global_ok: the package satisfies the SUCH THAT formula.
         repeat_ok: no tuple exceeds the REPEAT multiplicity cap.
         base_violations: rids of tuples violating the base constraint.
+        repeat_violations: rids exceeding the REPEAT cap.
         objective: objective value of the package (None when the query
             has no objective or the objective is NULL-valued).
     """
@@ -46,6 +48,7 @@ class ValidationReport:
     global_ok: bool
     repeat_ok: bool
     base_violations: list = field(default_factory=list)
+    repeat_violations: list = field(default_factory=list)
     objective: float | None = None
 
     @property
@@ -129,23 +132,20 @@ def validate(package, query):
     base_violations = []
     if query.where is not None and package.counts:
         rids = [rid for rid, _ in package.counts]
-        mask = try_predicate_mask(query.where, package.relation, rids)
-        if mask is not None:
-            base_violations = [rid for rid, ok in zip(rids, mask) if not ok]
-        else:  # no columnar kernel: re-check row by row
-            base_violations = [
-                rid
-                for rid in rids
-                if not eval_predicate(query.where, package.relation[rid])
-            ]
+        satisfied, _ = where_positions(query.where, package.relation, rids)
+        kept = set(satisfied.tolist())
+        base_violations = [rid for i, rid in enumerate(rids) if i not in kept]
 
-    repeat_ok = all(mult <= query.repeat for _, mult in package.counts)
+    repeat_violations = [
+        rid for rid, mult in package.counts if mult > query.repeat
+    ]
 
     return ValidationReport(
         base_ok=not base_violations,
         global_ok=check_global(package, query),
-        repeat_ok=repeat_ok,
+        repeat_ok=not repeat_violations,
         base_violations=base_violations,
+        repeat_violations=repeat_violations,
         objective=objective_value(package, query),
     )
 

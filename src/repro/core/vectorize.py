@@ -686,20 +686,23 @@ def try_predicate_mask(node, relation, rids=None):
         return None
 
 
-def where_positions(where, relation):
+def where_positions(where, relation, rids=None):
     """``(positions, path)``: the rows of ``relation`` satisfying ``where``.
 
-    The one in-memory WHERE: the compiled kernel when one exists
+    The one in-memory WHERE verdict, for the candidate scan and the
+    validator alike: the compiled kernel when one exists
     (``vectorized``), else the per-row interpreter (``interpreted``).
-    ``positions`` is an ascending ``intp`` array of row indices.
+    ``positions`` is an ascending ``intp`` array of row indices, or of
+    indices into ``rids`` when only those rows are judged.
     """
-    mask = try_predicate_mask(where, relation)
+    mask = try_predicate_mask(where, relation, rids)
     if mask is not None:
         return np.flatnonzero(mask), "vectorized"
+    rows = range(len(relation)) if rids is None else rids
     keep = np.fromiter(
-        (bool(eval_predicate(where, relation[rid])) for rid in range(len(relation))),
+        (bool(eval_predicate(where, relation[rid])) for rid in rows),
         dtype=bool,
-        count=len(relation),
+        count=len(rows),
     )
     return np.flatnonzero(keep), "interpreted"
 

@@ -199,6 +199,18 @@ class TestOnlyOneOfEach:
             returns_sql_path.search(path.read_text(encoding="utf-8"))
             for path in self.SRC.rglob("*.py")
         )
+        # The row interpreter's WHERE fallback lives in one function,
+        # where_positions, which the candidate scan, the pushdown
+        # recheck, the validator and explain() all call; pushdown
+        # keeps only its column-free constant case.
+        assert self._files_containing("eval_predicate(") == {
+            "paql/eval.py",
+            "core/vectorize.py",
+            "core/pushdown.py",
+        }
+        for module in ("core/validator.py", "core/report.py"):
+            text = (self.SRC / module).read_text(encoding="utf-8")
+            assert "try_predicate_mask" not in text, module
 
     @pytest.mark.parametrize("shards", [1, 4])
     @pytest.mark.parametrize("backend", ["process", "shm-process"])

@@ -127,6 +127,28 @@ class TestDiverseSubset:
         assert disjoint in chosen
         assert overlapping not in chosen
 
+    def test_dispersion_beats_plain_top_m(self):
+        # Section 5: the diverse subset of a top-k pool is at least as
+        # spread out (mean pairwise Jaccard distance) as its first m.
+        import itertools
+
+        from repro.datasets import generate_recipes
+
+        def spread(packages):
+            pairs = list(itertools.combinations(packages, 2))
+            return sum(a.jaccard_distance(b) for a, b in pairs) / len(pairs)
+
+        recipes = generate_recipes(100, seed=7)
+        evaluator = PackageQueryEvaluator(recipes)
+        query = evaluator.prepare(
+            "SELECT PACKAGE(R) AS P FROM Recipes R WHERE R.gluten = 'free' "
+            "SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 1800 AND 2500 "
+            "MAXIMIZE SUM(P.protein)"
+        )
+        pool = enumerate_top(query, recipes, evaluator.candidates(query), 10)
+        assert len(pool) == 10
+        assert spread(diverse_subset(pool, 4)) >= spread(pool[:4]) - 1e-9
+
     def test_more_than_pool_returns_pool(self, rel):
         packages = [Package(rel, [0]), Package(rel, [1])]
         assert len(diverse_subset(packages, 10)) == 2

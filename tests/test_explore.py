@@ -64,6 +64,18 @@ class TestPinning:
         assert second != first
         assert is_valid(second, query)
 
+    @pytest.mark.parametrize("pins", [0, 1, 2])
+    def test_resample_replaces_only_unpinned_tuples(self, rel, pins):
+        session, _ = session_for(rel, QUERY)
+        first = session.start()
+        kept = list(first.rids[:pins])
+        if kept:
+            session.pin(kept)
+        second = session.resample()
+        assert second is not None
+        assert second != first
+        assert all(rid in second for rid in kept)
+
     def test_pin_foreign_tuple_rejected(self, rel):
         session, _ = session_for(rel, QUERY)
         package = session.start()
@@ -106,6 +118,21 @@ class TestHistory:
                 break
             assert package not in seen
             seen.add(package)
+
+    def test_five_rounds_with_evolving_pins(self, rel):
+        session, query = session_for(rel, QUERY)
+        package = session.start()
+        shown = 1
+        for round_index in range(5):
+            session.unpin()
+            session.pin([package.rids[round_index % len(package.rids)]])
+            replacement = session.resample()
+            if replacement is None:
+                break
+            assert is_valid(replacement, query)
+            package = replacement
+            shown += 1
+        assert shown >= 3
 
     def test_resample_exhausts_small_space(self):
         rel = value_relation([10, 20, 30])

@@ -27,6 +27,32 @@ from repro.solver import scipy_available
 
 
 class TestPaperScenarios:
+    @pytest.mark.parametrize("n", [100, 2000, 5000])
+    def test_meal_planner_solves_exactly_across_sizes(self, n):
+        result = evaluate(MEAL_PLANNER_QUERY, generate_recipes(n, seed=7))
+        assert result.status is ResultStatus.OPTIMAL
+
+    @pytest.mark.skipif(not scipy_available(), reason="scipy unavailable")
+    @pytest.mark.parametrize(
+        "relation, text",
+        [
+            (lambda: generate_recipes(200, seed=7), MEAL_PLANNER_QUERY),
+            (lambda: generate_travel_products(seed=11), VACATION_QUERY),
+            (lambda: generate_stocks(120, seed=13), PORTFOLIO_QUERY),
+        ],
+        ids=["meal", "vacation", "portfolio"],
+    )
+    def test_builtin_solver_matches_highs(self, relation, text):
+        relation = relation()
+        builtin = evaluate(text, relation, options=EngineOptions(strategy="ilp"))
+        highs = evaluate(
+            text,
+            relation,
+            options=EngineOptions(strategy="ilp", solver_backend="scipy"),
+        )
+        assert builtin.status is ResultStatus.OPTIMAL
+        assert highs.objective == pytest.approx(builtin.objective, rel=1e-6)
+
     def test_meal_planner_end_to_end(self):
         recipes = generate_recipes(200)
         result = evaluate(MEAL_PLANNER_QUERY, recipes)

@@ -211,6 +211,31 @@ class TestSwapSQL:
         assert all(is_valid(p, query) for p in replacements)
         assert all(p.overlap(package) == 1 for p in replacements)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_k_swap_repairs_are_valid_on_recipes(self, k):
+        # Section 4.2's 2k-way replacement join, from an invalid
+        # package: the 4 highest-calorie gluten-free meals.
+        from repro.core.engine import PackageQueryEvaluator
+        from repro.datasets import generate_recipes
+
+        recipes = generate_recipes(40, seed=7)
+        evaluator = PackageQueryEvaluator(recipes)
+        query = evaluator.prepare(
+            "SELECT PACKAGE(R) AS P FROM Recipes R WHERE R.gluten = 'free' "
+            "SUCH THAT COUNT(*) = 4 AND SUM(P.calories) BETWEEN 2400 AND 2600"
+        )
+        candidates = evaluator.candidates(query)
+        worst = sorted(candidates, key=lambda rid: -recipes[rid]["calories"])
+        package = Package(recipes, worst[:4])
+        assert not is_valid(package, query)
+        db = Database()
+        db.load_relation(recipes)
+        replacements = sql_k_swap(db, query, recipes, package, k)
+        # One swap cannot shed the overshoot here; two and three can.
+        assert bool(replacements) == (k > 1)
+        assert all(is_valid(p, query) for p in replacements[:50])
+        assert all(p.overlap(package) == 4 - k for p in replacements[:50])
+
     def test_base_constraint_applies_to_incoming(self):
         schema = Schema.of(value=ColumnType.FLOAT, tag=ColumnType.TEXT)
         rel = Relation(

@@ -59,6 +59,38 @@ class TestBoundsAlgebra:
 
 
 class TestPaperExamples:
+    @pytest.mark.parametrize("n", [12, 16, 20])
+    def test_meal_query_pruning_keeps_the_optimum(self, n):
+        # Section 4.1: pruning shrinks 2^n to sum(C(n, k), k in [l, u])
+        # and loses no valid solution.
+        from repro.core import find_best
+        from repro.core.engine import PackageQueryEvaluator
+        from repro.core.validator import objective_value
+        from repro.datasets import generate_recipes
+
+        recipes = generate_recipes(n, seed=7)
+        evaluator = PackageQueryEvaluator(recipes)
+        query = evaluator.prepare(
+            "SELECT PACKAGE(R) AS P FROM Recipes R WHERE R.gluten = 'free' "
+            "SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 1500 AND 2500 "
+            "MAXIMIZE SUM(P.protein)"
+        )
+        candidates = evaluator.candidates(query)
+        bounds = derive_bounds(query, recipes, candidates)
+        assert search_space_size(len(candidates), bounds) < 2 ** len(candidates)
+        pruned = find_best(query, recipes, candidates, bounds=bounds)
+        unpruned = find_best(
+            query,
+            recipes,
+            candidates,
+            bounds=CardinalityBounds(0, len(candidates)),
+        )
+        assert (pruned is None) == (unpruned is None)
+        if pruned is not None:
+            assert objective_value(pruned, query) == pytest.approx(
+                objective_value(unpruned, query)
+            )
+
     def test_count_bounds_direct(self):
         rel = value_relation([1] * 10)
         query = analyzed(

@@ -99,3 +99,26 @@ class TestInvalidPackage:
             except Exception:
                 continue
             assert explain(package, query).valid == is_valid(package, query)
+
+    def test_agrees_with_validator_within_its_tolerance(self):
+        # 5.8 + 13.6 + 8.2000000001 rounds to 27.600000000099996, a
+        # hair above the bound: outside it exactly, inside the
+        # validator's 1e-9 relative tolerance.
+        from repro.core import validate
+        from repro.relational import Column, ColumnType, Relation, Schema
+
+        relation = Relation(
+            "T",
+            Schema([Column("x", ColumnType.FLOAT)]),
+            [{"x": 5.8}, {"x": 13.6}, {"x": 8.2000000001}],
+        )
+        query = analyzed(
+            "SELECT PACKAGE(T) FROM T "
+            "SUCH THAT SUM(T.x) <= 27.6000000001 - 1e-13",
+            relation,
+        )
+        package = Package(relation, [0, 1, 2])
+        assert validate(package, query).valid
+        report = explain(package, query)
+        assert report.valid
+        assert [c.satisfied for c in report.constraints] == [True]

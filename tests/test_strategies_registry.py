@@ -10,6 +10,7 @@ so this guards the single code path rather than two copies.
 """
 
 import io
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -307,6 +308,51 @@ class TestPartitionStrategy:
         sketch = evaluate(
             text, rel, options=EngineOptions(strategy="partition")
         )
+        assert sketch.objective == pytest.approx(exact.objective)
+
+    SHAPES = {
+        # Binning on the objective attribute puts the global top tuples
+        # in the refined partitions, so the sketch recovers the optimum.
+        "selective": (
+            "SELECT PACKAGE(U) FROM Uniform U SUCH THAT COUNT(*) = 5 "
+            "MAXIMIZE SUM(U.gain)"
+        ),
+        # Tight multi-constraint query: the hard case for the sketch.
+        "constrained": (
+            "SELECT PACKAGE(U) FROM Uniform U "
+            "SUCH THAT COUNT(*) BETWEEN 4 AND 8 "
+            "AND SUM(U.cost) BETWEEN 47.5 AND 48 AND SUM(U.weight) <= 260 "
+            "MAXIMIZE SUM(U.gain)"
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_solves_past_brute_force_reach(self, shape):
+        from repro.core import search_space_size, validate
+
+        rel = uniform_relation(10000, columns=("cost", "gain", "weight"), seed=3)
+        result = evaluate(
+            self.SHAPES[shape], rel, options=EngineOptions(strategy="partition")
+        )
+        space = search_space_size(result.candidate_count, result.bounds)
+        assert space > EngineOptions().brute_force_limit
+        assert result.found
+        assert validate(result.package, result.query).valid
+
+    def test_sketch_is_root_n_sized_and_exact_on_top_k(self):
+        # Where partition's speed comes from: one sketch ILP over
+        # ~sqrt(n) representatives and a refine step, never the
+        # n-variable model, at the ILP's own optimum.
+        n = 30000
+        rel = uniform_relation(n, columns=("cost", "gain", "weight"), seed=3)
+        text = self.SHAPES["selective"]
+        exact = evaluate(text, rel, options=EngineOptions(strategy="ilp"))
+        sketch = evaluate(text, rel, options=EngineOptions(strategy="partition"))
+        assert sketch.strategy == "partition"
+        assert "partition_fallback" not in sketch.stats
+        assert exact.stats["variables"] == n
+        assert sketch.stats["sketch_variables"] <= 2 * math.isqrt(n)
+        assert sketch.stats["refine_steps"] == 1
         assert sketch.objective == pytest.approx(exact.objective)
 
     def test_repeat_queries_supported(self):

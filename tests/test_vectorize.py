@@ -321,6 +321,9 @@ def test_aggregate_matches_row_fallback(func, argument, rows, data):
         return
     if expected is None:
         assert got is None
+    elif math.isnan(float(expected)):
+        # e.g. SUM(4 / x) over subnormal x of both signs: inf + -inf.
+        assert math.isnan(got)
     else:
         assert got == pytest.approx(float(expected), rel=1e-9, abs=1e-9)
 
@@ -386,13 +389,132 @@ def test_engine_reports_vectorized_where_path(meals):
     assert result.found
 
 
+#: Query shapes over ``uniform_relation(10000, ...)`` (every column
+#: uniform in [0, 100]) whose WHERE must compile: a compound filter over
+#: three columns, and the selective and constrained partition shapes.
+_COLUMNAR_SHAPES = {
+    "filter": """
+        SELECT PACKAGE(U) FROM Uniform U
+        WHERE U.cost BETWEEN 5 AND 90
+            AND NOT (U.weight > 85 OR U.gain < 2)
+            AND U.cost + U.weight <= 160
+        SUCH THAT COUNT(*) = 5
+        MAXIMIZE SUM(U.gain)
+    """,
+    "selective": """
+        SELECT PACKAGE(U) FROM Uniform U
+        WHERE U.cost <= 80
+        SUCH THAT COUNT(*) = 5
+        MAXIMIZE SUM(U.gain)
+    """,
+    "constrained": """
+        SELECT PACKAGE(U) FROM Uniform U
+        WHERE U.weight <= 90
+        SUCH THAT COUNT(*) BETWEEN 4 AND 8
+            AND SUM(U.cost) BETWEEN 47.5 AND 48
+        MAXIMIZE SUM(U.gain)
+    """,
+}
+
+
+def _uniform_10k():
+    from repro.datasets import uniform_relation
+
+    return uniform_relation(10000, columns=("cost", "gain", "weight"), seed=3)
+
+
+@pytest.mark.parametrize("shape", sorted(_COLUMNAR_SHAPES))
+def test_query_shapes_stay_on_the_vectorized_where_path(shape):
+    """Compiler coverage: no silent fallback to the row interpreter."""
+    from repro.core.engine import PackageQueryEvaluator
+    from repro.core.validator import validate
+
+    result = PackageQueryEvaluator(_uniform_10k()).evaluate(
+        _COLUMNAR_SHAPES[shape]
+    )
+    assert result.stats["where_path"] == "vectorized"
+    assert result.found
+    assert validate(result.package, result.query).valid
+
+
+def test_filter_where_and_validate_stay_columnar(monkeypatch):
+    """The kernels pick the interpreter's rows, and validate() runs on
+    the kernels: no per-row WHERE, no per-row package aggregate."""
+    import repro.core.vectorize as vectorize_module
+    from repro.core.engine import PackageQueryEvaluator
+    from repro.core.package import Package
+    from repro.core.validator import validate
+
+    relation = _uniform_10k()
+    evaluator = PackageQueryEvaluator(relation)
+    query = evaluator.prepare(_COLUMNAR_SHAPES["filter"])
+    rids, path, _ = evaluator._candidates_with_path(query)
+    assert path == "vectorized"
+    assert rids == [
+        rid
+        for rid in range(len(relation))
+        if eval_predicate(query.where, relation[rid])
+    ]
+
+    row_calls = []
+    monkeypatch.setattr(
+        vectorize_module,
+        "eval_predicate",
+        lambda *args: row_calls.append("where") or eval_predicate(*args),
+    )
+    monkeypatch.setattr(
+        Package,
+        "_compute_aggregate_rows",
+        lambda self, node: row_calls.append("aggregate"),
+    )
+    for start in range(0, 200, 5):
+        validate(Package(relation, range(start, start + 5)), query)
+    assert row_calls == []
+
+
+def test_local_search_scores_moves_on_the_columnar_path(monkeypatch):
+    """Local search scores its moves with a VectorMoveScorer and never
+    materializes a neighbour package per move."""
+    from repro.core.engine import EngineOptions, PackageQueryEvaluator
+    from repro.core.local_search import LocalSearch, VectorMoveScorer
+    from repro.core.validator import validate
+
+    scorers = []
+    build = VectorMoveScorer.__init__
+
+    def recording_build(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        scorers.append(self)
+
+    row_moves = []
+    monkeypatch.setattr(VectorMoveScorer, "__init__", recording_build)
+    monkeypatch.setattr(
+        LocalSearch,
+        "_single_moves",
+        lambda self, package: row_moves.append(package) or iter(()),
+    )
+    result = PackageQueryEvaluator(_uniform_10k()).evaluate(
+        _COLUMNAR_SHAPES["constrained"],
+        EngineOptions(strategy="local-search"),
+    )
+    assert len(scorers) == 1
+    assert row_moves == []
+    assert result.stats["moves_evaluated"] > 0
+    assert result.found
+    assert validate(result.package, result.query).valid
+
+
 def test_validator_base_check_falls_back(meals):
-    """validate() agrees with the interpreter on unsupported WHERE."""
+    """The base-constraint verdict agrees with the interpreter on an
+    unsupported WHERE: where_positions over a package's rids, validate()
+    and explain()."""
     from dataclasses import replace
 
     from repro.core.engine import PackageQueryEvaluator
     from repro.core.package import Package
+    from repro.core.report import explain
     from repro.core.validator import validate
+    from repro.core.vectorize import where_positions
 
     evaluator = PackageQueryEvaluator(meals)
     query = evaluator.prepare(
@@ -400,14 +522,22 @@ def test_validator_base_check_falls_back(meals):
         "SUCH THAT COUNT(*) >= 1"
     )
     twisted = replace(query, where=_TEXT_CONCAT_WHERE)
-    package = Package(meals, [0, 1])
+    rids = [1, 0, 4]
+    package = Package(meals, rids)
     report = validate(package, twisted)
     expected = [
         rid
-        for rid in (0, 1)
+        for rid in sorted(rids)
         if not eval_predicate(_TEXT_CONCAT_WHERE, meals[rid])
     ]
     assert report.base_violations == expected
+    assert [rid for rid, _ in explain(package, twisted).base_violations] == expected
+
+    positions, path = where_positions(_TEXT_CONCAT_WHERE, meals, rids)
+    assert path == "interpreted"
+    assert [rids[i] for i in positions] == [
+        rid for rid in rids if eval_predicate(_TEXT_CONCAT_WHERE, meals[rid])
+    ]
 
 
 def test_evaluator_for_is_cached_per_relation(meals):
