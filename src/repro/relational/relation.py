@@ -66,12 +66,15 @@ def aggregate_reduce(func, values, nulls, weights=None):
         if not valid.any():
             return 0
         kept = values[valid]
-        return float(kept.sum() if weights is None else kept @ weights[valid])
+        # ``inf + -inf`` is a real NaN here, not a fault to warn about.
+        with np.errstate(invalid="ignore"):
+            return float(kept.sum() if weights is None else kept @ weights[valid])
     if not valid.any():
         return None
     kept = values[valid]
     if func == "avg":
-        weighted = kept.sum() if weights is None else kept @ weights[valid]
+        with np.errstate(invalid="ignore"):
+            weighted = kept.sum() if weights is None else kept @ weights[valid]
         return float(weighted / total_weight)
     if func == "min":
         return float(kept.min())

@@ -6,6 +6,16 @@ branching on the most fractional integer variable.  Because the simplex
 handles variable bounds natively, a branch costs no extra rows — each
 node only tightens one bound.
 
+One :class:`~repro.solver.simplex.LPWorkspace` serves the whole search.
+The root LP is solved cold (two-phase primal); every child re-solves by
+dual simplex from its parent's optimal basis, which the bound change
+leaves dual feasible, so a child costs a few pivots rather than a fresh
+two-phase solve.  Once an incumbent exists, each popped node also fixes
+integer variables by reduced cost: a nonbasic variable whose reduced
+cost times its step exceeds the gap to the incumbent is bounded to the
+steps that gap allows, which discards exactly the subtrees bound
+pruning would discard.
+
 The search supports node limits and a relative gap tolerance, and
 reports FEASIBLE (incumbent without proof) or LIMIT when stopped early.
 
@@ -29,7 +39,7 @@ import math
 import numpy as np
 
 from repro.solver.model import ConstraintSense, ObjectiveSense, Solution
-from repro.solver.simplex import solve_lp
+from repro.solver.simplex import TOL, LPWorkspace
 from repro.solver.status import Status
 
 #: A value is integral if within this distance of an integer.
@@ -290,7 +300,8 @@ def solve_milp(model, options=None):
     def restore(x):
         return elimination.restore(x) if elimination is not None else x
 
-    root = solve_lp(c, A, senses, b, lower, upper, options.iteration_limit)
+    workspace = LPWorkspace(c, A, senses, b)
+    root = workspace.solve(lower, upper, options.iteration_limit)
     total_iterations += root.iterations
     nodes += 1
     if root.status is Status.INFEASIBLE:
@@ -359,6 +370,13 @@ def solve_milp(model, options=None):
             slack = _gap_slack(incumbent_value + objective_offset, options.gap)
             if bound >= incumbent_value - slack:
                 continue  # pruned by bound
+            node_lower, node_upper = _fix_by_reduced_costs(
+                lp_result,
+                node_lower,
+                node_upper,
+                integer_indices,
+                incumbent_value - slack - bound,
+            )
 
         branch_var = _most_fractional(lp_result.x, integer_indices)
         if branch_var is None:
@@ -384,8 +402,8 @@ def solve_milp(model, options=None):
                 child_lower[branch_var] = math.ceil(fractional_value)
             if child_lower[branch_var] > child_upper[branch_var]:
                 continue
-            child = solve_lp(
-                c, A, senses, b, child_lower, child_upper, options.iteration_limit
+            child = workspace.resolve(
+                child_lower, child_upper, lp_result, options.iteration_limit
             )
             total_iterations += child.iterations
             nodes += 1
@@ -420,6 +438,35 @@ def solve_milp(model, options=None):
         iterations=total_iterations,
         nodes=nodes,
     )
+
+
+def _fix_by_reduced_costs(lp_result, lower, upper, integer_indices, gap):
+    """Tighten integer bounds that no improving solution can use.
+
+    Moving a nonbasic variable ``k`` steps off its bound raises the LP
+    bound by at least ``k * |d_j|``; past ``floor(gap / |d_j|)`` steps
+    the node's bound would reach the incumbent and be pruned.  Returns
+    ``(lower, upper)``, copied only when something tightened.
+    """
+    if lp_result.reduced_costs is None:  # a row-free LP has no basis
+        return lower, upper
+    j = np.asarray(integer_indices)
+    d = lp_result.reduced_costs[j]
+    nonbasic = np.ones(len(lp_result.at_upper), dtype=bool)
+    nonbasic[lp_result.basis] = False
+    nonbasic = nonbasic[j]
+    at_upper = lp_result.at_upper[j]
+    with np.errstate(divide="ignore"):
+        steps = np.floor(gap / np.abs(d))
+    down = nonbasic & ~at_upper & (d > TOL) & (lower[j] + steps < upper[j])
+    up = nonbasic & at_upper & (d < -TOL) & (upper[j] - steps > lower[j])
+    if down.any():
+        upper = upper.copy()
+        upper[j[down]] = lower[j[down]] + steps[down]
+    if up.any():
+        lower = lower.copy()
+        lower[j[up]] = upper[j[up]] - steps[up]
+    return lower, upper
 
 
 def _gap_slack(incumbent_value, gap):

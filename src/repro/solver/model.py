@@ -226,9 +226,9 @@ class Model:
         )
 
     def _row(self, indices, values, what):
-        """Canonical ``(indices, values)``: range-checked, strictly
-        increasing (duplicates summed), zeros dropped, never aliasing
-        the caller's arrays."""
+        """Canonical ``(indices, values)``: range-checked, finite,
+        strictly increasing (duplicates summed), zeros dropped, never
+        aliasing the caller's arrays."""
         indices = np.asarray(indices, dtype=np.intp)
         values = np.asarray(values, dtype=np.float64)
         if indices.ndim != 1 or indices.shape != values.shape:
@@ -240,6 +240,12 @@ class Model:
             order = np.argsort(indices, kind="stable")
             indices, first = np.unique(indices[order], return_index=True)
             values = np.add.reduceat(values[order], first)
+        finite = np.isfinite(values)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ModelError(
+                f"non-finite coefficient {values[k]} on variable {indices[k]}"
+            )
         keep = values != 0.0
         return indices[keep], values[keep]
 
@@ -255,13 +261,6 @@ class Model:
                 coefficient or a non-finite right-hand side.
         """
         indices, values = self._row(indices, values, "constraint")
-        finite = np.isfinite(values)
-        if not finite.all():
-            first = int(np.argmin(finite))
-            raise ModelError(
-                f"non-finite coefficient {values[first]} on variable "
-                f"{indices[first]}"
-            )
         if not math.isfinite(rhs):
             raise ModelError(f"non-finite right-hand side {rhs}")
         constraint = Constraint(
@@ -286,7 +285,12 @@ class Model:
     def set_objective_row(
         self, indices, values, sense=ObjectiveSense.MINIMIZE, constant=0.0
     ):
-        """Set the (single) linear objective from an array pair."""
+        """Set the (single) linear objective from an array pair.
+
+        Raises:
+            ModelError: on an index outside the model or a non-finite
+                coefficient, as :meth:`add_row` does.
+        """
         self._objective = self._row(indices, values, "objective")
         self._objective_constant = float(constant)
         self._objective_sense = ObjectiveSense(sense)

@@ -1,4 +1,4 @@
-"""Two-phase primal simplex with bounded variables.
+"""Bounded-variable simplex: a cold two-phase primal and a warm dual.
 
 This is the LP engine underneath the branch-and-bound MILP solver.  It
 solves::
@@ -11,16 +11,30 @@ The implementation is a dense revised simplex specialized for the LPs
 that package queries generate: *few rows* (one per global constraint
 plus indicator rows) and *many columns* (one per candidate tuple).  The
 basis is therefore tiny and is refactorized exactly (``np.linalg.inv``)
-at every iteration, trading a little arithmetic for numerical
-robustness — there is no accumulated-update drift to manage.
+at every iteration of either method, trading a little arithmetic for
+numerical robustness — there is no accumulated-update drift to manage.
+
+An :class:`LPWorkspace` holds one LP's equality form ``[A | S | I]``
+(slacks, then artificials) and is built once per MILP.  Its
+:meth:`~LPWorkspace.solve` is the cold two-phase primal from an
+all-artificial basis; :meth:`~LPWorkspace.resolve` restarts from a
+previous optimal basis after bounds tighten, with the bounded dual
+simplex — a bound change keeps that basis dual feasible, so branch and
+bound's children take a few pivots instead of a full solve.  Any doubt
+in the warm path (a dual infeasible basis, a singular basis, a nonbasic
+column at an infinite bound, its pivot cap) falls back to the cold
+solve.
 
 Upper bounds are handled natively (nonbasic variables rest at either
 bound; the ratio test includes bound flips), so branch-and-bound's
 bound tightening never adds rows.
 
-Anti-cycling: Dantzig pricing normally, switching to Bland's rule after
-a stall threshold; ties in the ratio test break toward the smallest
-variable index.
+Anti-cycling: the primal uses Dantzig pricing normally, switching to
+Bland's rule after a stall threshold; ties in its ratio test break
+toward the smallest variable index.  The dual leaves on the most
+violated row and enters the smallest ratio, near ties going to the
+largest pivot element; past the same stall threshold it gives up and
+the cold solve takes over.
 """
 
 from __future__ import annotations
@@ -37,16 +51,30 @@ from repro.solver.status import Status
 TOL = 1e-8
 #: Pivot element magnitude below which a column is considered zero.
 PIVOT_TOL = 1e-9
+#: Residual infeasibility above which an LP is declared infeasible.
+INFEASIBLE_TOL = 1e-7
 
 
 @dataclass
 class LPResult:
-    """Outcome of one LP solve."""
+    """Outcome of one LP solve.
+
+    An OPTIMAL result also carries its final basis, in the column
+    numbering of :class:`LPWorkspace`: ``basis`` lists the basic column
+    of each row, ``at_upper`` marks the nonbasic columns resting at
+    their upper bound, and ``reduced_costs`` holds the structural
+    columns' reduced costs.  ``warm`` is true when the dual simplex
+    produced the result from a parent basis.
+    """
 
     status: Status
     x: np.ndarray = field(default_factory=lambda: np.array([]))
     objective: float = math.nan
     iterations: int = 0
+    basis: np.ndarray | None = None
+    at_upper: np.ndarray | None = None
+    reduced_costs: np.ndarray | None = None
+    warm: bool = False
 
 
 class SimplexError(Exception):
@@ -73,25 +101,7 @@ def solve_lp(c, A, senses, b, lower, upper, iteration_limit=50000):
             cycling; never observed with the Bland fallback).
         ValueError: on non-finite lower bounds or shape mismatches.
     """
-    c = np.asarray(c, dtype=np.float64)
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
-
-    m, n = A.shape if A.size else (len(b), len(c))
-    if len(c) != n or len(lower) != n or len(upper) != n or len(b) != m:
-        raise ValueError("inconsistent LP dimensions")
-    if not np.all(np.isfinite(lower)):
-        raise ValueError("simplex requires finite lower bounds")
-    if np.any(lower > upper + TOL):
-        return LPResult(Status.INFEASIBLE)
-
-    if m == 0:
-        return _solve_unconstrained(c, lower, upper)
-
-    solver = _BoundedSimplex(c, A, senses, b, lower, upper, iteration_limit)
-    return solver.solve()
+    return LPWorkspace(c, A, senses, b).solve(lower, upper, iteration_limit)
 
 
 def _solve_unconstrained(c, lower, upper):
@@ -102,39 +112,194 @@ def _solve_unconstrained(c, lower, upper):
     return LPResult(Status.OPTIMAL, x=x, objective=float(c @ x))
 
 
-class _BoundedSimplex:
-    """Internal engine; one instance per solve."""
+def _stall_budget(n_columns, m):
+    """Pivots after which a simplex run is presumed stalled or cycling."""
+    return 3 * (n_columns + m) + 200
 
-    def __init__(self, c, A, senses, b, lower, upper, iteration_limit):
-        m, n = A.shape
+
+class LPWorkspace:
+    """One LP's equality form ``[A | S | I] z = b``, built once.
+
+    ``S`` has one column per inequality row (``+1`` for LE, ``-1`` for
+    GE) and ``I`` one artificial column per row.  Columns are numbered
+    structurals, then slacks, then artificials; slacks range over
+    ``[0, inf)`` and artificials are held at zero outside phase 1.
+    """
+
+    def __init__(self, c, A, senses, b):
+        c = np.asarray(c, dtype=np.float64)
+        A = np.asarray(A, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        m, n = A.shape if A.size else (len(b), len(c))
+        if len(c) != n or len(b) != m:
+            raise ValueError("inconsistent LP dimensions")
+        self.c, self.b, self.m, self.n = c, b, m, n
+
+        # LE rows get +s (s >= 0), GE rows get -s (s >= 0), EQ rows none.
+        slacks = [
+            (i, 1.0 if sense is ConstraintSense.LE else -1.0)
+            for i, sense in enumerate(senses)
+            if sense is not ConstraintSense.EQ
+        ]
+        self.n_real = n + len(slacks)
+        self.matrix = np.zeros((m, self.n_real + m))
+        if m:  # a row-free A may come in any empty shape
+            self.matrix[:, :n] = A
+        for k, (row, coef) in enumerate(slacks):
+            self.matrix[row, n + k] = coef
+        self.matrix[:, self.n_real :] = np.eye(m)
+        self.cost = np.concatenate([c, np.zeros(len(slacks) + m)])
+        # Bounds of the slack and artificial columns.
+        self._tail_lower = np.zeros(len(slacks) + m)
+        self._tail_upper = np.concatenate(
+            [np.full(len(slacks), math.inf), np.zeros(m)]
+        )
+
+    def _check_bounds(self, lower, upper):
+        lower = np.asarray(lower, dtype=np.float64)
+        upper = np.asarray(upper, dtype=np.float64)
+        if len(lower) != self.n or len(upper) != self.n:
+            raise ValueError("inconsistent LP dimensions")
+        if not np.all(np.isfinite(lower)):
+            raise ValueError("simplex requires finite lower bounds")
+        return lower, upper
+
+    def solve(self, lower, upper, iteration_limit=50000):
+        """Cold two-phase primal simplex under ``lower <= x <= upper``."""
+        lower, upper = self._check_bounds(lower, upper)
+        if np.any(lower > upper + TOL):
+            return LPResult(Status.INFEASIBLE)
+        if self.m == 0:
+            return _solve_unconstrained(self.c, lower, upper)
+        return _BoundedSimplex(self, lower, upper, iteration_limit).solve()
+
+    def resolve(self, lower, upper, parent, iteration_limit=50000):
+        """Re-solve under new bounds, warm from ``parent``'s optimal basis.
+
+        Runs the bounded dual simplex from ``parent.basis``; on any
+        doubt it returns the cold :meth:`solve` instead, with the
+        pivots the warm attempt spent added to ``iterations``.
+        """
+        lower, upper = self._check_bounds(lower, upper)
+        if np.any(lower > upper + TOL):
+            return LPResult(Status.INFEASIBLE)
+        spent = 0
+        if parent.basis is not None:  # a row-free LP has no basis
+            budget = _stall_budget(self.matrix.shape[1], self.m)
+            result, spent = self._dual_simplex(
+                lower, upper, parent, min(iteration_limit, budget)
+            )
+            if result is not None:
+                return result
+        result = self.solve(lower, upper, iteration_limit)
+        result.iterations += spent
+        return result
+
+    def _dual_simplex(self, lower, upper, parent, limit):
+        """Bounded dual simplex; ``(result or None, pivots spent)``.
+
+        ``None`` means doubt: the basis is dual infeasible beyond
+        ``TOL``, singular, rests a nonbasic column at an infinite
+        bound, or has not reached optimality within ``limit`` pivots.
+        """
+        A, n = self.matrix, self.n
+        lo = np.concatenate([lower, self._tail_lower])
+        hi = np.concatenate([upper, self._tail_upper])
+        basis = parent.basis.copy()
+        in_basis = np.zeros(len(lo), dtype=bool)
+        in_basis[basis] = True
+        at_upper = parent.at_upper & ~in_basis
+        if np.isinf(hi[at_upper]).any():
+            return None, 0
+        movable = hi - lo > TOL
+
+        iterations = 0
+        while iterations < limit:
+            iterations += 1
+            try:
+                Binv = np.linalg.inv(A[:, basis])
+            except np.linalg.LinAlgError:
+                return None, iterations
+            z = np.where(at_upper, hi, lo)
+            z[basis] = 0.0
+            xB = Binv @ (self.b - A @ z)
+            reduced = self.cost - (self.cost[basis] @ Binv) @ A
+
+            # Fixed columns can never move, so their sign is free.
+            at_lo = movable & ~in_basis & ~at_upper
+            at_hi = movable & ~in_basis & at_upper
+            if (reduced[at_lo] < -TOL).any() or (reduced[at_hi] > TOL).any():
+                return None, iterations
+
+            below = lo[basis] - xB
+            above = xB - hi[basis]
+            violation = np.maximum(below, above)
+            r = int(np.argmax(violation))
+            if violation[r] <= TOL:
+                z[basis] = xB
+                x = np.clip(z[:n], lower, upper)
+                result = LPResult(
+                    Status.OPTIMAL,
+                    x=x,
+                    objective=float(self.c @ x),
+                    iterations=iterations,
+                    basis=basis,
+                    at_upper=at_upper,
+                    reduced_costs=reduced[:n].copy(),
+                    warm=True,
+                )
+                return result, iterations
+
+            # Row r of B^-1 N: x_B[r] = beta_r - alpha . x_N.  The
+            # entering column must push x_B[r] back toward the bound it
+            # violates: rising from lower, or falling from upper.
+            alpha = Binv[r] @ A
+            toward = alpha if above[r] > 0 else -alpha
+            candidates = np.flatnonzero(
+                (at_lo & (toward > PIVOT_TOL)) | (at_hi & (toward < -PIVOT_TOL))
+            )
+            if candidates.size == 0:
+                # An empty ratio test is a dual ray: no column can
+                # repair row r, so no point meets the new bounds.
+                if violation[r] > INFEASIBLE_TOL:
+                    infeasible = LPResult(
+                        Status.INFEASIBLE, iterations=iterations, warm=True
+                    )
+                    return infeasible, iterations
+                return None, iterations
+            ratios = np.abs(reduced[candidates]) / np.abs(alpha[candidates])
+            # Near-exact ties (dual degeneracy) go to the largest pivot.
+            tied = candidates[ratios <= ratios.min() + 1e-12]
+            entering = int(tied[np.argmax(np.abs(alpha[tied]))])
+
+            leaving = basis[r]
+            basis[r] = entering
+            in_basis[leaving] = False
+            in_basis[entering] = True
+            at_upper[leaving] = above[r] > 0
+            at_upper[entering] = False
+        return None, iterations
+
+
+class _BoundedSimplex:
+    """Cold two-phase primal; one instance per :meth:`LPWorkspace.solve`."""
+
+    def __init__(self, workspace, lower, upper, iteration_limit):
+        m, n = workspace.m, workspace.n
+        n_slack = workspace.n_real - n
         self._n_struct = n
         self._m = m
         self._iteration_limit = iteration_limit
         self._iterations = 0
-        self._c_user = c
+        self._c_user = workspace.c
+        self._reduced = None
 
-        # Build the equality form [A | S] z = b with slack columns:
-        # LE rows get +s (s >= 0), GE rows get -s (s >= 0), EQ rows none.
-        slack_cols = []
-        slack_rows = []
-        for i, sense in enumerate(senses):
-            if sense is ConstraintSense.LE:
-                slack_cols.append(1.0)
-                slack_rows.append(i)
-            elif sense is ConstraintSense.GE:
-                slack_cols.append(-1.0)
-                slack_rows.append(i)
-        n_slack = len(slack_cols)
-        full = np.zeros((m, n + n_slack))
-        full[:, :n] = A
-        for k, (coef, row) in enumerate(zip(slack_cols, slack_rows)):
-            full[row, n + k] = coef
-
+        full = workspace.matrix[:, : workspace.n_real].copy()  # [A | S]
         lz = np.concatenate([lower, np.zeros(n_slack)])
         uz = np.concatenate([upper, np.full(n_slack, math.inf)])
 
         # Shift all variables to lower bound zero.
-        b_shift = b - full @ lz
+        b_shift = workspace.b - full @ lz
         self._ub = uz - lz
         self._lz = lz
 
@@ -145,7 +310,7 @@ class _BoundedSimplex:
         b_shift[flip] *= -1.0
 
         # Append artificial columns (identity).
-        self._n_real = n + n_slack
+        self._n_real = workspace.n_real
         self._A = np.hstack([full, np.eye(m)])
         self._b = b_shift
         self._ub = np.concatenate([self._ub, np.full(m, math.inf)])
@@ -170,7 +335,7 @@ class _BoundedSimplex:
         infeasibility = sum(
             xB[i] for i in range(self._m) if self._basis[i] >= self._n_real
         )
-        if infeasibility > 1e-7:
+        if infeasibility > INFEASIBLE_TOL:
             return LPResult(
                 Status.INFEASIBLE, iterations=self._iterations
             )
@@ -188,7 +353,13 @@ class _BoundedSimplex:
         x = self._extract_solution()
         objective = float(self._c_user @ x)
         return LPResult(
-            Status.OPTIMAL, x=x, objective=objective, iterations=self._iterations
+            Status.OPTIMAL,
+            x=x,
+            objective=objective,
+            iterations=self._iterations,
+            basis=np.array(self._basis),
+            at_upper=self._at_upper & ~self._in_basis,
+            reduced_costs=self._reduced[: self._n_struct].copy(),
         )
 
     # -- helpers ---------------------------------------------------------------
@@ -218,7 +389,7 @@ class _BoundedSimplex:
     # -- one phase of the simplex ------------------------------------------------
 
     def _run_phase(self, cost):
-        bland_threshold = 3 * (self._n_total + self._m) + 200
+        bland_threshold = _stall_budget(self._n_total, self._m)
         stall = 0
         last_objective = math.inf
 
@@ -255,6 +426,7 @@ class _BoundedSimplex:
 
             entering, from_upper = self._choose_entering(reduced, use_bland)
             if entering is None:
+                self._reduced = reduced
                 return Status.OPTIMAL
 
             sigma = -1.0 if from_upper else 1.0

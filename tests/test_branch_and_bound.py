@@ -1,5 +1,7 @@
 """Tests for the branch-and-bound MILP solver."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.solver import (
     BranchAndBoundOptions,
+    LPResult,
     Model,
     ObjectiveSense,
     Status,
@@ -14,6 +17,7 @@ from repro.solver import (
     solve_milp,
     solve_milp_scipy,
 )
+from repro.solver.branch_and_bound import _fix_by_reduced_costs
 
 
 def knapsack(values, weights, capacity):
@@ -138,6 +142,80 @@ class TestLimitsAndGaps:
     def test_solution_is_always_feasible(self):
         model = self._hard_model(seed=11)
         solution = solve_milp(model)
+        assert model.is_feasible(solution.x)
+
+
+class TestReducedCostFixing:
+    def test_bounds_tighten_to_the_steps_the_gap_allows(self):
+        # Columns: x0..x3 structural, then one slack.  x0 rests at its
+        # lower bound (d = 2), x1 at its upper bound (d = -3), x2 is
+        # basic, x3 is continuous; the gap to the incumbent is 5.
+        lp = LPResult(
+            Status.OPTIMAL,
+            basis=np.array([2]),
+            at_upper=np.array([False, True, False, False, False]),
+            reduced_costs=np.array([2.0, -3.0, 0.0, 4.0]),
+        )
+        lower, upper = np.zeros(4), np.full(4, 10.0)
+        new_lower, new_upper = _fix_by_reduced_costs(lp, lower, upper, [0, 1, 2], 5.0)
+        assert new_upper.tolist() == [2.0, 10.0, 10.0, 10.0]
+        assert new_lower.tolist() == [0.0, 9.0, 0.0, 0.0]
+        assert lower.tolist() == [0.0] * 4 and upper.tolist() == [10.0] * 4
+
+    def test_a_wide_gap_fixes_nothing(self):
+        lp = LPResult(
+            Status.OPTIMAL,
+            basis=np.array([1]),
+            at_upper=np.array([False, False, False]),
+            reduced_costs=np.array([1.0, 0.0]),
+        )
+        lower, upper = np.zeros(2), np.ones(2)
+        assert _fix_by_reduced_costs(lp, lower, upper, [0, 1], 1.5) == (lower, upper)
+
+
+class TestAgainstEnumeration:
+    """Scipy-free parity: small pure-integer models against every point.
+
+    The walks here branch, warm-start children from their parents'
+    bases and fix variables by reduced cost, so this holds the whole
+    search to the exhaustive answer.
+    """
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_random_integer_models_match_enumeration(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        uppers = rng.integers(1, 4, size=n)
+        model = Model(f"enum{seed}")
+        variables = [model.add_variable(upper=float(u), integer=True) for u in uppers]
+        for _ in range(int(rng.integers(1, 4))):
+            model.add_constraint(
+                {v: float(rng.integers(-4, 5)) for v in variables},
+                ["<=", ">=", "="][int(rng.integers(0, 3))],
+                float(rng.integers(-5, 12)),
+            )
+        maximize = bool(rng.integers(0, 2))
+        model.set_objective(
+            {v: float(rng.integers(-5, 6)) for v in variables},
+            ObjectiveSense.MAXIMIZE if maximize else ObjectiveSense.MINIMIZE,
+        )
+
+        values = [
+            model.objective_value(point)
+            for point in itertools.product(*(range(int(u) + 1) for u in uppers))
+            if model.is_feasible(np.array(point, dtype=float))
+        ]
+        solution = solve_milp(
+            model, BranchAndBoundOptions(presolve=bool(rng.integers(0, 2)))
+        )
+        if not values:
+            assert solution.status is Status.INFEASIBLE
+            return
+        assert solution.status is Status.OPTIMAL
+        assert solution.objective == pytest.approx(
+            max(values) if maximize else min(values), abs=1e-9
+        )
         assert model.is_feasible(solution.x)
 
 

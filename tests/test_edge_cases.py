@@ -21,6 +21,7 @@ from repro.relational import ColumnType, Relation, Schema
 from repro.solver import (
     ConstraintSense,
     Model,
+    ModelError,
     ObjectiveSense,
     Status,
     solve_lp,
@@ -255,6 +256,41 @@ class TestQueryExtremes:
         assert objective_value(package, query) == pytest.approx(
             objective_value(exact, query)
         )
+
+
+class TestNonFiniteObjective:
+    """An infinite objective coefficient is refused at translation.
+
+    It used to reach the solver: with gains ``(inf, 3, -inf)`` the
+    simplex computed ``inf - inf`` and answered INFEASIBLE where brute
+    force finds a package, and with ``(inf, 3, 1)`` the knapsack fast
+    path never returned.
+    """
+
+    QUERY = (
+        "SELECT PACKAGE(R) FROM R R SUCH THAT COUNT(*) <= 2 "
+        "MAXIMIZE SUM(R.gain)"
+    )
+
+    @pytest.mark.parametrize(
+        "gains, reduce",
+        [
+            ((math.inf, 3.0, -math.inf), "off"),
+            ((math.inf, 3.0, 1.0), "off"),
+            ((math.inf, 3.0, 1.0), "safe"),
+        ],
+    )
+    def test_ilp_refuses_instead_of_answering_wrongly(self, gains, reduce):
+        rel = Relation.from_dicts(
+            "R", [{"cost": float(i + 1), "gain": g} for i, g in enumerate(gains)]
+        )
+        with pytest.raises(ModelError, match="non-finite coefficient"):
+            evaluate(
+                self.QUERY,
+                rel,
+                EngineOptions(strategy="ilp", solver_backend="builtin"),
+                reduce=reduce,
+            )
 
 
 class TestEngineRobustness:

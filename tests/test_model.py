@@ -84,6 +84,16 @@ class TestConstraints:
         with pytest.raises(ModelError):
             model.add_constraint({x: 1.0}, "<=", math.nan)
 
+    def test_non_finite_objective_rejected(self):
+        # MAXIMIZE inf * x0 s.t. x0 <= 1 once reached the knapsack fast
+        # path, whose backtracking then spun on inf - inf forever.
+        model = Model()
+        x = model.add_binary()
+        model.add_constraint({x: 1.0}, "<=", 1)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ModelError, match="non-finite"):
+                model.set_objective({x: bad}, ObjectiveSense.MAXIMIZE)
+
 
 class TestObjectiveAndExport:
     def test_lp_arrays_shapes(self):

@@ -1,8 +1,9 @@
-"""Tests for the bounded-variable two-phase simplex.
+"""Tests for the bounded-variable simplex (cold primal, warm dual).
 
 Known LPs with hand-checked optima, pathological shapes (degenerate,
-infeasible, unbounded, equality-heavy), and a property test comparing
-against scipy's HiGHS ``linprog`` on random LPs.
+infeasible, unbounded, equality-heavy), warm re-solves held to the cold
+solve, and a property test comparing against scipy's HiGHS ``linprog``
+on random LPs.
 """
 
 import math
@@ -20,6 +21,7 @@ from repro.solver import (
     solve_lp,
     solve_model_lp,
 )
+from repro.solver.simplex import LPWorkspace
 
 try:
     from scipy.optimize import linprog
@@ -177,6 +179,84 @@ class TestModelInterface:
         model.set_objective({x: -1})
         result = solve_model_lp(model)
         assert result.x[0] == pytest.approx(1.5)
+
+
+class TestWarmResolve:
+    """A warm dual re-solve after one bound tightens equals a cold solve."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_tightened_bound_matches_cold_solve(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(1, 6))
+        c = rng.integers(-5, 6, size=n).astype(float)
+        A = rng.integers(-4, 5, size=(m, n)).astype(float)
+        b = rng.integers(-10, 21, size=m).astype(float)
+        senses = [[LE, GE, EQ][int(k)] for k in rng.integers(0, 3, size=m)]
+        lower = np.zeros(n)
+        upper = rng.choice([1.0, 2.0, 5.0, 10.0], size=n)
+
+        workspace = LPWorkspace(c, A, senses, b)
+        parent = workspace.solve(lower, upper)
+        if parent.status is not Status.OPTIMAL:
+            return
+        # Tighten one bound, as a branch or a reduced-cost fixing does.
+        j = int(rng.integers(0, n))
+        child_lower, child_upper = lower.copy(), upper.copy()
+        if data.draw(st.booleans()):
+            child_upper[j] = data.draw(st.integers(0, int(upper[j]) - 1))
+        else:
+            child_lower[j] = data.draw(st.integers(1, int(upper[j])))
+
+        warm = workspace.resolve(child_lower, child_upper, parent)
+        cold = solve_lp(c, A, senses, b, child_lower, child_upper)
+        assert warm.warm  # an optimal parent basis never needs the fallback
+        assert warm.status is cold.status
+        if cold.status is Status.OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            assert np.all(warm.x >= child_lower) and np.all(warm.x <= child_upper)
+
+    def test_one_bound_change_takes_a_few_dual_pivots(self):
+        # max 3x + 2y s.t. x + y <= 4, x + 3y <= 6, x <= 3: optimum
+        # (3, 1); branching y <= 0 moves it to (3, 0).
+        c, A, senses, b = [-3, -2], [[1, 1], [1, 3]], [LE, LE], [4, 6]
+        workspace = LPWorkspace(c, A, senses, b)
+        parent = workspace.solve([0, 0], [3, np.inf])
+        assert parent.objective == pytest.approx(-11)
+        child = workspace.resolve([0, 0], [3, 0], parent)
+        assert child.warm
+        assert child.status is Status.OPTIMAL
+        assert child.objective == pytest.approx(-9)
+        assert child.iterations <= 3
+
+    def test_empty_dual_ratio_test_proves_infeasibility(self):
+        # x + y >= 3 with both at most 1 after the branch.
+        c, A, senses, b = [1, 1], [[1, 1]], [GE], [3]
+        workspace = LPWorkspace(c, A, senses, b)
+        parent = workspace.solve([0, 0], [2, 2])
+        assert parent.status is Status.OPTIMAL
+        child = workspace.resolve([0, 0], [1, 1], parent)
+        assert child.warm
+        assert child.status is Status.INFEASIBLE
+        assert solve_lp(c, A, senses, b, [0, 0], [1, 1]).status is Status.INFEASIBLE
+
+    def test_dual_infeasible_start_falls_back_to_the_cold_solve(self):
+        # The parent basis is optimal for the opposite objective, so
+        # its reduced costs have the wrong signs for this one: the
+        # warm path must hand the child to the cold solve.
+        c, A, senses, b = [-1, -2], [[1, 1]], [LE], [4]
+        lower, upper = np.zeros(2), np.array([3.0, 3.0])
+        opposite = LPWorkspace([1, 2], A, senses, b).solve(lower, upper)
+        workspace = LPWorkspace(c, A, senses, b)
+        child_upper = np.array([3.0, 2.0])
+        fallback = workspace.resolve(lower, child_upper, opposite)
+        cold = workspace.solve(lower, child_upper)
+        assert not fallback.warm
+        assert fallback.status is cold.status is Status.OPTIMAL
+        assert fallback.objective == cold.objective == pytest.approx(-6)
+        assert np.array_equal(fallback.x, cold.x)
+        assert fallback.iterations > cold.iterations  # the warm try counts
 
 
 @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy unavailable")
