@@ -318,8 +318,8 @@ def _cmd_repl(args, out):
     Statements are read until a terminating ``;`` — from ``--file`` in
     batch mode, from stdin otherwise.  All statements share one
     :class:`~repro.core.session.EvaluationSession`: compiled kernels,
-    shard/zone statistics, WHERE scans, reduction facts and validated
-    results carry across statements; with ``--store`` the WHERE scans
+    shard/zone statistics, WHERE scans and validated results carry
+    across statements; with ``--store`` the WHERE scans
     and validated results also outlive the process.  Meta-commands:
     ``\\stats`` prints the cache counters, ``\\quit`` exits; prefixing
     a statement with ``EXPLAIN`` appends its stage table.
@@ -866,8 +866,8 @@ def build_parser():
         "repl",
         help=(
             "evaluate many queries over one relation in a shared "
-            "session (cached kernels, shards, scans, reduction facts, "
-            "validated results); reads ';'-terminated statements from "
+            "session (cached kernels, shards, scans, validated "
+            "results); reads ';'-terminated statements from "
             "stdin, or from --file in batch mode"
         ),
     )

@@ -78,21 +78,19 @@ from repro.core.local_search import (
 from repro.core.package import Package, PackageError
 from repro.core.pruning import (
     CardinalityBounds,
-    CardinalityPruner,
     derive_bounds,
     search_space_size,
     unpruned_bounds,
 )
 from repro.core.reduction import (
+    MAX_PRUNE_ROUNDS,
     REDUCE_MODES,
     Reduction,
-    apply_reduction,
-    merge_reductions,
+    analyze_constraints,
     reduce_candidates,
-    reduction_gate_reason,
 )
 from repro.core.ir import STAGE_NAMES, StageRecord, records_payload, stage_table
-from repro.core.pipeline import MAX_PRUNE_ROUNDS, PipelineState, run_analysis
+from repro.core.pipeline import PipelineState, run_analysis
 from repro.core.session import ArtifactCache, EvaluationSession
 from repro.core.translate_ilp import ILPTranslation, ILPTranslationError, translate
 from repro.core.vectorize import (
@@ -138,7 +136,6 @@ __all__ = [
     "suggest_for_column",
     "suggest_for_rows",
     "CardinalityBounds",
-    "CardinalityPruner",
     "EngineError",
     "EngineOptions",
     "EvaluationContext",
@@ -158,10 +155,8 @@ __all__ = [
     "unpruned_bounds",
     "REDUCE_MODES",
     "Reduction",
-    "apply_reduction",
-    "merge_reductions",
+    "analyze_constraints",
     "reduce_candidates",
-    "reduction_gate_reason",
     "STAGE_NAMES",
     "StageRecord",
     "records_payload",

@@ -34,9 +34,10 @@ fingerprint alone** — a shard's WHERE partial depends on nothing but
 that shard's bytes — which is what makes invalidation
 *mutation-aware*: after an append or delete, the untouched shards keep
 their fingerprints, so their entries are found again, and only the
-dirty shards miss and recompute.  Analysis artifacts (cardinality
-bounds, reduction facts, zone maps) are not persisted: each is cheaper
-to recompute than one fsynced write, and none is trusted from disk.
+dirty shards miss and recompute.  Zone maps are not persisted, and
+cardinality bounds and reduction facts are not cached at all: each is
+cheaper to recompute than one fsynced write, and none is trusted from
+disk.
 
 Every entry is one file: a JSON header line (format, engine version,
 layer, the full ``repr`` of the key, payload checksum and length)

@@ -56,6 +56,7 @@ from repro.core.parallel import (
 )
 from repro.core.partitioning import PartitionOptions
 from repro.core.pipeline import dispatch_strategy, run_analysis, run_validate
+from repro.core.reduction import REDUCE_MODES
 from repro.core.result import EngineError, EvaluationResult, ResultStatus
 from repro.core.validator import validate
 from repro.relational.content_hash import rids_fingerprint
@@ -143,6 +144,11 @@ class EngineOptions:
                 f"unknown backend {self.parallel_backend!r} "
                 f"(choose from {BACKENDS})"
             )
+        if self.reduce not in REDUCE_MODES:
+            raise ValueError(
+                f"unknown reduce mode {self.reduce!r} "
+                f"(choose from {REDUCE_MODES})"
+            )
 
 
 class PackageQueryEvaluator:
@@ -154,8 +160,7 @@ class PackageQueryEvaluator:
             :class:`~repro.relational.sql_relation.SqlRelation`).
         artifacts: optional
             :class:`~repro.core.session.ArtifactCache` — evaluation
-            then reuses WHERE results, bounds and reduction facts
-            across queries (how
+            then reuses WHERE results across queries (how
             :class:`~repro.core.session.EvaluationSession` wires its
             caches through the pipeline).
     """

@@ -19,11 +19,10 @@ both:
 from __future__ import annotations
 
 from repro.core.brute_force import iter_valid_packages
+from repro.core.strategies.base import solve_on_backend
 from repro.core.translate_ilp import ILPTranslationError, translate
 from repro.core.validator import compare_objectives, objective_value
-from repro.solver.branch_and_bound import BranchAndBoundOptions, solve_milp
-from repro.solver.scipy_backend import available as scipy_available
-from repro.solver.scipy_backend import solve_milp_scipy
+from repro.solver.branch_and_bound import BranchAndBoundOptions
 from repro.solver.status import Status
 
 
@@ -57,17 +56,10 @@ def enumerate_top(
     except ILPTranslationError:
         return _enumerate_by_search(query, relation, candidate_rids, limit)
 
-    if backend == "auto":
-        backend = "scipy" if scipy_available() else "builtin"
-
+    bb_options = BranchAndBoundOptions(node_limit=node_limit)
     packages = []
     for _ in range(limit):
-        if backend == "scipy":
-            solution = solve_milp_scipy(translation.model)
-        else:
-            solution = solve_milp(
-                translation.model, BranchAndBoundOptions(node_limit=node_limit)
-            )
+        solution = solve_on_backend(translation.model, backend, bb_options)
         if not solution.status.has_solution:
             break
         package = translation.decode(solution)

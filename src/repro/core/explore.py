@@ -18,11 +18,9 @@ Users can repeat this process until they reach the ideal package."
 from __future__ import annotations
 
 from repro.core.local_search import LocalSearch, LocalSearchOptions
+from repro.core.strategies.base import solve_on_backend
 from repro.core.translate_ilp import ILPTranslationError, translate
 from repro.core.validator import is_valid
-from repro.solver.branch_and_bound import BranchAndBoundOptions, solve_milp
-from repro.solver.scipy_backend import available as scipy_available
-from repro.solver.scipy_backend import solve_milp_scipy
 from repro.solver.status import Status
 
 
@@ -44,8 +42,6 @@ class ExplorationSession:
         self._query = query
         self._relation = relation
         self._candidates = list(candidate_rids)
-        if backend == "auto":
-            backend = "scipy" if scipy_available() else "builtin"
         self._backend = backend
         self._pinned = {}
         self._history = []
@@ -153,10 +149,7 @@ class ExplorationSession:
         for package in exclusions:
             translation.exclude_package(package)
 
-        if self._backend == "scipy":
-            solution = solve_milp_scipy(translation.model)
-        else:
-            solution = solve_milp(translation.model, BranchAndBoundOptions())
+        solution = solve_on_backend(translation.model, self._backend)
         if not solution.status.has_solution:
             return None
         return translation.decode(solution)

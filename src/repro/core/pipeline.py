@@ -17,21 +17,14 @@ Pipeline order::
 in-memory relation of just the surviving candidates, so every later
 stage runs unchanged over ``state.relation``.
 
-The bracketed pair is a **fixpoint group**: after reduction fixes
+The bracketed pair is one constraint analysis,
+:func:`repro.core.reduction.analyze_constraints`: after reduction fixes
 variables out, cardinality and SUM bounds are re-derived over the
-*surviving* candidates and fed back to the pruner, which can tighten
-the bounds, which lets the reducer fix more — the loop runs until a
-round removes nothing (or :data:`MAX_PRUNE_ROUNDS` is hit).  That is
-the ROADMAP's "second pruning round over the reduced candidate set",
-expressed as pass iteration instead of new plumbing: the rounds are
-ordinary re-runs of the same two stages, visible in the records with
-``round=2, 3, ...``.
-
-Soundness of the feedback: reduction only removes tuples provably
-absent from every package the validator accepts, so any acceptable
-package draws from the kept set alone — bounds derived over the kept
-set are therefore valid for every acceptable package, exactly like
-the first-round bounds over the full candidate set.
+*surviving* candidates, which can tighten the bounds, which lets the
+reducer fix more — the loop runs until a round removes nothing (or
+:data:`~repro.core.reduction.MAX_PRUNE_ROUNDS` is hit).  Each round
+emits a ``prune-bounds`` and a ``reduction`` record, with
+``round=1, 2, ...``.
 
 Stages short-circuit by *halting* the state (empty cardinality bounds,
 a reduction infeasibility proof): later stages still emit records, but
@@ -46,8 +39,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.ir import (
-    STAGE_BOUNDS,
-    STAGE_REDUCE,
     STAGE_REWRITE,
     STAGE_STRATEGY,
     STAGE_STREAM,
@@ -56,23 +47,14 @@ from repro.core.ir import (
     STAGE_ZONE_SKIP,
     StageRecord,
 )
-from repro.core.pruning import derive_bounds
-from repro.core.reduction import apply_reduction, merge_reductions, reduction_gate_reason
+from repro.core.reduction import analyze_constraints
 from repro.core.vectorize import CandidateColumns
-from repro.relational.content_hash import rids_fingerprint
 
 __all__ = [
-    "MAX_PRUNE_ROUNDS",
     "PipelineState",
     "run_analysis",
     "simulate_solve",
 ]
-
-#: Fixpoint cap for the prune-bounds / reduction loop.  Round 1 is the
-#: classic single pass; rounds 2..3 re-derive bounds over the reduced
-#: candidate set and re-reduce.  In practice the loop converges in two
-#: rounds; the cap bounds the worst case.
-MAX_PRUNE_ROUNDS = 3
 
 
 @dataclass
@@ -230,10 +212,6 @@ def _run_stream(state):
     state.relation = outcome.resident
     state.rid_map = outcome.rid_map
     state.candidate_rids = list(range(len(outcome.resident)))
-    # Residents index by position, so bounds and facts keys on the base
-    # relation's cache would collide across residents: the stages after
-    # this one run uncached.
-    state.artifacts = None
     state.stream_info = {
         "path": "stream",
         "decision": decision,
@@ -312,129 +290,6 @@ def _run_zone_skip(state):
     )
 
 
-def _run_bounds(state, round_number):
-    count = len(state.candidate_rids)
-    started = time.perf_counter()
-    bounds = None
-    if state.artifacts is not None:
-        key = state.artifacts.bounds_key(
-            state.query, rids_fingerprint(state.candidate_rids)
-        )
-        bounds = state.artifacts.bounds.get(key)
-    if bounds is None:
-        bounds = derive_bounds(
-            state.query,
-            state.relation,
-            state.candidate_rids,
-            sharded=state.sharded,
-            columns=state.columns,
-        )
-        if state.artifacts is not None:
-            state.artifacts.bounds.put(key, bounds)
-    state.bounds = bounds
-    state.record(
-        StageRecord(
-            STAGE_BOUNDS,
-            round=round_number,
-            rows_in=count,
-            rows_out=count,
-            seconds=time.perf_counter() - started,
-            detail={"lower": bounds.lower, "upper": bounds.upper},
-        )
-    )
-    if bounds.empty and state.options.use_pruning:
-        state.halt_reason = "cardinality bounds are empty"
-        state.halt_strategy = "pruning"
-
-
-def _run_reduce(state, round_number):
-    count = len(state.candidate_rids)
-    gate = reduction_gate_reason(
-        state.query, state.candidate_rids, state.bounds, state.options
-    )
-    if gate is not None:
-        state.record(
-            StageRecord(
-                STAGE_REDUCE,
-                round=round_number,
-                rows_in=count,
-                rows_out=count,
-                skipped=gate,
-            )
-        )
-        return None
-    started = time.perf_counter()
-    kept, reduction = apply_reduction(
-        state.query,
-        state.relation,
-        state.candidate_rids,
-        state.bounds,
-        state.options,
-        state.sharded,
-        artifacts=state.artifacts,
-        columns=state.columns,
-    )
-    state.candidate_rids = kept
-    detail = {}
-    if reduction is not None:
-        detail = {
-            "fixed": reduction.fixed,
-            "dominated": reduction.dominated,
-            "forced": len(reduction.forced_rids),
-            "dominance": reduction.dominance,
-        }
-    state.record(
-        StageRecord(
-            STAGE_REDUCE,
-            round=round_number,
-            rows_in=count,
-            rows_out=len(kept),
-            seconds=time.perf_counter() - started,
-            detail=detail,
-        )
-    )
-    if reduction is not None and reduction.infeasible:
-        state.halt_reason = reduction.infeasible_reason
-        state.halt_strategy = "reduction"
-    return reduction
-
-
-def _run_prune_fixpoint(state):
-    """The prune-bounds / reduction fixpoint (see module docstring).
-
-    Loops while the previous round removed candidates, up to
-    :data:`MAX_PRUNE_ROUNDS` rounds; per-round reductions are merged
-    into one cumulative :class:`~repro.core.reduction.Reduction` whose
-    ``input_count`` stays the pre-reduction candidate count (what
-    user-facing reporting shows).
-    """
-    rounds = []
-    for round_number in range(1, MAX_PRUNE_ROUNDS + 1):
-        state.prune_rounds = round_number
-        _run_bounds(state, round_number)
-        if state.halted:
-            state.record(
-                StageRecord(
-                    STAGE_REDUCE,
-                    round=round_number,
-                    rows_in=len(state.candidate_rids),
-                    rows_out=len(state.candidate_rids),
-                    skipped=state.halt_reason,
-                )
-            )
-            break
-        reduction = _run_reduce(state, round_number)
-        if reduction is not None:
-            rounds.append(reduction)
-        if (
-            reduction is None
-            or state.halted
-            or len(reduction.kept_rids) == reduction.input_count
-        ):
-            break
-    state.reduction = merge_reductions(rounds)
-
-
 def run_analysis(
     evaluator,
     query,
@@ -485,7 +340,7 @@ def run_analysis(
         workers=getattr(options, "workers", 0),
         backend=getattr(options, "parallel_backend", "thread"),
     )
-    _run_prune_fixpoint(state)
+    analyze_constraints(state)
     state.ctx = EvaluationContext(
         query=state.query,
         relation=state.relation,

@@ -34,8 +34,9 @@ from dataclasses import dataclass
 
 from repro.paql import ast
 from repro.paql.errors import PaQLUnsupportedError
-from repro.core.formula import normalize_formula
+from repro.core.formula import conjunctive_leaves, normalize_formula
 from repro.core.vectorize import CandidateColumns
+from repro.relational.types import ColumnType
 
 
 @dataclass(frozen=True)
@@ -195,12 +196,16 @@ def search_space_size(n, bounds, limit=None):
     return sum(math.comb(n, k) for k in range(low, high + 1))
 
 
-#: Sentinel: "the zone statistics do not apply, read the columns".
-_UNCOMPUTED = object()
-
-
-class CardinalityPruner:
-    """Derives cardinality bounds for a query over a candidate set.
+def derive_bounds(
+    query,
+    relation,
+    candidate_rids,
+    sharded=None,
+    workers=0,
+    backend="thread",
+    columns=None,
+):
+    """Cardinality bounds implied by ``query``'s SUCH THAT clause.
 
     Args:
         query: analyzed :class:`~repro.paql.ast.PackageQuery`.
@@ -216,240 +221,251 @@ class CardinalityPruner:
         columns: the query's ``CandidateColumns`` over
             ``candidate_rids`` (built when ``None``).
     """
+    if columns is None:
+        columns = CandidateColumns(
+            relation, candidate_rids, sharded, workers, backend
+        )
+    conjuncts, _ = query_conjuncts(query)
+    return conjunct_bounds(conjuncts, query.repeat, relation, columns, sharded)
 
-    def __init__(
-        self,
-        query,
-        relation,
-        candidate_rids,
-        sharded=None,
-        workers=0,
-        backend="thread",
-        columns=None,
+
+def query_conjuncts(query):
+    """``(conjuncts, unsupported)`` of ``query``'s SUCH THAT clause.
+
+    The clause is normalized once and each top-level conjunct matched
+    once, as ``(leaf, aggregate, op, constant)``; ``aggregate`` (and
+    ``op``, ``constant``) is ``None`` for a leaf that is not an
+    aggregate-versus-constant comparison: an ``Or``, a Boolean
+    literal, or richer arithmetic.  ``unsupported`` is why a clause
+    has no normal form (then there are no conjuncts), else ``None``.
+    The cardinality walk and the reducer
+    (:mod:`repro.core.reduction`) both read the list.
+    """
+    if query.such_that is None:
+        return [], None
+    try:
+        formula = normalize_formula(query.such_that)
+    except PaQLUnsupportedError as exc:
+        return [], str(exc)
+    matched = []
+    for leaf in conjunctive_leaves(formula):
+        if isinstance(leaf, ast.Comparison):
+            matched.append((leaf, *match_aggregate_comparison(leaf)))
+        else:
+            matched.append((leaf, None, None, None))
+    return matched, None
+
+
+def conjunct_bounds(conjuncts, repeat, relation, columns, sharded=None):
+    """Intersect the bounds each matched conjunct implies over the
+    candidates ``columns`` holds (see :func:`derive_bounds`)."""
+    top = len(columns.rids) * repeat
+
+    def extent(expr):
+        return _argument_range(expr, relation, columns, sharded)
+
+    bounds = CardinalityBounds(0, top)
+    for leaf, aggregate, op, constant in conjuncts:
+        if aggregate is None:
+            implied = _bounds_of(leaf, top, extent)
+        else:
+            implied = _bounds_of_aggregate(aggregate, op, constant, top, extent)
+        bounds = bounds.intersect(implied)
+    return bounds
+
+
+# -- data statistics ----------------------------------------------------------
+
+
+def _argument_range(expr, relation, columns, sharded):
+    """``(min, max)`` of an argument's non-NULL candidate values.
+
+    ``None`` when no candidate yields a non-NULL value.  Zone
+    statistics answer a bare numeric column when every row is a
+    candidate (a shard's zone min/max is over *all* its rows);
+    otherwise min/max runs over the candidates' gathered column, where
+    a NaN anywhere makes both ends NaN.
+    """
+    if (
+        sharded is not None
+        and len(columns.rids) == len(relation)
+        and isinstance(expr, ast.ColumnRef)
+        and expr.name in relation.schema
+        and relation.schema.type_of(expr.name) is not ColumnType.TEXT
     ):
-        if columns is None:
-            columns = CandidateColumns(
-                relation, candidate_rids, sharded, workers, backend
-            )
-        self._query = query
-        self._relation = relation
-        self._columns = columns
-        self._max_cardinality = len(columns.rids) * query.repeat
-        self._sharded = sharded
-
-    # -- data statistics ------------------------------------------------------
-
-    def _argument_range(self, expr):
-        """``(min, max)`` of an argument's non-NULL candidate values.
-
-        ``None`` when no candidate yields a non-NULL value.  Paths, in
-        preference order: zone statistics (bare numeric column, full
-        candidate coverage), then min/max over the candidates' gathered
-        column, where a NaN anywhere makes both ends NaN.
-        """
-        extent = self._zone_range(expr)
-        if extent is not _UNCOMPUTED:
-            return extent
-        values, nulls = self._columns.get(expr)
-        present = values[~nulls]
-        if present.size == 0:
-            return None
-        return (float(present.min()), float(present.max()))
-
-    def _zone_range(self, expr):
-        """Min/max from zone statistics — exact only with every row a
-        candidate (a shard's zone min/max is over *all* its rows)."""
-        if (
-            self._sharded is None
-            or len(self._columns.rids) != len(self._relation)
-            or not isinstance(expr, ast.ColumnRef)
-            or expr.name not in self._relation.schema
-        ):
-            return _UNCOMPUTED
-        from repro.relational.types import ColumnType
-
-        if self._relation.schema.type_of(expr.name) is ColumnType.TEXT:
-            return _UNCOMPUTED
-        zone = self._sharded.column_zone(expr.name)
+        zone = sharded.column_zone(expr.name)
         if zone.non_null == 0:
             return None
         return (zone.minimum, zone.maximum)
+    values, nulls = columns.get(expr)
+    present = values[~nulls]
+    if present.size == 0:
+        return None
+    return (float(present.min()), float(present.max()))
 
-    # -- public API -----------------------------------------------------------
 
-    def bounds(self):
-        """Cardinality bounds implied by the SUCH THAT clause."""
-        everything = CardinalityBounds(0, self._max_cardinality)
-        if self._query.such_that is None:
-            return everything
-        try:
-            normalized = normalize_formula(self._query.such_that)
-        except PaQLUnsupportedError:
-            return everything
-        derived = self._bounds_of(normalized)
-        return derived.intersect(everything)
+# -- recursive derivation -----------------------------------------------------
 
-    # -- recursive derivation ------------------------------------------------------
 
-    def _bounds_of(self, node):
-        unknown = CardinalityBounds(0, self._max_cardinality)
+def _bounds_of(node, top, extent):
+    unknown = CardinalityBounds(0, top)
 
-        if isinstance(node, ast.Literal):
-            if node.value:
-                return unknown
-            return CardinalityBounds(1, 0)  # unsatisfiable
+    if isinstance(node, ast.Literal):
+        if node.value:
+            return unknown
+        return CardinalityBounds(1, 0)  # unsatisfiable
 
-        if isinstance(node, ast.And):
-            result = unknown
-            for arg in node.args:
-                result = result.intersect(self._bounds_of(arg))
-            return result
+    if isinstance(node, ast.And):
+        result = unknown
+        for arg in node.args:
+            result = result.intersect(_bounds_of(arg, top, extent))
+        return result
 
-        if isinstance(node, ast.Or):
-            result = CardinalityBounds(1, 0)
-            for arg in node.args:
-                result = result.hull(self._bounds_of(arg))
-            return result
+    if isinstance(node, ast.Or):
+        result = CardinalityBounds(1, 0)
+        for arg in node.args:
+            result = result.hull(_bounds_of(arg, top, extent))
+        return result
 
-        if isinstance(node, ast.Comparison):
-            return self._bounds_of_comparison(node)
-
-        return unknown
-
-    def _bounds_of_comparison(self, node):
-        unknown = CardinalityBounds(0, self._max_cardinality)
-
-        # Only <aggregate> <op> <constant> patterns (either orientation)
-        # yield bounds; richer arithmetic is left to the ILP.
+    if isinstance(node, ast.Comparison):
+        # Only <aggregate> <op> <constant> patterns (either
+        # orientation) yield bounds; richer arithmetic is left to the
+        # ILP.
         aggregate, op, constant = match_aggregate_comparison(node)
-        if aggregate is None:
-            return unknown
+        if aggregate is not None:
+            return _bounds_of_aggregate(aggregate, op, constant, top, extent)
 
-        if aggregate.is_count_star:
-            return self._bounds_of_count(op, constant)
+    return unknown
 
-        if aggregate.func is ast.AggFunc.COUNT:
-            # COUNT(expr) <= COUNT(*): only >= carries over soundly.
-            if op in (ast.CmpOp.GE, ast.CmpOp.GT, ast.CmpOp.EQ):
-                partial = self._bounds_of_count(
-                    ast.CmpOp.GE if op is not ast.CmpOp.GT else ast.CmpOp.GT,
-                    constant,
-                )
-                return CardinalityBounds(partial.lower, unknown.upper)
-            return unknown
 
-        if aggregate.func is ast.AggFunc.SUM:
-            return self._bounds_of_sum(aggregate.argument, op, constant)
+def _bounds_of_aggregate(aggregate, op, constant, top, extent):
+    if aggregate.is_count_star:
+        return _bounds_of_count(op, constant, top)
 
-        return unknown
-
-    def _bounds_of_count(self, op, constant):
-        top = self._max_cardinality
-        if op is ast.CmpOp.EQ:
-            if constant < 0 or constant != int(constant):
-                return CardinalityBounds(1, 0)
-            return CardinalityBounds(int(constant), int(constant))
-        if op is ast.CmpOp.LE:
-            return CardinalityBounds(0, math.floor(constant))
-        if op is ast.CmpOp.LT:
-            return CardinalityBounds(0, math.ceil(constant) - 1)
-        if op is ast.CmpOp.GE:
-            return CardinalityBounds(max(0, math.ceil(constant)), top)
-        if op is ast.CmpOp.GT:
-            return CardinalityBounds(max(0, math.floor(constant) + 1), top)
+    if aggregate.func is ast.AggFunc.COUNT:
+        # COUNT(expr) <= COUNT(*): only >= carries over soundly.
+        if op in (ast.CmpOp.GE, ast.CmpOp.GT, ast.CmpOp.EQ):
+            partial = _bounds_of_count(
+                ast.CmpOp.GE if op is not ast.CmpOp.GT else ast.CmpOp.GT,
+                constant,
+                top,
+            )
+            return CardinalityBounds(partial.lower, top)
         return CardinalityBounds(0, top)
 
-    def _bounds_of_sum(self, argument, op, constant):
-        """Bounds from ``SUM(argument) <op> constant``.
+    if aggregate.func is ast.AggFunc.SUM:
+        return _bounds_of_sum(extent(aggregate.argument), op, constant, top)
 
-        A package of cardinality ``k`` has its sum inside the relaxed
-        interval ``[k * min_value, k * max_value]`` (the relaxation
-        ignores repeat limits and distinctness, which only makes the
-        true range narrower, so the derived necessary conditions remain
-        sound).  Writing the constraint as ``A <= SUM <= B``,
-        feasibility of cardinality ``k`` requires the intervals to
-        overlap::
+    return CardinalityBounds(0, top)
 
-            k * min_value <= B   and   k * max_value >= A
 
-        Solving each inequality for ``k`` (with the sign analysis the
-        divisions require) yields the bounds.  With all-positive values
-        this reduces to the paper's formulas ``u = floor(B / min)`` and
-        ``l = ceil(A / max)``.  Strict comparisons are relaxed to their
-        closed forms, which is sound (never excludes a feasible k).
-        """
-        unknown = CardinalityBounds(0, self._max_cardinality)
-        empty = CardinalityBounds(1, 0)
-        extent = self._argument_range(argument)
-        if extent is None:
-            # SUM over no non-NULL candidates is 0 for every package.
-            satisfied = _compare_const(0.0, op, constant)
-            return unknown if satisfied else empty
-        minimum, maximum = extent
-        if math.isnan(minimum) or math.isnan(maximum):
-            # NaN data poisons the extent: every sign test below is
-            # false, which would fall through to the negative-extreme
-            # branches and wrongly prove infeasibility.  No necessary
-            # condition follows from a NaN extent.
-            return unknown
+def _bounds_of_count(op, constant, top):
+    if op is ast.CmpOp.EQ:
+        if constant < 0 or constant != int(constant):
+            return CardinalityBounds(1, 0)
+        return CardinalityBounds(int(constant), int(constant))
+    if op is ast.CmpOp.LE:
+        return CardinalityBounds(0, math.floor(constant))
+    if op is ast.CmpOp.LT:
+        return CardinalityBounds(0, math.ceil(constant) - 1)
+    if op is ast.CmpOp.GE:
+        return CardinalityBounds(max(0, math.ceil(constant)), top)
+    if op is ast.CmpOp.GT:
+        return CardinalityBounds(max(0, math.floor(constant) + 1), top)
+    return CardinalityBounds(0, top)
 
-        if op in (ast.CmpOp.LE, ast.CmpOp.LT):
-            sum_low, sum_high = -math.inf, constant
-        elif op in (ast.CmpOp.GE, ast.CmpOp.GT):
-            sum_low, sum_high = constant, math.inf
-        else:  # EQ
-            sum_low, sum_high = constant, constant
 
-        lower, upper = 0, self._max_cardinality
+def _bounds_of_sum(extent, op, constant, top):
+    """Bounds from ``SUM(argument) <op> constant``, given the
+    argument's candidate ``extent`` (see :func:`_argument_range`).
 
-        # Quotients can overflow to inf when the extreme value is
-        # subnormal; skipping the tightening (keeping the looser
-        # bound) stays sound.
-        def floor_div(a, b):
-            quotient = a / b
-            return math.floor(quotient) if math.isfinite(quotient) else None
+    A package of cardinality ``k`` has its sum inside the relaxed
+    interval ``[k * min_value, k * max_value]`` (the relaxation
+    ignores repeat limits and distinctness, which only makes the
+    true range narrower, so the derived necessary conditions remain
+    sound).  Writing the constraint as ``A <= SUM <= B``,
+    feasibility of cardinality ``k`` requires the intervals to
+    overlap::
 
-        def ceil_div(a, b):
-            quotient = a / b
-            return math.ceil(quotient) if math.isfinite(quotient) else None
+        k * min_value <= B   and   k * max_value >= A
 
-        # Require k * minimum <= sum_high.
-        if math.isfinite(sum_high):
-            if minimum > 0:
-                tightened = floor_div(sum_high, minimum)
+    Solving each inequality for ``k`` (with the sign analysis the
+    divisions require) yields the bounds.  With all-positive values
+    this reduces to the paper's formulas ``u = floor(B / min)`` and
+    ``l = ceil(A / max)``.  Strict comparisons are relaxed to their
+    closed forms, which is sound (never excludes a feasible k).
+    """
+    unknown = CardinalityBounds(0, top)
+    empty = CardinalityBounds(1, 0)
+    if extent is None:
+        # SUM over no non-NULL candidates is 0 for every package.
+        satisfied = _compare_const(0.0, op, constant)
+        return unknown if satisfied else empty
+    minimum, maximum = extent
+    if math.isnan(minimum) or math.isnan(maximum):
+        # NaN data poisons the extent: every sign test below is
+        # false, which would fall through to the negative-extreme
+        # branches and wrongly prove infeasibility.  No necessary
+        # condition follows from a NaN extent.
+        return unknown
+
+    if op in (ast.CmpOp.LE, ast.CmpOp.LT):
+        sum_low, sum_high = -math.inf, constant
+    elif op in (ast.CmpOp.GE, ast.CmpOp.GT):
+        sum_low, sum_high = constant, math.inf
+    else:  # EQ
+        sum_low, sum_high = constant, constant
+
+    lower, upper = 0, top
+
+    # Quotients can overflow to inf when the extreme value is
+    # subnormal; skipping the tightening (keeping the looser
+    # bound) stays sound.
+    def floor_div(a, b):
+        quotient = a / b
+        return math.floor(quotient) if math.isfinite(quotient) else None
+
+    def ceil_div(a, b):
+        quotient = a / b
+        return math.ceil(quotient) if math.isfinite(quotient) else None
+
+    # Require k * minimum <= sum_high.
+    if math.isfinite(sum_high):
+        if minimum > 0:
+            tightened = floor_div(sum_high, minimum)
+            if tightened is not None:
+                upper = min(upper, tightened)
+            if upper < 0:
+                return empty
+        elif minimum == 0:
+            if sum_high < 0:
+                return empty
+        else:  # minimum < 0: large k drives the floor down; need enough k.
+            if sum_high < 0:
+                tightened = ceil_div(sum_high, minimum)
                 if tightened is not None:
-                    upper = min(upper, tightened)
-                if upper < 0:
-                    return empty
-            elif minimum == 0:
-                if sum_high < 0:
-                    return empty
-            else:  # minimum < 0: large k drives the floor down; need enough k.
-                if sum_high < 0:
-                    tightened = ceil_div(sum_high, minimum)
-                    if tightened is not None:
-                        lower = max(lower, tightened)
+                    lower = max(lower, tightened)
 
-        # Require k * maximum >= sum_low.
-        if math.isfinite(sum_low):
-            if maximum > 0:
-                if sum_low > 0:
-                    tightened = ceil_div(sum_low, maximum)
-                    if tightened is not None:
-                        lower = max(lower, tightened)
-            elif maximum == 0:
-                if sum_low > 0:
-                    return empty
-            else:  # maximum < 0: sums only get more negative with k.
-                if sum_low > 0:
-                    return empty
-                tightened = floor_div(sum_low, maximum)
+    # Require k * maximum >= sum_low.
+    if math.isfinite(sum_low):
+        if maximum > 0:
+            if sum_low > 0:
+                tightened = ceil_div(sum_low, maximum)
                 if tightened is not None:
-                    upper = min(upper, tightened)
+                    lower = max(lower, tightened)
+        elif maximum == 0:
+            if sum_low > 0:
+                return empty
+        else:  # maximum < 0: sums only get more negative with k.
+            if sum_low > 0:
+                return empty
+            tightened = floor_div(sum_low, maximum)
+            if tightened is not None:
+                upper = min(upper, tightened)
 
-        if lower > upper:
-            return empty
-        return CardinalityBounds(lower, upper)
+    if lower > upper:
+        return empty
+    return CardinalityBounds(lower, upper)
 
 
 def match_aggregate_comparison(node):
@@ -487,27 +503,6 @@ def _compare_const(value, op, constant):
     if op is ast.CmpOp.GT:
         return value > constant
     return value != constant
-
-
-def derive_bounds(
-    query,
-    relation,
-    candidate_rids,
-    sharded=None,
-    workers=0,
-    backend="thread",
-    columns=None,
-):
-    """Convenience wrapper around :class:`CardinalityPruner`."""
-    return CardinalityPruner(
-        query,
-        relation,
-        candidate_rids,
-        sharded=sharded,
-        workers=workers,
-        backend=backend,
-        columns=columns,
-    ).bounds()
 
 
 def unpruned_bounds(candidate_count, repeat=1):

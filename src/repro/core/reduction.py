@@ -59,6 +59,14 @@ Three cooperating passes over the columnar substrate:
    greedy incumbent built over the reduced set warm-starts branch and
    bound (see :mod:`repro.solver.branch_and_bound`).
 
+The pipeline runs these passes together with cardinality pruning
+(:mod:`repro.core.pruning`) as one constraint analysis,
+:func:`analyze_constraints`: one normalization of the SUCH THAT
+clause, then rounds of bounds, fixing, witnesses and dominance over
+the shrinking candidate set until a round removes nothing.  Bounds
+derived over the kept set are sound for the same reason fixing is:
+every package the validator accepts draws from it alone.
+
 Soundness invariants (property-tested in ``tests/test_reduction.py``):
 ``safe`` and proof-gated ``aggressive`` reduction never change the
 feasibility status or the optimal objective of any query; ``off``
@@ -75,27 +83,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.paql import ast
-from repro.paql.errors import PaQLUnsupportedError
-from repro.core.formula import conjunctive_leaves, normalize_formula
-from repro.core.pruning import match_aggregate_comparison
+from repro.core.ir import STAGE_BOUNDS, STAGE_REDUCE, StageRecord
+from repro.core.pruning import conjunct_bounds, query_conjuncts
 from repro.core.translate_ilp import ILPTranslationError, minmax_plan
 from repro.core.validator import DEFAULT_TOLERANCE
 from repro.core.vectorize import CandidateColumns
-from repro.relational.content_hash import rids_fingerprint
 
 __all__ = [
+    "MAX_PRUNE_ROUNDS",
     "REDUCE_MODES",
     "Reduction",
-    "apply_reduction",
-    "merge_reductions",
+    "analyze_constraints",
     "minmax_fixing_sql",
     "reduce_candidates",
-    "reduction_gate_reason",
     "zones_block_minmax_fixing",
 ]
 
 #: Recognized ``EngineOptions.reduce`` spellings.
 REDUCE_MODES = ("off", "safe", "aggressive")
+
+#: Fixpoint cap of :func:`analyze_constraints`.  Round 1 is the classic
+#: single pass; rounds 2..3 re-derive bounds over the reduced candidate
+#: set and re-reduce.  In practice the loop converges in two rounds;
+#: the cap bounds the worst case.
+MAX_PRUNE_ROUNDS = 3
 
 #: Dominance with two or more ordered key dimensions counts dominators
 #: pairwise (quadratic); past this many kept candidates it is skipped.
@@ -126,23 +137,23 @@ class Reduction:
             ``"skipped: <reason>"`` when the eligibility analysis
             could not prove an optimal package survives.
         elapsed_seconds: wall-clock spent reducing.
-        rounds: fixpoint rounds merged into this record (the pipeline's
-            prune/reduce loop re-derives bounds over the kept set and
-            re-reduces; see :mod:`repro.core.pipeline`).
+        rounds: fixpoint rounds this record covers (the prune/reduce
+            pass re-derives bounds over the kept set and re-reduces;
+            see :func:`analyze_constraints`).
     """
 
     mode: str
     input_count: int
     kept_rids: list
-    fixed: int
-    dominated: int
-    forced_rids: tuple
-    infeasible_reason: str | None
-    zone_shards_fixed: int
-    zone_shards_cleared: int
-    zone_shards_scanned: int
-    dominance: str
-    elapsed_seconds: float
+    fixed: int = 0
+    dominated: int = 0
+    forced_rids: tuple = ()
+    infeasible_reason: str | None = None
+    zone_shards_fixed: int = 0
+    zone_shards_cleared: int = 0
+    zone_shards_scanned: int = 0
+    dominance: str = "not requested"
+    elapsed_seconds: float = 0.0
     rounds: int = 1
 
     @property
@@ -177,111 +188,99 @@ class Reduction:
         return out
 
 
-def reduction_gate_reason(query, candidate_rids, bounds, options):
-    """Why reduction would be skipped for this evaluation, or ``None``.
+def analyze_constraints(state):
+    """The prune-bounds / reduction fixpoint, as one pass.
 
-    The single gate shared by the engine and the planner (through
-    :mod:`repro.core.pipeline`), so the two can never gate differently
-    — and the skip reason is what both record in the stage IR.
+    Runs on the pipeline's
+    :class:`~repro.core.pipeline.PipelineState` after zone-skip.  The
+    SUCH THAT clause is normalized and its conjunctive leaves matched
+    once; every round then derives the cardinality interval over the
+    current candidates (``state.columns``), and — unless pruning halted
+    or the gate says otherwise — fixes, resolves witnesses and
+    dominates over the same leaves, narrowing the candidates.  The loop
+    stops when a round removes nothing, the bounds are empty, reduction
+    proves infeasibility, or :data:`MAX_PRUNE_ROUNDS` rounds ran.
+
+    Each round emits a ``prune-bounds`` and a ``reduction``
+    :class:`~repro.core.ir.StageRecord` (the latter as a skip carrying
+    its reason when the round does not reduce).  Leaves
+    ``state.bounds`` (the last round's), ``state.candidate_rids`` (the
+    kept set), ``state.prune_rounds`` and ``state.reduction`` (one
+    :class:`Reduction` across every round that reduced, ``None`` when
+    none did).
     """
+    query, options = state.query, state.options
+    conjuncts, unsupported = query_conjuncts(query)
+    reducer = _Reducer(
+        query, state.relation, options.reduce, state.sharded,
+        DEFAULT_TOLERANCE, state.columns, conjuncts, unsupported,
+    )
+    for round_number in range(1, MAX_PRUNE_ROUNDS + 1):
+        state.prune_rounds = round_number
+        count = len(state.candidate_rids)
+        started = time.perf_counter()
+        state.bounds = conjunct_bounds(
+            conjuncts, query.repeat, state.relation, state.columns, state.sharded
+        )
+        state.record(
+            StageRecord(
+                STAGE_BOUNDS,
+                round=round_number,
+                rows_in=count,
+                rows_out=count,
+                seconds=time.perf_counter() - started,
+                detail={"lower": state.bounds.lower, "upper": state.bounds.upper},
+            )
+        )
+        if state.bounds.empty and options.use_pruning:
+            state.halt_reason = "cardinality bounds are empty"
+            state.halt_strategy = "pruning"
+        skipped = state.halt_reason or _skip_reason(query, count, state.bounds, options)
+        if skipped is not None:
+            state.record(
+                StageRecord(
+                    STAGE_REDUCE,
+                    round=round_number,
+                    rows_in=count,
+                    rows_out=count,
+                    skipped=skipped,
+                )
+            )
+            break
+        started = time.perf_counter()
+        detail = reducer.round(state.candidate_rids, state.bounds)
+        state.candidate_rids = reducer.kept_rids
+        state.record(
+            StageRecord(
+                STAGE_REDUCE,
+                round=round_number,
+                rows_in=count,
+                rows_out=len(state.candidate_rids),
+                seconds=time.perf_counter() - started,
+                detail=detail,
+            )
+        )
+        if reducer.infeasible_reason is not None:
+            state.halt_reason = reducer.infeasible_reason
+            state.halt_strategy = "reduction"
+            break
+        if len(state.candidate_rids) == count:
+            break
+    state.reduction = reducer.reduction()
+
+
+def _skip_reason(query, count, bounds, options):
+    """Why a round's reduction is skipped, or ``None`` — the engine and
+    the planner share it, so the skip reason in the stage IR is one."""
     if options.reduce == "off":
         return "reduction disabled (reduce=off)"
     if query.such_that is None:
         return "no global constraints"
-    if not candidate_rids:
+    if not count:
         return "no candidates to reduce"
     if bounds.empty:
         return "cardinality bounds are empty"
     return None
-
-
-def apply_reduction(
-    query,
-    relation,
-    candidate_rids,
-    bounds,
-    options,
-    sharded=None,
-    artifacts=None,
-    columns=None,
-):
-    """The pipeline's reduction stage: gate, run, and unpack.
-
-    Skips (returning ``(candidate_rids, None)``) whenever
-    :func:`reduction_gate_reason` says so: mode ``off``, no global
-    constraints, no candidates, or cardinality bounds already empty
-    (the engine short-circuits on those first).
-
-    Args:
-        artifacts: optional
-            :class:`~repro.core.session.ArtifactCache` — its ``facts``
-            layer reuses per-conjunct facts (fixing masks, witness
-            sets, dominance keys) across queries sharing a conjunct
-            over the same candidate set.
-        columns: see :func:`reduce_candidates`.
-
-    Returns:
-        ``(kept_rids, reduction)`` where ``reduction`` is the
-        :class:`Reduction` or ``None`` when the stage was skipped.
-    """
-    if reduction_gate_reason(query, candidate_rids, bounds, options) is not None:
-        return candidate_rids, None
-    reduction = reduce_candidates(
-        query,
-        relation,
-        candidate_rids,
-        bounds,
-        mode=options.reduce,
-        sharded=sharded,
-        workers=getattr(options, "workers", 0),
-        artifacts=artifacts,
-        backend=getattr(options, "parallel_backend", "thread"),
-        columns=columns,
-    )
-    return reduction.kept_rids, reduction
-
-
-def merge_reductions(rounds):
-    """Collapse the fixpoint's per-round reductions into one record.
-
-    ``input_count`` stays the first round's (pre-reduction) candidate
-    count — what user-facing reporting shows — while ``kept_rids`` and
-    the infeasibility verdict come from the last round; removal
-    counters and wall-clock accumulate; forced rids union; the
-    dominance outcome is ``"applied"`` if any round applied it, else
-    the last round's.  Returns ``None`` for no rounds, the single
-    reduction unchanged for one.
-    """
-    rounds = [r for r in rounds if r is not None]
-    if not rounds:
-        return None
-    if len(rounds) == 1:
-        return rounds[0]
-    first, last = rounds[0], rounds[-1]
-    forced = sorted({rid for r in rounds for rid in r.forced_rids})
-    # "applied" in any round wins the merged label: a later round
-    # legitimately skipping (e.g. nothing left to dominate) must not
-    # hide that dominance pruning ran.
-    dominance = last.dominance
-    for r in rounds:
-        if r.dominance == "applied":
-            dominance = "applied"
-            break
-    return Reduction(
-        mode=last.mode,
-        input_count=first.input_count,
-        kept_rids=last.kept_rids,
-        fixed=sum(r.fixed for r in rounds),
-        dominated=sum(r.dominated for r in rounds),
-        forced_rids=tuple(forced),
-        infeasible_reason=last.infeasible_reason,
-        zone_shards_fixed=sum(r.zone_shards_fixed for r in rounds),
-        zone_shards_cleared=sum(r.zone_shards_cleared for r in rounds),
-        zone_shards_scanned=sum(r.zone_shards_scanned for r in rounds),
-        dominance=dominance,
-        elapsed_seconds=sum(r.elapsed_seconds for r in rounds),
-        rounds=len(rounds),
-    )
 
 
 def reduce_candidates(
@@ -293,11 +292,13 @@ def reduce_candidates(
     sharded=None,
     workers=0,
     tolerance=DEFAULT_TOLERANCE,
-    artifacts=None,
     backend="thread",
     columns=None,
 ):
-    """Reduce ``candidate_rids`` for ``query`` (see module docstring).
+    """One reduction round over ``candidate_rids`` (see module docstring).
+
+    The pipeline iterates rounds to a fixpoint
+    (:func:`analyze_constraints`); this is the single round on its own.
 
     Args:
         query: analyzed (and rewritten) package query.
@@ -314,8 +315,6 @@ def reduce_candidates(
         tolerance: the validator's boundary tolerance; fixing widens
             non-strict thresholds by it so reduction never removes a
             tuple some oracle-acceptable package contains.
-        artifacts: optional artifact cache whose ``facts`` layer
-            memoizes per-conjunct facts (see :func:`apply_reduction`).
         columns: the query's ``CandidateColumns`` over
             ``candidate_rids`` (built when ``None``), narrowed in place
             to the kept candidates; dominance gathers the objective
@@ -329,31 +328,20 @@ def reduce_candidates(
     """
     if mode not in REDUCE_MODES:
         raise ValueError(f"unknown reduce mode {mode!r} (choose from {REDUCE_MODES})")
-    started = time.perf_counter()
     rids = list(candidate_rids)
     if mode == "off" or not rids or query.such_that is None:
-        return Reduction(
-            mode=mode,
-            input_count=len(rids),
-            kept_rids=rids,
-            fixed=0,
-            dominated=0,
-            forced_rids=(),
-            infeasible_reason=None,
-            zone_shards_fixed=0,
-            zone_shards_cleared=0,
-            zone_shards_scanned=0,
-            dominance="not requested"
-            if mode != "aggressive"
-            else "skipped: no global constraints",
-            elapsed_seconds=time.perf_counter() - started,
-        )
+        identity = Reduction(mode=mode, input_count=len(rids), kept_rids=rids)
+        if mode == "aggressive":
+            identity.dominance = "skipped: no global constraints"
+        return identity
     if columns is None:
         columns = CandidateColumns(relation, rids, sharded, workers, backend)
-    return _Reducer(
-        query, relation, rids, bounds, mode, sharded, tolerance, artifacts,
-        columns,
-    ).run(started)
+    reducer = _Reducer(
+        query, relation, mode, sharded, tolerance, columns,
+        *query_conjuncts(query),
+    )
+    reducer.round(rids, bounds)
+    return reducer.reduction()
 
 
 def zones_block_minmax_fixing(zones, plan):
@@ -432,53 +420,63 @@ def minmax_fixing_sql(func, op, constant, column, tolerance=DEFAULT_TOLERANCE):
 
 
 class _Reducer:
-    """One reduction run; all masks are positional over the input rids."""
+    """One query's reduction rounds; each round's masks are positional
+    over that round's input rids, and the counters accumulate."""
 
     def __init__(
-        self, query, relation, rids, bounds, mode, sharded, tolerance,
-        artifacts, columns,
+        self, query, relation, mode, sharded, tolerance, columns,
+        conjuncts, unsupported,
     ):
         self._query = query
         self._relation = relation
-        self._rids = np.asarray(rids, dtype=np.intp)
-        self._bounds = bounds
         self._mode = mode
-        if sharded is not None and np.any(np.diff(self._rids) <= 0):
-            # Shard-order splitting (split_rids, the zone position
-            # lookups) is only valid for strictly ascending rids — the
-            # engine always passes them that way, but this is a public
-            # entry point; fall back to the single-pass path instead
-            # of deriving garbage.
-            sharded = None
         self._sharded = sharded
         self._tol = float(tolerance)
-        self._artifacts = artifacts
-        # One fingerprint per run, reused in every per-leaf cache key.
-        self._rids_key = (
-            rids_fingerprint(self._rids) if artifacts is not None else None
-        )
         self._columns = columns
-        self._zero = np.zeros(len(rids), dtype=bool)
-        self._witness_checks = []
-        self._dominance_keys = []
-        self._dominance_block = None
+        self._conjuncts = conjuncts
+        # A clause with no normal form yields no conjuncts to fix by,
+        # and no proof that dominance keeps an optimum.
+        self._blocked = (
+            None if unsupported is None else f"unsupported formula: {unsupported}"
+        )
+        self.kept_rids = None
+        self.infeasible_reason = None
+        self._input_count = None
+        self._rounds = 0
+        self._fixed = 0
+        self._dominated = 0
+        self._forced = set()
+        self._dominance = None
+        self._elapsed = 0.0
         self._zone_fixed = 0
         self._zone_cleared = 0
         self._zone_scanned = 0
 
     # -- driver --------------------------------------------------------------
 
-    def run(self, started):
-        try:
-            normalized = normalize_formula(self._query.such_that)
-        except PaQLUnsupportedError as exc:
-            normalized = None
-            self._block_dominance(f"unsupported formula: {exc}")
-        if normalized is not None:
-            for leaf in conjunctive_leaves(normalized):
-                self._consume_with_cache(leaf)
+    def round(self, rids, bounds):
+        """Fix, resolve witnesses and dominate over ``rids``; return the
+        round's ``reduction`` stage detail."""
+        started = time.perf_counter()
+        self._rids = np.asarray(rids, dtype=np.intp)
+        if self._input_count is None:
+            self._input_count = len(self._rids)
+            if self._sharded is not None and np.any(np.diff(self._rids) <= 0):
+                # Shard-order splitting (split_rids, the zone position
+                # lookups) is only valid for strictly ascending rids —
+                # the engine always passes them that way, but
+                # reduce_candidates is a public entry point; fall back
+                # to the single-pass path instead of deriving garbage.
+                self._sharded = None
+        self._bounds = bounds
+        self._zero = np.zeros(len(self._rids), dtype=bool)
+        self._witness_checks = []
+        self._dominance_keys = []
+        self._dominance_block = self._blocked
+        for conjunct in self._conjuncts:
+            self._consume(*conjunct)
         fixed = int(np.count_nonzero(self._zero))
-        forced, infeasible_reason = self._resolve_witnesses()
+        forced, self.infeasible_reason = self._resolve_witnesses()
         # Fixing is final: dominance and every later reader of the
         # columns see only the candidates it kept.
         self._columns.narrow(~self._zero)
@@ -486,25 +484,50 @@ class _Reducer:
         dominated = 0
         dominance = "not requested"
         if self._mode == "aggressive":
-            if infeasible_reason is not None:
+            if self.infeasible_reason is not None:
                 dominance = "skipped: already proved infeasible"
             else:
                 dominated, dominance = self._dominate(forced)
 
-        kept = [int(rid) for rid in self._rids[~self._zero]]
+        self.kept_rids = [int(rid) for rid in self._rids[~self._zero]]
+        self._rounds += 1
+        self._fixed += fixed
+        self._dominated += dominated
+        self._forced.update(forced)
+        # "applied" in any round wins: a later round legitimately
+        # skipping (e.g. nothing left to dominate) must not hide that
+        # dominance pruning ran.
+        if self._dominance != "applied":
+            self._dominance = dominance
+        self._elapsed += time.perf_counter() - started
+        return {
+            "fixed": fixed,
+            "dominated": dominated,
+            "forced": len(forced),
+            "dominance": dominance,
+        }
+
+    def reduction(self):
+        """Every round so far as one :class:`Reduction` (``None`` before
+        the first): ``input_count`` is the first round's, the kept set
+        and the infeasibility verdict the last round's, counters sum
+        and forced rids union."""
+        if not self._rounds:
+            return None
         return Reduction(
             mode=self._mode,
-            input_count=len(self._rids),
-            kept_rids=kept,
-            fixed=fixed,
-            dominated=dominated,
-            forced_rids=tuple(forced),
-            infeasible_reason=infeasible_reason,
+            input_count=self._input_count,
+            kept_rids=self.kept_rids,
+            fixed=self._fixed,
+            dominated=self._dominated,
+            forced_rids=tuple(sorted(self._forced)),
+            infeasible_reason=self.infeasible_reason,
             zone_shards_fixed=self._zone_fixed,
             zone_shards_cleared=self._zone_cleared,
             zone_shards_scanned=self._zone_scanned,
-            dominance=dominance,
-            elapsed_seconds=time.perf_counter() - started,
+            dominance=self._dominance,
+            elapsed_seconds=self._elapsed,
+            rounds=self._rounds,
         )
 
     def _block_dominance(self, reason):
@@ -513,90 +536,13 @@ class _Reducer:
 
     # -- conjunct dispatch ---------------------------------------------------
 
-    def _consume_with_cache(self, leaf):
-        """Consume a conjunct, reusing cached facts when a session
-        provides an artifact cache.
-
-        A conjunct's facts (the positional fixing mask, witness masks,
-        dominance keys, dominance block, zone counters) are functions
-        of the conjunct AST, the candidate rid set, the repeat bound,
-        the tolerance, and the shard layout — everything else in the
-        query is irrelevant to them.  The cache key captures exactly
-        those inputs, so a second query sharing a conjunct over the
-        same candidates replays the facts instead of re-scanning.
-
-        The dominance block is captured *per conjunct* (the instance
-        field is stashed and restored around the consume), because the
-        first-block-wins field would otherwise hide a later conjunct's
-        block from the cache — and replaying that entry in a query
-        where no earlier conjunct blocks would run dominance unproven.
-        """
-        if self._artifacts is None:
-            self._consume(leaf)
-            return
-        key = self._artifacts.facts_key(
-            leaf,
-            self._rids_key,
-            repeat=self._query.repeat,
-            tolerance=self._tol,
-            shards=self._sharded.num_shards if self._sharded is not None else 0,
-        )
-        hit = self._artifacts.facts.get(key)
-        if hit is not None:
-            self._zero |= hit.fixed_mask
-            self._witness_checks.extend(hit.witness_checks)
-            self._dominance_keys.extend(hit.dominance_keys)
-            if hit.dominance_block is not None:
-                self._block_dominance(hit.dominance_block)
-            self._zone_fixed += hit.zone[0]
-            self._zone_cleared += hit.zone[1]
-            self._zone_scanned += hit.zone[2]
-            return
-        outer_block = self._dominance_block
-        self._dominance_block = None
-        # The leaf's fixing mask is computed into a scratch array, not
-        # diffed out of the shared one: bits an earlier conjunct
-        # already fixed would vanish from a diff, and the cached entry
-        # would under-fix when replayed in a query without that
-        # earlier conjunct.
-        outer_zero = self._zero
-        self._zero = np.zeros_like(outer_zero)
-        witnesses_from = len(self._witness_checks)
-        keys_from = len(self._dominance_keys)
-        zone_before = (self._zone_fixed, self._zone_cleared, self._zone_scanned)
-        self._consume(leaf)
-        leaf_mask = self._zero
-        self._zero = outer_zero
-        self._zero |= leaf_mask
-        leaf_block = self._dominance_block
-        self._dominance_block = outer_block
-        if leaf_block is not None:
-            self._block_dominance(leaf_block)
-        from repro.core.session import ConjunctFacts
-
-        self._artifacts.facts.put(
-            key,
-            ConjunctFacts(
-                fixed_mask=leaf_mask,
-                witness_checks=tuple(self._witness_checks[witnesses_from:]),
-                dominance_keys=tuple(self._dominance_keys[keys_from:]),
-                dominance_block=leaf_block,
-                zone=(
-                    self._zone_fixed - zone_before[0],
-                    self._zone_cleared - zone_before[1],
-                    self._zone_scanned - zone_before[2],
-                ),
-            ),
-        )
-
-    def _consume(self, leaf):
+    def _consume(self, leaf, aggregate, op, constant):
         if not isinstance(leaf, ast.Comparison):
             # An Or at the top level constrains nothing per-tuple (a
             # package may satisfy either branch), and its attributes
             # carry no single dominance direction.
             self._block_dominance("disjunctive global constraint")
             return
-        aggregate, op, constant = match_aggregate_comparison(leaf)
         if aggregate is None:
             self._block_dominance("constraint is not aggregate-versus-constant")
             return
@@ -773,11 +719,13 @@ class _Reducer:
             column = self._bare_column(argument)
             if column is not None:
                 if self._zone_minmax_fixing(column, plan, threshold):
-                    nulls = self._column_nulls(column)
+                    nulls = self._relation.column_arrays(column)[1][self._rids]
                     self._witness_checks.append(
                         (~nulls, f"non-NULL support for {label}")
                     )
-                    self._minmax_dominance_key(plan, (~nulls).astype(np.float64))
+                    self._dominance_keys.append(
+                        ((~nulls).astype(np.float64), "ge")
+                    )
                 else:
                     self._block_dominance("non-finite data under MIN/MAX")
                 return
@@ -787,7 +735,10 @@ class _Reducer:
             self._block_dominance("MIN/MAX argument is not numeric")
             return
         values, nulls = extracted
-        with np.errstate(invalid="ignore"):
+        # A threshold within tolerance of the float range widens to
+        # +-inf: it then fixes nothing and every value witnesses, which
+        # stays sound.
+        with np.errstate(invalid="ignore", over="ignore"):
             if np.any(np.isnan(values) & ~nulls):
                 # NaN poisons MIN/MAX semantics (order-dependent in the
                 # row evaluator); derive nothing from this conjunct.
@@ -834,15 +785,13 @@ class _Reducer:
             # proving that at tolerance boundaries is not worth it.
             self._block_dominance("MIN/MAX equality constraint")
         elif plan.witness is None:
-            self._minmax_dominance_key(plan, (~nulls).astype(np.float64))
+            # ALL-shaped conjuncts: fixing enforces the threshold on
+            # every kept tuple, so the only swap hazard is losing
+            # non-NULL support.
+            self._dominance_keys.append(((~nulls).astype(np.float64), "ge"))
         else:
             key = np.where(nulls, math.inf, -values if plan.negate else values)
             self._dominance_keys.append((key, "le"))
-
-    def _minmax_dominance_key(self, plan, nonnull):
-        """ALL-shaped conjuncts: fixing enforces the threshold on every
-        kept tuple, so the only swap hazard is losing non-NULL support."""
-        self._dominance_keys.append((nonnull, "ge"))
 
     def _bare_column(self, argument):
         """The schema column name when ``argument`` is a plain numeric
@@ -856,10 +805,6 @@ class _Reducer:
         ):
             return None
         return argument.name
-
-    def _column_nulls(self, column):
-        _, nulls = self._relation.column_arrays(column)
-        return nulls[self._rids]
 
     def _zone_minmax_fixing(self, column, plan, threshold):
         """Whole-shard fixing from zone statistics; False on data the
@@ -911,7 +856,7 @@ class _Reducer:
             shard_values = values[group]
             shard_nulls = nulls[group]
             mirrored = -shard_values if plan.negate else shard_values
-            with np.errstate(invalid="ignore"):
+            with np.errstate(invalid="ignore", over="ignore"):
                 if plan.bad is ast.CmpOp.LT:
                     pivot_arr = np.full_like(mirrored, abs(pivot))
                     bad = mirrored < pivot - self._slack(mirrored, pivot_arr)

@@ -3,7 +3,7 @@
 ``repro serve`` turns the evaluation session into a long-lived
 process: one :class:`~repro.core.server_pool.SessionPool` shares a
 session per relation across every client, so the artifact layers
-(scans, bounds, reduction facts, validated replays)
+(scans and validated replays)
 amortize across the whole tenant population instead of one caller.
 
 Execution is decoupled from connection handling through a **bounded

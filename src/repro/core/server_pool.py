@@ -3,8 +3,8 @@
 The server (:mod:`repro.core.server`) holds exactly one
 :class:`~repro.core.session.EvaluationSession` per served relation.
 That is the whole point of serving: every artifact layer the session
-carries — WHERE scans, derived bounds, reduction facts, validated
-result replays — amortizes across *all*
+carries — WHERE scans and validated result replays — amortizes
+across *all*
 clients instead of one caller's stream.  The pool owns those sessions:
 it builds them lazily on first use, binds each to a durable
 :class:`~repro.core.artifact_store.ArtifactStore` directory when a

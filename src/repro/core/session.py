@@ -5,10 +5,12 @@ analyst iterating on one dataset, the ``repro repl`` — re-pays, on
 every call to :func:`repro.core.engine.evaluate`, work that is a pure
 function of the *immutable* relation and fragments of the query:
 sharding and zone statistics, compiled vectorize kernels, the WHERE
-scan, cardinality bounds, reduction facts, and (for an exactly
-repeated query) the solve itself.  The ILP model is not cached: its
-key would be the result key in all but name, so a repeat replays the
-answer instead and a new question builds its own model.
+scan, and (for an exactly repeated query) the solve itself.  The ILP
+model is not cached: its key would be the result key in all but name,
+so a repeat replays the answer instead and a new question builds its
+own model.  Neither are cardinality bounds or reduction facts: they
+depend on the candidate set, rarely repeat without the whole query
+repeating, and cost less to recompute than to key.
 
 :class:`EvaluationSession` keeps one
 :class:`~repro.core.engine.PackageQueryEvaluator` alive and threads an
@@ -24,13 +26,9 @@ relation skips recompilation and re-sharding:
   :class:`~repro.relational.sharding.ShardedRelation` is built once
   per shard count; its zone stats and skip analyses are cached inside
   and always computed from the data.
-* **artifact layers** — WHERE results, cardinality bounds,
-  per-conjunct reduction facts and validated results, each a bounded
-  cache on the :class:`ArtifactCache` (``docs/caching.md`` has the
-  table of layers, bounds and key fields).  Facts are keyed per
-  *conjunct signature*, so queries that share a global constraint
-  reuse its fixing mask, witness sets, and dominance keys even when
-  objectives differ.
+* **artifact layers** — WHERE results and validated results, each a
+  bounded cache on the :class:`ArtifactCache` (``docs/caching.md`` has
+  the table of layers, bounds and key fields).
 * **results** — an exactly repeated (query, options) pair replays the
   stored package *through the engine's oracle gate*: the package is
   re-validated against the query before being returned, so a stale or
@@ -40,8 +38,8 @@ relation skips recompilation and re-sharding:
   keeping the analysis-artifact reuse.
 
 Soundness note: every cache key covers *all* inputs its value depends
-on (clause text, candidate fingerprint, repeat, tolerance, shard
-layout, options), and the relation is immutable by construction —
+on (clause text, shard layout, options), and the relation is
+immutable by construction —
 :class:`~repro.relational.relation.Relation` never mutates rows in
 place.  Cache entries are therefore replays, not approximations; the
 parity tests pin warm results bit-identical to cold ones.
@@ -52,9 +50,8 @@ parity tests pin warm results bit-identical to cold ones.
 WHERE and result layers become read-through/write-through against
 disk, keyed by the relation's *content hash* — a fresh process over
 bit-identical data skips its scans and replays validated results
-(still behind the oracle gate).  Bounds and facts stay in memory: they
-are cheaper to recompute than to persist.  Per-query store activity is
-surfaced as ``stats["artifacts"]``.
+(still behind the oracle gate).  Per-query store activity is surfaced
+as ``stats["artifacts"]``.
 
 **Mutation.** :meth:`EvaluationSession.append_rows` and
 :meth:`EvaluationSession.delete_rows` swap in a mutated relation
@@ -82,35 +79,8 @@ from repro.paql.printer import print_expr, print_query
 
 __all__ = [
     "ArtifactCache",
-    "ConjunctFacts",
     "EvaluationSession",
 ]
-
-
-@dataclass(frozen=True)
-class ConjunctFacts:
-    """Cached per-conjunct reduction facts (see
-    :meth:`repro.core.reduction._Reducer._consume_with_cache`).
-
-    All arrays are positional over the candidate rid sequence the key
-    fingerprints; they are never mutated after being stored.
-    """
-
-    fixed_mask: object
-    witness_checks: tuple
-    dominance_keys: tuple
-    dominance_block: str | None
-    zone: tuple
-
-
-def _facts_nbytes(facts):
-    """Approximate retained bytes of one :class:`ConjunctFacts` entry."""
-    total = facts.fixed_mask.nbytes
-    for mask, _ in facts.witness_checks:
-        total += getattr(mask, "nbytes", 0)
-    for values, _ in facts.dominance_keys:
-        total += getattr(values, "nbytes", 0)
-    return total
 
 
 @dataclass
@@ -143,9 +113,7 @@ class ArtifactCache:
     over the store's relation-scoped layer; ``where_shard`` is
     store-only and content-addressed by shard fingerprint (no relation
     hash, so an entry survives mutations that leave its shard's bytes
-    unchanged).  ``bounds`` and ``facts`` are plain
-    :class:`~repro.core.cache.BoundedCache` instances with no store
-    tier: recomputing one costs less than an fsynced write.
+    unchanged).
 
     Args:
         store: optional durable
@@ -167,9 +135,8 @@ class ArtifactCache:
         def layer(name, memory):
             return ArtifactLayer(memory, store, name, relation_hash)
 
-        # The O(n)-payload layers are bounded by approximate bytes as
-        # well as entry count: WHERE entries hold one compact rid array
-        # per clause, facts hold positional masks.
+        # WHERE entries hold one compact rid array per clause, so the
+        # layer is bounded by approximate bytes as well as entry count.
         self.where = layer(
             "where",
             BoundedCache(
@@ -178,19 +145,10 @@ class ArtifactCache:
                 sizer=lambda entry: entry[0].nbytes,
             ),
         )
-        self.bounds = BoundedCache(256)
-        self.facts = BoundedCache(
-            256, max_bytes=64 * 1024 * 1024, sizer=_facts_nbytes
-        )
         self.results = layer("results", BoundedCache(256))
         self.where_shard = ArtifactLayer(None, store, "where_shard", None)
 
     # -- the keying scheme --------------------------------------------------
-
-    # ``fingerprint`` below is
-    # :func:`repro.relational.content_hash.rids_fingerprint` of the
-    # candidate rids: compute it once per pipeline stage and reuse it
-    # for the lookup and the write-back.
 
     @staticmethod
     def where_key(query, options):
@@ -207,27 +165,6 @@ class ArtifactCache:
         )
 
     @staticmethod
-    def bounds_key(query, fingerprint):
-        clause = (
-            "" if query.such_that is None else print_expr(query.such_that)
-        )
-        return (clause, int(query.repeat), fingerprint)
-
-    @staticmethod
-    def facts_key(leaf, fingerprint, repeat, tolerance, shards):
-        # The printed conjunct (structurally equal ASTs print
-        # identically) plus everything else its facts depend on; the
-        # shard layout is in because zone counters differ with
-        # sharding even though the kept set does not.
-        return (
-            print_expr(leaf),
-            fingerprint,
-            int(repeat),
-            float(tolerance),
-            int(shards),
-        )
-
-    @staticmethod
     def result_key(query, options):
         # Canonical query text (the printer round-trips ASTs) plus the
         # full options repr: any field that could change the outcome —
@@ -238,18 +175,14 @@ class ArtifactCache:
     # -- bookkeeping --------------------------------------------------------
 
     def stats(self):
-        out = {
-            "where": self.where.stats(),
-            "bounds": self.bounds.stats(),
-            "reduction_facts": self.facts.stats(),
-        }
+        out = {"where": self.where.stats()}
         if self.store is not None:
             out["store"] = self.store.stats()
         out["results"] = self.results.stats()
         return out
 
     def clear(self):
-        for layer in (self.where, self.bounds, self.facts, self.results):
+        for layer in (self.where, self.results):
             layer.clear()
 
 

@@ -66,8 +66,9 @@ class EvaluationContext:
             *kept* set, so every strategy estimate and run is
             reduction-aware for free; the base (pre-reduction) count
             stays available as :attr:`base_candidate_count` for
-            user-facing reporting.  With the pipeline's prune/reduce
-            fixpoint this is the *merged* record across rounds.
+            user-facing reporting.  One record covers every round of
+            the prune/reduce fixpoint
+            (:func:`~repro.core.reduction.analyze_constraints`).
         columns: the :class:`~repro.core.vectorize.CandidateColumns`
             over ``candidate_rids`` that pruning and reduction
             gathered; the strategies read it instead of re-gathering.
@@ -259,10 +260,26 @@ class Strategy(abc.ABC):
 
 def resolved_backend(options):
     """The backend ``solve_model`` will actually run for ``options``."""
-    backend = options.solver_backend
+    return _resolve(options.solver_backend)
+
+
+def _resolve(backend):
     if backend == "auto":
-        backend = "scipy" if scipy_available() else "builtin"
+        return "scipy" if scipy_available() else "builtin"
     return backend
+
+
+def solve_on_backend(model, backend, bb_options=None):
+    """Solve an ILP model on ``backend`` (``builtin`` | ``scipy`` |
+    ``auto``, which means scipy when it is installed).
+
+    ``bb_options`` configure the builtin branch and bound (default
+    :class:`~repro.solver.branch_and_bound.BranchAndBoundOptions`);
+    the scipy backend ignores them.
+    """
+    if _resolve(backend) == "scipy":
+        return solve_milp_scipy(model)
+    return solve_milp(model, bb_options or BranchAndBoundOptions())
 
 
 def solve_model(model, options, initial_solution=None):
@@ -276,15 +293,7 @@ def solve_model(model, options, initial_solution=None):
     one).
     """
     backend = resolved_backend(options)
-    if backend == "scipy":
-        return solve_milp_scipy(model), backend
-    return (
-        solve_milp(
-            model,
-            BranchAndBoundOptions(
-                node_limit=options.node_limit,
-                initial_solution=initial_solution,
-            ),
-        ),
-        backend,
+    bb_options = BranchAndBoundOptions(
+        node_limit=options.node_limit, initial_solution=initial_solution
     )
+    return solve_on_backend(model, backend, bb_options), backend

@@ -29,9 +29,12 @@ One deliberate deviation: numeric arithmetic runs in float64.  The row
 interpreter inherits Python's arbitrary-precision integers, so INT
 expressions whose intermediate values exceed 2**53 can round here.
 Package data lives far below that regime; the property tests pin
-agreement on it.  The deviation is *audited* rather than silent: when
-a kernel whose operands are provably integer-exact (INT columns,
-integer literals, and +/-/* combinations of them) sees input
+agreement on it.  Inputs that are already inexact have no kernel at
+all — an INT column holding a magnitude of 2**53 or more, or an
+integer literal float64 cannot represent — so those predicates run on
+the row interpreter.  The remaining deviation is *audited* rather than
+silent: when a kernel whose operands are provably integer-exact (INT
+columns, integer literals, and +/-/* combinations of them) sees input
 magnitudes that could push an intermediate past 2**53, it emits
 :class:`OverflowPrecisionWarning` — a cheap magnitude check on the
 inputs, so workloads in the safe regime pay almost nothing and
@@ -104,6 +107,14 @@ def _magnitude_peak(values):
     array = np.abs(np.atleast_1d(np.asarray(values, dtype=np.float64)))
     finite = array[~np.isnan(array)]
     return float(finite.max()) if finite.size else 0.0
+
+
+def _exact_in_float64(value):
+    """Does the int ``value`` survive the cast to float64 unchanged?"""
+    try:
+        return float(value) == value
+    except OverflowError:
+        return False
 
 
 def _warn_int_overflow(detail):
@@ -386,6 +397,12 @@ class VectorEvaluator:
             # (Python compares bools as ints, so parity holds).
             tri = TriBool(np.bool_(value), _FALSE)
             return _BOOL, lambda indices: tri
+        if isinstance(value, int) and not _exact_in_float64(value):
+            # 2**53 + 1 would cast to 2**53 and compare equal to a
+            # different integer; the interpreter compares exactly.
+            raise UnsupportedExpression(
+                f"integer literal {value} is not exact in float64"
+            )
         if isinstance(value, (int, float)):
             scalar = np.float64(value)
             return _NUMERIC, lambda indices: (scalar, _FALSE)
@@ -428,14 +445,19 @@ class VectorEvaluator:
         values, nulls = self._relation.column_arrays(node.name)
         column_type = self._relation.schema.type_of(node.name)
         kind = _TEXT if column_type is ColumnType.TEXT else _NUMERIC
-        if column_type is ColumnType.INT:
-            # The float64 cast happened when the array was built; check
-            # once at compile time (arrays are cached and immutable).
-            peak = _magnitude_peak(values)
-            if peak > _INT_SAFE_LIMIT:
-                _warn_int_overflow(
-                    f"column {node.name!r} holds magnitudes up to {peak:.4g}"
-                )
+        if (
+            column_type is ColumnType.INT
+            and _magnitude_peak(values) >= _INT_SAFE_LIMIT
+        ):
+            # The float64 cast happened when the array was built: past
+            # 2**53 distinct integers share one value (2**53 + 1 reads
+            # as 2**53), so only the row interpreter's exact ints can
+            # tell them apart.  Arrays are cached and immutable, so one
+            # check at compile time covers every scan.
+            raise UnsupportedExpression(
+                f"INT column {node.name!r} holds magnitudes of 2**53 or "
+                "more, which float64 cannot keep exact"
+            )
 
         def fn(indices):
             if indices is None:

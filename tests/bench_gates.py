@@ -68,12 +68,6 @@ GATES = (
     ),
     Gate(
         "session_mixed",
-        "session.facts_hit_ratio >= 0.05",
-        lambda m: m["session.facts_hit_ratio"] >= 0.05,
-        "E14: per-conjunct reduction facts are reused",
-    ),
-    Gate(
-        "session_mixed",
         "session.miss_ms_p50 >= 2 * session.restart_first_op_ms",
         lambda m: m["session.miss_ms_p50"] >= 2 * m["session.restart_first_op_ms"],
         "E16: a restarted session answers warm from the store",

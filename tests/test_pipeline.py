@@ -14,6 +14,7 @@ two hand-synchronized copies.
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,8 @@ from repro.core.ir import (
     records_payload,
     stage_table,
 )
-from repro.core.pipeline import MAX_PRUNE_ROUNDS
+from repro.core.reduction import MAX_PRUNE_ROUNDS
+from repro.core.pipeline import run_analysis
 from repro.core.plan import plan
 from repro.core.result import ResultStatus
 from repro.datasets import clustered_relation, generate_recipes
@@ -147,15 +149,37 @@ class TestStageRecords:
         assert record.identity() == (STAGE_BOUNDS, 2, None)
 
 
+#: Reduction fixes MAX(R.ts) > 30 out in round 1; round 2 re-derives
+#: the bounds over the kept set and removes nothing more.
+TWO_ROUNDS = (
+    "SELECT PACKAGE(R) FROM Readings R "
+    "SUCH THAT COUNT(*) <= 5 AND MAX(R.ts) <= 30 "
+    "MAXIMIZE SUM(R.gain)"
+)
+
+
+def _count_calls(monkeypatch, function):
+    """Record every call to ``function`` made through a loaded
+    ``repro`` module that imported it by name."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "repro" or module is None:
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is function:
+                monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
 class TestPruneFixpoint:
     def test_second_round_runs_after_a_drop(self):
         relation = clustered_relation(2000, seed=7)
-        result = evaluate(
-            "SELECT PACKAGE(R) FROM Readings R "
-            "SUCH THAT COUNT(*) <= 5 AND MAX(R.ts) <= 30 "
-            "MAXIMIZE SUM(R.gain)",
-            relation,
-        )
+        result = evaluate(TWO_ROUNDS, relation)
         rounds = [
             entry["round"]
             for entry in result.stats["stages"]
@@ -163,6 +187,61 @@ class TestPruneFixpoint:
         ]
         assert rounds == [1, 2]
         assert result.stats["reduction"]["rounds"] == 2
+
+    def test_reduction_record_covers_every_round(self):
+        # Round 1 fixes and dominates; round 2 removes nothing and
+        # skips dominance.  The one record sums the removals, keeps
+        # the first round's input and the last round's kept set, and
+        # still says dominance was applied.
+        result = evaluate(
+            TWO_ROUNDS, clustered_relation(2000, seed=7), reduce="aggressive"
+        )
+        rounds = [
+            entry
+            for entry in result.stats["stages"]
+            if entry["name"] == STAGE_REDUCE and entry["skipped"] is None
+        ]
+        assert [entry["round"] for entry in rounds] == [1, 2]
+        assert rounds[-1]["detail"]["dominance"] != "applied"
+        summary = result.stats["reduction"]
+        assert summary["rounds"] == 2
+        assert summary["input"] == rounds[0]["rows_in"]
+        assert summary["kept"] == rounds[-1]["rows_out"]
+        assert summary["fixed"] == sum(e["detail"]["fixed"] for e in rounds) > 0
+        assert summary["dominated"] == sum(
+            e["detail"]["dominated"] for e in rounds
+        ) > 0
+        assert summary["dominance"] == "applied"
+
+    def test_one_pass_normalizes_once(self, monkeypatch):
+        # Both rounds of the two-round query read one normalized
+        # formula and one set of matched conjuncts.
+        from repro.core.formula import normalize_formula
+
+        calls = _count_calls(monkeypatch, normalize_formula)
+        evaluator = PackageQueryEvaluator(clustered_relation(2000, seed=7))
+        state = run_analysis(
+            evaluator, evaluator.prepare(TWO_ROUNDS), EngineOptions()
+        )
+        assert state.prune_rounds == 2
+        assert len(calls) == 1
+
+    def test_session_miss_fingerprints_no_rids(self, monkeypatch):
+        # Bounds and reduction facts are recomputed, never keyed by
+        # candidate set, so analysis hashes no rid sequence.
+        from repro.core.session import EvaluationSession
+        from repro.relational.content_hash import rids_fingerprint
+
+        session = EvaluationSession(clustered_relation(2000, seed=7))
+        calls = _count_calls(monkeypatch, rids_fingerprint)
+        state = run_analysis(
+            session.evaluator,
+            session.evaluator.prepare(TWO_ROUNDS),
+            EngineOptions(),
+            artifacts=session.artifacts,
+        )
+        assert state.prune_rounds == 2
+        assert calls == []
 
     def test_rounds_capped(self, meals):
         result = evaluate(HEADLINE, meals)

@@ -2,8 +2,8 @@
 
 Two properties carry the subsystem:
 
-* **Parity** — every session-warm result (artifact reuse, fact-cache
-  replays, validated result replays) is identical in status and
+* **Parity** — every session-warm result (artifact reuse, validated
+  result replays) is identical in status and
   objective to a cold, cache-free evaluation of the same query.
 * **Honesty** — a result-cache replay goes back through the engine's
   oracle gate: corrupting a cached package raises ``EngineError``
@@ -106,7 +106,7 @@ class TestResultReplay:
         assert second.objective == first.objective
         stats = session.cache_stats()
         assert stats["results"]["entries"] == 0
-        assert stats["where"]["hits"] + stats["bounds"]["hits"] > 0
+        assert stats["where"]["hits"] > 0
 
 
 class TestArtifactReuse:
@@ -123,7 +123,6 @@ class TestArtifactReuse:
         session.evaluate(base.format(objective="MINIMIZE SUM(R.cost)"))
         stats = session.cache_stats()
         assert stats["where"]["hits"] >= 1
-        assert stats["bounds"]["hits"] >= 1
 
     def test_reduction_facts_shared_across_objectives(self):
         relation = clustered_relation(800, seed=9)
@@ -134,9 +133,7 @@ class TestArtifactReuse:
         )
         first = session.evaluate(base.format(objective="MAXIMIZE SUM(R.gain)"))
         second = session.evaluate(base.format(objective="MINIMIZE SUM(R.cost)"))
-        stats = session.cache_stats()
-        assert stats["reduction_facts"]["hits"] >= 1
-        # The shared facts fix the same candidates either way.
+        # The same conjuncts fix the same candidates either way.
         assert (
             first.stats["reduction"]["kept"]
             == second.stats["reduction"]["kept"]
@@ -190,28 +187,6 @@ class TestArtifactReuse:
         )
         assert session.evaluator.sharded_relation(4) is sharded
 
-    def test_fact_cache_evicts_by_bytes(self):
-        from repro.core.session import ArtifactCache, ConjunctFacts
-        import numpy as np
-
-        facts = ArtifactCache().facts
-        mask_bytes = 16 * 1024 * 1024
-        for i in range(8):
-            key = (f"conjunct-{i}", (mask_bytes, "fp"), 1, 1e-9, 0)
-            facts.put(
-                key,
-                ConjunctFacts(
-                    fixed_mask=np.zeros(mask_bytes, dtype=bool),
-                    witness_checks=(),
-                    dominance_keys=(),
-                    dominance_block=None,
-                    zone=(0, 0, 0),
-                ),
-            )
-        stats = facts.stats()
-        assert stats["entries"] <= 4  # 16 MiB masks against the 64 MiB bound
-        assert stats["approx_bytes"] <= 64 * 1024 * 1024
-
     def test_invalidate_clears_every_layer(self, small_relation):
         session = EvaluationSession(small_relation)
         session.evaluate(QUERY)
@@ -219,8 +194,6 @@ class TestArtifactReuse:
         stats = session.cache_stats()
         assert stats["results"]["entries"] == 0
         assert stats["where"]["entries"] == 0
-        assert stats["bounds"]["entries"] == 0
-        assert stats["reduction_facts"]["entries"] == 0
 
 
 class TestSessionSurfaces:

@@ -660,20 +660,21 @@ class TestShardedPruning:
         assert np.array_equal(plain_values, sharded_values, equal_nan=True)
         assert np.array_equal(plain_nulls, sharded_nulls)
 
-        plain = pruning.CardinalityPruner(
+        shards = ShardedRelation(relation, 7)
+        plain_extent = pruning._argument_range(arg, relation, plain_columns, None)
+        sharded_extent = pruning._argument_range(
+            arg, relation, sharded_columns, shards
+        )
+        assert all(math.isnan(bound) for bound in plain_extent)
+        assert all(math.isnan(bound) for bound in sharded_extent)
+        plain = pruning.derive_bounds(
             query, relation, rids, columns=plain_columns
         )
-        sharded = pruning.CardinalityPruner(
-            query,
-            relation,
-            rids,
-            sharded=ShardedRelation(relation, 7),
-            columns=sharded_columns,
+        sharded = pruning.derive_bounds(
+            query, relation, rids, sharded=shards, columns=sharded_columns
         )
-        assert all(math.isnan(bound) for bound in plain._argument_range(arg))
-        assert all(math.isnan(bound) for bound in sharded._argument_range(arg))
-        assert plain.bounds() == sharded.bounds()
-        assert sharded.bounds() == pruning.derive_bounds(
+        assert plain == sharded
+        assert sharded == pruning.derive_bounds(
             query,
             relation,
             rids,

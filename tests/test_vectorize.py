@@ -36,6 +36,7 @@ from repro.core.vectorize import (
     aggregate_value,
     evaluator_for,
     try_predicate_mask,
+    where_positions,
 )
 
 from tests.paql_strategies import (
@@ -620,15 +621,45 @@ class TestOverflowPrecisionWarning:
         ]
         assert len(emitted) == 1
 
-    def test_column_values_past_2_53_warn_at_compile(self):
+    @pytest.mark.parametrize(
+        "peak",
+        [2**53, 2**53 + 1, 2**53 + 2, -(2**53)],
+        ids=["2**53", "2**53+1", "2**53+2", "-(2**53)"],
+    )
+    def test_column_values_past_2_53_take_the_interpreter(self, peak):
+        import warnings
+
         from repro.core.vectorize import OverflowPrecisionWarning
 
-        # 2**53 + 1 rounds back to exactly 2**53 in float64; +2 is the
-        # first representable magnitude past the exact-integer limit.
-        relation = _int_relation([2**53 + 2, 5])
+        # 2**53 + 1 rounds back to exactly 2**53 in float64, so from
+        # 2**53 on the float64 array cannot tell integers apart: no
+        # kernel compiles, and the caller runs the row interpreter.
+        relation = _int_relation([peak, 5])
         where = _parse_predicate("B.v > 0", relation)
-        with pytest.warns(OverflowPrecisionWarning, match="magnitudes"):
-            try_predicate_mask(where, relation)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OverflowPrecisionWarning)
+            assert try_predicate_mask(where, relation) is None
+        positions, path = where_positions(where, relation)
+        assert path == "interpreted"
+        assert positions.tolist() == ([0, 1] if peak > 0 else [1])
+
+    def test_column_values_below_2_53_compile(self):
+        relation = _int_relation([2**53 - 1, 5])
+        where = _parse_predicate("B.v > 0", relation)
+        assert try_predicate_mask(where, relation) is not None
+
+    @pytest.mark.parametrize(
+        "literal",
+        [2**53 + 1, -(2**53) - 1, 10**400],
+        ids=["2**53+1", "-(2**53)-1", "10**400"],
+    )
+    def test_inexact_int_literals_take_the_interpreter(self, literal):
+        relation = _int_relation([5, 7])
+        where = _parse_predicate(f"B.v < {literal}", relation)
+        assert try_predicate_mask(where, relation) is None
+        positions, path = where_positions(where, relation)
+        assert path == "interpreted"
+        assert positions.tolist() == ([0, 1] if literal > 0 else [])
 
     def test_safe_magnitudes_stay_silent(self):
         import warnings
@@ -703,6 +734,61 @@ class TestOverflowPrecisionWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error", OverflowPrecisionWarning)
             assert try_predicate_mask(where, relation) is not None
+
+
+class TestIntegersPast2_53:
+    """2**53 and 2**53 + 1 are one float64 value; every path must still
+    answer with the exact integers the row interpreter compares."""
+
+    QUERY = (
+        "SELECT PACKAGE(T) FROM T T WHERE T.id = 9007199254740993 "
+        "SUCH THAT COUNT(*) = 1 MINIMIZE SUM(T.v)"
+    )
+
+    @pytest.fixture
+    def relation(self):
+        return Relation(
+            "T",
+            Schema([Column("id", ColumnType.INT), Column("v", ColumnType.FLOAT)]),
+            [
+                {"id": 2**53, "v": 1.0},
+                {"id": 2**53 + 1, "v": 2.0},
+                {"id": 5, "v": 0.5},
+            ],
+        )
+
+    @pytest.mark.parametrize("strategy", ["ilp", "brute-force"])
+    def test_strategies_pick_the_exact_match(self, relation, strategy):
+        from repro.core.engine import EngineOptions, evaluate
+        from repro.core.result import ResultStatus
+
+        result = evaluate(
+            self.QUERY, relation, options=EngineOptions(strategy=strategy)
+        )
+        assert result.status is ResultStatus.OPTIMAL
+        assert result.package.counts == ((1, 1),)
+        assert result.objective == 2.0
+
+    def test_validate_rejects_the_rounded_twin(self, relation):
+        from repro.core.engine import PackageQueryEvaluator
+        from repro.core.package import Package
+        from repro.core.validator import validate
+
+        query = PackageQueryEvaluator(relation).prepare(self.QUERY)
+        assert validate(Package(relation, [1]), query).valid
+        report = validate(Package(relation, [0]), query)
+        assert report.base_violations == [0]
+
+    def test_sql_pushdown_picks_the_exact_match(self, relation):
+        from repro.core.engine import EngineOptions, PackageQueryEvaluator
+        from repro.relational.sql_relation import SqlRelation
+
+        sql = SqlRelation.from_relation(relation)
+        result = PackageQueryEvaluator(sql).evaluate(
+            self.QUERY, EngineOptions(pushdown="always")
+        )
+        assert result.package.counts == ((1, 1),)
+        assert result.objective == 2.0
 
 
 # ---------------------------------------------------------------------------
