@@ -321,7 +321,7 @@ def _recheck_batches(relation, where, plan, where_sql, params,
             verdict = bool(eval_predicate(where, {}))
             yield (rids if verdict else rids[:0]), "constant"
             continue
-        mini = Relation._from_packed(relation.name, sub_schema, rows)
+        mini = Relation.from_row_batches(relation.name, sub_schema, [rows])
         positions, label = where_positions(where, mini)
         yield rids[positions], label
 
@@ -499,27 +499,27 @@ def stream_residents(relation, candidate_rids, fixing_labels, fixing,
     )
     params = tuple(value for _, values in fixing for value in values)
     rid_table = relation.create_temp_rid_table(candidate_rids)
-    packed = []
     rid_chunks = []
-    batches = 0
     kwargs = {} if batch_rows is None else {"batch_rows": batch_rows}
-    try:
+
+    def batches():
         for rids, rows in relation.iter_batches(
             rid_table=rid_table, where_sql=not_bad, params=params, **kwargs
         ):
-            batches += 1
             rid_chunks.append(rids)
-            packed.extend(rows)
+            yield rows
+
+    try:
+        resident = Relation.from_row_batches(relation.name, relation.schema, batches())
     finally:
         relation.drop_temp_table(rid_table)
     rid_map = (
         np.concatenate(rid_chunks) if rid_chunks else np.empty(0, dtype=np.int64)
     )
-    resident = Relation._from_packed(relation.name, relation.schema, packed)
     return StreamOutcome(
         resident=resident,
         rid_map=rid_map,
-        sql_fixed=len(candidate_rids) - len(packed),
+        sql_fixed=len(candidate_rids) - len(resident),
         fixing=list(fixing_labels),
-        batches=batches,
+        batches=len(rid_chunks),
     )

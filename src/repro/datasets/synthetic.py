@@ -9,6 +9,77 @@ from repro.relational.schema import Column, Schema
 from repro.relational.types import ColumnType
 
 
+def _round(values, digits):
+    """``round(v, digits)`` for every float64 ``v`` in ``values``, bit for bit.
+
+    ``rint(v * 10**digits) / 10**digits`` is Python's correctly rounded
+    result whenever the scaled value is below 2^52 and the product's
+    own rounding cannot have carried it across a half; the few cells
+    where it could are rounded one at a time.
+    """
+    scale = 10.0**digits
+    with np.errstate(invalid="ignore", over="ignore"):
+        scaled = values * scale
+        rounded = np.rint(scaled) / scale
+        magnitude = np.abs(scaled)
+        from_half = np.abs(scaled - np.floor(scaled) - 0.5)
+        clear = (from_half > 4 * np.spacing(magnitude)) & (magnitude < 2.0**52)
+    for index in np.flatnonzero(~clear).tolist():
+        rounded[index] = round(float(values[index]), digits)
+    return rounded
+
+
+def _draw(rng, start, stop, n, label, columns, low, high, ts):
+    """Rows ``[start, stop)`` of a synthetic table, as columns.
+
+    One ``rng.random`` call draws every cell in the order a per-row loop
+    would (``ts`` first when present, then each column), and
+    ``uniform(low, high)`` is ``low + (high - low) * random()``, so every
+    value equals the per-cell ``round(float(rng.uniform(low, high)), 3)``
+    bit for bit.  Consecutive calls continue the stream, so batches
+    concatenate to the whole table.
+    """
+    first = 1 if ts else 0
+    cells = rng.random((stop - start) * (first + len(columns)))
+    cells = cells.reshape(stop - start, first + len(columns))
+    drawn = {"label": [f"{label}{i}" for i in range(start, stop)]}
+    if ts:
+        position = np.arange(start, stop, dtype=np.float64)
+        drawn["ts"] = _round((position + cells[:, 0]) * 100.0 / max(n, 1), 6)
+    low = float(low)
+    span = float(high) - low
+    for offset, column in enumerate(columns, first):
+        drawn[column] = _round(low + span * cells[:, offset], 3)
+    return drawn
+
+
+#: Rows per draw in :func:`_batches`.  Small blocks keep the numpy
+#: temporaries small: with whole-batch blocks, a streamed 220k-row
+#: build left ~15 MB more resident than the per-cell loop it replaced.
+_BLOCK_ROWS = 1024
+
+
+def _batches(rng, n, label, columns, low, high, ts, batch_rows):
+    """:func:`_draw` in ``batch_rows`` chunks, as lists of row tuples."""
+    names = ["label"] + (["ts"] if ts else []) + list(columns)
+    step = max(batch_rows, 1)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        batch = []
+        for first in range(start, stop, _BLOCK_ROWS):
+            last = min(first + _BLOCK_ROWS, stop)
+            drawn = _draw(rng, first, last, n, label, columns, low, high, ts)
+            batch.extend(
+                zip(
+                    *(
+                        drawn[name] if name == "label" else drawn[name].tolist()
+                        for name in names
+                    )
+                )
+            )
+        yield batch
+
+
 def uniform_relation(
     n,
     columns=("value",),
@@ -26,15 +97,18 @@ def uniform_relation(
         null_fraction: probability of a NULL in each generated cell.
     """
     rng = np.random.default_rng(seed)
-    schema = Schema(
-        [Column("label", ColumnType.TEXT)]
-        + [Column(column, ColumnType.FLOAT) for column in columns]
-    )
+    schema = uniform_schema(columns)
+    if not null_fraction:
+        return Relation.from_columns(
+            name, schema, _draw(rng, 0, n, n, "row", columns, low, high, False)
+        )
+    # A NULL draw precedes each cell, so the cells cannot come from
+    # one block of uniforms.
     rows = []
     for i in range(n):
         row = {"label": f"row{i}"}
         for column in columns:
-            if null_fraction and rng.random() < null_fraction:
+            if rng.random() < null_fraction:
                 row[column] = None
             else:
                 row[column] = round(float(rng.uniform(low, high)), 3)
@@ -59,20 +133,11 @@ def clustered_relation(
     where zone-map shard skipping pays off (``docs/sharding.md``).
     """
     rng = np.random.default_rng(seed)
-    schema = Schema(
-        [Column("label", ColumnType.TEXT), Column("ts", ColumnType.FLOAT)]
-        + [Column(column, ColumnType.FLOAT) for column in columns]
+    return Relation.from_columns(
+        name,
+        clustered_schema(columns),
+        _draw(rng, 0, n, n, "r", columns, low, high, True),
     )
-    rows = []
-    for i in range(n):
-        row = {
-            "label": f"r{i}",
-            "ts": round((i + float(rng.random())) * 100.0 / max(n, 1), 6),
-        }
-        for column in columns:
-            row[column] = round(float(rng.uniform(low, high)), 3)
-        rows.append(row)
-    return Relation(name, schema, rows)
 
 
 def uniform_schema(columns=("value",)):
@@ -102,11 +167,14 @@ def uniform_row_batches(
     in-memory relation at the same parameters.
     """
     rng = np.random.default_rng(seed)
+    if not null_fraction:
+        yield from _batches(rng, n, "row", columns, low, high, False, batch_rows)
+        return
     batch = []
     for i in range(n):
         row = [f"row{i}"]
         for _ in columns:
-            if null_fraction and rng.random() < null_fraction:
+            if rng.random() < null_fraction:
                 row.append(None)
             else:
                 row.append(round(float(rng.uniform(low, high)), 3))
@@ -143,20 +211,7 @@ def clustered_row_batches(
     :func:`clustered_relation` exactly — same seed, same rows.
     """
     rng = np.random.default_rng(seed)
-    batch = []
-    for i in range(n):
-        row = [
-            f"r{i}",
-            round((i + float(rng.random())) * 100.0 / max(n, 1), 6),
-        ]
-        for _ in columns:
-            row.append(round(float(rng.uniform(low, high)), 3))
-        batch.append(tuple(row))
-        if len(batch) >= batch_rows:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+    yield from _batches(rng, n, "r", columns, low, high, True, batch_rows)
 
 
 def integer_relation(n, low=1, high=10, seed=0, name="Ints"):

@@ -184,8 +184,8 @@ def rids_fingerprint(rids):
     practical purposes — a collision could at worst replay an artifact
     for a *different* candidate set, which the engine's oracle gate and
     the parity suites would surface, not silently accept.  The one rid
-    digest in the tree: the in-memory ``bounds``/``facts`` keys embed
-    this exact pair.
+    digest in the tree: the engine's stream cache keys embed this exact
+    pair.
     """
     array = np.ascontiguousarray(np.asarray(rids, dtype=np.int64))
     digest = hashlib.blake2b(array.tobytes(), digest_size=DIGEST_SIZE)
@@ -261,7 +261,7 @@ def relation_fingerprint(relation):
     method = getattr(relation, "relation_fingerprint", None)
     if callable(method):
         return method()
-    cache = getattr(relation, "_column_cache", None)
+    cache = getattr(relation, "_derived", None)
     key = ("content-fingerprint",)
     if cache is not None and key in cache:
         return cache[key]

@@ -1,11 +1,20 @@
 """In-memory relations.
 
 A :class:`Relation` is the tuple source that package queries draw from.
-It stores rows row-major (tuples of values in schema order) for cheap
-iteration and slicing, and lazily materializes numpy column vectors for
-the columnar work the evaluation pipeline does (vectorized WHERE
-filtering, cardinality-bound derivation, ILP coefficient extraction,
-bulk aggregates, greedy scoring).
+It stores one typed array per column, with an explicit NULL mask:
+
+* FLOAT — float64, NaN under NULL entries (plus a mask of the entries
+  that hold Python ints, so they read back as ints);
+* INT — int64, 0 under NULL entries;
+* BOOL — bool, False under NULL entries;
+* TEXT — an object array of the stored strings, ``None`` under NULL.
+
+A column whose values a typed array cannot hold exactly (an INT beyond
+int64, a FLOAT holding ints beyond 2^53, or values of a subclass such
+as ``numpy.float64``) falls back to an object array of the values
+themselves.  Rows are not stored: :meth:`Relation.row_tuple`,
+``relation[i]`` and iteration build Python values on demand, with the
+same values and types the relation was built from.
 
 Columnar access comes in two flavours:
 
@@ -14,14 +23,16 @@ Columnar access comes in two flavours:
 * :meth:`Relation.column_arrays` — ``(values, nulls)`` pair for *any*
   column type, with NULL-ness tracked by an explicit boolean mask so
   legitimate NaN data is never conflated with NULL.  This is what the
-  expression compiler (:mod:`repro.core.vectorize`) consumes.
+  expression compiler (:mod:`repro.core.vectorize`) consumes; for a
+  FLOAT column it is the storage itself, for the other types a float64
+  or ``<U`` array derived once and cached.
 
 Relations are immutable after construction; derived relations
-(``filter``, ``filter_mask``, ``take``) share no mutable state with
-their source.  "Mutation" (:meth:`Relation.append_rows`,
+(``filter``, ``filter_mask``, ``take``) index the parent's arrays and
+share no mutable state with it.  "Mutation" (:meth:`Relation.append_rows`,
 :meth:`Relation.delete_rows`) follows the same discipline: each call
 returns a *new* relation, so everything keyed on a relation's content
-(column caches, content fingerprints, the durable artifact store's
+(derived arrays, content fingerprints, the durable artifact store's
 entries) stays valid for the old object and is computed fresh — or
 rediscovered by content hash — for the new one.
 """
@@ -83,26 +94,270 @@ def aggregate_reduce(func, values, nulls, weights=None):
     raise ValueError(f"unknown aggregate function {func!r}")
 
 
+_NONE = type(None)
+
+#: The exact Python value types each column type stores in a typed
+#: array.  Anything else a column accepts (a subclass that passes
+#: :meth:`ColumnType.validate`) is kept as-is in an object array.
+_TYPED = {
+    ColumnType.FLOAT: frozenset({float, int, _NONE}),
+    ColumnType.INT: frozenset({int, _NONE}),
+    ColumnType.BOOL: frozenset({bool, _NONE}),
+    ColumnType.TEXT: frozenset({str, _NONE}),
+}
+
+#: Largest magnitude up to which every int is exact in float64.
+_FLOAT_EXACT_INT = 2**53
+
+
+def _frozen(array):
+    array.setflags(write=False)
+    return array
+
+
+class _ColumnStore:
+    """One column's storage.
+
+    ``values`` is float64, int64, bool or object; ``nulls`` marks SQL
+    NULL entries; ``ints`` (FLOAT columns only, else ``None``) marks the
+    entries that were Python ints.  All three are read-only.
+    """
+
+    __slots__ = ("values", "nulls", "ints")
+
+    def __init__(self, values, nulls, ints=None):
+        self.values = _frozen(values)
+        self.nulls = _frozen(nulls)
+        self.ints = None if ints is None or not ints.any() else _frozen(ints)
+
+    @classmethod
+    def of_objects(cls, values):
+        """Keep ``values`` exactly as given, ``None`` for NULL."""
+        array = np.empty(len(values), dtype=object)
+        array[:] = values
+        nulls = np.fromiter((value is None for value in values), bool, len(values))
+        return cls(array, nulls)
+
+    def __len__(self):
+        return len(self.nulls)
+
+    @property
+    def is_object(self):
+        return self.values.dtype == object
+
+    def value(self, index):
+        """The Python value at ``index``."""
+        if self.nulls.item(index):
+            return None
+        if self.ints is not None and self.ints.item(index):
+            return int(self.values.item(index))
+        return self.values.item(index)
+
+    def reader(self):
+        """The cheapest callable mapping an index to its Python value:
+        the array's own ``item`` where no NULL or int needs patching."""
+        if self.is_object or (self.ints is None and not self.nulls.any()):
+            return self.values.item
+        return self.value
+
+    def to_list(self, start=None, stop=None):
+        """Python values of rows ``[start, stop)``."""
+        span = slice(start, stop)
+        out = self.values[span].tolist()
+        if not self.is_object:
+            for index in np.flatnonzero(self.nulls[span]).tolist():
+                out[index] = None
+            if self.ints is not None:
+                for index in np.flatnonzero(self.ints[span]).tolist():
+                    out[index] = int(out[index])
+        return out
+
+    def select(self, index):
+        """The entries at ``index`` (an integer array or a boolean mask)."""
+        return _ColumnStore(
+            self.values[index],
+            self.nulls[index],
+            None if self.ints is None else self.ints[index],
+        )
+
+    def engine_arrays(self, column_type):
+        """``(values, nulls)`` as :meth:`Relation.column_arrays` hands
+        them to the kernels: float64 with NaN under NULL, or ``<U``
+        with ``""`` under NULL for TEXT."""
+        if column_type is ColumnType.TEXT:
+            values = np.array(
+                ["" if value is None else value for value in self.values.tolist()]
+            )
+        elif self.values.dtype == np.float64:
+            return self.values, self.nulls
+        elif self.is_object:
+            values = np.array(
+                [
+                    np.nan if value is None else float(value)
+                    for value in self.values.tolist()
+                ],
+                dtype=np.float64,
+            )
+        else:
+            values = self.values.astype(np.float64)
+            values[self.nulls] = np.nan
+        return _frozen(values), self.nulls
+
+
+def _store_values(column_type, values, types=None):
+    """Storage for one column of Python values (``None`` is NULL).
+
+    The set of value types is checked against the column type once;
+    only a column holding some other type is validated value by value,
+    which raises the usual :meth:`ColumnType.validate` error or, for an
+    accepted subclass, keeps the values in an object array.
+    """
+    if types is None:
+        types = set(map(type, values))
+    if not types <= _TYPED[column_type]:
+        for value in values:
+            column_type.validate(value)
+        return _ColumnStore.of_objects(values)
+    if column_type is ColumnType.TEXT:
+        return _ColumnStore.of_objects(values)
+    count = len(values)
+    if _NONE in types:
+        nulls = np.fromiter((value is None for value in values), bool, count)
+    else:
+        nulls = np.zeros(count, dtype=bool)
+    if column_type is ColumnType.FLOAT:
+        ints = None
+        if int in types:
+            if any(
+                abs(value) > _FLOAT_EXACT_INT
+                for value in values
+                if type(value) is int
+            ):
+                return _ColumnStore.of_objects(values)
+            ints = np.fromiter((type(value) is int for value in values), bool, count)
+        if _NONE in types:
+            values = [np.nan if value is None else value for value in values]
+        return _ColumnStore(np.array(values, dtype=np.float64), nulls, ints)
+    if column_type is ColumnType.INT:
+        filled = values
+        if _NONE in types:
+            filled = [0 if value is None else value for value in values]
+        try:
+            array = np.array(filled, dtype=np.int64)
+        except OverflowError:
+            return _ColumnStore.of_objects(values)
+        return _ColumnStore(array, nulls)
+    if _NONE in types:
+        values = [False if value is None else value for value in values]
+    return _ColumnStore(np.array(values, dtype=bool), nulls)
+
+
+#: The numpy dtype kind :meth:`Relation.from_columns` accepts per column
+#: type, and the dtype a numeric column is stored as.
+_ARRAY_KINDS = {
+    ColumnType.FLOAT: ("f", np.float64),
+    ColumnType.INT: ("i", np.int64),
+    ColumnType.BOOL: ("b", bool),
+    ColumnType.TEXT: ("U", None),
+}
+
+
+def _store_array(column, array):
+    """Storage for a NULL-free numpy column, checking its dtype."""
+    kind, dtype = _ARRAY_KINDS[column.type]
+    if array.ndim != 1 or array.dtype.kind != kind:
+        raise TypeError(
+            f"{column.type.value} column {column.name!r} cannot be built from "
+            f"a {array.ndim}-d {array.dtype} array"
+        )
+    if dtype is None:
+        return _ColumnStore.of_objects(array.tolist())
+    return _ColumnStore(array.astype(dtype), np.zeros(len(array), dtype=bool))
+
+
+def _concat(stores):
+    """One store holding ``stores`` end to end."""
+    if len(stores) == 1:
+        return stores[0]
+    dtypes = {store.values.dtype for store in stores}
+    if len(dtypes) > 1:
+        return _ColumnStore.of_objects(
+            [value for store in stores for value in store.to_list()]
+        )
+    ints = None
+    if any(store.ints is not None for store in stores):
+        ints = np.concatenate(
+            [
+                np.zeros(len(store), dtype=bool) if store.ints is None else store.ints
+                for store in stores
+            ]
+        )
+    return _ColumnStore(
+        np.concatenate([store.values for store in stores]),
+        np.concatenate([store.nulls for store in stores]),
+        ints,
+    )
+
+
 class Relation:
     """An immutable named table.
 
     Args:
         name: relation name (must be a SQL-safe identifier).
         schema: the :class:`Schema` describing the columns.
-        rows: iterable of row dicts keyed by column name.  Each row is
-            validated against the schema.
+        rows: iterable of row dicts keyed by column name.  Each row must
+            carry exactly the schema's columns, and each value must fit
+            its column type (``None`` is NULL).
     """
 
     def __init__(self, name, schema, rows):
         _check_identifier(name, "relation")
+        rows = list(rows)
+        names = schema.names
+        try:
+            columns = [[row[name] for row in rows] for name in names]
+            typesets = [set(map(type, values)) for values in columns]
+        except KeyError:
+            columns = typesets = None
+        fits = (
+            columns is not None
+            and all(len(row) == len(names) for row in rows)
+            and all(
+                types <= _TYPED[column.type]
+                for column, types in zip(schema, typesets)
+            )
+        )
+        if not fits:
+            # Validate row by row: this raises the first error in row
+            # order, or passes when the only misfits are accepted
+            # subclasses of their column's type.
+            for row in rows:
+                schema.validate_row(row)
+        self._init(
+            name,
+            schema,
+            len(rows),
+            [
+                _store_values(column.type, values, types)
+                for column, values, types in zip(schema, columns, typesets)
+            ],
+        )
+
+    def _init(self, name, schema, count, stores):
         self._name = name
         self._schema = schema
-        packed = []
-        for row in rows:
-            schema.validate_row(row)
-            packed.append(tuple(row[column] for column in schema.names))
-        self._rows = tuple(packed)
-        self._column_cache = {}
+        self._count = count
+        self._stores = tuple(stores)
+        self._readers = None
+        # Lazily derived, content-determined values: the engine arrays
+        # of non-FLOAT columns and the content fingerprint.
+        self._derived = {}
+
+    @classmethod
+    def _of_stores(cls, name, schema, count, stores):
+        relation = object.__new__(cls)
+        relation._init(name, schema, count, stores)
+        return relation
 
     # -- construction ---------------------------------------------------
 
@@ -139,21 +394,79 @@ class Relation:
         return cls(name, schema, filled)
 
     @classmethod
-    def _from_packed(cls, name, schema, packed):
-        """Build a relation from already-validated packed row tuples.
+    def from_columns(cls, name, schema, columns):
+        """Build a relation from whole columns.
 
-        Internal fast path for the mutation APIs: the source rows were
-        validated when the parent relation was built, so re-running
-        ``schema.validate_row`` over every surviving row (the
-        :meth:`take` path) would make each mutation O(n) validation on
-        top of the O(n) copy.
+        Args:
+            name: relation name (SQL-safe identifier).
+            schema: the :class:`Schema`.
+            columns: mapping from every schema column name to either a
+                one-dimensional numpy array, which holds no NULLs and
+                must match the column type (FLOAT a float array, INT a
+                signed integer array, BOOL a bool array, TEXT a ``<U``
+                array), or a sequence of Python values with ``None``
+                for NULL, type-checked like the row constructor's.
+
+        Raises:
+            SchemaError: on missing or unknown column names.
+            TypeError: on an array of the wrong dtype or a value that
+                does not fit its column type.
+            ValueError: when the columns differ in length.
         """
-        relation = object.__new__(cls)
-        relation._name = name
-        relation._schema = schema
-        relation._rows = tuple(packed)
-        relation._column_cache = {}
-        return relation
+        _check_identifier(name, "relation")
+        missing = [column for column in schema.names if column not in columns]
+        if missing:
+            raise SchemaError(f"columns missing: {missing}")
+        extra = [key for key in columns if key not in schema]
+        if extra:
+            raise SchemaError(f"unknown columns {extra}")
+        stores = []
+        for column in schema:
+            data = columns[column.name]
+            if isinstance(data, np.ndarray) and data.dtype != object:
+                stores.append(_store_array(column, data))
+            else:
+                if not isinstance(data, (list, tuple)):
+                    data = list(data)
+                stores.append(_store_values(column.type, data))
+        lengths = {len(store) for store in stores}
+        if len(lengths) > 1:
+            raise ValueError(f"columns differ in length: {sorted(lengths)}")
+        return cls._of_stores(name, schema, lengths.pop(), stores)
+
+    @classmethod
+    def from_row_batches(cls, name, schema, batches):
+        """Build a relation from batches of row tuples in schema order.
+
+        Each batch becomes typed columns as it arrives (values are
+        type-checked one column at a time), and the batches' columns
+        are concatenated at the end — the shape
+        :meth:`SqlRelation.iter_batches
+        <repro.relational.sql_relation.SqlRelation.iter_batches>`
+        streams rows in.
+
+        Raises:
+            ValueError: on a row whose width is not the schema's.
+            TypeError: on a value that does not fit its column type.
+        """
+        _check_identifier(name, "relation")
+        width = len(schema)
+        parts = []
+        for rows in batches:
+            if not rows:
+                continue
+            if any(len(row) != width for row in rows):
+                raise ValueError(f"row tuples of {name!r} must have {width} values")
+            parts.append(
+                [
+                    _store_values(column.type, values)
+                    for column, values in zip(schema, zip(*rows))
+                ]
+            )
+        if not parts:
+            return cls(name, schema, [])
+        stores = [_concat(list(pieces)) for pieces in zip(*parts)]
+        return cls._of_stores(name, schema, len(stores[0]), stores)
 
     # -- basic protocol ---------------------------------------------------
 
@@ -166,25 +479,34 @@ class Relation:
         return self._schema
 
     def __len__(self):
-        return len(self._rows)
+        return self._count
 
     def __iter__(self):
         """Iterate over rows as dicts."""
         names = self._schema.names
-        for packed in self._rows:
-            yield dict(zip(names, packed))
+        for values in self.row_tuples():
+            yield dict(zip(names, values))
 
     def __getitem__(self, index):
         """Return row ``index`` as a dict (supports negative indices)."""
-        names = self._schema.names
-        return dict(zip(names, self._rows[index]))
+        return dict(zip(self._schema.names, self.row_tuple(index)))
 
     def __repr__(self):
         return f"Relation({self._name!r}, {len(self)} rows, {self._schema!r})"
 
     def row_tuple(self, index):
         """Return row ``index`` as a value tuple in schema order."""
-        return self._rows[index]
+        if self._readers is None:
+            self._readers = tuple(store.reader() for store in self._stores)
+        return tuple([read(index) for read in self._readers])
+
+    def row_tuples(self, start=0, stop=None):
+        """Return rows ``[start, stop)`` as value tuples in schema order.
+
+        Built a column at a time, so it is the cheap way to read many
+        consecutive rows.
+        """
+        return list(zip(*(store.to_list(start, stop) for store in self._stores)))
 
     def rows(self):
         """Return all rows as a list of dicts."""
@@ -192,68 +514,46 @@ class Relation:
 
     # -- columnar access --------------------------------------------------
 
+    def _store(self, name):
+        return self._stores[self._schema.names.index(self._schema[name].name)]
+
     def column(self, name):
         """Return column ``name`` as a list of values (schema order rows)."""
-        position = self._schema.names.index(self._schema[name].name)
-        return [row[position] for row in self._rows]
+        return self._store(name).to_list()
 
     def numeric_column(self, name):
         """Return a numeric column as a float64 numpy array.
 
-        NULLs become NaN.  The array is cached and must not be mutated
-        by callers.
+        NULLs become NaN.  The array is read-only.
 
         Raises:
             SchemaError: if the column is not numeric.
         """
-        if name in self._column_cache:
-            return self._column_cache[name]
         column = self._schema[name]
         if not column.type.is_numeric:
             raise SchemaError(f"column {name!r} is {column.type.value}, not numeric")
-        values = self.column(name)
-        array = np.array(
-            [np.nan if value is None else float(value) for value in values],
-            dtype=np.float64,
-        )
-        self._column_cache[name] = array
-        return array
+        return self.column_arrays(name)[0]
 
     def column_arrays(self, name):
         """Return ``(values, nulls)`` arrays for column ``name``.
 
-        ``nulls`` is a boolean mask marking SQL NULL entries (computed
-        from the stored values, so float NaN *data* is not conflated
-        with NULL).  ``values`` depends on the column type:
+        ``nulls`` is a boolean mask marking SQL NULL entries (so float
+        NaN *data* is not conflated with NULL).  ``values`` depends on
+        the column type:
 
         * INT / FLOAT — float64, with NULL entries as NaN;
         * BOOL — float64 0.0/1.0, with NULL entries as NaN;
         * TEXT — numpy unicode array, with NULL entries as ``""``.
 
-        Both arrays are cached and must not be mutated by callers.
+        Both arrays are read-only: a FLOAT column's are its storage,
+        the others are derived on first use and cached.
         """
-        key = ("arrays", name)
-        if key in self._column_cache:
-            return self._column_cache[key]
         column = self._schema[name]
-        raw = self.column(column.name)
-        nulls = np.array([value is None for value in raw], dtype=bool)
-        if column.type is ColumnType.TEXT:
-            values = np.array(
-                ["" if value is None else value for value in raw]
-            )
-        else:
-            values = np.array(
-                [
-                    np.nan if value is None else float(value)
-                    for value in raw
-                ],
-                dtype=np.float64,
-            )
-        nulls.setflags(write=False)
-        values.setflags(write=False)
-        self._column_cache[key] = (values, nulls)
-        return values, nulls
+        arrays = self._derived.get(column.name)
+        if arrays is None:
+            arrays = self._store(column.name).engine_arrays(column.type)
+            self._derived[column.name] = arrays
+        return arrays
 
     def bulk_aggregate(self, func, name, rids=None, weights=None):
         """Aggregate a numeric column over a row subset in one pass.
@@ -296,13 +596,23 @@ class Relation:
 
     # -- derivation ---------------------------------------------------------
 
+    def _select(self, index, name=None):
+        """A new relation of the rows ``index`` picks (integer array or
+        boolean mask), every column indexed the same way."""
+        stores = [store.select(index) for store in self._stores]
+        return Relation._of_stores(
+            name or self._name, self._schema, len(stores[0]), stores
+        )
+
     def filter(self, predicate, name=None):
         """Return a new relation with rows where ``predicate(row)`` is true.
 
         ``predicate`` receives each row as a dict.
         """
-        kept = [row for row in self if predicate(row)]
-        return Relation(name or self._name, self._schema, kept)
+        mask = np.fromiter(
+            (bool(predicate(row)) for row in self), dtype=bool, count=self._count
+        )
+        return self._select(mask, name=name)
 
     def filter_mask(self, mask, name=None):
         """Return a new relation keeping rows where ``mask`` is true.
@@ -311,22 +621,22 @@ class Relation:
         e.g. a predicate mask from the vectorized expression compiler.
         """
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (len(self._rows),):
+        if mask.shape != (self._count,):
             raise ValueError(
                 f"mask length {mask.shape} does not match relation "
-                f"cardinality {len(self._rows)}"
+                f"cardinality {self._count}"
             )
-        return self.take(np.flatnonzero(mask), name=name)
+        return self._select(mask, name=name)
 
     def take(self, indices, name=None):
         """Return a new relation with the rows at ``indices``, in order.
 
         ``indices`` may be any iterable of row indices, including a
-        numpy integer array.
+        numpy integer array; negative indices count from the end.
         """
-        names = self._schema.names
-        kept = [dict(zip(names, self._rows[int(i)])) for i in indices]
-        return Relation(name or self._name, self._schema, kept)
+        if not isinstance(indices, np.ndarray):
+            indices = list(indices)
+        return self._select(np.asarray(indices, dtype=np.intp), name=name)
 
     def head(self, count=5):
         """Return the first ``count`` rows as dicts (for inspection)."""
@@ -349,12 +659,13 @@ class Relation:
         bit-identical, which is what lets shard-level content hashing
         reuse artifacts for untouched shards.
         """
-        appended = []
-        for row in rows:
-            self._schema.validate_row(row)
-            appended.append(tuple(row[column] for column in self._schema.names))
-        return Relation._from_packed(
-            name or self._name, self._schema, self._rows + tuple(appended)
+        appended = Relation(name or self._name, self._schema, rows)
+        stores = [
+            _concat([mine, theirs])
+            for mine, theirs in zip(self._stores, appended._stores)
+        ]
+        return Relation._of_stores(
+            appended.name, self._schema, self._count + len(appended), stores
         )
 
     def delete_rows(self, rids, name=None):
@@ -369,7 +680,7 @@ class Relation:
         index shift down, so only shards at or after the first deleted
         rid change content.
         """
-        count = len(self._rows)
+        count = self._count
         drop = set()
         for rid in rids:
             rid = int(rid)
@@ -380,5 +691,6 @@ class Relation:
             drop.add(rid)
         if not drop:
             return self
-        kept = [row for index, row in enumerate(self._rows) if index not in drop]
-        return Relation._from_packed(name or self._name, self._schema, kept)
+        keep = np.ones(count, dtype=bool)
+        keep[list(drop)] = False
+        return self._select(keep, name=name)

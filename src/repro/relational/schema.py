@@ -91,6 +91,7 @@ class Schema:
                 raise SchemaError(f"duplicate column name {column.name!r}")
             seen.add(folded)
         self._by_name = {column.name: column for column in self._columns}
+        self._names = tuple(column.name for column in self._columns)
 
     @classmethod
     def of(cls, **column_types):
@@ -108,7 +109,7 @@ class Schema:
 
     @property
     def names(self):
-        return tuple(column.name for column in self._columns)
+        return self._names
 
     def __len__(self):
         return len(self._columns)

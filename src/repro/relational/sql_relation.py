@@ -395,8 +395,7 @@ class SqlRelation:
         def batches():
             total = len(relation)
             for start in range(0, total, batch_rows):
-                stop = min(start + batch_rows, total)
-                yield [relation.row_tuple(rid) for rid in range(start, stop)]
+                yield relation.row_tuples(start, min(start + batch_rows, total))
 
         # Rows were validated when the in-memory relation was built.
         return cls.from_row_batches(
@@ -589,11 +588,10 @@ class SqlRelation:
         this on a 10M-row relation defeats the point of the backend.
         """
         if self._materialized is None:
-            packed = []
-            for _, rows in self.iter_batches():
-                packed.extend(rows)
-            self._materialized = Relation._from_packed(
-                self._name, self._schema, packed
+            self._materialized = Relation.from_row_batches(
+                self._name,
+                self._schema,
+                (rows for _, rows in self.iter_batches()),
             )
         return self._materialized
 

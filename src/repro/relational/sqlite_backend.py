@@ -20,8 +20,9 @@ makes it (and any future caller-supplied temp-table name) safe to
 interpolate.
 
 :meth:`Database.load_relation` inserts ``executemany`` chunks built
-straight from packed row tuples.  The out-of-core relation, whose
-table is the data itself and is streamed in batches by
+from :meth:`~repro.relational.relation.Relation.row_tuples`.  The
+out-of-core relation, whose table is the data itself and is streamed
+in batches by
 :meth:`~repro.relational.sql_relation.SqlRelation.iter_batches`, lives
 in :mod:`repro.relational.sql_relation`.
 """
@@ -75,7 +76,7 @@ class Database:
         The table gets an extra ``rid INTEGER PRIMARY KEY`` column equal
         to the row's index in the in-memory relation.  Rows are
         inserted in ``executemany`` batches of ``batch_rows`` built
-        directly from the relation's packed tuples (no per-row dicts).
+        from :meth:`Relation.row_tuples` (no per-row dicts).
         """
         name = relation.name
         table = quote_ident(name)
@@ -97,9 +98,11 @@ class Database:
                 (rid,)
                 + tuple(
                     int(value) if isinstance(value, bool) else value
-                    for value in relation.row_tuple(rid)
+                    for value in values
                 )
-                for rid in range(start, stop)
+                for rid, values in enumerate(
+                    relation.row_tuples(start, stop), start
+                )
             ]
             self._connection.executemany(insert, batch)
         self._connection.commit()

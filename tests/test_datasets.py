@@ -1,5 +1,6 @@
 """Tests for the synthetic dataset generators."""
 
+import numpy as np
 import pytest
 
 from repro.core import PackageQueryEvaluator, ResultStatus
@@ -11,9 +12,12 @@ from repro.datasets import (
     generate_recipes,
     generate_stocks,
     generate_travel_products,
+    clustered_relation,
     integer_relation,
     uniform_relation,
 )
+from repro.datasets.synthetic import _round, clustered_row_batches, uniform_row_batches
+from repro.relational import relation_fingerprint
 
 
 class TestRecipes:
@@ -124,3 +128,73 @@ class TestGeneric:
         for row in rel:
             assert 2 <= row["value"] <= 4
             assert isinstance(row["value"], int)
+
+
+def _typed(rows):
+    """Rows as comparable (type, value) tuples; floats by their bits."""
+    return [
+        tuple(
+            (type(value), value.hex() if isinstance(value, float) else value)
+            for value in row
+        )
+        for row in rows
+    ]
+
+
+class TestDrawOrder:
+    """The column generators draw every cell in one block; these pin the
+    values the per-cell loops produced."""
+
+    @pytest.mark.parametrize(
+        "n, seed, expected",
+        [
+            (1000, 0, "8b639ca3d91a482e1ce5bd6e4773103d"),
+            (40000, 3, "e6187f60a51b006bb7bec3a196e8a8f2"),
+        ],
+    )
+    def test_clustered_fingerprint_is_pinned(self, n, seed, expected):
+        assert relation_fingerprint(clustered_relation(n, seed=seed)) == expected
+
+    def test_uniform_fingerprint_is_pinned(self):
+        relation = uniform_relation(1000, columns=("a", "b"), seed=0)
+        assert relation_fingerprint(relation) == "5225be06bd83f16060a32c171d60d18b"
+
+    def test_clustered_batches_equal_the_relation(self):
+        n, batch_rows = 2500, 700
+        batches = list(clustered_row_batches(n, seed=5, batch_rows=batch_rows))
+        assert [len(batch) for batch in batches] == [700, 700, 700, 400]
+        streamed = [row for batch in batches for row in batch]
+        relation = clustered_relation(n, seed=5)
+        assert _typed(streamed) == _typed(relation.row_tuples())
+        assert all(type(row[1]) is float for row in streamed)
+
+    def test_uniform_batches_equal_the_relation(self):
+        kwargs = dict(columns=("a", "b"), low=-3, high=7.5, seed=8)
+        streamed = [
+            row
+            for batch in uniform_row_batches(1001, batch_rows=250, **kwargs)
+            for row in batch
+        ]
+        relation = uniform_relation(1001, **kwargs)
+        assert _typed(streamed) == _typed(relation.row_tuples())
+
+    def test_values_equal_python_round_of_each_draw(self):
+        # The per-cell definition, replayed on the same stream.
+        rng = np.random.default_rng(12)
+        expected = []
+        for i in range(300):
+            row = [f"r{i}", round((i + float(rng.random())) * 100.0 / 300, 6)]
+            row += [round(float(rng.uniform(-50.0, 50.0)), 3) for _ in range(2)]
+            expected.append(tuple(row))
+        relation = clustered_relation(
+            300, columns=("x", "y"), low=-50.0, high=50.0, seed=12
+        )
+        assert _typed(relation.row_tuples()) == _typed(expected)
+
+    def test_block_rounding_matches_round_near_halves(self):
+        # rint(v * 10**d) / 10**d misses 12.3455, 99.9995 and -0.0005 at
+        # d = 3 and 2.675 at d = 2: the scaled product rounds across a half.
+        values = np.array([12.3455, 99.9995, -0.0005, 2.675, 0.285, 1e300, -0.0])
+        for digits in (2, 3, 6):
+            expected = [round(float(value), digits) for value in values]
+            assert _typed([_round(values, digits).tolist()]) == _typed([expected])

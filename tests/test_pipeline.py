@@ -96,12 +96,16 @@ class TestStageRecords:
         assert ran and all(e["seconds"] >= 0.0 for e in ran)
         assert sum(e["seconds"] for e in ran) <= result.elapsed_seconds
 
-    def test_short_circuit_skips_carry_the_reason(self):
+    @pytest.mark.parametrize("reduce", ["off", "safe", "aggressive"])
+    def test_short_circuit_skips_carry_the_reason(self, reduce):
+        # Empty cardinality bounds halt the analysis before the reduce
+        # gate, so every mode records the halt, not "reduction disabled".
         relation = _relation([(1.0, 1.0), (2.0, 2.0)])
         result = evaluate(
             "SELECT PACKAGE(R) FROM Red R SUCH THAT COUNT(*) >= 5 "
             "AND COUNT(*) <= 2",
             relation,
+            reduce=reduce,
         )
         assert result.status is ResultStatus.INFEASIBLE
         by_name = {entry["name"]: entry for entry in result.stats["stages"]}

@@ -124,7 +124,7 @@ class TestArtifactReuse:
         stats = session.cache_stats()
         assert stats["where"]["hits"] >= 1
 
-    def test_reduction_facts_shared_across_objectives(self):
+    def test_warm_miss_on_another_objective_matches_cold(self):
         relation = clustered_relation(800, seed=9)
         session = EvaluationSession(relation)
         base = (
@@ -144,11 +144,10 @@ class TestArtifactReuse:
         assert second.objective == cold.objective
         assert second.status is cold.status
 
-    def test_cached_conjunct_facts_are_uncontaminated(self):
-        # Regression: query A's SUM conjunct fixes candidates before
-        # its MAX conjunct runs, so the MAX leaf's cached mask used to
-        # be stored as a diff missing the already-fixed bits — and a
-        # later query with only the MAX conjunct silently under-fixed.
+    def test_warm_miss_after_a_wider_query_matches_cold(self):
+        # Query A fixes candidates through a SUM and a MAX conjunct; a
+        # later query with only the MAX conjunct must reduce exactly as
+        # a cold run does.
         relation = _relation(
             [(float(i), 1.0) for i in range(100)]
         )
