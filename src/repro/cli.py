@@ -33,7 +33,6 @@ import sys
 
 from repro.core.engine import EngineError, EngineOptions, PackageQueryEvaluator
 from repro.core.enumeration import diverse_subset, enumerate_top
-from repro.core.parallel import BACKENDS
 from repro.core.strategies import all_strategies, strategy_names
 from repro.core.translate_ilp import ILPTranslationError
 from repro.core.validator import objective_value
@@ -197,7 +196,6 @@ def _engine_options(args):
         shards=args.shards,
         workers=args.workers,
         reduce=args.reduce,
-        parallel_backend=getattr(args, "parallel_backend", "thread"),
     )
 
 
@@ -452,7 +450,6 @@ def _cmd_serve(args, out):
         strategy=args.strategy,
         shards=args.shards,
         workers=args.engine_workers,
-        parallel_backend=args.parallel_backend,
     )
     pool = SessionPool(
         specs,
@@ -755,15 +752,9 @@ def build_parser():
             "--workers",
             type=int,
             default=0,
-            help="worker threads for sharded stages (0 = one per CPU)",
-        )
-        command.add_argument(
-            "--parallel-backend",
-            default="thread",
-            choices=list(BACKENDS),
             help=(
-                "execution backend for shard-parallel stages: thread "
-                "(default) or serial"
+                "worker threads for shard- and column-parallel stages "
+                "(0 = one per CPU, 1 = no threads)"
             ),
         )
         command.add_argument(
@@ -1039,12 +1030,6 @@ def build_parser():
         type=int,
         default=0,
         help="engine shard workers (0 = one per CPU); not server threads",
-    )
-    serve.add_argument(
-        "--parallel-backend",
-        default="thread",
-        choices=list(BACKENDS),
-        help="parallel backend for shard-parallel stages",
     )
     serve.set_defaults(func=_cmd_serve)
 

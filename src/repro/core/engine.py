@@ -49,7 +49,6 @@ from repro.core.vectorize import evaluator_for, where_positions
 from repro.core.ir import records_payload
 from repro.core.local_search import LocalSearch, LocalSearchOptions
 from repro.core.parallel import (
-    BACKENDS,
     collect_parallel_events,
     effective_workers,
     parallel_map,
@@ -100,13 +99,11 @@ class EngineOptions:
             exactly the single-pass answer, and zone statistics only
             skip shards *proved* empty of matches (see
             ``docs/sharding.md``).
-        workers: workers for shard- and partition-parallel stages;
-            0 means one per available CPU, 1 forces serial execution.
-        parallel_backend: execution backend for those stages —
-            ``thread`` (default; numpy kernels release the GIL) or
-            ``serial``.  Checked on construction.  Backends never
-            change results; every degradation (e.g. a thread pool
-            that cannot start) is recorded in ``stats["parallel"]``.
+        workers: threads for the shard- and column-parallel stages;
+            0 means one per available CPU, 1 runs every stage as a
+            plain loop with no thread pool.  Workers never change
+            results; a thread pool that cannot start falls back to the
+            loop and is recorded in ``stats["parallel"]``.
         reduce: candidate-space reduction mode (``docs/reduction.md``):
             ``safe`` (the default) fixes out tuples the global
             constraints prove absent from every acceptable package —
@@ -135,15 +132,9 @@ class EngineOptions:
     shards: int = 1
     workers: int = 0
     reduce: str = "safe"
-    parallel_backend: str = "thread"
     pushdown: str = "auto"
 
     def __post_init__(self):
-        if self.parallel_backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.parallel_backend!r} "
-                f"(choose from {BACKENDS})"
-            )
         if self.reduce not in REDUCE_MODES:
             raise ValueError(
                 f"unknown reduce mode {self.reduce!r} "
@@ -428,12 +419,7 @@ class PackageQueryEvaluator:
             mask = evaluator.predicate_mask(query.where, part)
             return part.start + np.flatnonzero(mask)
 
-        pieces = parallel_map(
-            shard_rids,
-            pending,
-            workers=options.workers,
-            backend=options.parallel_backend,
-        )
+        pieces = parallel_map(shard_rids, pending, workers=options.workers)
         for index, piece in zip(pending, pieces):
             by_shard[index] = piece
             if use_store:
@@ -455,7 +441,6 @@ class PackageQueryEvaluator:
             "workers": effective_workers(
                 options.workers, max(1, len(pending))
             ),
-            "backend": options.parallel_backend,
         }
         if use_store:
             shard_info["scanned"] = len(pending)
@@ -615,7 +600,6 @@ def evaluate(
     shards=None,
     workers=None,
     reduce=None,
-    parallel_backend=None,
 ):
     """One-call evaluation: build an evaluator, run one query.
 
@@ -626,9 +610,6 @@ def evaluate(
         workers: shortcut for ``EngineOptions.workers``.
         reduce: shortcut for ``EngineOptions.reduce`` — candidate-space
             reduction mode (``off`` | ``safe`` | ``aggressive``).
-        parallel_backend: shortcut for
-            ``EngineOptions.parallel_backend`` (``thread`` |
-            ``serial``).
 
     All shortcuts override the corresponding field of ``options``
     when given.
@@ -640,8 +621,6 @@ def evaluate(
         overrides["workers"] = workers
     if reduce is not None:
         overrides["reduce"] = reduce
-    if parallel_backend is not None:
-        overrides["parallel_backend"] = parallel_backend
     if overrides:
         from dataclasses import replace
 

@@ -161,8 +161,8 @@ def stage_table(records, parallel=None, artifacts=None):
     (the ``stats["stages"]`` spelling).  Columns: stage, fixpoint
     round, rows in/out, wall-clock, and the skip reason or detail
     summary.  ``parallel`` takes the ``stats["parallel"]`` degradation
-    events, rendered as a footer so a silent backend fallback is never
-    invisible in an EXPLAIN.  ``artifacts`` takes the
+    events, rendered as a footer so a silent thread-pool fallback is
+    never invisible in an EXPLAIN.  ``artifacts`` takes the
     ``stats["artifacts"]`` durable-store counter delta, rendered as a
     footer line (hits/misses/writes/rejections for this query).
     Returns a list of lines.
@@ -210,11 +210,7 @@ def stage_table(records, parallel=None, artifacts=None):
     if parallel:
         lines.append("parallel fallbacks:")
         for event in parallel:
-            note = f"  {event.get('backend', '?')}: {event.get('fallback', '')}"
-            task = event.get("task")
-            if task:
-                note += f" [{task}]"
-            lines.append(note.rstrip())
+            lines.append(f"  {event['fallback']}")
     if artifacts:
         summary = "  ".join(
             f"{key}={artifacts[key]}"

@@ -58,15 +58,6 @@ class PartitionOptions:
         fallback: when the sketch or a refine step comes up infeasible,
             fall back to the cost model's next-best strategy over the
             full candidate set (otherwise report UNKNOWN).
-        parallel_refine: refine in *waves* — solve every loaded
-            partition's refinement ILP concurrently (they are
-            independent: each expands one partition with the others
-            still represented), then commit the best wave member and
-            repeat.  Deterministic for any worker count (the winner is
-            chosen by objective with a fixed tie-break, never by
-            completion order), but a different refinement *order* than
-            the sequential most-mass-first walk, so it is opt-in
-            rather than a worker-count side effect.
     """
 
     num_partitions: int = 0
@@ -75,7 +66,6 @@ class PartitionOptions:
     max_package_cardinality: int = 256
     max_attributes: int = 3
     fallback: bool = True
-    parallel_refine: bool = False
 
     def resolved_count(self, n):
         """The actual partition count to build for ``n`` candidates."""

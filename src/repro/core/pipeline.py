@@ -338,7 +338,6 @@ def run_analysis(
         state.candidate_rids,
         sharded=state.sharded,
         workers=getattr(options, "workers", 0),
-        backend=getattr(options, "parallel_backend", "thread"),
     )
     analyze_constraints(state)
     state.ctx = EvaluationContext(

@@ -202,7 +202,6 @@ def derive_bounds(
     candidate_rids,
     sharded=None,
     workers=0,
-    backend="thread",
     columns=None,
 ):
     """Cardinality bounds implied by ``query``'s SUCH THAT clause.
@@ -217,14 +216,12 @@ def derive_bounds(
             coverage then reads its extent straight from the cached
             zone statistics (O(shards), no scan).  The derived bounds
             are bit-identical either way.
-        workers, backend: the columns' shard fan-out.
+        workers: the columns' shard fan-out.
         columns: the query's ``CandidateColumns`` over
             ``candidate_rids`` (built when ``None``).
     """
     if columns is None:
-        columns = CandidateColumns(
-            relation, candidate_rids, sharded, workers, backend
-        )
+        columns = CandidateColumns(relation, candidate_rids, sharded, workers)
     conjuncts, _ = query_conjuncts(query)
     return conjunct_bounds(conjuncts, query.repeat, relation, columns, sharded)
 

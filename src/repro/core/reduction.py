@@ -292,7 +292,6 @@ def reduce_candidates(
     sharded=None,
     workers=0,
     tolerance=DEFAULT_TOLERANCE,
-    backend="thread",
     columns=None,
 ):
     """One reduction round over ``candidate_rids`` (see module docstring).
@@ -335,7 +334,7 @@ def reduce_candidates(
             identity.dominance = "skipped: no global constraints"
         return identity
     if columns is None:
-        columns = CandidateColumns(relation, rids, sharded, workers, backend)
+        columns = CandidateColumns(relation, rids, sharded, workers)
     reducer = _Reducer(
         query, relation, mode, sharded, tolerance, columns,
         *query_conjuncts(query),

@@ -152,16 +152,14 @@ class ArtifactCache:
 
     @staticmethod
     def where_key(query, options):
-        # Workers and the backend never change the rids, but they
-        # appear in the sharded-path stats payload — keying on them
-        # keeps a replayed shard_info honest about the parallel width
-        # and execution path in force.
+        # Workers never change the rids, but they appear in the
+        # sharded-path stats payload — keying on them keeps a replayed
+        # shard_info honest about the parallel width in force.
         clause = "" if query.where is None else print_expr(query.where)
         return (
             clause,
             getattr(options, "shards", 1),
             getattr(options, "workers", 0),
-            getattr(options, "parallel_backend", "thread"),
         )
 
     @staticmethod

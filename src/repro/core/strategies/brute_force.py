@@ -71,7 +71,12 @@ class BruteForceStrategy(Strategy):
             bounds=effective_bounds,
             stats=stats,
         )
-        status = ResultStatus.OPTIMAL if package else ResultStatus.INFEASIBLE
+        # ``is not None``: the empty package is falsy but may be optimal.
+        status = (
+            ResultStatus.OPTIMAL
+            if package is not None
+            else ResultStatus.INFEASIBLE
+        )
         return EvaluationResult(
             package=package,
             status=status,

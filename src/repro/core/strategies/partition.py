@@ -33,7 +33,6 @@ ILP.
 from __future__ import annotations
 
 from repro.core.package import Package
-from repro.core.parallel import parallel_map
 from repro.core.partitioning import build_partitioning
 from repro.core.result import EvaluationResult, ResultStatus
 from repro.core.strategies.base import Strategy, StrategyEstimate, solve_model
@@ -46,9 +45,9 @@ _SOLVED = (Status.OPTIMAL, Status.FEASIBLE)
 def _summarize(translation, solution, backend):
     """One refinement attempt's compact outcome.
 
-    Waves never keep models or solver state past the attempt — only
-    the status, objective, node count, and the nonzero variable counts
-    the caller needs to pick a winner and commit pins.
+    No model or solver state outlives the attempt — only the status,
+    objective, node count, and the nonzero variable counts the caller
+    needs to commit pins.
     """
     counts = translation.counts(solution) if solution.status in _SOLVED else {}
     return {
@@ -149,14 +148,13 @@ class PartitionStrategy(Strategy):
             raise ILPTranslationError(ctx.translation_error)
         opts = ctx.options.partition
         repeat = ctx.query.repeat
-        workers = getattr(ctx.options, "workers", 0)
         parts = build_partitioning(
             ctx.query,
             ctx.relation,
             ctx.candidate_rids,
             opts.resolved_count(ctx.candidate_count),
             max_attributes=opts.max_attributes,
-            workers=workers,
+            workers=getattr(ctx.options, "workers", 0),
             columns=ctx.columns,
         )
         stats = {
@@ -170,12 +168,7 @@ class PartitionStrategy(Strategy):
         pinned = {}
 
         def refine_inputs(refining):
-            """Model inputs ``(rids, upper)`` for one refinement attempt.
-
-            Pure with respect to ``pinned``/``unrefined`` (read, never
-            written), so independent refinement attempts may run
-            concurrently; callers account for stats afterwards.
-            """
+            """Model inputs ``(rids, upper)`` for one refinement attempt."""
             rids = []
             upper = {}
             for rid, multiplicity in pinned.items():
@@ -201,9 +194,6 @@ class PartitionStrategy(Strategy):
             )
             solution, backend = solve_model(translation.model, ctx.options)
             return translation, solution, backend
-
-        def attempt_summary(refining):
-            return _summarize(*attempt(refining))
 
         def account(outcome):
             stats["solver_backend"] = outcome["backend"]
@@ -244,62 +234,20 @@ class PartitionStrategy(Strategy):
             if not loaded:
                 break
 
-            if opts.parallel_refine and len(loaded) > 1:
-                # Refinement wave: the loaded partitions' refine ILPs
-                # are independent (each reads the shared pins and
-                # expands only itself), so solve them all concurrently
-                # and commit the best — deterministic for any worker
-                # count because the winner is picked by objective value
-                # with a partition-index tie-break, never by
-                # completion order.
-                from repro.solver.model import ObjectiveSense
-
-                wave = sorted(loaded)
-                backend = getattr(ctx.options, "parallel_backend", "thread")
-                outcomes = parallel_map(
-                    attempt_summary, wave, workers=workers, backend=backend
+            target = max(
+                loaded,
+                key=lambda q: (counts[parts.representatives[q]], -q),
+            )
+            summary = _summarize(*attempt(target))
+            account(summary)
+            stats["refine_steps"] += 1
+            if summary["status"] not in _SOLVED:
+                return self._fallback(
+                    ctx,
+                    f"refine step {stats['refine_steps']} "
+                    f"{summary['status'].value}",
+                    stats,
                 )
-                stats["refine_steps"] += len(wave)
-                stats["refine_waves"] = stats.get("refine_waves", 0) + 1
-                stats["refine_backend"] = backend
-                for outcome in outcomes:
-                    account(outcome)
-                solved = [
-                    (group_index, outcome)
-                    for group_index, outcome in zip(wave, outcomes)
-                    if outcome["status"] in _SOLVED
-                ]
-                if not solved:
-                    return self._fallback(
-                        ctx,
-                        f"refine wave {stats['refine_waves']} "
-                        "infeasible in every partition",
-                        stats,
-                    )
-                maximize = (
-                    translation.model.objective_sense
-                    is ObjectiveSense.MAXIMIZE
-                )
-                sign = 1.0 if maximize else -1.0
-                target, summary = max(
-                    solved,
-                    key=lambda item: (sign * item[1]["objective"], -item[0]),
-                )
-            else:
-                target = max(
-                    loaded,
-                    key=lambda q: (counts[parts.representatives[q]], -q),
-                )
-                summary = attempt_summary(target)
-                account(summary)
-                stats["refine_steps"] += 1
-                if summary["status"] not in _SOLVED:
-                    return self._fallback(
-                        ctx,
-                        f"refine step {stats['refine_steps']} "
-                        f"{summary['status'].value}",
-                        stats,
-                    )
 
             unrefined.discard(target)
             refined_counts = summary["counts"]

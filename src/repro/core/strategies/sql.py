@@ -52,7 +52,12 @@ class SQLStrategy(Strategy):
                 ctx.bounds,
                 columns=ctx.columns,
             )
-        status = ResultStatus.OPTIMAL if package else ResultStatus.INFEASIBLE
+        # ``is not None``: the empty package is falsy but may be optimal.
+        status = (
+            ResultStatus.OPTIMAL
+            if package is not None
+            else ResultStatus.INFEASIBLE
+        )
         return EvaluationResult(
             package=package,
             status=status,

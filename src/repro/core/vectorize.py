@@ -762,18 +762,17 @@ class CandidateColumns:
             candidates a gather runs per shard through the worker pool
             and concatenates in shard order (bit-identical: kernels
             are elementwise).
-        workers, backend: the :func:`~repro.core.parallel.parallel_map`
-            settings of that fan-out.
+        workers: the :func:`~repro.core.parallel.parallel_map` width
+            of that fan-out.
     """
 
-    def __init__(self, relation, rids, sharded=None, workers=0, backend="thread"):
+    def __init__(self, relation, rids, sharded=None, workers=0):
         self._relation = relation
         self.rids = np.asarray(rids, dtype=np.intp)
         if sharded is not None and np.any(np.diff(self.rids) <= 0):
             sharded = None
         self._sharded = sharded
         self._workers = workers
-        self._backend = backend
         self._gathered = {}
 
     def get(self, node):
@@ -817,7 +816,6 @@ class CandidateColumns:
                 lambda group: evaluator.scalar_arrays(node, group),
                 groups,
                 workers=self._workers,
-                backend=self._backend,
             )
             values = np.concatenate([part[0] for part in parts])
             nulls = np.concatenate([part[1] for part in parts])

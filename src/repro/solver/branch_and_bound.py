@@ -49,6 +49,12 @@ INT_TOL = 1e-6
 #: search's exact-mode slack in :func:`_gap_slack`).
 _KNAPSACK_EPS = 1e-9
 
+#: Relative slack of the knapsack fast path's capacity check: the
+#: package validator's boundary tolerance
+#: (``repro.core.validator.DEFAULT_TOLERANCE``), so the fast path
+#: admits the weight sums the validator accepts.
+_CAPACITY_TOL = 1e-9
+
 
 class BranchAndBoundOptions:
     """Tuning knobs for :func:`solve_milp`.
@@ -125,6 +131,12 @@ def _solve_knapsack(model, c, A, senses, b, lower, upper, options):
     incumbent), and each node's dual bound is the Dantzig LP optimum of
     its remaining subproblem, computed from prefix sums with one binary
     search instead of a simplex solve.
+
+    A package fits when its weight sum is at most the capacity plus the
+    validator's relative slack (:data:`_CAPACITY_TOL`).  The sum is the
+    running sum of the taken weights in ratio order; a backtrack
+    restores the sum saved before the take instead of subtracting, so
+    no rounding drift accumulates over the search.
     """
     n = len(c)
     if n == 0 or len(senses) != 1 or senses[0] is not ConstraintSense.LE:
@@ -138,6 +150,7 @@ def _solve_knapsack(model, c, A, senses, b, lower, upper, options):
     gains = -c  # minimize orientation; gains >= 0 means MAXIMIZE
     if capacity < 0 or np.any(weights < 0) or np.any(gains < 0):
         return None
+    limit = capacity + _CAPACITY_TOL * max(1.0, capacity)
 
     x = np.zeros(n)
     base_value = 0.0
@@ -146,7 +159,7 @@ def _solve_knapsack(model, c, A, senses, b, lower, upper, options):
     free = (weights <= 0.0) & (gains > 0.0)
     x[free] = 1.0
     base_value += float(gains[free].sum())
-    live = np.flatnonzero((gains > 0.0) & (weights > 0.0) & (weights <= capacity))
+    live = np.flatnonzero((gains > 0.0) & (weights > 0.0) & (weights <= limit))
 
     order = live[np.argsort(-(gains[live] / weights[live]), kind="stable")]
     item_weights = weights[order]
@@ -168,11 +181,13 @@ def _solve_knapsack(model, c, A, senses, b, lower, upper, options):
         return bound
 
     taken = np.zeros(m, dtype=bool)
-    takes = []  # stack of taken positions, for O(1) backtracking
+    # Stack of (position, weight sum, value) before each take, for O(1)
+    # backtracking that restores the sums exactly.
+    takes = []
     best_value = -math.inf
     best_taken = None
     j = 0
-    cap_left = capacity
+    used = 0.0
     value = 0.0
     nodes = 0  # branch points (backtrack flips), comparable across solvers
     steps = 0
@@ -193,15 +208,13 @@ def _solve_knapsack(model, c, A, senses, b, lower, upper, options):
                 limited = True
                 break
             steps += 1
-            if dual_bound(j, cap_left, value) <= best_value + _KNAPSACK_EPS:
+            if dual_bound(j, limit - used, value) <= best_value + _KNAPSACK_EPS:
                 pruned = True
                 break
-            # Exact capacity check (no epsilon): the fast path must
-            # never hand back a package the validator would reject.
-            if item_weights[j] <= cap_left:
+            if used + item_weights[j] <= limit:
                 taken[j] = True
-                takes.append(j)
-                cap_left -= item_weights[j]
+                takes.append((j, used, value))
+                used += item_weights[j]
                 value += item_gains[j]
             j += 1
         if limited:
@@ -216,19 +229,17 @@ def _solve_knapsack(model, c, A, senses, b, lower, upper, options):
             if nodes >= options.node_limit:
                 limited = True
                 break
-            i = takes.pop()
+            i, used, value = takes.pop()
             taken[i] = False
-            cap_left += item_weights[i]
-            value -= item_gains[i]
             j = i + 1
             nodes += 1
-            if dual_bound(j, cap_left, value) > best_value + _KNAPSACK_EPS:
+            if dual_bound(j, limit - used, value) > best_value + _KNAPSACK_EPS:
                 break  # the skip branch is still promising
         if limited:
             break
         if not takes and (
             j > m
-            or dual_bound(j, cap_left, value) <= best_value + _KNAPSACK_EPS
+            or dual_bound(j, limit - used, value) <= best_value + _KNAPSACK_EPS
         ):
             break
 

@@ -18,10 +18,8 @@ from repro.core.artifact_store import (
 )
 from repro.core.cache import ArtifactLayer, BoundedCache
 from repro.core.engine import EngineOptions, PackageQueryEvaluator, evaluate
-from repro.core.parallel import BACKENDS
 from repro.core.session import ArtifactCache, EvaluationSession
 from repro.core.strategies import EvaluationContext
-from repro.datasets import clustered_relation
 
 
 class TestBoundedCache:
@@ -125,7 +123,7 @@ class TestArtifactLayer:
 
 class TestOnlyOneOfEach:
     """The structural guard: what stops the sixth LRU, the fourth rid
-    digest and the backend that cannot run."""
+    digest and a second parallelism knob."""
 
     SRC = pathlib.Path(repro.__file__).parent
 
@@ -235,34 +233,23 @@ class TestOnlyOneOfEach:
             text = (self.SRC / module).read_text(encoding="utf-8")
             assert "try_predicate_mask" not in text, module
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    @pytest.mark.parametrize("backend", ["process", "shm-process"])
-    def test_process_backend_is_gone_not_silently_serial(
-        self, backend, shards
-    ):
-        # Rejected when the options are built, so a single-shard query
-        # (which never dispatches a parallel stage) cannot run on it.
-        assert backend not in BACKENDS
-        relation = clustered_relation(400, seed=2)
-        with pytest.raises(ValueError, match=f"unknown backend '{backend}'"):
-            evaluate(
-                "SELECT PACKAGE(R) FROM Readings R WHERE R.cost <= 50 "
-                "SUCH THAT COUNT(*) <= 2 MAXIMIZE SUM(R.gain)",
-                relation,
-                options=EngineOptions(
-                    shards=shards, parallel_backend=backend
-                ),
-            )
-
-    def test_no_process_backend(self):
+    def test_one_parallel_knob(self):
         # Shard scans are numpy passes that release the GIL: threads
-        # are the one parallel executor, with no shared-memory export
-        # or worker-process pool beside them.
+        # are the one parallel executor, and ``workers`` alone decides
+        # serial or threaded — no backend option, executor class or
+        # worker-process pool beside parallel_map.
+        assert self._files_containing("ThreadPoolExecutor") == {
+            "core/parallel.py"
+        }
         for needle in (
+            "parallel_backend",
+            "ParallelOptions",
+            "ExecutorPool",
+            "BACKENDS",
+            "parallel_refine",
             "shared_memory",
             "ProcessPoolExecutor",
-            "shm_worker_state",
-            "split_positions",
         ):
             assert self._files_containing(needle) == set(), needle
-        assert "shm-process" not in BACKENDS
+        with pytest.raises(TypeError):
+            EngineOptions(parallel_backend="thread")

@@ -11,13 +11,20 @@ use (categorical base constraints, mixed aggregate families,
 disjunctions) rather than minimal synthetic formulas.
 """
 
+import random
+
 import pytest
 
 from repro.core import EngineOptions, SQLGenerateUnsupported
 from repro.core.engine import PackageQueryEvaluator
+from repro.core.result import ResultStatus
+from repro.core.validator import DEFAULT_TOLERANCE
 from repro.datasets import generate_recipes
 from repro.datasets.workload import recipe_workload
+from repro.relational import Relation
+from repro.relational.schema import Column, ColumnType, Schema
 from repro.solver import scipy_available
+from repro.solver.branch_and_bound import _CAPACITY_TOL
 
 RECIPES = generate_recipes(22, seed=11)
 WORKLOAD = recipe_workload(12, base_seed=500, max_count=3)
@@ -92,3 +99,82 @@ def test_workload_covers_multiple_feasibility_outcomes():
         for query in WORKLOAD
     }
     assert verdicts == {True, False} or verdicts == {True}
+
+
+# ---------------------------------------------------------------------------
+# Decimal data: sums that float arithmetic cannot represent exactly
+# ---------------------------------------------------------------------------
+
+_DECIMAL_SCHEMA = Schema(
+    [Column("cost", ColumnType.FLOAT), Column("gain", ColumnType.FLOAT)]
+)
+
+
+def _decimal_relation(pairs):
+    return Relation(
+        "T",
+        _DECIMAL_SCHEMA,
+        [{"cost": cost, "gain": gain} for cost, gain in pairs],
+    )
+
+
+def _knapsack_query(capacity, count=None):
+    cardinality = "" if count is None else f" AND COUNT(*) <= {count}"
+    return (
+        f"SELECT PACKAGE(T) FROM T SUCH THAT SUM(T.cost) <= {capacity}"
+        f"{cardinality} MAXIMIZE SUM(T.gain)"
+    )
+
+
+def _verdict(relation, query, strategy):
+    result = PackageQueryEvaluator(relation).evaluate(
+        query, EngineOptions(strategy=strategy)
+    )
+    return result.status, result.objective
+
+
+def test_ilp_agrees_with_brute_force_on_decimal_knapsacks():
+    # One-decimal costs and gains: a package whose decimal sum equals
+    # the capacity has a float sum an ulp either side of it, which the
+    # validator's boundary tolerance accepts.  Brute force, judged by
+    # the validator, is the reference; sql is left out because its
+    # generated SQL compares sums exactly.
+    rng = random.Random(2024)
+    disagreements = []
+    for draw in range(200):
+        n = rng.randint(1, 8)
+        pairs = [
+            (rng.randint(1, 30) / 10, rng.randint(0, 30) / 10) for _ in range(n)
+        ]
+        capacity = rng.randint(0, 10 * n) / 10
+        count = rng.choice([None, rng.randint(1, n)])
+        relation = _decimal_relation(pairs)
+        query = _knapsack_query(capacity, count)
+        judge = _verdict(relation, query, "brute-force")
+        ilp = _verdict(relation, query, "ilp")
+        if ilp[0] is not judge[0] or ilp[1] != pytest.approx(judge[1], abs=1e-9):
+            disagreements.append((draw, pairs, query, ilp, judge))
+    assert disagreements == []
+
+
+def test_knapsack_fast_path_admits_a_sum_equal_to_the_capacity():
+    # 0.5 + 0.9 + 0.3 + 0.1 is 1.8 in decimals; the fast path used to
+    # refuse the last item on a capacity drained by float subtraction.
+    # Its capacity slack is the validator's tolerance.
+    assert _CAPACITY_TOL == DEFAULT_TOLERANCE
+    relation = _decimal_relation([(0.5, 8), (0.3, 2), (0.9, 6), (0.1, 1)])
+    query = _knapsack_query(1.8)
+    for strategy in ("ilp", "brute-force"):
+        status, objective = _verdict(relation, query, strategy)
+        assert status is ResultStatus.OPTIMAL, strategy
+        assert objective == pytest.approx(17.0), strategy
+
+
+@pytest.mark.parametrize("strategy", ["ilp", "brute-force", "sql"])
+def test_empty_optimal_package_is_optimal(strategy):
+    # Every item is dearer than the capacity: the empty package is the
+    # optimum, not a proof of infeasibility.
+    relation = _decimal_relation([(0.9, 1.0), (0.5, 1.0), (0.4, 1.0)])
+    status, objective = _verdict(relation, _knapsack_query(0.3), strategy)
+    assert status is ResultStatus.OPTIMAL
+    assert objective == 0.0

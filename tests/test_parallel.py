@@ -8,8 +8,6 @@ import time
 import pytest
 
 from repro.core.parallel import (
-    ExecutorPool,
-    ParallelOptions,
     available_cpus,
     chunk_slices,
     collect_parallel_events,
@@ -186,45 +184,89 @@ class TestParallelMap:
         for item in (0, 1, 3, 4, 5):
             assert calls.count(item) == 1
 
-    def test_serial_backend(self):
-        assert parallel_map(lambda x: x + 1, range(4), backend="serial") == [
-            1,
-            2,
-            3,
-            4,
-        ]
-
 
 class TestParallelEvents:
     def test_noop_outside_collector(self):
         # Must not raise, must not leak state anywhere.
-        note_parallel_event("thread", "whatever")
+        note_parallel_event("whatever")
 
     def test_events_deduplicate(self):
         events = []
         with collect_parallel_events(events):
-            note_parallel_event("thread", "same reason")
-            note_parallel_event("thread", "same reason")
-            note_parallel_event("thread", "other reason")
+            note_parallel_event("same reason")
+            note_parallel_event("same reason")
+            note_parallel_event("other reason")
         assert len(events) == 2
 
     def test_collectors_nest_and_restore(self):
         outer, inner = [], []
         with collect_parallel_events(outer):
-            note_parallel_event("thread", "outer event")
+            note_parallel_event("outer event")
             with collect_parallel_events(inner):
-                note_parallel_event("thread", "inner event")
-            note_parallel_event("thread", "outer again")
+                note_parallel_event("inner event")
+            note_parallel_event("outer again")
         assert [e["fallback"] for e in outer] == ["outer event", "outer again"]
         assert [e["fallback"] for e in inner] == ["inner event"]
 
 
-class TestExecutorPool:
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            ParallelOptions(backend="gpu")
+class TestOneWorkerCreatesNoPool:
+    """``workers=1`` runs every ``parallel_map`` call site as a plain
+    loop: the sharded WHERE, the candidate-column gather, partition
+    binning and ``ShardedRelation.bulk_aggregate``."""
 
-    def test_reusable_across_calls(self):
-        pool = ExecutorPool(ParallelOptions(workers=2))
-        assert pool.map(lambda x: -x, [1, 2]) == [-1, -2]
-        assert pool.map(lambda x: x * x, [3, 4]) == [9, 16]
+    QUERY = (
+        "SELECT PACKAGE(U) FROM Uniform U WHERE U.cost >= 0 "
+        "SUCH THAT COUNT(*) = 4 AND SUM(U.cost) <= 80 MAXIMIZE SUM(U.gain)"
+    )
+
+    @pytest.fixture(scope="class")
+    def relation(self):
+        from repro.datasets import uniform_relation
+
+        # Past SHARD_GATHER_MIN_CANDIDATES, so the gather fans out too.
+        return uniform_relation(40000, columns=("cost", "gain"), seed=1)
+
+    def _pool_sites(self, monkeypatch, relation, workers):
+        """The functions that created a thread pool, one entry a pool."""
+        import concurrent.futures
+        import sys
+
+        from repro.core import EngineOptions
+        from repro.core.engine import evaluate
+        from repro.relational.sharding import ShardedRelation
+
+        sites = []
+
+        class CountingExecutor(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                # Frames: here, _thread_map, parallel_map, the call site.
+                sites.append(sys._getframe(3).f_code.co_name)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(
+            concurrent.futures, "ThreadPoolExecutor", CountingExecutor
+        )
+        result = evaluate(
+            self.QUERY,
+            relation,
+            options=EngineOptions(
+                strategy="partition", shards=4, workers=workers
+            ),
+        )
+        assert result.found
+        assert result.stats["shards"]["workers"] == workers
+        ShardedRelation(relation, 4).bulk_aggregate(
+            "max", "cost", rids=range(0, len(relation), 3), workers=workers
+        )
+        return sites
+
+    def test_two_workers_reach_every_site(self, monkeypatch, relation):
+        assert set(self._pool_sites(monkeypatch, relation, 2)) == {
+            "_sharded_candidates",
+            "_gather",
+            "build_partitioning",
+            "bulk_aggregate",
+        }
+
+    def test_one_worker_creates_no_pool(self, monkeypatch, relation):
+        assert self._pool_sites(monkeypatch, relation, 1) == []

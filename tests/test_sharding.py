@@ -497,20 +497,10 @@ class TestShardParity:
         assert sharded_stats == baseline_stats
 
     @pytest.mark.parametrize(
-        "shards, workers, backend",
-        [
-            (3, 1, "thread"),
-            (3, 4, "thread"),
-            (8, 1, "thread"),
-            (8, 2, "thread"),
-            (8, 4, "thread"),
-            (64, 1, "thread"),
-            (64, 4, "thread"),
-        ],
+        "shards, workers",
+        [(3, 1), (3, 4), (8, 1), (8, 2), (8, 4), (64, 1), (64, 4)],
     )
-    def test_clustered_band_query_parity(
-        self, clustered_band, shards, workers, backend
-    ):
+    def test_clustered_band_query_parity(self, clustered_band, shards, workers):
         # Append-ordered data and a selective ts band: zone maps skip
         # most shards, and the survivors' merge order decides the
         # candidate list every later stage sees.
@@ -519,9 +509,7 @@ class TestShardParity:
         try:
             sharded = evaluator.evaluate(
                 _BAND_QUERY,
-                EngineOptions(
-                    shards=shards, workers=workers, parallel_backend=backend
-                ),
+                EngineOptions(shards=shards, workers=workers),
             )
         finally:
             evaluator.close()
@@ -703,79 +691,3 @@ class TestShardedPruning:
         unsharded = plan(query, relation)
         assert outcome.candidate_count == unsharded.candidate_count
         assert outcome.chosen_strategy == unsharded.chosen_strategy
-
-
-# ---------------------------------------------------------------------------
-# The parallel partition refinement
-# ---------------------------------------------------------------------------
-
-class TestParallelRefine:
-    #: Bimodal costs: any package with SUM(cost) in [130, 140] must mix
-    #: one ~40-cost tuple with one ~95-cost tuple, so the sketch loads
-    #: representatives from (at least) two partitions and the first
-    #: refinement runs as a multi-partition wave.
-    @staticmethod
-    def _bimodal_relation():
-        schema = Schema(
-            [
-                Column("label", ColumnType.TEXT),
-                Column("cost", ColumnType.FLOAT),
-                Column("gain", ColumnType.FLOAT),
-            ]
-        )
-        rows = []
-        for i in range(60):
-            rows.append(
-                {
-                    "label": f"lo{i}",
-                    "cost": 38.0 + (i % 9) * 0.5,
-                    "gain": float(i % 13),
-                }
-            )
-            rows.append(
-                {
-                    "label": f"hi{i}",
-                    "cost": 93.0 + (i % 9) * 0.5,
-                    "gain": float((i * 7) % 11),
-                }
-            )
-        return Relation("Split", schema, rows)
-
-    _QUERY = (
-        "SELECT PACKAGE(S) FROM Split S WHERE S.cost > 0 "
-        "SUCH THAT COUNT(*) = 2 AND SUM(S.cost) BETWEEN 130 AND 140 "
-        "MAXIMIZE SUM(S.gain)"
-    )
-
-    def _run(self, relation, workers, parallel_refine):
-        from repro.core.partitioning import PartitionOptions
-
-        return PackageQueryEvaluator(relation).evaluate(
-            self._QUERY,
-            EngineOptions(
-                strategy="partition",
-                workers=workers,
-                partition=PartitionOptions(
-                    num_partitions=4, parallel_refine=parallel_refine
-                ),
-            ),
-        )
-
-    def test_wave_refinement_is_deterministic_and_valid(self):
-        from repro.core.validator import validate
-
-        relation = self._bimodal_relation()
-        serial = self._run(relation, workers=1, parallel_refine=True)
-        threaded = self._run(relation, workers=4, parallel_refine=True)
-        assert serial.found and threaded.found
-        assert validate(serial.package, serial.query).valid
-        assert serial.package.counts == threaded.package.counts
-        assert serial.objective == threaded.objective
-        assert serial.stats.get("refine_waves", 0) >= 1
-        assert serial.stats["refine_waves"] == threaded.stats["refine_waves"]
-
-    def test_sequential_refinement_still_default(self):
-        relation = self._bimodal_relation()
-        result = self._run(relation, workers=4, parallel_refine=False)
-        assert result.found
-        assert "refine_waves" not in result.stats
