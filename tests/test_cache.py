@@ -16,10 +16,12 @@ from repro.core.artifact_store import (
     SHARD_LAYERS,
     ArtifactStore,
 )
+from repro.core import parallel
 from repro.core.cache import ArtifactLayer, BoundedCache
 from repro.core.engine import EngineOptions, PackageQueryEvaluator, evaluate
 from repro.core.session import ArtifactCache, EvaluationSession
 from repro.core.strategies import EvaluationContext
+from repro.datasets import clustered_relation
 
 
 class TestBoundedCache:
@@ -233,11 +235,42 @@ class TestOnlyOneOfEach:
             text = (self.SRC / module).read_text(encoding="utf-8")
             assert "try_predicate_mask" not in text, module
 
-    def test_one_parallel_knob(self):
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("backend", ["process", "shm-process"])
+    def test_process_backend_is_gone_not_silently_serial(
+        self, backend, shards
+    ):
+        # There is no backend option left to name one: asking for it
+        # fails when the options are built or the call is made, so a
+        # single-shard query (which never dispatches a parallel stage)
+        # cannot quietly run serially instead.
+        relation = clustered_relation(400, seed=2)
+        query = (
+            "SELECT PACKAGE(R) FROM Readings R WHERE R.cost <= 50 "
+            "SUCH THAT COUNT(*) <= 2 MAXIMIZE SUM(R.gain)"
+        )
+        with pytest.raises(TypeError, match="parallel_backend"):
+            EngineOptions(shards=shards, parallel_backend=backend)
+        with pytest.raises(TypeError, match="parallel_backend"):
+            evaluate(query, relation, shards=shards, parallel_backend=backend)
+
+    def test_no_process_backend(self):
         # Shard scans are numpy passes that release the GIL: threads
-        # are the one parallel executor, and ``workers`` alone decides
-        # serial or threaded — no backend option, executor class or
-        # worker-process pool beside parallel_map.
+        # are the one parallel executor, with no shared-memory export
+        # or worker-process pool beside them.
+        for needle in (
+            "shared_memory",
+            "ProcessPoolExecutor",
+            "shm_worker_state",
+            "split_positions",
+        ):
+            assert self._files_containing(needle) == set(), needle
+        assert not hasattr(parallel, "BACKENDS")
+
+    def test_one_parallel_knob(self):
+        # ``workers`` alone decides serial or threaded: no backend
+        # option, executor class or refinement waves beside
+        # parallel_map.
         assert self._files_containing("ThreadPoolExecutor") == {
             "core/parallel.py"
         }
@@ -247,8 +280,6 @@ class TestOnlyOneOfEach:
             "ExecutorPool",
             "BACKENDS",
             "parallel_refine",
-            "shared_memory",
-            "ProcessPoolExecutor",
         ):
             assert self._files_containing(needle) == set(), needle
         with pytest.raises(TypeError):
