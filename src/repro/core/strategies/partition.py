@@ -42,23 +42,6 @@ from repro.solver.status import Status
 _SOLVED = (Status.OPTIMAL, Status.FEASIBLE)
 
 
-def _summarize(translation, solution, backend):
-    """One refinement attempt's compact outcome.
-
-    No model or solver state outlives the attempt — only the status,
-    objective, node count, and the nonzero variable counts the caller
-    needs to commit pins.
-    """
-    counts = translation.counts(solution) if solution.status in _SOLVED else {}
-    return {
-        "status": solution.status,
-        "objective": solution.objective,
-        "nodes": solution.nodes,
-        "backend": backend,
-        "counts": counts,
-    }
-
-
 def _pinned_translation(query, relation, rids, upper, pins):
     """The refinement model over ``rids`` with ``pins`` (a subset of
     them, ``{rid: multiplicity}``) fixed by equality rows."""
@@ -193,15 +176,11 @@ class PartitionStrategy(Strategy):
                 ctx.query, ctx.relation, rids, upper, pinned
             )
             solution, backend = solve_model(translation.model, ctx.options)
-            return translation, solution, backend
+            stats["solver_backend"] = backend
+            stats["solver_nodes"] += solution.nodes
+            return translation, solution
 
-        def account(outcome):
-            stats["solver_backend"] = outcome["backend"]
-            stats["solver_nodes"] += outcome["nodes"]
-
-        translation, solution, backend = attempt(None)
-        summary = _summarize(translation, solution, backend)
-        account(summary)
+        translation, solution = attempt(None)
         stats["sketch_variables"] = len(translation.x_vars)
         if solution.status not in _SOLVED:
             return self._fallback(
@@ -224,8 +203,8 @@ class PartitionStrategy(Strategy):
                 stats=stats,
             )
 
+        counts = translation.counts(solution)
         while True:
-            counts = summary["counts"]
             loaded = [
                 group_index
                 for group_index in unrefined
@@ -238,21 +217,20 @@ class PartitionStrategy(Strategy):
                 loaded,
                 key=lambda q: (counts[parts.representatives[q]], -q),
             )
-            summary = _summarize(*attempt(target))
-            account(summary)
+            translation, solution = attempt(target)
             stats["refine_steps"] += 1
-            if summary["status"] not in _SOLVED:
+            if solution.status not in _SOLVED:
                 return self._fallback(
                     ctx,
                     f"refine step {stats['refine_steps']} "
-                    f"{summary['status'].value}",
+                    f"{solution.status.value}",
                     stats,
                 )
 
             unrefined.discard(target)
-            refined_counts = summary["counts"]
+            counts = translation.counts(solution)
             for rid in parts.groups[target]:
-                value = refined_counts.get(rid, 0)
+                value = counts.get(rid, 0)
                 if value > 0:
                     pinned[rid] = value
 

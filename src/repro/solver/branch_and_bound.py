@@ -49,11 +49,13 @@ INT_TOL = 1e-6
 #: search's exact-mode slack in :func:`_gap_slack`).
 _KNAPSACK_EPS = 1e-9
 
-#: Relative slack of the knapsack fast path's capacity check: the
-#: package validator's boundary tolerance
-#: (``repro.core.validator.DEFAULT_TOLERANCE``), so the fast path
-#: admits the weight sums the validator accepts.
-_CAPACITY_TOL = 1e-9
+#: Relative slack of the knapsack fast path's capacity check, a few
+#: ulps: a weight sum that equals the capacity in decimals may round an
+#: ulp or two above it and still fits.  For capacities below about 1e9
+#: it stays under the translator's strict-comparison epsilon
+#: (``SUM(x) < C`` arrives as ``<= C - 1e-6``), so a sum equal to a
+#: strict cap does not fit.
+_CAPACITY_ULPS = 4 * np.finfo(np.float64).eps
 
 
 class BranchAndBoundOptions:
@@ -132,11 +134,11 @@ def _solve_knapsack(model, c, A, senses, b, lower, upper, options):
     its remaining subproblem, computed from prefix sums with one binary
     search instead of a simplex solve.
 
-    A package fits when its weight sum is at most the capacity plus the
-    validator's relative slack (:data:`_CAPACITY_TOL`).  The sum is the
-    running sum of the taken weights in ratio order; a backtrack
-    restores the sum saved before the take instead of subtracting, so
-    no rounding drift accumulates over the search.
+    A package fits when its weight sum is at most the capacity plus a
+    few ulps (:data:`_CAPACITY_ULPS`).  The sum is a compensated running
+    sum of the taken weights in ratio order, so it stays within an ulp
+    of the exact sum however many items are taken, and a backtrack
+    restores the sum saved before the take instead of subtracting.
     """
     n = len(c)
     if n == 0 or len(senses) != 1 or senses[0] is not ConstraintSense.LE:
@@ -150,7 +152,7 @@ def _solve_knapsack(model, c, A, senses, b, lower, upper, options):
     gains = -c  # minimize orientation; gains >= 0 means MAXIMIZE
     if capacity < 0 or np.any(weights < 0) or np.any(gains < 0):
         return None
-    limit = capacity + _CAPACITY_TOL * max(1.0, capacity)
+    limit = capacity + _CAPACITY_ULPS * max(1.0, capacity)
 
     x = np.zeros(n)
     base_value = 0.0
@@ -180,14 +182,16 @@ def _solve_knapsack(model, c, A, senses, b, lower, upper, options):
             bound += item_gains[full] * room / item_weights[full]
         return bound
 
+    weight_list = item_weights.tolist()
     taken = np.zeros(m, dtype=bool)
-    # Stack of (position, weight sum, value) before each take, for O(1)
-    # backtracking that restores the sums exactly.
+    # Stack of (position, weight sum, its rounding error, value) before
+    # each take, for O(1) backtracking that restores the sums exactly.
     takes = []
     best_value = -math.inf
     best_taken = None
     j = 0
     used = 0.0
+    drift = 0.0  # accumulated rounding error of ``used``
     value = 0.0
     nodes = 0  # branch points (backtrack flips), comparable across solvers
     steps = 0
@@ -208,13 +212,19 @@ def _solve_knapsack(model, c, A, senses, b, lower, upper, options):
                 limited = True
                 break
             steps += 1
-            if dual_bound(j, limit - used, value) <= best_value + _KNAPSACK_EPS:
+            if dual_bound(j, limit - used - drift, value) <= best_value + _KNAPSACK_EPS:
                 pruned = True
                 break
-            if used + item_weights[j] <= limit:
+            weight = weight_list[j]
+            total = used + weight
+            # TwoSum: the exact rounding error of ``used + weight``.
+            back = total - used
+            error = (used - (total - back)) + (weight - back)
+            if total + (drift + error) <= limit:
                 taken[j] = True
-                takes.append((j, used, value))
-                used += item_weights[j]
+                takes.append((j, used, drift, value))
+                used = total
+                drift += error
                 value += item_gains[j]
             j += 1
         if limited:
@@ -229,17 +239,18 @@ def _solve_knapsack(model, c, A, senses, b, lower, upper, options):
             if nodes >= options.node_limit:
                 limited = True
                 break
-            i, used, value = takes.pop()
+            i, used, drift, value = takes.pop()
             taken[i] = False
             j = i + 1
             nodes += 1
-            if dual_bound(j, limit - used, value) > best_value + _KNAPSACK_EPS:
+            if dual_bound(j, limit - used - drift, value) > best_value + _KNAPSACK_EPS:
                 break  # the skip branch is still promising
         if limited:
             break
         if not takes and (
             j > m
-            or dual_bound(j, limit - used, value) <= best_value + _KNAPSACK_EPS
+            or dual_bound(j, limit - used - drift, value)
+            <= best_value + _KNAPSACK_EPS
         ):
             break
 

@@ -16,7 +16,6 @@ from repro.core.artifact_store import (
     SHARD_LAYERS,
     ArtifactStore,
 )
-from repro.core import parallel
 from repro.core.cache import ArtifactLayer, BoundedCache
 from repro.core.engine import EngineOptions, PackageQueryEvaluator, evaluate
 from repro.core.session import ArtifactCache, EvaluationSession
@@ -240,17 +239,15 @@ class TestOnlyOneOfEach:
     def test_process_backend_is_gone_not_silently_serial(
         self, backend, shards
     ):
-        # There is no backend option left to name one: asking for it
-        # fails when the options are built or the call is made, so a
-        # single-shard query (which never dispatches a parallel stage)
-        # cannot quietly run serially instead.
+        # The one-call shortcut has no backend keyword either: naming
+        # one fails at the call, so a single-shard query (which never
+        # dispatches a parallel stage) cannot quietly run serially.
+        # test_one_parallel_knob checks the same for EngineOptions.
         relation = clustered_relation(400, seed=2)
         query = (
             "SELECT PACKAGE(R) FROM Readings R WHERE R.cost <= 50 "
             "SUCH THAT COUNT(*) <= 2 MAXIMIZE SUM(R.gain)"
         )
-        with pytest.raises(TypeError, match="parallel_backend"):
-            EngineOptions(shards=shards, parallel_backend=backend)
         with pytest.raises(TypeError, match="parallel_backend"):
             evaluate(query, relation, shards=shards, parallel_backend=backend)
 
@@ -265,7 +262,6 @@ class TestOnlyOneOfEach:
             "split_positions",
         ):
             assert self._files_containing(needle) == set(), needle
-        assert not hasattr(parallel, "BACKENDS")
 
     def test_one_parallel_knob(self):
         # ``workers`` alone decides serial or threaded: no backend

@@ -18,13 +18,11 @@ import pytest
 from repro.core import EngineOptions, SQLGenerateUnsupported
 from repro.core.engine import PackageQueryEvaluator
 from repro.core.result import ResultStatus
-from repro.core.validator import DEFAULT_TOLERANCE
 from repro.datasets import generate_recipes
 from repro.datasets.workload import recipe_workload
 from repro.relational import Relation
 from repro.relational.schema import Column, ColumnType, Schema
 from repro.solver import scipy_available
-from repro.solver.branch_and_bound import _CAPACITY_TOL
 
 RECIPES = generate_recipes(22, seed=11)
 WORKLOAD = recipe_workload(12, base_seed=500, max_count=3)
@@ -118,10 +116,10 @@ def _decimal_relation(pairs):
     )
 
 
-def _knapsack_query(capacity, count=None):
+def _knapsack_query(capacity, count=None, op="<="):
     cardinality = "" if count is None else f" AND COUNT(*) <= {count}"
     return (
-        f"SELECT PACKAGE(T) FROM T SUCH THAT SUM(T.cost) <= {capacity}"
+        f"SELECT PACKAGE(T) FROM T SUCH THAT SUM(T.cost) {op} {capacity}"
         f"{cardinality} MAXIMIZE SUM(T.gain)"
     )
 
@@ -157,11 +155,43 @@ def test_ilp_agrees_with_brute_force_on_decimal_knapsacks():
     assert disagreements == []
 
 
+def test_ilp_agrees_with_brute_force_under_strict_caps_above_1000():
+    # Half-unit costs above 1000 sum exactly in floats, so the judge
+    # sees exact sums, and a package whose sum equals a strict cap
+    # must be refused: the capacity slack must stay below the
+    # translator's strict-comparison epsilon at any capacity.
+    rng = random.Random(2025)
+    disagreements = []
+    for draw in range(100):
+        n = rng.randint(1, 6)
+        pairs = [
+            (1000 + rng.randint(1, 8) / 2, rng.randint(0, 30) / 10)
+            for _ in range(n)
+        ]
+        capacity = 1000 * rng.randint(1, n) + rng.randint(0, 8 * n) / 2
+        count = rng.choice([None, rng.randint(1, n)])
+        relation = _decimal_relation(pairs)
+        query = _knapsack_query(capacity, count, op="<")
+        judge = _verdict(relation, query, "brute-force")
+        ilp = _verdict(relation, query, "ilp")
+        if ilp[0] is not judge[0] or ilp[1] != pytest.approx(judge[1], abs=1e-9):
+            disagreements.append((draw, pairs, query, ilp, judge))
+    assert disagreements == []
+
+
+def test_knapsack_fast_path_refuses_a_sum_equal_to_a_strict_cap():
+    # 1000.5 + 999.5 is exactly 2000.0, which `< 2000` rejects.
+    relation = _decimal_relation([(1000.5, 1.0), (999.5, 1.0)])
+    query = _knapsack_query(2000, op="<")
+    for strategy in ("ilp", "brute-force"):
+        status, objective = _verdict(relation, query, strategy)
+        assert status is ResultStatus.OPTIMAL, strategy
+        assert objective == pytest.approx(1.0), strategy
+
+
 def test_knapsack_fast_path_admits_a_sum_equal_to_the_capacity():
     # 0.5 + 0.9 + 0.3 + 0.1 is 1.8 in decimals; the fast path used to
     # refuse the last item on a capacity drained by float subtraction.
-    # Its capacity slack is the validator's tolerance.
-    assert _CAPACITY_TOL == DEFAULT_TOLERANCE
     relation = _decimal_relation([(0.5, 8), (0.3, 2), (0.9, 6), (0.1, 1)])
     query = _knapsack_query(1.8)
     for strategy in ("ilp", "brute-force"):
