@@ -292,8 +292,10 @@ class PackageQueryEvaluator:
         (``vectorized``) — and only when no kernel exists the per-row
         AST interpreter (``interpreted``), the compile-failure
         fallback.  ``shard_info`` is the
-        ``stats["shards"]`` payload when the sharded path ran, else
-        ``None``.
+        ``stats["shards"]`` payload when the sharded path ran, the
+        pushdown's access choice (:meth:`WhereOutcome.access_info
+        <repro.core.pushdown.WhereOutcome.access_info>`) when a
+        sql-backed scan streamed, else ``None``.
 
         For a sql-backed relation the scan runs through the pushdown
         planner (:mod:`repro.core.pushdown`): WHERE conjuncts execute
@@ -306,7 +308,7 @@ class PackageQueryEvaluator:
         """
         if getattr(self._relation, "is_sql_backed", False):
             outcome = self._pushdown_scan(query, options)
-            return list(outcome.candidate_rids), outcome.path, None
+            return list(outcome.candidate_rids), outcome.path, outcome.access_info()
         if query.where is None:
             return list(range(len(self._relation))), "none", None
         if options is not None and options.shards > 1:
@@ -567,8 +569,11 @@ class PackageQueryEvaluator:
                         counts = dict(result.package.counts)
                     result.package = Package(self._relation, counts)
 
-        if state.stream_info is not None:
-            result.stats.setdefault("pushdown", dict(state.stream_info))
+        if state.stream_info is not None or state.where_access is not None:
+            result.stats.setdefault(
+                "pushdown",
+                {**(state.where_access or {}), **(state.stream_info or {})},
+            )
         if parallel_events:
             result.stats["parallel"] = parallel_events
         if state.shard_info is not None:

@@ -164,7 +164,10 @@ def stage_table(records, parallel=None, artifacts=None):
     events, rendered as a footer so a silent thread-pool fallback is
     never invisible in an EXPLAIN.  ``artifacts`` takes the
     ``stats["artifacts"]`` durable-store counter delta, rendered as a
-    footer line (hits/misses/writes/rejections for this query).
+    footer line (hits/misses/writes/rejections for this query).  A
+    sql-pushdown WHERE adds a footer line naming how sqlite reached
+    the rows (``index`` or ``rowid-range``) and the two row counts
+    that decided it.
     Returns a list of lines.
     """
     records = [
@@ -207,6 +210,14 @@ def stage_table(records, parallel=None, artifacts=None):
     for row in body:
         lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(headers))))
     lines = [line.rstrip() for line in lines]
+    for record in records:
+        if record.name == STAGE_WHERE and record.detail.get("access"):
+            detail = record.detail
+            lines.append(
+                f"sql access: {detail['access']} (prefilter "
+                f"{detail['prefilter_rows']} rows, kept zones "
+                f"{detail['kept_rows']} rows)"
+            )
     if parallel:
         lines.append("parallel fallbacks:")
         for event in parallel:

@@ -87,6 +87,8 @@ class PipelineState:
     relation: object = None
     rid_map: object = None
     stream_info: dict | None = None
+    #: The sql-pushdown WHERE's access choice (``WhereOutcome.access_info``).
+    where_access: dict | None = None
     base_candidate_count: int = 0
     #: ``CandidateColumns`` over ``relation`` and ``candidate_rids``,
     #: built after zone-skip; reduction rounds narrow it.
@@ -154,19 +156,24 @@ def _run_where(state):
         )
         return
     started = time.perf_counter()
-    rids, path, shard_info = state.evaluator.filtered_candidates(
+    rids, path, scan_info = state.evaluator.filtered_candidates(
         state.query, state.options, artifacts=state.artifacts
     )
     state.candidate_rids = rids
     state.where_path = path
-    state.shard_info = shard_info
+    detail = {"path": path}
+    if getattr(state.evaluator.relation, "is_sql_backed", False):
+        state.where_access = scan_info
+        detail.update(scan_info or {})
+    else:
+        state.shard_info = scan_info
     state.record(
         StageRecord(
             STAGE_WHERE,
             rows_in=rows,
             rows_out=len(rids),
             seconds=time.perf_counter() - started,
-            detail={"path": path},
+            detail=detail,
         )
     )
 

@@ -15,7 +15,10 @@ the *entire* global formula over the k-tuple's aggregate expressions
 n-ary scalar ``MIN``, ``AVG`` divides the two, ``COUNT(*)`` folds to
 the constant ``k``), and — when the query has an objective — orders by
 the objective expression so ``LIMIT 1`` returns the best package of
-that cardinality.  The per-k winners are compared in Python.
+that cardinality.  The per-k winners are compared in Python.  A
+non-strict comparison holds within the validator's relative slack,
+exactly as :func:`~repro.core.validator.check_global` judges it, so a
+decimal sum one ulp past its bound is accepted here too.
 
 This strategy is exact on its supported fragment but inherits the
 k-way join's combinatorial cost, which is precisely why the paper
@@ -42,8 +45,16 @@ from repro.paql.to_sql import sql_constant, to_sql
 from repro.core.formula import normalize_formula
 from repro.core.package import Package
 from repro.core.pruning import derive_bounds
-from repro.core.validator import compare_objectives, objective_value
+from repro.core.validator import (
+    DEFAULT_TOLERANCE,
+    compare_objectives,
+    objective_value,
+)
 from repro.core.vectorize import CandidateColumns
+
+
+#: Comparisons that hold within the validator's tolerance.
+_WIDENED = (ast.CmpOp.LE, ast.CmpOp.GE, ast.CmpOp.EQ)
 
 
 class SQLGenerateUnsupported(Exception):
@@ -151,7 +162,27 @@ def _formula_sql(node, aliases, columns, params):
     if isinstance(node, ast.Comparison):
         left = _scalar_sql(node.left, aliases, columns, params)
         right = _scalar_sql(node.right, aliases, columns, params)
-        return f"({left} {node.op.value} {right})"
+        exact = f"({left} {node.op.value} {right})"
+        if node.op not in _WIDENED:
+            return exact
+        # A non-strict comparison that fails exactly gets the
+        # validator's relative slack (check_global), so a decimal sum
+        # an ulp past its bound still holds; strict ones stay exact.
+        # Each operand renders again to bind its constants in order.
+        left = _scalar_sql(node.left, aliases, columns, params)
+        right = _scalar_sql(node.right, aliases, columns, params)
+        slack = (
+            f"{sql_constant(DEFAULT_TOLERANCE, params)} * MAX(1.0, "
+            f"ABS({_scalar_sql(node.left, aliases, columns, params)}), "
+            f"ABS({_scalar_sql(node.right, aliases, columns, params)}))"
+        )
+        if node.op is ast.CmpOp.LE:
+            tolerant = f"{left} <= {right} + {slack}"
+        elif node.op is ast.CmpOp.GE:
+            tolerant = f"{left} >= {right} - {slack}"
+        else:
+            tolerant = f"ABS({left} - {right}) <= {slack}"
+        return f"({exact} OR ({tolerant}))"
     raise SQLGenerateUnsupported(
         f"cannot render node {type(node).__name__} for SQL generation"
     )

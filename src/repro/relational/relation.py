@@ -440,10 +440,11 @@ class Relation:
 
         Each batch becomes typed columns as it arrives (values are
         type-checked one column at a time), and the batches' columns
-        are concatenated at the end — the shape
-        :meth:`SqlRelation.iter_batches
-        <repro.relational.sql_relation.SqlRelation.iter_batches>`
-        streams rows in.
+        are concatenated at the end.  Batches take the shape
+        :meth:`SqlRelation.from_row_batches
+        <repro.relational.sql_relation.SqlRelation.from_row_batches>`
+        loads; a sql-backed relation streams columns back out, which
+        :meth:`from_columns` builds from.
 
         Raises:
             ValueError: on a row whose width is not the schema's.

@@ -19,7 +19,15 @@ Design points:
   as NULL — storing it naively would silently conflate NaN *data* with
   SQL NULL, which the engine's three-valued logic treats differently.
   Every FLOAT column therefore gets a hidden ``<name>__nan`` INTEGER
-  flag column; NaN stores as ``(NULL, 1)`` and reads back as NaN.
+  flag column; NaN stores as ``(NULL, 1)`` and reads back as NaN.  The
+  same flag keeps the sign of ``-0.0`` (``(0.0, 2)``), which sqlite
+  drops when it stores an integral REAL as an integer.
+
+* **Data crosses the boundary a column at a time.**  A loaded batch is
+  transposed once and bound to ``executemany`` as one ``zip`` over its
+  column lists; a fetched batch is transposed once and each column
+  becomes one numpy array (:class:`ColumnBatch`).  No Python code runs
+  per cell on either side, except in a non-FLOAT column holding a NULL.
 
 * **Identity matches the in-memory path bit for bit.**  The content
   fingerprint is accumulated *during load* by streaming the same
@@ -50,6 +58,7 @@ import json
 import math
 import sqlite3
 from dataclasses import astuple
+from itertools import repeat
 
 import numpy as np
 
@@ -59,7 +68,7 @@ from repro.relational.content_hash import (
     fingerprint_parts,
     schema_signature,
 )
-from repro.relational.relation import Relation
+from repro.relational.relation import _TYPED, Relation
 from repro.relational.schema import (
     Column,
     Schema,
@@ -70,7 +79,13 @@ from repro.relational.schema import (
 from repro.relational.sharding import ZoneStats, zone_stats_of
 from repro.relational.types import ColumnType
 
-__all__ = ["SqlRelation", "SqlRelationError", "DEFAULT_ZONE_ROWS", "STREAM_BATCH_ROWS"]
+__all__ = [
+    "ColumnBatch",
+    "SqlRelation",
+    "SqlRelationError",
+    "DEFAULT_ZONE_ROWS",
+    "STREAM_BATCH_ROWS",
+]
 
 #: Rows per zone for the SQL zone map.  Bigger than the in-memory
 #: shard default because zones here only gate streaming, and a 10M-row
@@ -81,6 +96,14 @@ DEFAULT_ZONE_ROWS = 65536
 #: mini-relation for the exact recheck, so this trades peak memory
 #: against per-batch kernel-compile overhead.
 STREAM_BATCH_ROWS = 65536
+
+#: Rows per slice a loaded batch is transposed and bound in.  Each
+#: slice's per-column temporaries stay near 64 KB: after a 220k-row
+#: load in 65 536-row batches, whole-batch columns left glibc's heap
+#: holding about 21 MB of freed memory against 4 MB for these slices
+#: (resident set before and after ``malloc_trim``), and a later
+#: query's peak resident set starts from that floor.
+LOAD_SLICE_ROWS = 8192
 
 _META_TABLE = "_repro_meta"
 
@@ -118,83 +141,236 @@ def _parse_schema(signature):
     return Schema(columns)
 
 
-def _encoders(schema):
-    """Per-column converters from engine values to stored sql tuples.
+#: ``<float>__nan`` flag codes.  0 is an ordinary value (NULL when the
+#: value column is NULL); sqlite cannot store NaN, nor the sign of a
+#: zero (it keeps an integral REAL as an integer), so those two values
+#: store as ``(NULL, 1)`` and ``(0.0, 2)``.  Files written before the
+#: ``2`` code existed never contain it and read back unchanged.
+NAN_FLAG = 1
+NEGATIVE_ZERO_FLAG = 2
 
-    FLOAT columns expand to ``(value, nan_flag)`` pairs; all other
-    columns encode to a single stored value.
-    """
-    encoders = []
-    for column in schema:
-        if column.type is ColumnType.FLOAT:
-
-            def encode_float(value):
-                if value is None:
-                    return (None, 0)
-                value = float(value)
-                if math.isnan(value):
-                    return (None, 1)
-                return (value, 0)
-
-            encoders.append(encode_float)
-        elif column.type is ColumnType.BOOL:
-            encoders.append(lambda v: (None if v is None else int(v),))
-        else:
-            encoders.append(lambda v: (v,))
-    return encoders
+#: The storage dtype of a decoded column.
+_DTYPES = {
+    ColumnType.FLOAT: np.float64,
+    ColumnType.INT: np.int64,
+    ColumnType.BOOL: bool,
+    ColumnType.TEXT: object,
+}
 
 
-def _decoders(schema, columns=None):
-    """Per-column converters from stored sql values back to engine values.
-
-    Returns ``(select_exprs, decoders)`` where ``select_exprs`` is the
-    list of quoted sql column names to select (FLOAT columns contribute
-    their NaN flag too) and ``decoders`` consume the matching slice of
-    a fetched row, yielding one engine value per schema column.
-    """
-    names = schema.names if columns is None else tuple(columns)
-    select_exprs = []
-    decoders = []
+def _select_exprs(schema, names):
+    """Quoted stored columns of ``names``: a FLOAT adds its flag column."""
+    exprs = []
     for name in names:
-        ctype = schema.type_of(name)
-        if ctype is ColumnType.FLOAT:
-            select_exprs.append(quote_ident(name))
-            select_exprs.append(quote_ident(_nan_column(name)))
-
-            def decode_float(value, flag):
-                if flag:
-                    return float("nan")
-                return None if value is None else float(value)
-
-            decoders.append((2, decode_float))
-        elif ctype is ColumnType.BOOL:
-            select_exprs.append(quote_ident(name))
-            decoders.append((1, lambda v: None if v is None else bool(v)))
-        else:
-            select_exprs.append(quote_ident(name))
-            decoders.append((1, lambda v: v))
-    return select_exprs, decoders
+        exprs.append(quote_ident(name))
+        if schema.type_of(name) is ColumnType.FLOAT:
+            exprs.append(quote_ident(_nan_column(name)))
+    return exprs
 
 
-def _decode_row(raw, decoders):
+def _null_mask(stored):
+    """The NULL mask of one fetched or loaded column."""
+    if None not in stored:
+        return np.zeros(len(stored), dtype=bool)
+    return np.fromiter((value is None for value in stored), bool, len(stored))
+
+
+def _float_flags(values, nulls):
+    """The ``__nan`` flag codes of a float64 column."""
+    flags = np.zeros(len(values), dtype=np.int8)
+    flags[np.isnan(values) & ~nulls] = NAN_FLAG
+    flags[(values == 0.0) & np.signbit(values)] = NEGATIVE_ZERO_FLAG
+    return flags
+
+
+def _decode_column(column_type, stored, flags=None):
+    """``(values, nulls)`` of one column as sqlite returned it.
+
+    ``stored`` is the column's tuple of fetched values, ``flags`` the
+    FLOAT flag column's; each becomes one numpy array in a single pass.
+    """
+    if column_type is ColumnType.FLOAT:
+        values = np.array(stored, dtype=np.float64)  # NULL reads as NaN
+        nulls = np.isnan(values)
+        if any(flags):
+            codes = np.array(flags, dtype=np.int8)
+            nulls &= codes != NAN_FLAG
+            values[codes == NEGATIVE_ZERO_FLAG] = -0.0
+        return values, nulls
+    nulls = _null_mask(stored)
+    if column_type is ColumnType.TEXT:
+        values = np.empty(len(stored), dtype=object)
+        values[:] = stored
+        return values, nulls
+    if nulls.any():
+        stored = [0 if value is None else value for value in stored]
+    return np.array(stored, dtype=_DTYPES[column_type]), nulls
+
+
+def _decode_row(schema, raw):
+    """One fetched row as an engine-value tuple: the one-row read, too
+    short to pay for building arrays."""
     out = []
-    index = 0
-    for width, decode in decoders:
-        out.append(decode(*raw[index : index + width]))
-        index += width
+    stored = iter(raw)
+    for column in schema:
+        value = next(stored)
+        if column.type is ColumnType.FLOAT:
+            flag = next(stored)
+            if flag == NAN_FLAG:
+                value = math.nan
+            elif flag == NEGATIVE_ZERO_FLAG:
+                value = -0.0
+            elif value is not None:
+                value = float(value)
+        elif column.type is ColumnType.BOOL and value is not None:
+            value = bool(value)
+        out.append(value)
     return tuple(out)
+
+
+def _decode_batch(schema, names, stored):
+    """A :class:`ColumnBatch` of columns ``names`` from ``stored``, the
+    fetched values transposed into one tuple per stored column."""
+    columns = {}
+    index = 0
+    for name in names:
+        column_type = schema.type_of(name)
+        if column_type is ColumnType.FLOAT:
+            columns[name] = _decode_column(
+                column_type, stored[index], stored[index + 1]
+            )
+            index += 2
+        else:
+            columns[name] = _decode_column(column_type, stored[index])
+            index += 1
+    return ColumnBatch(columns, len(stored[0]) if stored else 0)
+
+
+def _encode_rows(name, schema, rows, first_rid, validate):
+    """Transpose one slice of loaded row tuples into stored columns.
+
+    Returns ``(bound, arrays)``: ``bound`` lists the sequences to zip
+    into ``INSERT`` parameters (the rids, then each stored column in
+    table order), ``arrays`` each schema column's ``(values, nulls)`` in
+    :class:`_StreamingSummary`'s engine form.
+    """
+    try:
+        stored = list(zip(*rows, strict=True))
+    except ValueError:
+        stored = []
+    if len(stored) != len(schema):
+        raise ValueError(f"row tuples of {name!r} must have {len(schema)} values")
+    bound, arrays = [range(first_rid, first_rid + len(rows))], []
+    for column, values in zip(schema, stored):
+        types = set(map(type, values))
+        if validate and not types <= _TYPED[column.type]:
+            for value in values:
+                column.type.validate(value)
+        nulls = _null_mask(values)
+        if column.type is ColumnType.FLOAT:
+            floats = np.array(values, dtype=np.float64)  # None -> NaN
+            flags = _float_flags(floats, nulls)
+            # sqlite3 binds a NaN as NULL, and the flag tells the two
+            # apart; an int binds as its float.
+            bound.append(floats.tolist() if int in types else values)
+            bound.append(flags.tolist() if flags.any() else repeat(0))
+            arrays.append((floats, nulls))
+        elif column.type is ColumnType.TEXT:
+            bound.append(values)
+            if nulls.any():
+                values = ["" if value is None else value for value in values]
+            arrays.append((values, nulls))
+        else:
+            # A bool binds as the integer 0 or 1.
+            bound.append(values)
+            arrays.append((np.array(values, dtype=np.float64), nulls))
+    return bound, arrays
+
+
+def _engine_arrays(column_type, values, nulls):
+    """One decoded column as :meth:`Relation.column_arrays` spells it:
+    float64 with NaN under NULL, or TEXT as a list with ``""`` there."""
+    if column_type is ColumnType.TEXT:
+        text = values.tolist()
+        for index in np.flatnonzero(nulls).tolist():
+            text[index] = ""
+        return text, nulls
+    if values.dtype != np.float64:
+        values = values.astype(np.float64)
+        values[nulls] = np.nan
+    return values, nulls
+
+
+class ColumnBatch:
+    """One streamed batch of rows, decoded a column at a time.
+
+    ``columns`` maps each fetched column name to a ``(values, nulls)``
+    pair of numpy arrays: ``values`` in the column's storage dtype
+    (float64 for FLOAT, int64 for INT, bool for BOOL, object for TEXT)
+    with NaN, 0, False or ``None`` under a NULL, and ``nulls`` the NULL
+    mask.  A FLOAT NaN is a value, not a NULL.  ``len()`` is the number
+    of rows.
+    """
+
+    __slots__ = ("columns", "_rows")
+
+    def __init__(self, columns, rows):
+        self.columns = columns
+        self._rows = rows
+
+    def __len__(self):
+        return self._rows
+
+    @classmethod
+    def concat(cls, batches, schema):
+        """One batch holding ``batches`` end to end, over ``schema``."""
+        pieces = {name: [] for name in schema.names}
+        rows = 0
+        for batch in batches:
+            rows += len(batch)
+            for name in schema.names:
+                pieces[name].append(batch.columns[name])
+        columns = {}
+        for column in schema:
+            parts = pieces[column.name]
+            if not parts:
+                parts = [(np.empty(0, _DTYPES[column.type]), np.empty(0, bool))]
+            columns[column.name] = (
+                np.concatenate([values for values, _ in parts]),
+                np.concatenate([nulls for _, nulls in parts]),
+            )
+        return cls(columns, rows)
+
+    def to_relation(self, name, schema):
+        """An in-memory :class:`Relation` of the batch's ``schema`` columns.
+
+        A column holding a NULL reaches :meth:`Relation.from_columns` as
+        Python values with ``None`` there; any other as its array.
+        """
+        columns = {}
+        for column_name in schema.names:
+            values, nulls = self.columns[column_name]
+            if nulls.any():
+                values = values.tolist()
+                for index in np.flatnonzero(nulls).tolist():
+                    values[index] = None
+            columns[column_name] = values
+        return Relation.from_columns(name, schema, columns)
 
 
 class _StreamingSummary:
     """Accumulates the fingerprint and the zone map while rows stream in.
 
-    Each batch becomes, one column at a time, the ``(values, nulls)``
-    arrays :meth:`Relation.column_arrays` would hold.  The hasher
-    absorbs them whole; the zone map cuts them at zone boundaries
-    (batches may span zones and zones may span batches), buffers at
-    most one zone per column, and reduces each zone as one contiguous
-    array through :func:`zone_stats_of` — so its statistics are
-    bit-identical to the in-memory shard's over the same rows.
+    Each batch arrives as one ``(values, nulls)`` pair per schema
+    column, already in :meth:`Relation.column_arrays`' engine form
+    (float64 with NaN under NULL; TEXT a list with ``""`` there), so
+    the loader and the streaming pass hand it the arrays they built
+    anyway.  The hasher absorbs them whole; the zone map cuts them at
+    zone boundaries (batches may span zones and zones may span
+    batches), buffers at most one zone per column, and reduces each
+    zone as one contiguous array through :func:`zone_stats_of` — so
+    its statistics are bit-identical to the in-memory shard's over the
+    same rows.
     """
 
     def __init__(self, schema, zone_rows):
@@ -206,28 +382,19 @@ class _StreamingSummary:
         self._pending = [[] for _ in schema]  # pieces of each open zone
         self._zones = [[] for _ in schema]
 
-    def update(self, rows):
-        """Absorb a batch of engine-value row tuples in schema order."""
+    def update(self, columns):
+        """Absorb one batch: a ``(values, nulls)`` pair per schema column."""
+        rows = len(columns[0][1]) if columns else 0
         if not rows:
             return
         buffered = self._count % self._zone_rows  # rows in the open zone
-        self._count += len(rows)
-        for index, numeric in enumerate(self._numeric):
-            nulls = np.array([row[index] is None for row in rows], dtype=bool)
-            if numeric:
-                values = np.array(
-                    [
-                        np.nan if row[index] is None else float(row[index])
-                        for row in rows
-                    ],
-                    dtype=np.float64,
-                )
-            else:
-                values = ["" if row[index] is None else row[index] for row in rows]
+        self._count += rows
+        for index, (values, nulls) in enumerate(columns):
+            numeric = self._numeric[index]
             self._hashers[index].update(values, nulls)
             start, room = 0, self._zone_rows - buffered
-            while start < len(rows):
-                stop = min(len(rows), start + room)
+            while start < rows:
+                stop = min(rows, start + room)
                 # TEXT zones keep counts only, so their values are not buffered.
                 self._pending[index].append(
                     (values[start:stop] if numeric else None, nulls[start:stop])
@@ -344,33 +511,26 @@ class SqlRelation:
             batches: iterable of lists of engine-value row tuples.  At
                 no point is more than one batch held in memory — this
                 is how a 10M-row relation gets built under a small RSS.
+                Each batch is transposed once and bound and summarized
+                a column at a time.
             path: sqlite database path (``":memory:"`` for tests).
             zone_rows: rows per zone-map zone.
             validate: type-check every value against the schema (turn
                 off for trusted generators when load time matters).
         """
         connection = cls._create(path, name, schema, zone_rows)
-        encoders = _encoders(schema)
         width = sum(2 if c.type is ColumnType.FLOAT else 1 for c in schema)
         placeholders = ", ".join(["?"] * (width + 1))
         insert = f"INSERT INTO {quote_ident(name)} VALUES ({placeholders})"
         summary = _StreamingSummary(schema, zone_rows)
-        types = [column.type for column in schema]
         rid = 0
         for batch in batches:
-            if validate:
-                for row in batch:
-                    for ctype, value in zip(types, row):
-                        ctype.validate(value)
-            summary.update(batch)
-            encoded = []
-            for row in batch:
-                flat = (rid + len(encoded),)
-                for encode, value in zip(encoders, row):
-                    flat += encode(value)
-                encoded.append(flat)
-            connection.executemany(insert, encoded)
-            rid += len(batch)
+            for first in range(0, len(batch), LOAD_SLICE_ROWS):
+                rows = batch[first : first + LOAD_SLICE_ROWS]
+                bound, arrays = _encode_rows(name, schema, rows, rid, validate)
+                summary.update(arrays)
+                connection.executemany(insert, zip(*bound))
+                rid += len(rows)
         fingerprint, zones = summary.finish()
         meta = {
             "name": name,
@@ -468,13 +628,13 @@ class SqlRelation:
             rid += self._count
         if not 0 <= rid < self._count:
             raise IndexError(f"row {rid} out of range (0..{self._count - 1})")
-        select_exprs, decoders = _decoders(self._schema)
+        names = self._schema.names
         raw = self._connection.execute(
-            f"SELECT {', '.join(select_exprs)} FROM {quote_ident(self._name)} "
-            "WHERE rid = ?",
+            f"SELECT {', '.join(_select_exprs(self._schema, names))} "
+            f"FROM {quote_ident(self._name)} WHERE rid = ?",
             (rid,),
         ).fetchone()
-        return _decode_row(raw, decoders)
+        return _decode_row(self._schema, raw)
 
     def __getitem__(self, rid):
         return dict(zip(self._schema.names, self.row_tuple(rid)))
@@ -497,28 +657,11 @@ class SqlRelation:
 
     # -- streaming -------------------------------------------------------
 
-    def iter_batches(self, columns=None, where_sql=None, rid_table=None,
-                     batch_rows=STREAM_BATCH_ROWS, params=()):
-        """Yield ``(rids, rows)`` batches in rid order.
-
-        Args:
-            columns: column names to fetch (default: all, in schema
-                order).  Rows are engine-value tuples in that order.
-            where_sql: optional SQL predicate over the stored columns
-                (callers quote identifiers; NaN-flagged FLOAT values
-                appear as NULL to the predicate).
-            rid_table: optional name of a temp table with a ``rid``
-                column; when given, only rows whose rid appears there
-                are streamed (the resident-materialization join).
-            batch_rows: rows per yielded batch.
-            params: values bound to ``where_sql``'s ``?`` placeholders.
-
-        ``rids`` is an int64 numpy array of absolute row ids; ``rows``
-        a list of decoded tuples.  At most one batch is in memory.
-        """
-        select_exprs, decoders = _decoders(self._schema, columns)
+    def _stream_sql(self, names, where_sql=None, rid_table=None):
+        """The ``SELECT`` :meth:`iter_batches` runs."""
         table = quote_ident(self._name)
-        sql = f"SELECT rid, {', '.join(select_exprs)} FROM {table}"
+        exprs = ", ".join(["rid"] + _select_exprs(self._schema, names))
+        sql = f"SELECT {exprs} FROM {table}"
         clauses = []
         if rid_table is not None:
             clauses.append(f"rid IN (SELECT rid FROM {quote_ident(rid_table)})")
@@ -526,18 +669,57 @@ class SqlRelation:
             clauses.append(f"({where_sql})")
         if clauses:
             sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY rid"
+        return sql + " ORDER BY rid"
+
+    def iter_batches(self, columns=None, where_sql=None, rid_table=None,
+                     batch_rows=STREAM_BATCH_ROWS, params=()):
+        """Yield ``(rids, batch)`` pairs in rid order.
+
+        Args:
+            columns: column names to fetch (default: all, in schema
+                order).
+            where_sql: optional SQL predicate over the stored columns
+                (callers quote identifiers; NaN-flagged FLOAT values
+                appear as NULL to the predicate, and a FLOAT ``-0.0``
+                as ``0.0``).
+            rid_table: optional name of a temp table with a ``rid``
+                column; when given, only rows whose rid appears there
+                are streamed (the resident-materialization join).
+            batch_rows: rows per yielded batch.
+            params: values bound to ``where_sql``'s ``?`` placeholders.
+
+        ``rids`` is an int64 numpy array of absolute row ids; ``batch``
+        a :class:`ColumnBatch` holding each fetched column as one
+        ``(values, nulls)`` pair of arrays.  Every fetch is transposed
+        once and decoded a column at a time, never a cell at a time.
+        At most one batch is in memory.
+        """
+        names = self._schema.names if columns is None else tuple(columns)
+        sql = self._stream_sql(names, where_sql, rid_table)
         try:
             cursor = self._connection.execute(sql, params)
         except sqlite3.Error as exc:
             raise SqlRelationError(f"stream failed: {exc}\n  sql: {sql}") from exc
         while True:
-            batch = cursor.fetchmany(batch_rows)
-            if not batch:
+            fetched = cursor.fetchmany(batch_rows)
+            if not fetched:
                 return
-            rids = np.array([raw[0] for raw in batch], dtype=np.int64)
-            rows = [_decode_row(raw[1:], decoders) for raw in batch]
-            yield rids, rows
+            stored = list(zip(*fetched))
+            yield (
+                np.array(stored[0], dtype=np.int64),
+                _decode_batch(self._schema, names, stored[1:]),
+            )
+
+    def stream_plan(self, columns=None, where_sql=None, params=()):
+        """sqlite's ``EXPLAIN QUERY PLAN`` detail lines for the stream
+        :meth:`iter_batches` would run with these arguments."""
+        names = self._schema.names if columns is None else tuple(columns)
+        sql = self._stream_sql(names, where_sql)
+        try:
+            rows = self._connection.execute(f"EXPLAIN QUERY PLAN {sql}", params)
+        except sqlite3.Error as exc:
+            raise SqlRelationError(f"explain failed: {exc}\n  sql: {sql}") from exc
+        return [row[3] for row in rows]
 
     def create_temp_rid_table(self, rids):
         """Materialize a rid set as a temp table; returns its name."""
@@ -550,7 +732,7 @@ class SqlRelation:
         )
         self._connection.executemany(
             f"INSERT INTO {table} (rid) VALUES (?)",
-            ((int(rid),) for rid in rids),
+            zip(np.asarray(rids, dtype=np.int64).tolist()),
         )
         return name
 
@@ -588,11 +770,9 @@ class SqlRelation:
         this on a 10M-row relation defeats the point of the backend.
         """
         if self._materialized is None:
-            self._materialized = Relation.from_row_batches(
-                self._name,
-                self._schema,
-                (rows for _, rows in self.iter_batches()),
-            )
+            self._materialized = ColumnBatch.concat(
+                (batch for _, batch in self.iter_batches()), self._schema
+            ).to_relation(self._name, self._schema)
         return self._materialized
 
     # -- identity --------------------------------------------------------
@@ -615,8 +795,13 @@ class SqlRelation:
             )
             if len(meta) < 2:
                 summary = _StreamingSummary(self._schema, self._zone_rows)
-                for _, rows in self.iter_batches():
-                    summary.update(rows)
+                for _, batch in self.iter_batches():
+                    summary.update(
+                        [
+                            _engine_arrays(column.type, *batch.columns[column.name])
+                            for column in self._schema
+                        ]
+                    )
                 fingerprint, zones = summary.finish()
                 meta = {"fingerprint": fingerprint, "zones": _dump_zones(zones)}
                 self._connection.executemany(

@@ -135,8 +135,8 @@ def test_ilp_agrees_with_brute_force_on_decimal_knapsacks():
     # One-decimal costs and gains: a package whose decimal sum equals
     # the capacity has a float sum an ulp either side of it, which the
     # validator's boundary tolerance accepts.  Brute force, judged by
-    # the validator, is the reference; sql is left out because its
-    # generated SQL compares sums exactly.
+    # the validator, is the reference; ilp and sql (whose generated SQL
+    # widens non-strict comparisons by the same slack) must match it.
     rng = random.Random(2024)
     disagreements = []
     for draw in range(200):
@@ -149,9 +149,12 @@ def test_ilp_agrees_with_brute_force_on_decimal_knapsacks():
         relation = _decimal_relation(pairs)
         query = _knapsack_query(capacity, count)
         judge = _verdict(relation, query, "brute-force")
-        ilp = _verdict(relation, query, "ilp")
-        if ilp[0] is not judge[0] or ilp[1] != pytest.approx(judge[1], abs=1e-9):
-            disagreements.append((draw, pairs, query, ilp, judge))
+        for strategy in ("ilp", "sql"):
+            verdict = _verdict(relation, query, strategy)
+            if verdict[0] is not judge[0] or verdict[1] != pytest.approx(
+                judge[1], abs=1e-9
+            ):
+                disagreements.append((draw, strategy, pairs, query, verdict, judge))
     assert disagreements == []
 
 

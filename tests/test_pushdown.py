@@ -506,3 +506,107 @@ class TestSessionIntegration:
                 [{"label": "new", "calories": 1.0, "servings": 1, "vegan": True}]
             )
         session.close()
+
+
+class TestAccessPath:
+    """The recheck SELECT lets sqlite take the prefilter's index only
+    when the prefilter is clearly narrower than the kept zones."""
+
+    SCHEMA = Schema.of(ts=ColumnType.FLOAT, cost=ColumnType.FLOAT, seq=ColumnType.INT)
+
+    def relation(self):
+        # 8 zones of 500 rows; ts and seq ascend with rid, so bands on
+        # either keep one zone.  seq sits past 2**53, so no conjunct on
+        # it is pushed into SQL.
+        rows = [
+            {"ts": i / 10, "cost": float((i * 37) % 100), "seq": 2**53 + 4 * i}
+            for i in range(4000)
+        ]
+        return Relation("R", self.SCHEMA, rows)
+
+    def run(self, relation, where, pushdown_mode="always"):
+        sql = SqlRelation.from_relation(relation, zone_rows=500)
+        query = analyze(
+            parse(
+                f"SELECT PACKAGE(R) FROM R WHERE {where} "
+                "SUCH THAT COUNT(*) <= 2 MAXIMIZE SUM(R.cost)"
+            ),
+            self.SCHEMA,
+        )
+        statements = []
+        sql.connection.set_trace_callback(statements.append)
+        outcome = pushdown.run_where(sql, query, EngineOptions(pushdown=pushdown_mode))
+        sql.connection.set_trace_callback(None)
+        recheck = [s for s in statements if s.startswith("SELECT rid, ")]
+        plan = (
+            [
+                row[3]
+                for row in sql.connection.execute(f"EXPLAIN QUERY PLAN {recheck[0]}")
+            ]
+            if recheck
+            else []
+        )
+        return outcome, plan
+
+    @pytest.mark.parametrize(
+        "where, kept_rows, access, plan_text",
+        [
+            # 11 prefilter rows against a kept zone of 500.
+            ("R.ts BETWEEN 120 AND 121", 500, "index", "USING INDEX idx__R__ts"),
+            # 491 of the kept zone's 500 rows.
+            ("R.ts BETWEEN 100 AND 149", 500, "rowid-range", "INTEGER PRIMARY KEY"),
+            # Nothing pushed, one zone kept.
+            (
+                f"R.seq BETWEEN {2**53 + 4000} AND {2**53 + 4040}",
+                500,
+                "rowid-range",
+                "INTEGER PRIMARY KEY",
+            ),
+            # cost is unclustered, so every zone is kept: 40 rows ...
+            ("R.cost BETWEEN 10 AND 10", 4000, "index", "USING INDEX idx__R__cost"),
+            # ... and 840 rows of 4000, which sqlite alone would also
+            # fetch through the index.
+            ("R.cost BETWEEN 10 AND 30", 4000, "rowid-range", "INTEGER PRIMARY KEY"),
+        ],
+    )
+    def test_access_follows_the_two_row_counts(
+        self, where, kept_rows, access, plan_text
+    ):
+        relation = self.relation()
+        outcome, plan = self.run(relation, where)
+        assert outcome.path == "sql-pushdown"
+        assert outcome.kept_rows == kept_rows
+        assert outcome.zones_kept == kept_rows // 500
+        assert outcome.access == access
+        assert any(plan_text in line for line in plan), plan
+        materialized, _ = self.run(relation, where, pushdown_mode="materialize")
+        assert materialized.path == "materialized"
+        assert outcome.candidate_rids == materialized.candidate_rids
+
+    def test_unindexable_prefilter_keeps_the_rowid_range(self):
+        # Selective, but sqlite cannot search an index on ts * 2, so the
+        # residual form would read every row of the table.
+        outcome, plan = self.run(self.relation(), "R.ts * 2 BETWEEN 240 AND 242")
+        assert outcome.prefilter_rows * pushdown.INDEX_ACCESS_FACTOR <= outcome.kept_rows
+        assert outcome.access == "rowid-range"
+        assert any("INTEGER PRIMARY KEY" in line for line in plan), plan
+
+    def test_access_reaches_stats_stage_detail_and_explain_footer(self):
+        from repro.core.ir import stage_table
+
+        sql = SqlRelation.from_relation(self.relation(), zone_rows=500)
+        result = PackageQueryEvaluator(sql).evaluate(
+            "SELECT PACKAGE(R) FROM R WHERE R.ts BETWEEN 120 AND 121 "
+            "SUCH THAT COUNT(*) <= 2 MAXIMIZE SUM(R.cost)",
+            EngineOptions(pushdown="always"),
+        )
+        choice = {"access": "index", "prefilter_rows": 11, "kept_rows": 500}
+        assert choice.items() <= result.stats["pushdown"].items()
+        assert result.stats["pushdown"]["path"] == "stream"
+        (where,) = [s for s in result.stats["stages"] if s["name"] == STAGE_WHERE]
+        assert choice.items() <= where["detail"].items()
+        assert where["detail"]["path"] == "sql-pushdown"
+        assert (
+            "sql access: index (prefilter 11 rows, kept zones 500 rows)"
+            in stage_table(result.stats["stages"])
+        )

@@ -140,8 +140,9 @@ class TestStreaming:
         relation = make_relation(HOSTILE_ROWS * 4)
         sql = SqlRelation.from_relation(relation)
         seen = []
-        for rids, rows in sql.iter_batches(batch_rows=3):
-            assert len(rids) == len(rows) <= 3
+        for rids, batch in sql.iter_batches(batch_rows=3):
+            assert len(rids) == len(batch) <= 3
+            rows = batch.to_relation("Meals", SCHEMA).row_tuples()
             seen.extend(zip(rids.tolist(), rows))
         assert [rid for rid, _ in seen] == list(range(len(relation)))
         for rid, row in seen:
@@ -157,7 +158,10 @@ class TestStreaming:
         )
         rids = np.concatenate([rids for rids, _ in batches])
         assert rids.tolist() == [0, 3]
-        assert [rows for _, rows in batches] == [[(2,), (7,)]]
+        servings = Schema([SCHEMA["servings"]])
+        assert [
+            batch.to_relation("Meals", servings).row_tuples() for _, batch in batches
+        ] == [[(2,), (7,)]]
 
     def test_rid_table_restricts_the_stream(self):
         sql = SqlRelation.from_relation(make_relation(HOSTILE_ROWS))
@@ -344,3 +348,150 @@ class TestOlderFiles:
             third.connection.set_trace_callback(None)
         assert statements  # the metadata read is traced ...
         assert not [s for s in statements if '"Meals"' in s]  # ... the data is not
+
+
+EDGE_SCHEMA = Schema.of(
+    label=ColumnType.TEXT,
+    x=ColumnType.FLOAT,
+    n=ColumnType.INT,
+    flag=ColumnType.BOOL,
+)
+
+#: NULL in every column, NaN, ±inf, BOOL, INT at and past 2**53 and
+#: non-ASCII TEXT; no -0.0, which files written before its flag code
+#: existed could not keep.
+EDGE_ROWS = [
+    ("naïve ☃", 1.5, 2**53 + 1, True),
+    (None, float("nan"), -(2**62), False),
+    ("日本語", None, None, None),
+    ("", float("inf"), 2**53, True),
+    ("z", float("-inf"), 7, None),
+    ("Ωmega", 3.0, 0, False),
+]
+
+
+def write_flagless_file(path, name, schema, rows):
+    """A database in the layout written before the ``-0.0`` flag code:
+    a FLOAT NaN as ``(NULL, 1)``, every other value as ``(value, 0)``,
+    a BOOL as 0 or 1, and no persisted fingerprint or zone map."""
+    connection = sqlite3.connect(path)
+    pieces = []
+    for column in schema:
+        pieces.append(f'"{column.name}" {column.type.sql_name}')
+        if column.type is ColumnType.FLOAT:
+            pieces.append(f'"{column.name}__nan" INTEGER NOT NULL DEFAULT 0')
+    connection.execute(
+        f'CREATE TABLE "{name}" (rid INTEGER PRIMARY KEY, {", ".join(pieces)})'
+    )
+    for rid, row in enumerate(rows):
+        flat = [rid]
+        for column, value in zip(schema, row):
+            if column.type is ColumnType.FLOAT:
+                nan = value is not None and math.isnan(value)
+                flat += [None if nan else value, int(nan)]
+            elif column.type is ColumnType.BOOL:
+                flat.append(None if value is None else int(value))
+            else:
+                flat.append(value)
+        marks = ", ".join("?" * len(flat))
+        connection.execute(f'INSERT INTO "{name}" VALUES ({marks})', flat)
+    connection.execute("CREATE TABLE _repro_meta (key TEXT PRIMARY KEY, value TEXT)")
+    connection.executemany(
+        "INSERT INTO _repro_meta VALUES (?, ?)",
+        [
+            ("name", name),
+            ("schema", "|".join(f"{c.name}:{c.type.value}" for c in schema)),
+            ("count", str(len(rows))),
+            ("zone_rows", "4"),
+        ],
+    )
+    connection.commit()
+    connection.close()
+
+
+def assert_rows_equal(actual, expected):
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert all(values_equal(a, e) for a, e in zip(got, want)), (got, want)
+
+
+class TestColumnarDecode:
+    """Every way out of sqlite yields the in-memory twin's engine values."""
+
+    def streamed_rows(self, sql, batch_rows=2):
+        from repro.relational.sql_relation import ColumnBatch
+
+        batches = [batch for _, batch in sql.iter_batches(batch_rows=batch_rows)]
+        return ColumnBatch.concat(batches, sql.schema).to_relation(
+            sql.name, sql.schema
+        ).row_tuples()
+
+    def test_batches_materialize_and_flagless_files_agree(self, tmp_path):
+        relation = Relation.from_row_batches("Edge", EDGE_SCHEMA, [EDGE_ROWS])
+        expected = relation.row_tuples()
+        built = SqlRelation.from_relation(relation, zone_rows=4)
+        path = str(tmp_path / "flagless.db")
+        write_flagless_file(path, "Edge", EDGE_SCHEMA, EDGE_ROWS)
+        with SqlRelation.open(path) as flagless:
+            for sql in (built, flagless):
+                assert_rows_equal(self.streamed_rows(sql), expected)
+                assert_rows_equal(sql.materialize().row_tuples(), expected)
+                assert_rows_equal(
+                    [sql.row_tuple(rid) for rid in range(len(sql))], expected
+                )
+                assert sql.relation_fingerprint() == relation_fingerprint(relation)
+                assert relation_fingerprint(sql.materialize()) == (
+                    relation_fingerprint(relation)
+                )
+                for column in EDGE_SCHEMA.names:
+                    assert_zones_equal(
+                        sql.zone_stats(column), built.zone_stats(column)
+                    )
+
+    def test_batch_columns_are_typed_arrays(self):
+        relation = Relation.from_row_batches("Edge", EDGE_SCHEMA, [EDGE_ROWS])
+        sql = SqlRelation.from_relation(relation)
+        ((rids, batch),) = list(sql.iter_batches())
+        assert rids.tolist() == list(range(len(EDGE_ROWS)))
+        assert len(batch) == len(EDGE_ROWS)
+        dtypes = {name: values.dtype for name, (values, _) in batch.columns.items()}
+        assert dtypes == {
+            "label": np.dtype(object),
+            "x": np.dtype(np.float64),
+            "n": np.dtype(np.int64),
+            "flag": np.dtype(bool),
+        }
+        x_values, x_nulls = batch.columns["x"]
+        # NaN is a value, NULL is a mask bit.
+        assert x_nulls.tolist() == [False, False, True, False, False, False]
+        assert math.isnan(x_values[1]) and not x_nulls[1]
+        assert batch.columns["n"][0][0] == 2**53 + 1
+
+
+class TestNegativeZero:
+    """sqlite keeps an integral REAL as an integer and drops the sign of
+    a zero; the ``__nan`` flag code 2 carries it."""
+
+    SCHEMA = Schema([Column("x", ColumnType.FLOAT)])
+
+    def test_round_trip_keeps_the_sign(self):
+        relation = Relation.from_row_batches("T", self.SCHEMA, [[(-0.0,), (1.0,)]])
+        sql = SqlRelation.from_relation(relation)
+        for value in (
+            sql.row_tuple(0)[0],
+            sql.materialize().row_tuple(0)[0],
+            next(sql.iter_batches())[1].columns["x"][0][0],
+        ):
+            assert value == 0.0 and math.copysign(1.0, value) == -1.0
+        assert sql.row_tuple(1) == (1.0,)
+        assert relation_fingerprint(sql.materialize()) == sql.relation_fingerprint()
+        assert sql.relation_fingerprint() == relation_fingerprint(relation)
+
+    def test_stored_value_still_compares_as_zero(self):
+        relation = Relation.from_row_batches(
+            "T", self.SCHEMA, [[(-0.0,), (0.0,), (None,), (float("nan"),)]]
+        )
+        sql = SqlRelation.from_relation(relation)
+        assert sql.count_where('"x" = 0') == 2
+        flags = sql.connection.execute('SELECT "x__nan" FROM "T" ORDER BY rid')
+        assert [flag for (flag,) in flags] == [2, 0, 0, 1]
