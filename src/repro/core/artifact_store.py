@@ -1,6 +1,6 @@
 """Durable on-disk artifact store: crash-safe, bounded, coordinated.
 
-The in-memory :class:`~repro.core.session.ArtifactCache` (PR 5) earns
+The in-memory :class:`~repro.core.cache.ArtifactCache` (PR 5) earns
 its warm speedups only for the lifetime of one process: a restarted
 server, or a second process over the same data, pays full cold cost.
 :class:`ArtifactStore` persists the cache layers that are read back —

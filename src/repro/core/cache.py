@@ -1,19 +1,25 @@
-"""The one bounded cache and the one tiered artifact layer.
+"""The one bounded cache, the one tiered artifact layer, and the
+per-relation unit of session caches built from them.
 
 Every in-memory cache in the engine — session artifact layers, the
-out-of-core scan and resident memos — is a :class:`BoundedCache`: one
-LRU, one lock, one stats shape.  :class:`ArtifactLayer` stacks one of
-them over one layer of a durable
+out-of-core scan and resident memos, the evaluator's prepared queries
+— is a :class:`BoundedCache`: one LRU, one lock, one stats shape.
+:class:`ArtifactLayer` stacks one of them over one layer of a durable
 :class:`~repro.core.artifact_store.ArtifactStore`, which is the only
 place the read-through / write-through rule is written down.
+:class:`ArtifactCache` holds one relation's layers and the keying
+scheme for them.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from dataclasses import dataclass, field
 
-__all__ = ["ArtifactLayer", "BoundedCache"]
+from repro.paql.printer import print_expr, print_query
+
+__all__ = ["ArtifactCache", "ArtifactLayer", "BoundedCache"]
 
 
 class BoundedCache:
@@ -147,3 +153,106 @@ class ArtifactLayer:
         """Drop the memory tier; the durable tier is untouched."""
         if self._memory is not None:
             self._memory.clear()
+
+
+@dataclass
+class _CachedResult:
+    """The replayable skeleton of one evaluation outcome."""
+
+    counts: object  # tuple of (rid, multiplicity), or None
+    status: object
+    strategy: str
+    query: object
+    objective: float | None
+    candidate_count: int
+    bounds: object
+    #: The stats tree as one pickle blob (a dict in entries stored
+    #: before the blob).
+    stats: object = field(default_factory=dict)
+
+
+class ArtifactCache:
+    """Every cached artifact of one relation: the per-relation unit.
+
+    One instance per relation content — the session builds a new one
+    whenever a mutation replaces the relation, and a query reads and
+    writes only the instance it started with — so keys never include
+    the relation.  Each attribute has ``get(key)`` / ``put(key,
+    value)``; the ``*_key`` builders are the one keying scheme, and
+    every key covers all inputs its value depends on (see
+    ``docs/caching.md`` for the layer table).
+
+    ``where`` and ``results`` are each an
+    :class:`~repro.core.cache.ArtifactLayer`, a bounded memory tier
+    over the store's relation-scoped layer; ``where_shard`` is
+    store-only and content-addressed by shard fingerprint (no relation
+    hash, so an entry survives mutations that leave its shard's bytes
+    unchanged).
+
+    Args:
+        store: optional durable
+            :class:`~repro.core.artifact_store.ArtifactStore`; the
+            durable layers then read through to disk on a memory miss
+            and write fresh values back, scoped under
+            ``relation_hash``.
+        relation_hash: the relation's content fingerprint
+            (:func:`repro.relational.content_hash.relation_fingerprint`);
+            required when ``store`` is given.
+    """
+
+    def __init__(self, store=None, relation_hash=None):
+        if store is not None and relation_hash is None:
+            raise ValueError("a durable store requires relation_hash")
+        self.store = store
+        self.relation_hash = relation_hash
+
+        def layer(name, memory):
+            return ArtifactLayer(memory, store, name, relation_hash)
+
+        # WHERE entries hold one compact rid array per clause, so the
+        # layer is bounded by approximate bytes as well as entry count.
+        self.where = layer(
+            "where",
+            BoundedCache(
+                64,
+                max_bytes=64 * 1024 * 1024,
+                sizer=lambda entry: entry[0].nbytes,
+            ),
+        )
+        self.results = layer("results", BoundedCache(256))
+        self.where_shard = ArtifactLayer(None, store, "where_shard", None)
+
+    # -- the keying scheme --------------------------------------------------
+
+    @staticmethod
+    def where_key(query, options):
+        # Workers never change the rids, but they appear in the
+        # sharded-path stats payload — keying on them keeps a replayed
+        # shard_info honest about the parallel width in force.
+        clause = "" if query.where is None else print_expr(query.where)
+        return (
+            clause,
+            getattr(options, "shards", 1),
+            getattr(options, "workers", 0),
+        )
+
+    @staticmethod
+    def result_key(query, options):
+        # Canonical query text (the printer round-trips ASTs) plus the
+        # full options repr: any field that could change the outcome —
+        # strategy, backend, limits, reduce mode — is part of the
+        # dataclass repr, so differing options never share an entry.
+        return (print_query(query), repr(options))
+
+    # -- bookkeeping --------------------------------------------------------
+
+    def stats(self):
+        out = {"where": self.where.stats()}
+        if self.store is not None:
+            out["store"] = self.store.stats()
+        out["results"] = self.results.stats()
+        return out
+
+    def clear(self):
+        for layer in (self.where, self.results):
+            layer.clear()

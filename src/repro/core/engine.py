@@ -150,7 +150,7 @@ class PackageQueryEvaluator:
             (or a sql-backed
             :class:`~repro.relational.sql_relation.SqlRelation`).
         artifacts: optional
-            :class:`~repro.core.session.ArtifactCache` — evaluation
+            :class:`~repro.core.cache.ArtifactCache` — evaluation
             then reuses WHERE results across queries (how
             :class:`~repro.core.session.EvaluationSession` wires its
             caches through the pipeline).
@@ -166,6 +166,10 @@ class PackageQueryEvaluator:
         # caps — residents can be large.
         self._scan_cache = BoundedCache(4)
         self._stream_cache = BoundedCache(2)
+        # Analyzed queries by text.  AST nodes are frozen, so one
+        # parse and analysis serves every repeat of the same text; a
+        # text that fails raises before it is stored.
+        self._prepared = BoundedCache(256)
         # Serializes the evaluator's lazily-built shared state — the
         # cached ShardedRelation — under concurrent callers (one
         # session serving many threads).  Held only around the build,
@@ -181,7 +185,7 @@ class PackageQueryEvaluator:
 
     @property
     def artifacts(self):
-        """The session's :class:`~repro.core.session.ArtifactCache`,
+        """The session's :class:`~repro.core.cache.ArtifactCache`,
         or ``None`` outside a session."""
         return self._artifacts
 
@@ -230,12 +234,20 @@ class PackageQueryEvaluator:
         self.close()
 
     def prepare(self, query_or_text):
-        """Parse (if text) and analyze a query against the relation."""
-        query = (
-            parse(query_or_text)
-            if isinstance(query_or_text, str)
-            else query_or_text
-        )
+        """Parse (if text) and analyze a query against the relation.
+
+        Text is memoized: a repeated text returns the analyzed query
+        the first call built, without parsing again.
+        """
+        if not isinstance(query_or_text, str):
+            return self._analyze(query_or_text)
+        query = self._prepared.get(query_or_text)
+        if query is None:
+            query = self._analyze(parse(query_or_text))
+            self._prepared.put(query_or_text, query)
+        return query
+
+    def _analyze(self, query):
         if query.relation != self._relation.name:
             raise EngineError(
                 f"query is over {query.relation!r} but this evaluator holds "

@@ -68,120 +68,21 @@ writing the one it started with.
 from __future__ import annotations
 
 import copy
+import pickle
 import threading
 import time
-from dataclasses import dataclass, field
 
-from repro.core.cache import ArtifactLayer, BoundedCache
+# ``_CachedResult`` is imported here as well because result entries
+# that stores wrote before it moved to ``repro.core.cache`` unpickle it
+# from this module.
+from repro.core.cache import ArtifactCache, _CachedResult
 from repro.core.engine import EngineOptions, PackageQueryEvaluator
 from repro.core.result import EvaluationResult
-from repro.paql.printer import print_expr, print_query
 
 __all__ = [
     "ArtifactCache",
     "EvaluationSession",
 ]
-
-
-@dataclass
-class _CachedResult:
-    """The replayable skeleton of one evaluation outcome."""
-
-    counts: object  # tuple of (rid, multiplicity), or None
-    status: object
-    strategy: str
-    query: object
-    objective: float | None
-    candidate_count: int
-    bounds: object
-    stats: dict = field(default_factory=dict)
-
-
-class ArtifactCache:
-    """Every cached artifact of one relation: the per-relation unit.
-
-    One instance per relation content — the session builds a new one
-    whenever a mutation replaces the relation, and a query reads and
-    writes only the instance it started with — so keys never include
-    the relation.  Each attribute has ``get(key)`` / ``put(key,
-    value)``; the ``*_key`` builders are the one keying scheme, and
-    every key covers all inputs its value depends on (see
-    ``docs/caching.md`` for the layer table).
-
-    ``where`` and ``results`` are each an
-    :class:`~repro.core.cache.ArtifactLayer`, a bounded memory tier
-    over the store's relation-scoped layer; ``where_shard`` is
-    store-only and content-addressed by shard fingerprint (no relation
-    hash, so an entry survives mutations that leave its shard's bytes
-    unchanged).
-
-    Args:
-        store: optional durable
-            :class:`~repro.core.artifact_store.ArtifactStore`; the
-            durable layers then read through to disk on a memory miss
-            and write fresh values back, scoped under
-            ``relation_hash``.
-        relation_hash: the relation's content fingerprint
-            (:func:`repro.relational.content_hash.relation_fingerprint`);
-            required when ``store`` is given.
-    """
-
-    def __init__(self, store=None, relation_hash=None):
-        if store is not None and relation_hash is None:
-            raise ValueError("a durable store requires relation_hash")
-        self.store = store
-        self.relation_hash = relation_hash
-
-        def layer(name, memory):
-            return ArtifactLayer(memory, store, name, relation_hash)
-
-        # WHERE entries hold one compact rid array per clause, so the
-        # layer is bounded by approximate bytes as well as entry count.
-        self.where = layer(
-            "where",
-            BoundedCache(
-                64,
-                max_bytes=64 * 1024 * 1024,
-                sizer=lambda entry: entry[0].nbytes,
-            ),
-        )
-        self.results = layer("results", BoundedCache(256))
-        self.where_shard = ArtifactLayer(None, store, "where_shard", None)
-
-    # -- the keying scheme --------------------------------------------------
-
-    @staticmethod
-    def where_key(query, options):
-        # Workers never change the rids, but they appear in the
-        # sharded-path stats payload — keying on them keeps a replayed
-        # shard_info honest about the parallel width in force.
-        clause = "" if query.where is None else print_expr(query.where)
-        return (
-            clause,
-            getattr(options, "shards", 1),
-            getattr(options, "workers", 0),
-        )
-
-    @staticmethod
-    def result_key(query, options):
-        # Canonical query text (the printer round-trips ASTs) plus the
-        # full options repr: any field that could change the outcome —
-        # strategy, backend, limits, reduce mode — is part of the
-        # dataclass repr, so differing options never share an entry.
-        return (print_query(query), repr(options))
-
-    # -- bookkeeping --------------------------------------------------------
-
-    def stats(self):
-        out = {"where": self.where.stats()}
-        if self.store is not None:
-            out["store"] = self.store.stats()
-        out["results"] = self.results.stats()
-        return out
-
-    def clear(self):
-        for layer in (self.where, self.results):
-            layer.clear()
 
 
 class EvaluationSession:
@@ -357,10 +258,12 @@ class EvaluationSession:
             objective=result.objective,
             candidate_count=result.candidate_count,
             bounds=result.bounds,
-            # Deep copy both ways (store and replay): the stats
-            # tree holds nested dicts/lists, and a caller mutating
-            # a returned result must never corrupt the cache.
-            stats=copy.deepcopy(result.stats),
+            # One pickled blob, loaded afresh on each replay: the stats
+            # tree holds nested dicts/lists, and a caller mutating a
+            # returned result must never corrupt the cache.  Pickling
+            # these plain containers is a deep copy at a fraction of
+            # the cost of copy.deepcopy.
+            stats=pickle.dumps(result.stats, protocol=pickle.HIGHEST_PROTOCOL),
         )
 
     @staticmethod
@@ -371,7 +274,11 @@ class EvaluationSession:
         package = None
         if cached.counts is not None:
             package = Package(evaluator.relation, dict(cached.counts))
-        stats = copy.deepcopy(cached.stats)
+        if isinstance(cached.stats, bytes):
+            stats = pickle.loads(cached.stats)
+        else:
+            # An entry stored before the stats became a pickled blob.
+            stats = copy.deepcopy(cached.stats)
         # The stage records describe the *original* run — this
         # invocation executed nothing but the oracle re-validation, so
         # relabel them (their timings are the first run's, which is

@@ -28,6 +28,21 @@ Three levels of identity, built from one canonical serialization:
   shard boundaries, so the same data sharded 4 or 8 ways has the same
   relation hash.
 
+Both relation-level results are cached on the relation, and the
+relation hash is **resumable**.  While it streams the columns,
+:func:`relation_fingerprint` saves a copy of every column hasher each
+:data:`CHECKPOINT_ROWS` rows.  The grid is absolute row indices, not
+shard boundaries, because a restart re-shards through ``chunk_slices``
+and would strand checkpoints taken at the old boundaries.  A mutated
+relation shares a row prefix with its parent, and so it inherits the
+checkpoints inside that prefix (:func:`inherit_checkpoints`).  An
+append keeps all of them; a delete keeps those at or below its
+smallest deleted rid.  The child then hashes only from its last
+inherited checkpoint to its end.  Saved states are never updated in
+place (a query still in flight may hold the parent), and the digest
+definition is unchanged: a resumed hash equals a fresh one bit for
+bit.
+
 Canonicalization rules (what "bit-identical" means here):
 
 * NULL-ness is hashed as an explicit mask, separately from values —
@@ -40,7 +55,10 @@ Canonicalization rules (what "bit-identical" means here):
   distinguish NaN payloads.
 * TEXT values are serialized as length-prefixed UTF-8, so the digest
   is independent of numpy's fixed-width ``<U`` padding (a shard's
-  local maximum string length must not change its hash).
+  local maximum string length must not change its hash).  A long
+  all-ASCII ``<U`` chunk is serialized from its code points in one
+  masked gather; every other chunk goes through the per-value loop,
+  and both produce the same bytes.
 
 This module depends only on numpy and the schema types; the store that
 consumes it lives in :mod:`repro.core`.
@@ -55,10 +73,12 @@ import numpy as np
 from repro.relational.types import ColumnType
 
 __all__ = [
+    "CHECKPOINT_ROWS",
     "ColumnHasher",
     "column_digest",
     "column_kind",
     "fingerprint_parts",
+    "inherit_checkpoints",
     "merge_digests",
     "range_fingerprint",
     "relation_fingerprint",
@@ -68,6 +88,18 @@ __all__ = [
 
 #: Digest width (bytes) for every hash this module produces.
 DIGEST_SIZE = 16
+
+#: Spacing, in rows, of the column-hasher states
+#: :func:`relation_fingerprint` saves for a mutated relation to resume
+#: from.
+CHECKPOINT_ROWS = 2048
+
+#: Fewest values for which the columnar TEXT serialization beats the
+#: per-value loop (about 0.5x at 32 values, 1.8x at 64, 3x from 2 000).
+_COLUMNAR_TEXT_MIN = 64
+
+_FINGERPRINT = ("content-fingerprint",)
+_CHECKPOINTS = ("content-checkpoints",)
 
 _NUMERIC = "numeric"
 _TEXT = "text"
@@ -110,12 +142,45 @@ def _canonical_text_bytes(values, nulls):
     independent of numpy's fixed-width padding, so slices of one
     column concatenate to exactly the whole column's byte stream.
     """
+    values = np.asarray(values)
+    if (
+        values.size >= _COLUMNAR_TEXT_MIN
+        and values.dtype.kind == "U"
+        and values.dtype.isnative
+    ):
+        packed = _ascii_text_bytes(values, nulls)
+        if packed is not None:
+            return packed
     pieces = []
-    for value, null in zip(np.asarray(values).tolist(), nulls.tolist()):
+    for value, null in zip(values.tolist(), nulls.tolist()):
         encoded = b"" if null else str(value).encode("utf-8")
         pieces.append(len(encoded).to_bytes(4, "little"))
         pieces.append(encoded)
     return b"".join(pieces)
+
+
+def _ascii_text_bytes(values, nulls):
+    """:func:`_canonical_text_bytes` of a native ``<U`` array whose code
+    points are all ASCII, or ``None`` when one is not.
+
+    An ASCII code point is its own UTF-8 byte, so each row becomes a
+    4-byte length and the first ``length`` of its code points narrowed
+    to bytes: one ``(n, 4 + width)`` byte matrix, gathered row-major
+    through a boolean mask.  ``str_len`` drops trailing NULs exactly as
+    ``tolist`` does and keeps embedded ones.
+    """
+    count = values.size
+    width = values.dtype.itemsize // 4
+    codes = np.ascontiguousarray(values).view(np.uint32).reshape(count, width)
+    if codes.max() >= 0x80:
+        return None
+    lengths = np.char.str_len(values).astype("<u4")
+    lengths[nulls] = 0
+    matrix = np.empty((count, 4 + width), dtype=np.uint8)
+    matrix[:, :4] = lengths.view(np.uint8).reshape(count, 4)
+    matrix[:, 4:] = codes
+    keep = np.arange(4 + width) < (lengths + 4)[:, None]
+    return matrix[keep].tobytes()
 
 
 class ColumnHasher:
@@ -145,6 +210,15 @@ class ColumnHasher:
         self._nulls.update(nulls.tobytes())
         self._count += int(nulls.size)
         return self
+
+    def copy(self):
+        """An independent hasher in this one's current state."""
+        twin = object.__new__(ColumnHasher)
+        twin._kind = self._kind
+        twin._values = self._values.copy()
+        twin._nulls = self._nulls.copy()
+        twin._count = self._count
+        return twin
 
     def hexdigest(self):
         """The column digest over everything absorbed so far."""
@@ -230,8 +304,14 @@ def range_fingerprint(relation, start, stop):
     digests of exactly that row range.  Two shards with bit-identical
     content fingerprint identically regardless of where in the
     relation they sit — which is what lets a delete shift later shards
-    without invalidating their cached artifacts.
+    without invalidating their cached artifacts.  Cached on the
+    relation by ``(start, stop)``, so every session over one relation
+    hashes a shard layout once.
     """
+    cache = getattr(relation, "_derived", None)
+    key = ("range-fingerprint", start, stop)
+    if cache is not None and key in cache:
+        return cache[key]
     digests = []
     for column in relation.schema:
         values, nulls = relation.column_arrays(column.name)
@@ -242,7 +322,10 @@ def range_fingerprint(relation, start, stop):
                 kind=column_kind(column.type),
             )
         )
-    return fingerprint_parts(relation.schema, stop - start, digests)
+    fingerprint = fingerprint_parts(relation.schema, stop - start, digests)
+    if cache is not None:
+        cache[key] = fingerprint
+    return fingerprint
 
 
 def relation_fingerprint(relation):
@@ -250,7 +333,10 @@ def relation_fingerprint(relation):
 
     Cached on the relation (content never changes after construction;
     mutation APIs return new relations), so repeated store operations
-    pay the hash once.
+    pay the hash once.  The column hashers are checkpointed every
+    :data:`CHECKPOINT_ROWS` rows on the way, and the hash resumes from
+    the last checkpoint the relation inherited from its parent (see
+    the module docstring), so a mutation re-hashes only its tail.
 
     Backends that cannot afford whole-column arrays expose their own
     ``relation_fingerprint()`` method (computed by streaming the same
@@ -262,10 +348,47 @@ def relation_fingerprint(relation):
     if callable(method):
         return method()
     cache = getattr(relation, "_derived", None)
-    key = ("content-fingerprint",)
-    if cache is not None and key in cache:
-        return cache[key]
-    fingerprint = range_fingerprint(relation, 0, len(relation))
-    if cache is not None:
-        cache[key] = fingerprint
+    if cache is None:
+        return range_fingerprint(relation, 0, len(relation))
+    if _FINGERPRINT in cache:
+        return cache[_FINGERPRINT]
+    checkpoints = list(cache.get(_CHECKPOINTS, ()))
+    if checkpoints:
+        done, saved = checkpoints[-1]
+        hashers = [hasher.copy() for hasher in saved]
+    else:
+        done = 0
+        hashers = [
+            ColumnHasher(column_kind(column.type)) for column in relation.schema
+        ]
+    columns = [relation.column_arrays(column.name) for column in relation.schema]
+    total = len(relation)
+    while done < total:
+        stop = min(total, (done // CHECKPOINT_ROWS + 1) * CHECKPOINT_ROWS)
+        for hasher, (values, nulls) in zip(hashers, columns):
+            hasher.update(values[done:stop], nulls[done:stop])
+        done = stop
+        if done % CHECKPOINT_ROWS == 0:
+            checkpoints.append((done, tuple(hasher.copy() for hasher in hashers)))
+    fingerprint = fingerprint_parts(
+        relation.schema, total, [hasher.hexdigest() for hasher in hashers]
+    )
+    cache[_CHECKPOINTS] = tuple(checkpoints)
+    cache[_FINGERPRINT] = fingerprint
     return fingerprint
+
+
+def inherit_checkpoints(parent, child, shared_rows):
+    """Give ``child`` the saved hasher states of ``parent`` that cover
+    only its first ``shared_rows`` rows, the prefix the two share.
+
+    Called by the relation mutations: an append shares every parent
+    row, a delete the rows below its smallest deleted rid.  The states
+    are shared, not copied; :func:`relation_fingerprint` resumes from
+    copies and never updates a saved state.
+    """
+    saved = parent._derived.get(_CHECKPOINTS)
+    if saved:
+        child._derived[_CHECKPOINTS] = tuple(
+            checkpoint for checkpoint in saved if checkpoint[0] <= shared_rows
+        )

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.relational.content_hash import inherit_checkpoints
 from repro.relational.schema import Schema, SchemaError, _check_identifier
 from repro.relational.types import ColumnType, infer_type
 
@@ -350,7 +351,8 @@ class Relation:
         self._stores = tuple(stores)
         self._readers = None
         # Lazily derived, content-determined values: the engine arrays
-        # of non-FLOAT columns and the content fingerprint.
+        # of non-FLOAT columns, the content fingerprints and the
+        # relation hash's checkpoints.
         self._derived = {}
 
     @classmethod
@@ -665,9 +667,27 @@ class Relation:
             _concat([mine, theirs])
             for mine, theirs in zip(self._stores, appended._stores)
         ]
-        return Relation._of_stores(
+        relation = Relation._of_stores(
             appended.name, self._schema, self._count + len(appended), stores
         )
+        inherit_checkpoints(self, relation, self._count)
+        if self._count and appended._count:
+            # Engine arrays this relation built from Python values (TEXT,
+            # numeric columns not stored as float64) extend by the
+            # appended rows' own: two fresh builds end to end are exactly
+            # a fresh build of the whole, without converting every value
+            # again.  An empty relation's TEXT engine array is float64,
+            # so neither side may be empty.
+            for column, store in zip(self._schema, stores):
+                arrays = self._derived.get(column.name)
+                if arrays is None or store.values.dtype == np.float64:
+                    continue
+                tail = appended.column_arrays(column.name)[0]
+                relation._derived[column.name] = (
+                    _frozen(np.concatenate([arrays[0], tail])),
+                    store.nulls,
+                )
+        return relation
 
     def delete_rows(self, rids, name=None):
         """Return a new relation without the rows at indices ``rids``.
@@ -694,4 +714,6 @@ class Relation:
             return self
         keep = np.ones(count, dtype=bool)
         keep[list(drop)] = False
-        return self._select(keep, name=name)
+        relation = self._select(keep, name=name)
+        inherit_checkpoints(self, relation, min(drop))
+        return relation

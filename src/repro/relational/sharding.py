@@ -221,7 +221,9 @@ class ShardedRelation:
         Position-independent: a shard with bit-identical rows
         fingerprints the same wherever its slice starts, so artifacts
         keyed on it stay valid when a delete in an earlier shard
-        shifts this shard's absolute offsets.
+        shifts this shard's absolute offsets — and a mutated view
+        inherits the untouched shards' fingerprints instead of
+        hashing them again.
         """
         key = ("fingerprint", index)
         if key not in self._zone_cache:
@@ -309,15 +311,8 @@ class ShardedRelation:
         last = self.num_shards - 1
         slices = list(self._slices)
         slices[last] = slice(slices[last].start, len(relation))
-        sharded = ShardedRelation(relation, self.num_shards, slices=slices)
         touched = (last,) if rows else ()
-        return sharded, MutationReport(
-            kind="append",
-            touched=touched,
-            untouched=tuple(i for i in range(self.num_shards) if i not in touched),
-            rows_before=len(self._relation),
-            rows_after=len(relation),
-        )
+        return self._mutated("append", relation, slices, touched)
 
     def delete(self, rids):
         """Delete the rows at indices ``rids``, shrinking touched shards.
@@ -343,12 +338,22 @@ class ShardedRelation:
             size = (part.stop - part.start) - int(drops[index])
             slices.append(slice(start, start + size))
             start += size
-        sharded = ShardedRelation(relation, self.num_shards, slices=slices)
         touched = tuple(int(i) for i in np.flatnonzero(drops))
+        return self._mutated("delete", relation, slices, touched)
+
+    def _mutated(self, kind, relation, slices, touched):
+        """The mutated view and its report.  Untouched shards keep
+        their rows, so the new view starts with their fingerprints."""
+        sharded = ShardedRelation(relation, self.num_shards, slices=slices)
+        untouched = tuple(i for i in range(self.num_shards) if i not in touched)
+        for index in untouched:
+            key = ("fingerprint", index)
+            if key in self._zone_cache:
+                sharded._zone_cache[key] = self._zone_cache[key]
         return sharded, MutationReport(
-            kind="delete",
+            kind=kind,
             touched=touched,
-            untouched=tuple(i for i in range(self.num_shards) if i not in touched),
+            untouched=untouched,
             rows_before=len(self._relation),
             rows_after=len(relation),
         )

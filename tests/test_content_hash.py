@@ -11,11 +11,15 @@ The properties the durable store's keying rests on:
   one :class:`ColumnHasher` yields exactly the whole-column digest,
   at every split point; and a shard's :func:`range_fingerprint` is a
   function of its content alone, not its offset in the relation.
+* **Incrementality** — a mutated relation's hash, resumed from the
+  checkpoints it inherited, and a mutated sharded view's inherited
+  shard fingerprints equal a fresh recompute over the same rows.
 """
 
 from __future__ import annotations
 
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +37,9 @@ from repro.relational import (
     range_fingerprint,
     relation_fingerprint,
 )
+from repro.relational import content_hash
 from repro.relational.content_hash import ColumnHasher, column_kind
+from repro.relational.sharding import ShardedRelation
 
 # -- strategies ------------------------------------------------------------
 
@@ -212,6 +218,227 @@ class TestMergeRule:
         assert range_fingerprint(appended, 0, 40) == range_fingerprint(
             relation, 0, 40
         )
+
+
+# -- incrementality: resumed hashes equal fresh ones -------------------------
+
+_MIXED = Schema(
+    [
+        Column("label", ColumnType.TEXT),
+        Column("x", ColumnType.FLOAT),
+        Column("n", ColumnType.INT),
+        Column("b", ColumnType.BOOL),
+    ]
+)
+_row = st.fixed_dictionaries(
+    {
+        "label": st.one_of(st.none(), st.text(max_size=4)),
+        "x": st.one_of(
+            st.none(), st.just(float("nan")), st.floats(allow_nan=False, width=32)
+        ),
+        "n": st.one_of(st.none(), st.integers(-3, 3)),
+        "b": st.one_of(st.none(), st.booleans()),
+    }
+)
+
+
+def _fresh(relation):
+    """The same rows in a relation that inherited nothing."""
+    return Relation(relation.name, relation.schema, relation.rows())
+
+
+def _hashed_rows(call):
+    """``(result, rows absorbed per column)`` of ``call()``."""
+    absorbed = []
+    update = ColumnHasher.update
+
+    def counting(hasher, values, nulls):
+        absorbed.append(len(nulls))
+        return update(hasher, values, nulls)
+
+    with mock.patch.object(ColumnHasher, "update", counting):
+        result = call()
+    return result, sum(absorbed)
+
+
+class TestIncrementalHashing:
+    @given(
+        rows=st.lists(_row, max_size=30),
+        shards=st.integers(1, 4),
+        spacing=st.sampled_from([3, 8]),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_mutation_sequences_match_a_fresh_recompute(
+        self, rows, shards, spacing, data
+    ):
+        # A small checkpoint grid makes 30-row relations cross many
+        # checkpoints; the digest never depends on the spacing.
+        with mock.patch.object(content_hash, "CHECKPOINT_ROWS", spacing):
+            sharded = ShardedRelation(Relation("T", _MIXED, rows), shards)
+            for _ in range(data.draw(st.integers(1, 4), label="steps")):
+                relation = sharded.relation
+                # Hash everything first, so the mutation has state to hand on.
+                relation_fingerprint(relation)
+                for index in range(sharded.num_shards):
+                    sharded.shard_fingerprint(index)
+                if data.draw(st.booleans(), label="append"):
+                    sharded, _ = sharded.append(
+                        data.draw(st.lists(_row, max_size=6), label="appended")
+                    )
+                elif len(relation):
+                    rids = st.integers(0, len(relation) - 1)
+                    sharded, _ = sharded.delete(
+                        data.draw(st.lists(rids, max_size=4), label="deleted")
+                    )
+                fresh = _fresh(sharded.relation)
+                for name in _MIXED.names:
+                    values, nulls = sharded.relation.column_arrays(name)
+                    fresh_values, fresh_nulls = fresh.column_arrays(name)
+                    assert np.array_equal(nulls, fresh_nulls)
+                    assert values.dtype == fresh_values.dtype
+                    assert values.tolist() == fresh_values.tolist() or (
+                        np.array_equal(values, fresh_values, equal_nan=True)
+                    )
+                assert relation_fingerprint(sharded.relation) == (
+                    range_fingerprint(fresh, 0, len(fresh))
+                )
+                assert relation_fingerprint(sharded.relation) == (
+                    relation_fingerprint(fresh)
+                )
+                for index in range(sharded.num_shards):
+                    part = sharded.shard_slice(index)
+                    assert sharded.shard_fingerprint(index) == range_fingerprint(
+                        fresh, part.start, part.stop
+                    )
+
+    def test_a_mutation_hashes_from_its_last_inherited_checkpoint(self):
+        spacing = content_hash.CHECKPOINT_ROWS
+        relation = clustered_relation(2 * spacing + 500, seed=5)
+        _, rows = _hashed_rows(lambda: relation_fingerprint(relation))
+        width = len(relation.schema)
+        assert rows == len(relation) * width
+        appended = relation.append_rows(
+            [dict(relation[0], ts=500.0), dict(relation[1], ts=501.0)]
+        )
+        fingerprint, rows = _hashed_rows(lambda: relation_fingerprint(appended))
+        assert rows == (len(appended) - 2 * spacing) * width
+        assert fingerprint == relation_fingerprint(_fresh(appended))
+        # A delete keeps only the checkpoints at or below its first rid.
+        deleted = appended.delete_rows([spacing + 7, 3])
+        fingerprint, rows = _hashed_rows(lambda: relation_fingerprint(deleted))
+        assert rows == len(deleted) * width
+        deleted = appended.delete_rows([spacing + 7, len(appended) - 1])
+        fingerprint, rows = _hashed_rows(lambda: relation_fingerprint(deleted))
+        assert rows == (len(deleted) - spacing) * width
+        assert fingerprint == relation_fingerprint(_fresh(deleted))
+        # The children resumed from copies: a second child of the same
+        # parent still starts from the states the parent saved.
+        sibling = relation.append_rows([dict(relation[2], ts=502.0)])
+        assert relation_fingerprint(sibling) == relation_fingerprint(_fresh(sibling))
+
+    def test_untouched_and_reused_shards_are_not_hashed_again(self):
+        relation = clustered_relation(400, seed=2)
+        sharded = ShardedRelation(relation, 4)
+        first = [sharded.shard_fingerprint(i) for i in range(4)]
+        # A second view over the same relation (a new session) reuses
+        # the relation's cached range fingerprints.
+        view = ShardedRelation(relation, 4)
+        again, rows = _hashed_rows(
+            lambda: [view.shard_fingerprint(i) for i in range(4)]
+        )
+        assert again == first and rows == 0
+        grown, report = sharded.append([dict(relation[0], ts=900.0)])
+        assert report.untouched == (0, 1, 2)
+        inherited, rows = _hashed_rows(
+            lambda: [grown.shard_fingerprint(i) for i in report.untouched]
+        )
+        assert inherited == first[:3] and rows == 0
+        _, rows = _hashed_rows(lambda: grown.shard_fingerprint(3))
+        assert rows == 101 * len(relation.schema)
+        shrunk, report = grown.delete([150])
+        assert report.touched == (1,)
+        _, rows = _hashed_rows(lambda: shrunk.shard_fingerprint(3))
+        assert rows == 0
+        _, rows = _hashed_rows(lambda: shrunk.shard_fingerprint(1))
+        assert rows == 99 * len(relation.schema)
+
+
+# -- the columnar TEXT serialization ---------------------------------------
+
+
+def _scalar_text_bytes(values, nulls):
+    """The per-value serialization the columnar path must reproduce."""
+    pieces = []
+    for value, null in zip(np.asarray(values).tolist(), nulls.tolist()):
+        encoded = b"" if null else str(value).encode("utf-8")
+        pieces.append(len(encoded).to_bytes(4, "little") + encoded)
+    return b"".join(pieces)
+
+
+def _long(strings):
+    """``strings`` repeated past the columnar cut-over."""
+    copies = content_hash._COLUMNAR_TEXT_MIN // len(strings) + 1
+    return np.array(strings * copies)
+
+
+class TestColumnarText:
+    @pytest.mark.parametrize(
+        "strings",
+        [
+            ["ab", "c", "longer label", ""],
+            ["a\x00b", "\x00lead", "tail\x00", "\x00"],
+            ["", "", ""],
+            ["tab\tand\nnewline", "~!@#", "x" * 40],
+        ],
+        ids=["ascii", "nul-bytes", "empty-strings", "control-and-wide"],
+    )
+    def test_ascii_columns_take_the_columnar_path(self, strings):
+        values = _long(strings)
+        rng = np.random.default_rng(len(strings))
+        for nulls in (
+            np.zeros(len(values), dtype=bool),
+            rng.random(len(values)) < 0.3,
+            np.ones(len(values), dtype=bool),
+        ):
+            packed = content_hash._ascii_text_bytes(values, nulls)
+            assert packed is not None
+            assert packed == _scalar_text_bytes(values, nulls)
+            assert content_hash._canonical_text_bytes(values, nulls) == packed
+
+    def test_trailing_nul_is_stripped_like_tolist(self):
+        values = _long(["ab\x00", "ab"])
+        nulls = np.zeros(len(values), dtype=bool)
+        assert values[0] == "ab"
+        assert content_hash._canonical_text_bytes(values, nulls) == (
+            _scalar_text_bytes(np.array(["ab"] * len(values)), nulls)
+        )
+
+    def test_other_arrays_fall_back_to_the_loop(self):
+        non_ascii = _long(["café", "naïve", "ok", "日本"])
+        nulls = np.zeros(len(non_ascii), dtype=bool)
+        assert content_hash._ascii_text_bytes(non_ascii, nulls) is None
+        expected = _scalar_text_bytes(non_ascii, nulls)
+        assert content_hash._canonical_text_bytes(non_ascii, nulls) == expected
+        ascii_values = _long(["big", "endian", ""])
+        nulls = np.zeros(len(ascii_values), dtype=bool)
+        swapped = ascii_values.astype(">U6")
+        assert not swapped.dtype.isnative
+        assert content_hash._canonical_text_bytes(swapped, nulls) == (
+            _scalar_text_bytes(ascii_values, nulls)
+        )
+        objects = ascii_values.astype(object)
+        assert content_hash._canonical_text_bytes(objects, nulls) == (
+            _scalar_text_bytes(ascii_values, nulls)
+        )
+
+    def test_lone_surrogate_raises_on_both_paths(self):
+        values = _long(["fine", "\ud800"])
+        nulls = np.zeros(len(values), dtype=bool)
+        with pytest.raises(UnicodeEncodeError):
+            _scalar_text_bytes(values, nulls)
+        with pytest.raises(UnicodeEncodeError):
+            content_hash._canonical_text_bytes(values, nulls)
 
 
 def test_column_kind_routes_text_separately():

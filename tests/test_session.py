@@ -16,9 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import EngineError, EngineOptions, evaluate
+from repro.core import engine
+from repro.core.engine import (
+    EngineError,
+    EngineOptions,
+    PackageQueryEvaluator,
+    evaluate,
+)
 from repro.core.result import ResultStatus
-from repro.core.session import EvaluationSession
+from repro.core.session import EvaluationSession, _CachedResult
+from repro.paql.errors import PaQLSemanticError, PaQLSyntaxError
 from repro.datasets import clustered_relation, generate_recipes
 from repro.datasets.workload import random_query
 from repro.relational import Column, ColumnType, Relation, Schema
@@ -238,12 +245,90 @@ class TestSessionSurfaces:
         assert again.stats["stages"]
         assert again.stats["reduction"]["kept"] != -1
 
+    def test_stored_stats_are_isolated_from_the_first_result(
+        self, small_relation
+    ):
+        session = EvaluationSession(small_relation)
+        first = session.evaluate(QUERY)
+        # Mutating the result that filled the cache must not reach it.
+        first.stats["stages"].clear()
+        first.stats["reduction"]["kept"] = -1
+        for _ in range(2):
+            replay = session.evaluate(QUERY)
+            assert replay.stats["session"]["result_cache"] == "hit"
+            assert replay.stats["stages"]
+            assert replay.stats["reduction"]["kept"] != -1
+
+    def test_entry_with_plain_stats_still_replays(self, small_relation):
+        # Result entries stored before the stats became a pickled blob
+        # hold the stats dict itself.
+        session = EvaluationSession(small_relation)
+        cold = session.evaluate(QUERY)
+        key = session.artifacts.result_key(
+            session.evaluator.prepare(QUERY), EngineOptions()
+        )
+        stored = session.artifacts.results.get(key)
+        assert isinstance(stored.stats, bytes)
+        legacy = dict(vars(stored), stats=dict(cold.stats))
+        session.artifacts.results.put(key, _CachedResult(**legacy))
+        replay = session.evaluate(QUERY)
+        assert replay.stats["session"]["result_cache"] == "hit"
+        assert replay.objective == cold.objective
+        assert all(entry["mode"] == "cached" for entry in replay.stats["stages"])
+        assert all(entry["mode"] == "executed" for entry in cold.stats["stages"])
+
     def test_queries_run_counter(self, small_relation):
         session = EvaluationSession(small_relation)
         session.evaluate(QUERY)
         session.evaluate(QUERY)
         assert session.queries_run == 2
         assert session.cache_stats()["queries_run"] == 2
+
+
+class TestPreparedQueries:
+    """``prepare`` memoizes text per evaluator."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse(text)
+
+        parse = engine.parse
+        monkeypatch.setattr(engine, "parse", counting)
+        return calls
+
+    def test_repeated_text_is_parsed_once(self, small_relation, parses):
+        evaluator = PackageQueryEvaluator(small_relation)
+        first = evaluator.evaluate(QUERY)
+        second = evaluator.evaluate(QUERY)
+        assert parses == [QUERY]
+        assert second.objective == first.objective
+        assert evaluator.prepare(QUERY) is evaluator.prepare(QUERY)
+
+    def test_bad_text_raises_every_time(self, small_relation, parses):
+        evaluator = PackageQueryEvaluator(small_relation)
+        unknown = QUERY.replace("R.gain", "R.nope")
+        for _ in range(2):
+            with pytest.raises(PaQLSyntaxError):
+                evaluator.prepare("SELECT PACKAGE(R) FROM")
+            with pytest.raises(PaQLSemanticError):
+                evaluator.prepare(unknown)
+            with pytest.raises(EngineError):
+                evaluator.prepare(QUERY.replace("FROM Red", "FROM Blue"))
+        assert len(parses) == 6
+
+    def test_a_mutation_parses_again(self, small_relation, parses):
+        session = EvaluationSession(small_relation)
+        session.evaluate(QUERY)
+        session.evaluate(QUERY)
+        assert len(parses) == 1
+        session.append_rows([{"cost": 1.0, "gain": 50.0}])
+        after = session.evaluate(QUERY)
+        assert len(parses) == 2
+        assert after.objective == evaluate(QUERY, session.relation).objective
 
 
 class TestSessionParityProperty:
