@@ -1,4 +1,4 @@
-"""Branch-and-bound MILP solver on top of the bounded simplex.
+"""Branch-and-bound MILP solver on top of the bounded dual simplex.
 
 This is the "state-of-the-art constraint optimization solver" role from
 the paper, built from scratch: best-bound search over LP relaxations,
@@ -7,17 +7,17 @@ handles variable bounds natively, a branch costs no extra rows — each
 node only tightens one bound.
 
 One :class:`~repro.solver.simplex.LPWorkspace` serves the whole search.
-The root LP is solved cold (two-phase primal); every child re-solves by
-dual simplex from its parent's optimal basis, which the bound change
-leaves dual feasible, so a child costs a few pivots rather than a fresh
-two-phase solve.  Once an incumbent exists, each popped node also fixes
-integer variables by reduced cost: a nonbasic variable whose reduced
-cost times its step exceeds the gap to the incumbent is bounded to the
-steps that gap allows, which discards exactly the subtrees bound
-pruning would discard.
+The root LP is solved by the dual simplex from the slack basis; every
+child re-solves by the same dual simplex from its parent's optimal
+basis, which the bound change leaves dual feasible, so a child costs a
+few pivots rather than a solve from scratch.  Once an incumbent exists,
+each popped node also fixes integer variables by reduced cost: a
+nonbasic variable whose reduced cost times its step exceeds the gap to
+the incumbent is bounded to the steps that gap allows, which discards
+exactly the subtrees bound pruning would discard.
 
-The search supports node limits and a relative gap tolerance, and
-reports FEASIBLE (incumbent without proof) or LIMIT when stopped early.
+The search supports a node limit, and reports FEASIBLE (incumbent
+without proof) or LIMIT when stopped early.
 
 Unbounded-cardinality knapsack-shaped models — ``MAXIMIZE SUM(gain)
 SUCH THAT SUM(cost) <= C`` with 0/1 multiplicities and no other
@@ -45,9 +45,9 @@ from repro.solver.status import Status
 #: A value is integral if within this distance of an integer.
 INT_TOL = 1e-6
 
-#: Bound-pruning slack of the knapsack fast path (matches the generic
-#: search's exact-mode slack in :func:`_gap_slack`).
-_KNAPSACK_EPS = 1e-9
+#: Bound-pruning slack of both searches: a node whose bound is not
+#: better than the incumbent by more than this is pruned.
+_PRUNE_SLACK = 1e-9
 
 #: Relative slack of the knapsack fast path's capacity check, a few
 #: ulps: a weight sum that equals the capacity in decimals may round an
@@ -63,9 +63,6 @@ class BranchAndBoundOptions:
 
     Attributes:
         node_limit: maximum number of LP relaxations to solve.
-        gap: relative optimality gap at which the search stops early
-            (0.0 proves exact optimality).
-        iteration_limit: simplex iteration cap per LP.
         presolve: tighten variable bounds from constraint activities
             before solving, then substitute fixed (zero-width)
             variables out of the arrays entirely
@@ -83,15 +80,11 @@ class BranchAndBoundOptions:
     def __init__(
         self,
         node_limit=200000,
-        gap=0.0,
-        iteration_limit=50000,
         presolve=True,
         rounding=True,
         initial_solution=None,
     ):
         self.node_limit = node_limit
-        self.gap = gap
-        self.iteration_limit = iteration_limit
         self.presolve = presolve
         self.rounding = rounding
         self.initial_solution = initial_solution
@@ -212,7 +205,7 @@ def _solve_knapsack(model, c, A, senses, b, lower, upper, options):
                 limited = True
                 break
             steps += 1
-            if dual_bound(j, limit - used - drift, value) <= best_value + _KNAPSACK_EPS:
+            if dual_bound(j, limit - used - drift, value) <= best_value + _PRUNE_SLACK:
                 pruned = True
                 break
             weight = weight_list[j]
@@ -243,14 +236,14 @@ def _solve_knapsack(model, c, A, senses, b, lower, upper, options):
             taken[i] = False
             j = i + 1
             nodes += 1
-            if dual_bound(j, limit - used - drift, value) > best_value + _KNAPSACK_EPS:
+            if dual_bound(j, limit - used - drift, value) > best_value + _PRUNE_SLACK:
                 break  # the skip branch is still promising
         if limited:
             break
         if not takes and (
             j > m
             or dual_bound(j, limit - used - drift, value)
-            <= best_value + _KNAPSACK_EPS
+            <= best_value + _PRUNE_SLACK
         ):
             break
 
@@ -290,7 +283,6 @@ def solve_milp(model, options=None):
     nodes = 0
 
     elimination = None
-    objective_offset = 0.0
     if options.presolve:
         from repro.solver.presolve import eliminate_fixed, tighten_bounds
 
@@ -317,13 +309,12 @@ def solve_milp(model, options=None):
             )
             lower, upper = elimination.lower, elimination.upper
             integer_indices = elimination.integer_indices
-            objective_offset = elimination.objective_offset
 
     def restore(x):
         return elimination.restore(x) if elimination is not None else x
 
     workspace = LPWorkspace(c, A, senses, b)
-    root = workspace.solve(lower, upper, options.iteration_limit)
+    root = workspace.solve(lower, upper)
     total_iterations += root.iterations
     nodes += 1
     if root.status is Status.INFEASIBLE:
@@ -385,19 +376,14 @@ def solve_milp(model, options=None):
         bound, _, node_lower, node_upper, lp_result = heapq.heappop(heap)
 
         if incumbent_x is not None:
-            # Relative slack is measured on the *model's* objective
-            # value: reduced-space values omit the eliminated
-            # variables' mass, which would inflate (or deflate) a
-            # gap-proportional slack arbitrarily.
-            slack = _gap_slack(incumbent_value + objective_offset, options.gap)
-            if bound >= incumbent_value - slack:
+            if bound >= incumbent_value - _PRUNE_SLACK:
                 continue  # pruned by bound
             node_lower, node_upper = _fix_by_reduced_costs(
                 lp_result,
                 node_lower,
                 node_upper,
                 integer_indices,
-                incumbent_value - slack - bound,
+                incumbent_value - _PRUNE_SLACK - bound,
             )
 
         branch_var = _most_fractional(lp_result.x, integer_indices)
@@ -424,18 +410,14 @@ def solve_milp(model, options=None):
                 child_lower[branch_var] = math.ceil(fractional_value)
             if child_lower[branch_var] > child_upper[branch_var]:
                 continue
-            child = workspace.resolve(
-                child_lower, child_upper, lp_result, options.iteration_limit
-            )
+            child = workspace.resolve(child_lower, child_upper, lp_result)
             total_iterations += child.iterations
             nodes += 1
             if child.status is not Status.OPTIMAL:
                 continue  # infeasible child is pruned
             if (
                 incumbent_x is not None
-                and child.objective
-                >= incumbent_value
-                - _gap_slack(incumbent_value + objective_offset, options.gap)
+                and child.objective >= incumbent_value - _PRUNE_SLACK
             ):
                 continue
             push(child.objective, child_lower, child_upper, child)
@@ -448,9 +430,7 @@ def solve_milp(model, options=None):
         status = Status.INFEASIBLE if exhausted else Status.LIMIT
         return Solution(status, iterations=total_iterations, nodes=nodes)
 
-    status = Status.OPTIMAL if (exhausted or options.gap > 0.0) else Status.FEASIBLE
-    if not exhausted and options.gap == 0.0:
-        status = Status.FEASIBLE
+    status = Status.OPTIMAL if exhausted else Status.FEASIBLE
     full = restore(incumbent_x)
     objective = model.objective_value(full)
     return Solution(
@@ -470,8 +450,6 @@ def _fix_by_reduced_costs(lp_result, lower, upper, integer_indices, gap):
     the node's bound would reach the incumbent and be pruned.  Returns
     ``(lower, upper)``, copied only when something tightened.
     """
-    if lp_result.reduced_costs is None:  # a row-free LP has no basis
-        return lower, upper
     j = np.asarray(integer_indices)
     d = lp_result.reduced_costs[j]
     nonbasic = np.ones(len(lp_result.at_upper), dtype=bool)
@@ -490,9 +468,3 @@ def _fix_by_reduced_costs(lp_result, lower, upper, integer_indices, gap):
         lower[j[up]] = upper[j[up]] - steps[up]
     return lower, upper
 
-
-def _gap_slack(incumbent_value, gap):
-    """Pruning slack implementing the relative gap tolerance."""
-    if gap <= 0.0:
-        return 1e-9
-    return max(1e-9, gap * abs(incumbent_value))

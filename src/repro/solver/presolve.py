@@ -69,10 +69,6 @@ class FixedElimination:
         self._length = len(lower)
         self.infeasible = False
 
-        #: Objective mass of the eliminated variables: reduced-space
-        #: objective values differ from the model's by exactly this,
-        #: and anything *relative* (gap tolerances) must add it back.
-        self.objective_offset = float(c[fixed] @ self._values[fixed])
         self.c = c[self.keep]
         self.lower = lower[self.keep]
         self.upper = upper[self.keep]

