@@ -19,11 +19,10 @@ both:
 from __future__ import annotations
 
 from repro.core.brute_force import iter_valid_packages
-from repro.core.strategies.base import solve_on_backend
+from repro.core.strategies.base import solve_model
 from repro.core.translate_ilp import ILPTranslationError, translate
 from repro.core.validator import compare_objectives, objective_value
 from repro.solver.branch_and_bound import BranchAndBoundOptions
-from repro.solver.status import Status
 
 
 def enumerate_top(
@@ -59,10 +58,9 @@ def enumerate_top(
     bb_options = BranchAndBoundOptions(node_limit=node_limit)
     packages = []
     for _ in range(limit):
-        solution = solve_on_backend(translation.model, backend, bb_options)
-        if not solution.status.has_solution:
+        package = solve_model(translation, backend, bb_options).package
+        if package is None:
             break
-        package = translation.decode(solution)
         packages.append(package)
         translation.exclude_package(package)
     return packages

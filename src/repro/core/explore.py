@@ -18,10 +18,8 @@ Users can repeat this process until they reach the ideal package."
 from __future__ import annotations
 
 from repro.core.local_search import LocalSearch, LocalSearchOptions
-from repro.core.strategies.base import solve_on_backend
+from repro.core.strategies.base import solve_model
 from repro.core.translate_ilp import ILPTranslationError, translate
-from repro.core.validator import is_valid
-from repro.solver.status import Status
 
 
 class ExplorationError(Exception):
@@ -131,28 +129,14 @@ class ExplorationSession:
             return self._solve_search(exclusions)
 
     def _solve_ilp(self, exclusions):
-        translation = translate(self._query, self._relation, self._candidates)
-        positions = translation.positions(list(self._pinned))
-        for (rid, multiplicity), position in zip(
-            self._pinned.items(), positions.tolist()
-        ):
-            if position < 0:
-                raise ExplorationError(
-                    f"pinned rid {rid} no longer satisfies the base constraints"
-                )
-            translation.model.add_constraint(
-                {int(translation.x_vars[position]): 1.0},
-                ">=",
-                float(multiplicity),
-                name=f"pin_{rid}",
-            )
+        # Pins come from packages over the session's own candidates.
+        translation = translate(
+            self._query, self._relation, self._candidates,
+            lower_bounds=self._pinned,
+        )
         for package in exclusions:
             translation.exclude_package(package)
-
-        solution = solve_on_backend(translation.model, self._backend)
-        if not solution.status.has_solution:
-            return None
-        return translation.decode(solution)
+        return solve_model(translation, self._backend).package
 
     def _solve_search(self, exclusions):
         """Local-search fallback for queries without a linear encoding."""

@@ -213,7 +213,7 @@ def analyze_constraints(state):
     conjuncts, unsupported = query_conjuncts(query)
     reducer = _Reducer(
         query, state.relation, options.reduce, state.sharded,
-        DEFAULT_TOLERANCE, state.columns, conjuncts, unsupported,
+        state.columns, conjuncts, unsupported,
     )
     for round_number in range(1, MAX_PRUNE_ROUNDS + 1):
         state.prune_rounds = round_number
@@ -291,7 +291,6 @@ def reduce_candidates(
     mode="safe",
     sharded=None,
     workers=0,
-    tolerance=DEFAULT_TOLERANCE,
     columns=None,
 ):
     """One reduction round over ``candidate_rids`` (see module docstring).
@@ -311,9 +310,6 @@ def reduce_candidates(
             enabling the zone-map whole-shard fast path and the
             columns' shard fan-out.
         workers: worker threads for that fan-out.
-        tolerance: the validator's boundary tolerance; fixing widens
-            non-strict thresholds by it so reduction never removes a
-            tuple some oracle-acceptable package contains.
         columns: the query's ``CandidateColumns`` over
             ``candidate_rids`` (built when ``None``), narrowed in place
             to the kept candidates; dominance gathers the objective
@@ -336,8 +332,7 @@ def reduce_candidates(
     if columns is None:
         columns = CandidateColumns(relation, rids, sharded, workers)
     reducer = _Reducer(
-        query, relation, mode, sharded, tolerance, columns,
-        *query_conjuncts(query),
+        query, relation, mode, sharded, columns, *query_conjuncts(query),
     )
     reducer.round(rids, bounds)
     return reducer.reduction()
@@ -363,7 +358,7 @@ def zones_block_minmax_fixing(zones, plan):
     return False
 
 
-def minmax_fixing_sql(func, op, constant, column, tolerance=DEFAULT_TOLERANCE):
+def minmax_fixing_sql(func, op, constant, column):
     """SQL twin of :meth:`_Reducer._consume_minmax`'s per-tuple fixing.
 
     Renders the predicate selecting exactly the rows the vectorized
@@ -407,7 +402,7 @@ def minmax_fixing_sql(func, op, constant, column, tolerance=DEFAULT_TOLERANCE):
     params = []
     if plan.bad is ast.CmpOp.LT:
         pivot_sql = sql_constant(pivot, params)
-        tolerance_sql = sql_constant(float(tolerance), params)
+        tolerance_sql = sql_constant(DEFAULT_TOLERANCE, params)
         magnitude_sql = sql_constant(abs(pivot), params)
         bad = (
             f"{mirrored} < {pivot_sql} - "
@@ -423,14 +418,12 @@ class _Reducer:
     over that round's input rids, and the counters accumulate."""
 
     def __init__(
-        self, query, relation, mode, sharded, tolerance, columns,
-        conjuncts, unsupported,
+        self, query, relation, mode, sharded, columns, conjuncts, unsupported,
     ):
         self._query = query
         self._relation = relation
         self._mode = mode
         self._sharded = sharded
-        self._tol = float(tolerance)
         self._columns = columns
         self._conjuncts = conjuncts
         # A clause with no normal form yields no conjuncts to fix by,
@@ -575,7 +568,7 @@ class _Reducer:
         for magnitude in magnitudes:
             with np.errstate(invalid="ignore"):
                 peak = np.fmax(peak, np.abs(magnitude))
-        return self._tol * peak
+        return DEFAULT_TOLERANCE * peak
 
     # -- SUM / COUNT fixing --------------------------------------------------
 
@@ -832,7 +825,7 @@ class _Reducer:
                 pivot = -threshold
             else:
                 pivot = threshold
-            shard_slack = self._tol * max(1.0, abs(low), abs(high), abs(pivot))
+            shard_slack = DEFAULT_TOLERANCE * max(1.0, abs(low), abs(high), abs(pivot))
             if plan.bad is ast.CmpOp.LT:
                 all_bad = high < pivot - shard_slack
                 none_bad = low >= pivot

@@ -18,7 +18,7 @@ from repro.paql.describe import _condition_sentence
 from repro.paql.eval import eval_expr
 from repro.paql.printer import print_expr
 from repro.core.formula import conjunctive_leaves, normalize_formula
-from repro.core.validator import DEFAULT_TOLERANCE, _holds, validate
+from repro.core.validator import holds, validate
 
 
 @dataclass
@@ -123,7 +123,7 @@ def explain(package, query):
                 ConstraintReport(
                     paql=print_expr(leaf),
                     sentence=_condition_sentence(leaf, "the package"),
-                    satisfied=_holds(leaf, package, DEFAULT_TOLERANCE),
+                    satisfied=holds(leaf, package),
                     actual=_leaf_actual(leaf, package),
                 )
             )

@@ -19,8 +19,9 @@ A strategy is a class with four responsibilities:
 * ``run(ctx)`` — evaluate, returning an
   :class:`~repro.core.result.EvaluationResult`.
 
-Strategies never validate their own output: the engine re-validates
-every returned package against the original query (the oracle gate).
+The engine re-validates every returned package against the original
+query (the oracle gate); :func:`solve_model` judges each ILP package
+before a strategy sees it.
 """
 
 from __future__ import annotations
@@ -29,10 +30,13 @@ import abc
 from dataclasses import dataclass, field
 
 from repro.core.pruning import search_space_size
+from repro.core.result import ResultStatus
 from repro.core.translate_ilp import ILPTranslationError, translate
+from repro.core.validator import check_global
 from repro.solver.branch_and_bound import BranchAndBoundOptions, solve_milp
 from repro.solver.scipy_backend import available as scipy_available
 from repro.solver.scipy_backend import solve_milp_scipy
+from repro.solver.status import Status
 
 
 @dataclass
@@ -156,7 +160,7 @@ class EvaluationContext:
                     self.query,
                     self.relation,
                     self.candidate_rids,
-                    forced_ones=frozenset(self.forced_rids),
+                    lower_bounds=dict.fromkeys(self.forced_rids, 1),
                     columns=self.columns,
                 )
             except ILPTranslationError as exc:
@@ -258,42 +262,68 @@ class Strategy(abc.ABC):
         :class:`~repro.core.result.EvaluationResult`."""
 
 
-def resolved_backend(options):
-    """The backend ``solve_model`` will actually run for ``options``."""
-    return _resolve(options.solver_backend)
-
-
-def _resolve(backend):
+def resolved_backend(backend):
+    """The backend :func:`solve_model` runs for ``backend``: ``auto``
+    means scipy when it is installed."""
     if backend == "auto":
         return "scipy" if scipy_available() else "builtin"
     return backend
 
 
-def solve_on_backend(model, backend, bb_options=None):
-    """Solve an ILP model on ``backend`` (``builtin`` | ``scipy`` |
-    ``auto``, which means scipy when it is installed).
+#: Rejected packages :func:`solve_model` cuts off before it gives up;
+#: each costs a re-solve.  No solve of the strict differentials in
+#: ``tests/test_differential.py`` needs more than 3.
+MAX_JUDGE_CUTS = 64
 
-    ``bb_options`` configure the builtin branch and bound (default
-    :class:`~repro.solver.branch_and_bound.BranchAndBoundOptions`);
-    the scipy backend ignores them.
+_STATUS = {
+    Status.OPTIMAL: ResultStatus.OPTIMAL,
+    Status.FEASIBLE: ResultStatus.FEASIBLE,
+    Status.INFEASIBLE: ResultStatus.INFEASIBLE,
+}
+
+
+@dataclass(frozen=True)
+class Solved:
+    """:func:`solve_model`'s answer: the judged ``package`` (or
+    ``None``) and its ``status``, with every solve's work summed."""
+
+    status: ResultStatus
+    package: object
+    nodes: int
+    iterations: int
+    cuts: int
+    gave_up: str | None = None
+
+
+def solve_model(translation, backend, bb_options=None):
+    """Solve ``translation`` on ``backend`` and decode its package: the
+    one place a translated query is solved.
+
+    ``bb_options`` configure the builtin branch and bound; scipy
+    ignores them.  The package of a faithful translation (one built
+    without ``upper_bounds``) is judged by the validator's
+    :func:`~repro.core.validator.check_global`; a rejected one is cut
+    off by a no-good row and the model solved again, at most
+    :data:`MAX_JUDGE_CUTS` times.  The cuts stay in the model, the
+    context's cached translation included: each removes only a package
+    the validator rejects, so the model keeps every valid one.
     """
-    if _resolve(backend) == "scipy":
-        return solve_milp_scipy(model)
-    return solve_milp(model, bb_options or BranchAndBoundOptions())
-
-
-def solve_model(model, options, initial_solution=None):
-    """Solve an ILP model honoring ``EngineOptions`` backend settings.
-
-    Returns ``(solution, backend_name)``.  Shared by the ``ilp`` and
-    ``partition`` strategies.  ``initial_solution`` (a full-length
-    variable-value array) warm-starts the builtin branch and bound as
-    its incumbent so it prunes from node one; the scipy backend
-    ignores it (check :func:`resolved_backend` before paying to build
-    one).
-    """
-    backend = resolved_backend(options)
-    bb_options = BranchAndBoundOptions(
-        node_limit=options.node_limit, initial_solution=initial_solution
-    )
-    return solve_on_backend(model, backend, bb_options), backend
+    scipy = resolved_backend(backend) == "scipy"
+    bb_options = bb_options or BranchAndBoundOptions()
+    model = translation.model
+    nodes = iterations = cuts = 0
+    while True:
+        solution = solve_milp_scipy(model) if scipy else solve_milp(model, bb_options)
+        nodes += solution.nodes
+        iterations += solution.iterations
+        status = _STATUS.get(solution.status, ResultStatus.UNKNOWN)
+        if not solution.status.has_solution:
+            return Solved(status, None, nodes, iterations, cuts)
+        package = translation.decode(solution)
+        if not translation.faithful or check_global(package, translation.query):
+            return Solved(status, package, nodes, iterations, cuts)
+        if cuts == MAX_JUDGE_CUTS:
+            reason = f"the validator rejected {cuts + 1} packages in a row"
+            return Solved(ResultStatus.UNKNOWN, None, nodes, iterations, cuts, reason)
+        translation.exclude_package(package)
+        cuts += 1

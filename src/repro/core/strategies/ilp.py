@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.result import EvaluationResult, ResultStatus
+from repro.core.result import EvaluationResult
 from repro.core.strategies.base import (
     Strategy,
     StrategyEstimate,
     resolved_backend,
     solve_model,
 )
-from repro.solver.status import Status
+from repro.solver.branch_and_bound import BranchAndBoundOptions
 
 #: Incumbent warm starts only engage past this many variables: below
 #: it the seed-and-validate cost rivals the whole solve, and small
@@ -78,38 +78,34 @@ class ILPStrategy(Strategy):
 
     def run(self, ctx):
         translation = ctx.translation()
+        backend = resolved_backend(ctx.options.solver_backend)
         warm = None
         if (
             translation.model.num_variables >= WARM_START_MIN_VARIABLES
-            and resolved_backend(ctx.options) == "builtin"
+            and backend == "builtin"
         ):
             # Only the builtin branch and bound consumes a primal warm
             # start; don't pay the greedy seed + validation for a
             # backend that throws it away.
             warm = _warm_start(ctx, translation)
-        solution, backend = solve_model(
-            translation.model, ctx.options, initial_solution=warm
+        bb_options = BranchAndBoundOptions(
+            node_limit=ctx.options.node_limit, initial_solution=warm
         )
-
+        solved = solve_model(translation, backend, bb_options)
         stats = {
             "solver_backend": backend,
             "variables": translation.model.num_variables,
             "constraints": translation.model.num_constraints,
-            "nodes": solution.nodes,
-            "iterations": solution.iterations,
+            "nodes": solved.nodes,
+            "iterations": solved.iterations,
             "warm_start": warm is not None,
+            "judge_cuts": solved.cuts,
         }
-        if solution.status is Status.OPTIMAL:
-            status, package = ResultStatus.OPTIMAL, translation.decode(solution)
-        elif solution.status is Status.FEASIBLE:
-            status, package = ResultStatus.FEASIBLE, translation.decode(solution)
-        elif solution.status is Status.INFEASIBLE:
-            status, package = ResultStatus.INFEASIBLE, None
-        else:
-            status, package = ResultStatus.UNKNOWN, None
+        if solved.gave_up:
+            stats["gave_up"] = solved.gave_up
         return EvaluationResult(
-            package=package,
-            status=status,
+            package=solved.package,
+            status=solved.status,
             strategy=self.name,
             query=ctx.query,
             stats=stats,

@@ -22,8 +22,8 @@ literature points at for package queries):
    machinery as everything else; when a step comes up infeasible the
    strategy falls back to the cost model's next-best strategy over
    the full candidate set, so a sketch approximation error never
-   becomes a wrong answer (and the engine's oracle gate re-validates
-   the final package regardless).
+   becomes a wrong answer (the validator judges the final package,
+   and the engine's oracle gate re-validates it regardless).
 
 The result is heuristic (``FEASIBLE``, no optimality proof) except in
 the degenerate all-singleton case, where the sketch *is* the exact
@@ -35,23 +35,15 @@ from __future__ import annotations
 from repro.core.package import Package
 from repro.core.partitioning import build_partitioning
 from repro.core.result import EvaluationResult, ResultStatus
-from repro.core.strategies.base import Strategy, StrategyEstimate, solve_model
+from repro.core.strategies.base import (
+    Strategy,
+    StrategyEstimate,
+    resolved_backend,
+    solve_model,
+)
 from repro.core.translate_ilp import ILPTranslationError, translate
-from repro.solver.status import Status
-
-_SOLVED = (Status.OPTIMAL, Status.FEASIBLE)
-
-
-def _pinned_translation(query, relation, rids, upper, pins):
-    """The refinement model over ``rids`` with ``pins`` (a subset of
-    them, ``{rid: multiplicity}``) fixed by equality rows."""
-    translation = translate(query, relation, rids, upper_bounds=upper)
-    pinned_vars = translation.x_vars[translation.positions(list(pins))]
-    for variable, multiplicity in zip(pinned_vars.tolist(), pins.values()):
-        translation.model.add_constraint(
-            {variable: 1.0}, "=", float(multiplicity), name="pin"
-        )
-    return translation
+from repro.core.validator import check_global
+from repro.solver.branch_and_bound import BranchAndBoundOptions
 
 
 class PartitionStrategy(Strategy):
@@ -145,18 +137,18 @@ class PartitionStrategy(Strategy):
             "binning_attributes": len(parts.attributes),
             "refine_steps": 0,
             "solver_nodes": 0,
+            "solver_backend": resolved_backend(ctx.options.solver_backend),
+            "sketch_variables": len(parts),
         }
 
+        bb_options = BranchAndBoundOptions(node_limit=ctx.options.node_limit)
         unrefined = set(range(len(parts)))
         pinned = {}
 
-        def refine_inputs(refining):
-            """Model inputs ``(rids, upper)`` for one refinement attempt."""
-            rids = []
-            upper = {}
-            for rid, multiplicity in pinned.items():
-                rids.append(rid)
-                upper[rid] = multiplicity
+        def attempt(refining):
+            """Solve with refined choices pinned, ``refining`` expanded."""
+            rids = list(pinned)
+            upper = dict(pinned)
             for group_index in unrefined:
                 if group_index == refining:
                     continue
@@ -167,76 +159,62 @@ class PartitionStrategy(Strategy):
                 )
             if refining is not None:
                 rids.extend(parts.groups[refining])
-            return rids, upper
-
-        def attempt(refining):
-            """Solve with refined choices pinned, ``refining`` expanded."""
-            rids, upper = refine_inputs(refining)
-            translation = _pinned_translation(
-                ctx.query, ctx.relation, rids, upper, pinned
+            # A pin's lower and upper bound are equal: it is fixed.
+            translation = translate(
+                ctx.query, ctx.relation, rids, upper_bounds=upper, lower_bounds=pinned
             )
-            solution, backend = solve_model(translation.model, ctx.options)
-            stats["solver_backend"] = backend
-            stats["solver_nodes"] += solution.nodes
-            return translation, solution
+            solved = solve_model(translation, ctx.options.solver_backend, bb_options)
+            stats["solver_nodes"] += solved.nodes
+            return solved
 
-        translation, solution = attempt(None)
-        stats["sketch_variables"] = len(translation.x_vars)
-        if solution.status not in _SOLVED:
-            return self._fallback(
-                ctx, f"sketch {solution.status.value}", stats
-            )
+        solved = attempt(None)
+        if solved.package is None:
+            return self._fallback(ctx, f"sketch {solved.status.value}", stats)
 
-        if all(len(group) == 1 for group in parts.groups):
-            # Degenerate sketch: every representative is its whole
-            # partition, so the sketch is the exact ILP.
-            status = (
-                ResultStatus.OPTIMAL
-                if solution.status is Status.OPTIMAL
-                else ResultStatus.FEASIBLE
-            )
-            return EvaluationResult(
-                package=translation.decode(solution),
-                status=status,
-                strategy=self.name,
-                query=ctx.query,
-                stats=stats,
-            )
-
-        counts = translation.counts(solution)
-        while True:
+        package, status = solved.package, solved.status
+        counts = dict(package.counts)
+        # A degenerate sketch, where every representative is its whole
+        # partition, is the exact ILP: nothing to refine.
+        refine = any(len(group) > 1 for group in parts.groups)
+        while refine:
             loaded = [
                 group_index
                 for group_index in unrefined
                 if counts.get(parts.representatives[group_index], 0) > 0
             ]
             if not loaded:
+                package = Package(ctx.relation, dict(pinned))
+                status = ResultStatus.FEASIBLE
                 break
 
             target = max(
                 loaded,
                 key=lambda q: (counts[parts.representatives[q]], -q),
             )
-            translation, solution = attempt(target)
+            solved = attempt(target)
             stats["refine_steps"] += 1
-            if solution.status not in _SOLVED:
+            if solved.package is None:
                 return self._fallback(
                     ctx,
                     f"refine step {stats['refine_steps']} "
-                    f"{solution.status.value}",
+                    f"{solved.status.value}",
                     stats,
                 )
 
             unrefined.discard(target)
-            counts = translation.counts(solution)
+            counts = dict(solved.package.counts)
             for rid in parts.groups[target]:
                 value = counts.get(rid, 0)
                 if value > 0:
                     pinned[rid] = value
 
+        # A sketch is not the query, so solve_model judged none of the
+        # steps: the package they built is judged here.
+        if not check_global(package, ctx.query):
+            return self._fallback(ctx, "refined package rejected", stats)
         return EvaluationResult(
-            package=Package(ctx.relation, dict(pinned)),
-            status=ResultStatus.FEASIBLE,
+            package=package,
+            status=status,
             strategy=self.name,
             query=ctx.query,
             stats=stats,

@@ -33,6 +33,13 @@ branch's linear constraints big-M-relaxed by its indicator.  Big-M
 values are computed exactly from the variable bounds, which are always
 finite (``repeat``).
 
+Strict comparisons carry no margin.  A row ``sum_j a_j x_j`` over
+integral ``x`` takes only multiples of its *grid*, the exact gcd of the
+``a_j`` (1 for an integral row): ``row < c`` is written ``row <=`` the
+largest multiple below ``c`` when that is an exact double, else as the
+closure ``row <= c``, whose boundary packages the validator rejects
+(:func:`repro.core.strategies.base.solve_model` judges every package).
+
 Array-native construction
 -------------------------
 The coefficients already sit in numpy columns, so the translator never
@@ -56,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -65,9 +73,6 @@ from repro.core.formula import normalize_formula
 from repro.core.package import Package
 from repro.core.vectorize import CandidateColumns
 from repro.solver.model import Model, ObjectiveSense, sequential_sum
-
-#: Slack used to encode strict inequalities over continuous sums.
-DEFAULT_EPSILON = 1e-6
 
 
 class ILPTranslationError(Exception):
@@ -223,26 +228,17 @@ class ILPTranslation:
         candidate_rids: the candidate row ids (``intp`` array).
         x_vars: model index of each candidate's multiplicity variable
             (``intp`` array aligned with ``candidate_rids``).
+        faithful: the model encodes the query itself (it was built
+            without ``upper_bounds``), so its packages can be judged.
     """
 
-    def __init__(self, query, relation, candidate_rids, model, x_vars):
+    def __init__(self, query, relation, candidate_rids, model, x_vars, faithful):
         self.query = query
         self.relation = relation
         self.candidate_rids = _rid_array(candidate_rids)
         self.model = model
         self.x_vars = np.asarray(x_vars, dtype=np.intp)
-
-    def positions(self, rids):
-        """Where each of ``rids`` sits in ``candidate_rids`` (-1 when
-        it is not a candidate)."""
-        rids = np.asarray(rids, dtype=np.intp)
-        candidates = self.candidate_rids
-        if len(candidates) == 0:
-            return np.full(len(rids), -1, dtype=np.intp)
-        order = np.argsort(candidates, kind="stable")
-        spot = np.searchsorted(candidates, rids, sorter=order)
-        found = order[np.minimum(spot, len(order) - 1)]
-        return np.where(candidates[found] == rids, found, -1)
+        self.faithful = faithful
 
     def multiplicities(self, package):
         """``package``'s multiplicity of every candidate (float array
@@ -250,26 +246,21 @@ class ILPTranslation:
         out = np.zeros(len(self.candidate_rids))
         if package.counts:
             rids, counts = zip(*package.counts)
-            where = self.positions(rids)
+            where = _positions(self.candidate_rids, rids)
             inside = where >= 0
             out[where[inside]] = np.asarray(counts, dtype=np.float64)[inside]
         return out
 
-    def counts(self, solution):
-        """``{rid: multiplicity}`` of the tuples ``solution`` selects."""
-        values = np.rint(solution.x[self.x_vars])
-        chosen = np.flatnonzero(values > 0)
-        return dict(
-            zip(
-                self.candidate_rids[chosen].tolist(),
-                values[chosen].astype(np.int64).tolist(),
-            )
-        )
-
     def decode(self, solution):
         """Turn a solver :class:`~repro.solver.model.Solution` into a
         :class:`~repro.core.package.Package`."""
-        return Package(self.relation, self.counts(solution))
+        values = np.rint(solution.x[self.x_vars])
+        chosen = np.flatnonzero(values > 0)
+        counts = zip(
+            self.candidate_rids[chosen].tolist(),
+            values[chosen].astype(np.int64).tolist(),
+        )
+        return Package(self.relation, dict(counts))
 
     def exclude_package(self, package):
         """Add a no-good cut removing ``package`` from the feasible set.
@@ -327,36 +318,75 @@ def _rid_array(rids):
     return np.fromiter(rids, dtype=np.intp)
 
 
+def _positions(candidates, rids):
+    """Where each of ``rids`` sits in ``candidates`` (-1 when it is
+    not one of them)."""
+    rids = np.asarray(rids, dtype=np.intp)
+    if len(candidates) == 0:
+        return np.full(len(rids), -1, dtype=np.intp)
+    order = np.argsort(candidates, kind="stable")
+    spot = np.searchsorted(candidates, rids, sorter=order)
+    found = order[np.minimum(spot, len(order) - 1)]
+    return np.where(candidates[found] == rids, found, -1)
+
+
+def _per_rid(rids, bounds, default):
+    """``bounds`` (``{rid: value}``) as a float array aligned with
+    ``rids``; ``default`` where it names no value."""
+    out = np.full(len(rids), float(default))
+    if bounds:
+        where = _positions(rids, list(bounds))
+        out[where[where >= 0]] = np.array(list(bounds.values()))[where >= 0]
+    return out
+
+
+def _strict_bound(row, op, rhs):
+    """The bound of ``row . x < rhs`` (``> rhs``): the nearest multiple
+    of the row's grid strictly past ``rhs`` when that is an exact
+    double, else ``rhs`` (see the module docstring).
+
+    ``frexp`` writes each coefficient as a 53-bit integer times a power
+    of two, so the grid is the gcd of the integers' odd parts times the
+    smallest power.  A ``Fraction`` per coefficient costs 30x more.
+    """
+    row = np.abs(row[row != 0])
+    if not (np.isfinite(row).all() and math.isfinite(rhs)):
+        return rhs
+    grid = Fraction(1)
+    if len(row):
+        mantissa, exponent = np.frexp(row)
+        whole = (mantissa * 2.0**53).astype(np.int64)
+        zeros = np.frexp((whole & -whole).astype(np.float64))[1] - 1
+        power = int((exponent + zeros).min()) - 53
+        grid = int(np.gcd.reduce(whole >> zeros)) * Fraction(2) ** power
+    steps = Fraction(rhs) / grid
+    step = math.ceil(steps) - 1 if op is ast.CmpOp.LT else math.floor(steps) + 1
+    try:
+        return float(step * grid) if float(step * grid) == step * grid else rhs
+    except OverflowError:
+        return rhs
+
+
 class _Translator:
     def __init__(
         self,
         query,
         relation,
         candidate_rids,
-        epsilon,
         upper_bounds=None,
-        forced_ones=None,
+        lower_bounds=None,
         columns=None,
     ):
         self._query = query
         self._relation = relation
         self._rids = _rid_array(candidate_rids)
-        self._epsilon = epsilon
+        self._faithful = upper_bounds is None
         self._model = Model(name="paql")
-        count = len(self._rids)
-        lower = 0.0
-        if forced_ones:
-            lower = np.isin(self._rids, _rid_array(forced_ones)).astype(np.float64)
-        upper = repeat = float(query.repeat)
-        if upper_bounds:
-            upper = np.fromiter(
-                (upper_bounds.get(rid, repeat) for rid in self._rids.tolist()),
-                dtype=np.float64,
-                count=count,
-            )
+        lower = _per_rid(self._rids, lower_bounds, 0.0)
+        upper = _per_rid(self._rids, upper_bounds, query.repeat)
         # The model is fresh, so x_j has index j and every indicator
         # added later has a larger one: rows come out index-ordered.
-        self._x = self._model.add_variables(count, lower, upper, integer=True)
+        self._x = self._model.add_variables(len(self._rids), lower, upper, integer=True)
         self._x_upper = self._model.upper[self._x]
         if columns is None:
             columns = CandidateColumns(relation, self._rids)
@@ -487,35 +517,12 @@ class _Translator:
         return row, affine.constant
 
     def _emit_with_op(self, row, op, rhs, indicator):
-        """Emit ``row . x <op> rhs`` handling strictness exactly or by epsilon."""
-        if op is ast.CmpOp.EQ:
-            self._emit(row, "=", rhs, indicator)
-            return
-        if op is ast.CmpOp.LE:
-            self._emit(row, "<=", rhs, indicator)
-            return
-        if op is ast.CmpOp.GE:
-            self._emit(row, ">=", rhs, indicator)
-            return
-
-        # Every x is an integer variable, so the row's value is
-        # integral exactly when all of its coefficients are.
-        integral = bool(np.all(row == np.floor(row)))
-        if op is ast.CmpOp.LT:
-            if integral:
-                bound = math.ceil(rhs) - 1 if float(rhs).is_integer() else math.floor(rhs)
-                self._emit(row, "<=", float(bound), indicator)
-            else:
-                self._emit(row, "<=", rhs - self._epsilon, indicator)
-            return
-        if op is ast.CmpOp.GT:
-            if integral:
-                bound = math.floor(rhs) + 1 if float(rhs).is_integer() else math.ceil(rhs)
-                self._emit(row, ">=", float(bound), indicator)
-            else:
-                self._emit(row, ">=", rhs + self._epsilon, indicator)
-            return
-        raise ILPTranslationError(f"unexpected comparison operator {op}")
+        """Emit ``row . x <op> rhs``, a strict ``op`` at the bound
+        :func:`_strict_bound` gives."""
+        strict = {ast.CmpOp.LT: "<=", ast.CmpOp.GT: ">="}.get(op)
+        if strict:
+            rhs = _strict_bound(row, op, rhs)
+        self._emit(row, strict or op.value, rhs, indicator)
 
     def _encode_with_avg(self, affine, op, indicator):
         """Multiply an AVG comparison through by the non-NULL count.
@@ -643,7 +650,8 @@ class _Translator:
             self._encode_formula(normalized)
         self._encode_objective()
         return ILPTranslation(
-            self._query, self._relation, self._rids, self._model, self._x
+            self._query, self._relation, self._rids, self._model, self._x,
+            self._faithful,
         )
 
 
@@ -651,9 +659,8 @@ def translate(
     query,
     relation,
     candidate_rids,
-    epsilon=DEFAULT_EPSILON,
     upper_bounds=None,
-    forced_ones=None,
+    lower_bounds=None,
     columns=None,
 ):
     """Translate an analyzed package query into an ILP.
@@ -662,19 +669,16 @@ def translate(
         query: analyzed :class:`~repro.paql.ast.PackageQuery`.
         relation: the base relation.
         candidate_rids: rids that satisfy the base constraints.
-        epsilon: strictness slack for non-integral strict comparisons.
         upper_bounds: optional per-rid multiplicity caps overriding
             ``REPEAT`` (``dict rid -> int``).  The ``partition``
             strategy's sketch uses this to let one representative
             variable stand in for its whole partition; the resulting
             model is *not* a faithful encoding of the query, so its
             solutions must be refined before validation.
-        forced_ones: rids the candidate-space reducer proved present
-            in every valid package (:mod:`repro.core.reduction`);
-            their variables get lower bound 1, which presolve turns
-            into outright eliminations when ``REPEAT`` is 1.  Sound
-            facts only tighten the model — they never cut a feasible
-            solution.
+        lower_bounds: optional per-rid multiplicity floors
+            (``dict rid -> int``): tuples a caller pins, or those the
+            reducer (:mod:`repro.core.reduction`) proved present in
+            every valid package, which never cuts a feasible solution.
         columns: the query's ``CandidateColumns`` over
             ``candidate_rids`` (built when ``None``).
 
@@ -686,6 +690,5 @@ def translate(
             evaluator falls back to search strategies).
     """
     return _Translator(
-        query, relation, candidate_rids, epsilon, upper_bounds, forced_ones,
-        columns,
+        query, relation, candidate_rids, upper_bounds, lower_bounds, columns
     ).translate()

@@ -16,6 +16,10 @@ constraint boundary up to float noise — e.g. a package summing to
 strategy bugs, not 1e-15 arithmetic noise.  The tolerance only ever
 accepts more packages (strict comparisons and negations stay exact),
 so no truly-satisfying package is ever rejected because of it.
+
+:func:`check_global` also judges every ILP package as it is solved
+(:func:`repro.core.strategies.base.solve_model`), so the translator
+writes a strict comparison with no margin of its own.
 """
 
 from __future__ import annotations
@@ -64,41 +68,39 @@ def objective_value(package, query):
     return None if value is None else float(value)
 
 
-def check_global(package, query, tolerance=DEFAULT_TOLERANCE):
+def check_global(package, query):
     """True when the package satisfies the SUCH THAT formula.
 
-    Satisfaction within ``tolerance`` (relative) of a non-strict
-    comparison boundary counts — see the module docstring.
+    Satisfaction within :data:`DEFAULT_TOLERANCE` (relative) of a
+    non-strict comparison boundary counts — see the module docstring.
     """
     if query.such_that is None:
         return True
-    return _holds(query.such_that, package, tolerance)
+    return holds(query.such_that, package)
 
 
-def _holds(node, package, tolerance):
+def holds(node, package):
+    """True when ``package`` satisfies the formula ``node`` under the
+    validator's comparison semantics (see the module docstring)."""
     exact = eval_expr(node, None, package.aggregate)
     if exact is True:
         return True
     # Exactly-false (or NULL) verdicts get one tolerant re-check on
     # the boundary-sensitive node shapes; everything else stands.
     if isinstance(node, ast.And):
-        return all(_holds(arg, package, tolerance) for arg in node.args)
+        return all(holds(arg, package) for arg in node.args)
     if isinstance(node, ast.Or):
-        return any(_holds(arg, package, tolerance) for arg in node.args)
+        return any(holds(arg, package) for arg in node.args)
     if isinstance(node, ast.Comparison):
-        return _comparison_holds(
-            node.op, node.left, node.right, package, tolerance
-        )
+        return _comparison_holds(node.op, node.left, node.right, package)
     if isinstance(node, ast.Between) and not node.negated:
         return _comparison_holds(
-            ast.CmpOp.GE, node.expr, node.low, package, tolerance
-        ) and _comparison_holds(
-            ast.CmpOp.LE, node.expr, node.high, package, tolerance
-        )
+            ast.CmpOp.GE, node.expr, node.low, package
+        ) and _comparison_holds(ast.CmpOp.LE, node.expr, node.high, package)
     return exact is True
 
 
-def _comparison_holds(op, left_node, right_node, package, tolerance):
+def _comparison_holds(op, left_node, right_node, package):
     left = eval_expr(left_node, None, package.aggregate)
     right = eval_expr(right_node, None, package.aggregate)
     if not isinstance(left, (int, float)) or isinstance(left, bool):
@@ -106,16 +108,16 @@ def _comparison_holds(op, left_node, right_node, package, tolerance):
     if not isinstance(right, (int, float)) or isinstance(right, bool):
         return False
     left, right = float(left), float(right)
-    slack = tolerance * max(1.0, abs(left), abs(right))
+    slack = DEFAULT_TOLERANCE * max(1.0, abs(left), abs(right))
     if op is ast.CmpOp.LE:
         return left <= right + slack
     if op is ast.CmpOp.GE:
         return left >= right - slack
     if op is ast.CmpOp.EQ:
         return abs(left - right) <= slack
-    # Strict comparisons (and <>) keep their exact verdicts: the ILP
-    # already encodes them with a much larger epsilon margin, and a
-    # tolerance here would *reject* nothing and accept equality.
+    # Strict comparisons (and <>) keep their exact verdicts: they are
+    # what cuts off the boundary packages of the translator's closure,
+    # and a tolerance here would accept equality.
     if op is ast.CmpOp.LT:
         return left < right
     if op is ast.CmpOp.GT:

@@ -51,10 +51,10 @@ _PRUNE_SLACK = 1e-9
 
 #: Relative slack of the knapsack fast path's capacity check, a few
 #: ulps: a weight sum that equals the capacity in decimals may round an
-#: ulp or two above it and still fits.  For capacities below about 1e9
-#: it stays under the translator's strict-comparison epsilon
-#: (``SUM(x) < C`` arrives as ``<= C - 1e-6``), so a sum equal to a
-#: strict cap does not fit.
+#: ulp or two above it and still fits.  A strict cap arrives as the
+#: nearest grid value below it, or as its closure ``<= C`` when that
+#: value is no exact double; a package on a closure's boundary is cut
+#: off by the validator's judge in ``strategies.base.solve_model``.
 _CAPACITY_ULPS = 4 * np.finfo(np.float64).eps
 
 

@@ -18,10 +18,10 @@ row of the array translator is stored in.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from repro.core.formula import normalize_formula
 from repro.core.translate_ilp import (
-    DEFAULT_EPSILON,
     PLAN_PREDICATES,
     ILPTranslationError,
     _affine_of,
@@ -142,20 +142,10 @@ class ScalarTranslator:
         if op in senses:
             self._emit(coeffs, senses[op], rhs, indicator)
             return
-        integral = all(float(coef).is_integer() for coef in coeffs.values())
-        whole = float(rhs).is_integer()
-        if op is ast.CmpOp.LT:
-            if integral:
-                bound = math.ceil(rhs) - 1 if whole else math.floor(rhs)
-                self._emit(coeffs, "<=", float(bound), indicator)
-            else:
-                self._emit(coeffs, "<=", rhs - DEFAULT_EPSILON, indicator)
-        elif op is ast.CmpOp.GT:
-            if integral:
-                bound = math.floor(rhs) + 1 if whole else math.ceil(rhs)
-                self._emit(coeffs, ">=", float(bound), indicator)
-            else:
-                self._emit(coeffs, ">=", rhs + DEFAULT_EPSILON, indicator)
+        strict = {ast.CmpOp.LT: "<=", ast.CmpOp.GT: ">="}
+        if op in strict:
+            bound = _strict_bound(coeffs.values(), op, rhs)
+            self._emit(coeffs, strict[op], bound, indicator)
         else:
             raise ILPTranslationError(f"unexpected comparison operator {op}")
 
@@ -235,3 +225,30 @@ class ScalarTranslator:
             self._linearize(affine), sense, constant=affine.constant
         )
         return self._model
+
+
+def _strict_bound(coefs, op, rhs):
+    """The nearest multiple of the coefficients' exact gcd strictly on
+    ``op``'s side of ``rhs`` when it is an exact float, else ``rhs``:
+    the translator's grid rule, one ``Fraction`` at a time."""
+    coefs = [coef for coef in coefs if coef != 0]
+    if not all(math.isfinite(coef) for coef in coefs + [rhs]):
+        return rhs
+    grid = Fraction(0)
+    for coef in coefs:
+        coef = abs(Fraction(coef))
+        grid = Fraction(
+            math.gcd(
+                grid.numerator * coef.denominator,
+                coef.numerator * grid.denominator,
+            ),
+            grid.denominator * coef.denominator,
+        )
+    grid = grid or Fraction(1)
+    steps = Fraction(rhs) / grid
+    step = math.ceil(steps) - 1 if op is ast.CmpOp.LT else math.floor(steps) + 1
+    bound = step * grid
+    try:
+        return float(bound) if float(bound) == bound else rhs
+    except OverflowError:
+        return rhs

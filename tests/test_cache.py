@@ -20,6 +20,7 @@ from repro.core.cache import ArtifactLayer, BoundedCache
 from repro.core.engine import EngineOptions, PackageQueryEvaluator, evaluate
 from repro.core.session import ArtifactCache, EvaluationSession
 from repro.core.strategies import EvaluationContext
+from repro.core.translate_ilp import translate
 from repro.datasets import clustered_relation
 
 
@@ -200,6 +201,22 @@ class TestOnlyOneOfEach:
                 for path in self._files_containing(needle)
                 if path.startswith("core/")
             } == {"core/strategies/base.py"}, needle
+
+    def test_one_solve_entry(self):
+        # Every ILP caller solves through strategies/base.py's
+        # solve_model, which has the validator judge the package: no
+        # second solve-and-decode path, pins are variable bounds, and
+        # the translator keeps no strictness margin.
+        for needle in ("DEFAULT_EPSILON", "solve_on_backend", "forced_ones"):
+            assert self._files_containing(needle) == set(), needle
+        for needle in ("solve_milp(", "solve_milp_scipy("):
+            assert {
+                path
+                for path in self._files_containing(needle)
+                if not path.startswith("solver/")
+            } == {"core/strategies/base.py"}, needle
+        with pytest.raises(TypeError):
+            translate(None, None, [], epsilon=1e-6)
 
     def test_one_where_judge(self):
         # WHERE is decided by the engine's kernels (or the pushdown

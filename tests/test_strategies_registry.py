@@ -390,6 +390,39 @@ class TestPartitionStrategy:
         assert result.strategy == "ilp"
         assert "partition_fallback" in result.stats
 
+    def test_rejected_refinement_falls_back(self, monkeypatch):
+        # A sketch is not the query, so solve_model judges none of its
+        # steps; partition judges the package they built, and a
+        # rejection defers to the next strategy like a dead end.
+        from repro.core.strategies import partition
+
+        verdicts = iter([False])
+        monkeypatch.setattr(
+            partition, "check_global", lambda package, query: next(verdicts)
+        )
+        result = evaluate(
+            "SELECT PACKAGE(T) FROM T SUCH THAT COUNT(*) = 2 MAXIMIZE SUM(T.value)",
+            value_relation([10, 20, 30, 40]),
+            options=EngineOptions(strategy="partition"),
+        )
+        assert result.stats["partition_fallback"] == "refined package rejected"
+        assert (result.strategy, result.objective) == ("ilp", 70)
+
+    def test_ilp_gives_up_past_the_judge_cut_limit(self, monkeypatch):
+        # A judge that rejects every package: solve_model cuts off
+        # MAX_JUDGE_CUTS of them, then answers UNKNOWN with its reason.
+        from repro.core.strategies import base
+
+        monkeypatch.setattr(base, "check_global", lambda package, query: False)
+        result = evaluate(
+            "SELECT PACKAGE(T) FROM T SUCH THAT COUNT(*) <= 10 MAXIMIZE SUM(T.value)",
+            value_relation(list(range(10))),
+            options=EngineOptions(strategy="ilp"),
+        )
+        assert result.status is ResultStatus.UNKNOWN and not result.found
+        assert result.stats["judge_cuts"] == base.MAX_JUDGE_CUTS
+        assert "rejected" in result.stats["gave_up"]
+
     def test_fallback_disabled_reports_unknown(self):
         rel = value_relation([2, 3])
         result = evaluate(

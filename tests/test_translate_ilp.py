@@ -14,7 +14,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    EngineOptions,
     ILPTranslationError,
+    ResultStatus,
+    evaluate,
     find_best,
     is_valid,
     translate,
@@ -121,6 +124,22 @@ class TestLinearConstraints:
             "MINIMIZE SUM(T.value)",
             rel,
         )
+
+    def test_strict_sum_comparison_lands_on_the_row_grid(self):
+        # Half-unit sums take only multiples of 0.5, so SUM < 10 is
+        # SUM <= 9.5 exactly.  The closure SUM <= 10 alone would admit
+        # C(40, 20) packages on the boundary for the judge to cut.
+        rel = value_relation([0.5] * 40)
+        text = (
+            "SELECT PACKAGE(T) FROM T SUCH THAT SUM(T.value) < 10 "
+            "MAXIMIZE COUNT(*)"
+        )
+        query = parse_and_analyze(text, rel.schema)
+        _, _, senses, b, _, _ = translate(query, rel, range(40)).model.lp_arrays()
+        assert (senses[-1].value, b[-1]) == ("<=", 9.5)
+        result = evaluate(text, rel, options=EngineOptions(strategy="ilp"))
+        assert (result.status, result.objective) == (ResultStatus.OPTIMAL, 19)
+        assert result.stats["judge_cuts"] == 0
 
     def test_sum_with_nulls_contributes_zero(self):
         rel = value_relation([10, None, 30])
@@ -274,7 +293,7 @@ class TestMinMaxEncodings:
             "MAXIMIZE SUM(T.value)",
             rel.schema,
         )
-        translation = translate(query, rel, [0, 1, 2], forced_ones={1})
+        translation = translate(query, rel, [0, 1, 2], lower_bounds={1: 1})
         lowers = translation.model.lower[translation.x_vars]
         assert lowers.tolist() == [0.0, 1.0, 0.0]
         solution = solve_milp(translation.model)
@@ -550,13 +569,14 @@ class TestMatchesScalarReference:
         except PaQLError:
             assume(False)
         rids = list(range(len(relation)))
+        lower = dict.fromkeys(forced, 1)
         try:
             expected = ScalarTranslator(query, relation, rids, forced).translate()
         except ILPTranslationError:
             with pytest.raises(ILPTranslationError):
-                translate(query, relation, rids, forced_ones=forced)
+                translate(query, relation, rids, lower_bounds=lower)
             return
-        model = translate(query, relation, rids, forced_ones=forced).model
+        model = translate(query, relation, rids, lower_bounds=lower).model
         c, A, senses, b, lower, upper = model.lp_arrays()
         ref_c, ref_A, ref_senses, ref_b, ref_lower, ref_upper = expected.lp_arrays()
         assert senses == ref_senses
@@ -591,7 +611,7 @@ class TestMatchesScalarReference:
             relation.schema,
         )
         rids = [0, 1, 2, 3]
-        model = translate(query, relation, rids, forced_ones={2}).model
+        model = translate(query, relation, rids, lower_bounds={2: 1}).model
         expected = ScalarTranslator(query, relation, rids, {2}).translate()
         assert model.num_constraints == expected.num_constraints >= 8
         for mine, theirs in zip(model.lp_arrays(), expected.lp_arrays()):

@@ -991,7 +991,7 @@ class TestCandidateColumns:
             state.ctx.query,
             relation,
             state.ctx.candidate_rids,
-            forced_ones=frozenset(state.ctx.forced_rids),
+            lower_bounds=dict.fromkeys(state.ctx.forced_rids, 1),
         )
         got = translation.model.lp_arrays()
         want = fresh.model.lp_arrays()
